@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/fl"
 	"repro/internal/numeric"
@@ -11,7 +12,9 @@ import (
 
 // solveDeadlineJoint solves the fixed-deadline energy minimization (the
 // w1 = 1, w2 = 0, fixed-T setting of Figs. 7-8) by dual decomposition on the
-// single coupling constraint sum B_n <= B:
+// single coupling constraint sum B_n <= B. It returns the allocation and a
+// lower bound on the optimal per-round energy: the dual function at the
+// final price bracket.
 //
 // At a bandwidth price lambda, each device independently chooses its upload
 // time share t (hence frequency f = clamp(Rl*c*D/(T-t), FMin, FMax) and rate
@@ -21,12 +24,29 @@ import (
 //
 // where E_tr is the reduced transmission energy (power eliminated, see
 // reducedDevice). The inner bandwidth choice is the reduced waterfilling
-// condition; the outer time split is a 1-D search. Bisection on lambda
-// clears the band. Unlike alternating f/(p,B) updates — which ratchet every
-// device's rate floor at its incoming upload time — the price decomposition
-// explores the full compute/communicate tradeoff and is what makes the
-// proposed scheme dominate the block-coordinate Scheme 1 baseline.
-func solveDeadlineJoint(s *fl.System, roundDeadline float64) (fl.Allocation, error) {
+// condition; the outer time split is a grid-and-golden search. A dearer band
+// buys a longer upload, so the best split is nondecreasing in lambda: once a
+// price bracket is known, each device searches only between its splits at
+// the two bracket ends.
+//
+// The clearing price is found by a safeguarded Illinois secant on
+// ln(demand/B) in ln(lambda) (numeric.IllinoisDecreasing); demand is close
+// to a power law in the price, so secant steps are nearly exact. Demand
+// jumps where a device's best split switches basins, so the search, which
+// stops at a bracket 1e-7 wide in ln(lambda), may close on a jump. At the
+// bracket's under-demand end hi the band floors sum to at most
+// demand(hi) <= B, so the hi splits are always feasible; the splits at the
+// over-demand end lo, where they differ (the basin jumps) and their floors
+// fit, are a second candidate. Each candidate is polished by alternating an
+// exact bandwidth waterfill at fixed splits with per-device re-splits at
+// fixed bands (every half-step is an exact block minimization, so energy
+// never rises), and the lower energy wins.
+//
+// Unlike alternating f/(p,B) updates — which ratchet every device's rate
+// floor at its incoming upload time — the price decomposition explores the
+// full compute/communicate tradeoff and is what makes the proposed scheme
+// dominate the block-coordinate Scheme 1 baseline.
+func solveDeadlineJoint(s *fl.System, roundDeadline float64) (fl.Allocation, float64, error) {
 	n := s.N()
 	type devPlan struct {
 		tLo, tHi float64
@@ -37,180 +57,183 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64) (fl.Allocation, err
 		cycles := s.LocalIters * d.CyclesPerIteration()
 		tHi := roundDeadline - cycles/d.FMax
 		if tHi <= 0 {
-			return fl.Allocation{}, fmt.Errorf("core: device %d compute floor %g exceeds round deadline %g: %w",
+			return fl.Allocation{}, 0, fmt.Errorf("core: device %d compute floor %g exceeds round deadline %g: %w",
 				i, cycles/d.FMax, roundDeadline, ErrInfeasible)
 		}
 		// Fastest conceivable upload: full power over the whole band.
 		rTop := wireless.Rate(d.PMax, s.Bandwidth, d.Gain, s.N0)
 		if rTop <= 0 {
-			return fl.Allocation{}, fmt.Errorf("core: device %d has zero rate: %w", i, ErrInfeasible)
+			return fl.Allocation{}, 0, fmt.Errorf("core: device %d has zero rate: %w", i, ErrInfeasible)
 		}
 		tLo := d.UploadBits / rTop * (1 + 1e-9)
 		if tLo >= tHi {
-			return fl.Allocation{}, fmt.Errorf("core: device %d cannot fit upload %gs before deadline: %w", i, tLo, ErrInfeasible)
+			return fl.Allocation{}, 0, fmt.Errorf("core: device %d cannot fit upload %gs before deadline: %w", i, tLo, ErrInfeasible)
 		}
 		plans[i] = devPlan{tLo: tLo, tHi: tHi, cycles: cycles}
 	}
+	compEnergy := func(i int, t float64) float64 {
+		f := numeric.Clamp(plans[i].cycles/(roundDeadline-t), s.Devices[i].FMin, s.Devices[i].FMax)
+		return s.Kappa * plans[i].cycles * f * f
+	}
 
-	// bestSplit returns device i's optimal (t, B) at price lambda, along
-	// with the implied reduced device for that rate floor.
-	bestSplit := func(i int, lambda float64) (float64, float64, error) {
+	// bestSplit returns device i's cheapest split t in [lo, hi] at price
+	// lambda, with its bandwidth and cost. The grid keeps the spacing of a
+	// 24-point scan of the device's full range.
+	splitTol := 1e-8 * roundDeadline
+	bestSplit := func(i int, lambda, lo, hi float64) (t, b, cost float64) {
 		d := s.Devices[i]
-		pl := plans[i]
-		cost := func(t float64) float64 {
-			rd, err := newReducedDevice(d, s.N0, d.UploadBits/t)
+		cost = math.Inf(1)
+		eval := func(x float64) float64 {
+			rd, err := newReducedDevice(d, s.N0, d.UploadBits/x)
 			if err != nil {
 				return math.Inf(1)
 			}
-			b := rd.bandAt(s.N0, lambda)
-			f := numeric.Clamp(pl.cycles/(roundDeadline-t), d.FMin, d.FMax)
-			return s.Kappa*pl.cycles*f*f + rd.energy(s.N0, b) + lambda*b
-		}
-		t, err := numeric.GridRefineMin(cost, pl.tLo, pl.tHi, 24, 1e-8*roundDeadline)
-		if err != nil {
-			return 0, 0, fmt.Errorf("core: device %d split search: %w", i, err)
-		}
-		rd, err := newReducedDevice(d, s.N0, d.UploadBits/t)
-		if err != nil {
-			return 0, 0, err
-		}
-		return t, rd.bandAt(s.N0, lambda), nil
-	}
-
-	demand := func(lambda float64) float64 {
-		var sum float64
-		for i := 0; i < n; i++ {
-			_, b, err := bestSplit(i, lambda)
-			if err != nil {
-				return math.Inf(1)
+			bx := rd.bandAt(s.N0, lambda)
+			c := compEnergy(i, x) + rd.energy(s.N0, bx) + lambda*bx
+			if c < cost {
+				t, b, cost = x, bx, c
 			}
-			sum += b
+			return c
 		}
-		return sum
+		if hi-lo <= splitTol {
+			eval(0.5 * (lo + hi))
+		} else {
+			grid := 1 + int(math.Ceil(23*(hi-lo)/(plans[i].tHi-plans[i].tLo)))
+			_, _ = numeric.GridRefineMin(eval, lo, hi, grid, splitTol)
+		}
+		return t, b, cost
 	}
 
-	// Bracket the price. High lambda pushes every device to its tightest
-	// bandwidth (longest affordable upload at pmax); demand may still exceed
-	// the budget — then the instance is infeasible.
-	lamLo, lamHi := 1e-12, 1.0
-	for demand(lamLo) <= s.Bandwidth && lamLo > 1e-300 {
-		lamLo /= 256
+	// A bracket end of the price search: log price, log excess demand
+	// ln(demand/B), dual function value and every device's split there.
+	type priceEnd struct {
+		x, excess, dual float64
+		t               []float64
+		ok              bool
 	}
-	grew := 0
-	for demand(lamHi) > s.Bandwidth {
-		lamHi *= 16
-		grew++
-		if grew > 200 {
-			return fl.Allocation{}, fmt.Errorf("core: no bandwidth price clears the deadline instance: %w", ErrInfeasible)
+	lo := priceEnd{t: make([]float64, n)}
+	hi := priceEnd{t: make([]float64, n)}
+	for i, pl := range plans {
+		lo.t[i], hi.t[i] = pl.tLo, pl.tHi
+	}
+	cur := make([]float64, n)
+	excess := func(x float64) float64 {
+		lambda := math.Exp(x)
+		demand, dual := 0.0, -lambda*s.Bandwidth
+		for i := range plans {
+			t, b, c := bestSplit(i, lambda, lo.t[i], hi.t[i])
+			cur[i] = t
+			demand += b
+			dual += c
 		}
-	}
-	if demand(lamLo) <= s.Bandwidth {
-		lamLo = lamHi // degenerate: floors fill the band at any price
-	}
-	lambda, err := numeric.BisectDecreasing(func(l float64) float64 { return demand(l) - s.Bandwidth },
-		math.Min(lamLo, lamHi), lamHi, 1e-10*lamHi)
-	if err != nil {
-		return fl.Allocation{}, fmt.Errorf("core: deadline price bisection: %w", err)
+		end := &hi
+		if demand > s.Bandwidth {
+			end = &lo
+		}
+		end.x, end.excess, end.dual, end.ok = x, math.Log(demand/s.Bandwidth), dual, true
+		copy(end.t, cur)
+		return end.excess
 	}
 
-	// Extract the splits on the feasible side of the clearing price: demand
-	// jumps where a device's optimal split switches basins, and the
-	// bisection midpoint may sit a hair on the over-committed side. Nudge
-	// lambda upward (with growing steps) until the induced bandwidth floors
-	// fit the budget.
-	splits := make([]float64, n)
-	extract := func(lam float64) (float64, error) {
-		var floorSum float64
-		for i, d := range s.Devices {
-			t, _, err := bestSplit(i, lam)
-			if err != nil {
-				return 0, err
+	// Bracket the price, then close the bracket. High prices push every
+	// device to its tightest bandwidth; if demand still exceeds the budget
+	// the instance is infeasible.
+	x := math.Log(1e-12)
+	if excess(x) > 0 {
+		for k := 0; !hi.ok; k++ {
+			if k == 200 {
+				return fl.Allocation{}, 0, fmt.Errorf("core: no bandwidth price clears the deadline instance: %w", ErrInfeasible)
 			}
-			splits[i] = t
-			rd, err := newReducedDevice(d, s.N0, d.UploadBits/t)
-			if err != nil {
-				return 0, err
-			}
-			floorSum += rd.bForced
+			x += math.Log(16)
+			excess(x)
 		}
-		return floorSum, nil
+	} else {
+		for !lo.ok && x > math.Log(1e-300) {
+			x -= math.Log(256)
+			excess(x)
+		}
 	}
-	eps := 1e-12
-	for k := 0; ; k++ {
-		floorSum, err := extract(lambda)
-		if err != nil {
-			return fl.Allocation{}, err
+	if lo.ok {
+		if _, _, err := numeric.IllinoisDecreasing(excess, lo.x, hi.x, lo.excess, hi.excess, 1e-7); err != nil {
+			return fl.Allocation{}, 0, fmt.Errorf("core: deadline price search: %w", err)
 		}
-		if floorSum <= s.Bandwidth*(1+budgetSlack) {
-			break
-		}
-		if k >= 64 {
-			return fl.Allocation{}, fmt.Errorf("core: deadline splits never fit the band (floors %g > %g): %w",
-				floorSum, s.Bandwidth, ErrInfeasible)
-		}
-		lambda *= 1 + eps
-		eps *= 4
 	}
 
-	// Polish away the decomposition's residual gap (price jumps leave a
-	// little misallocated band): alternate an exact bandwidth waterfill at
-	// the fixed splits with per-device re-splits at the fixed bands. Every
-	// half-step is an exact block minimization, so the total energy is
-	// non-increasing; a few passes suffice.
-	var bands []float64
+	// polish turns splits into an allocation and its per-round energy.
 	reduced := make([]reducedDevice, n)
-	rebuild := func() error {
-		for i, d := range s.Devices {
-			rd, err := newReducedDevice(d, s.N0, d.UploadBits/splits[i])
-			if err != nil {
-				return err
-			}
-			reduced[i] = rd
-		}
-		return nil
-	}
-	if err := rebuild(); err != nil {
-		return fl.Allocation{}, err
-	}
-	for pass := 0; pass < 4; pass++ {
-		var werr error
-		_, bands, werr = waterfillReduced(reduced, s.N0, s.Bandwidth)
-		if werr != nil {
-			return fl.Allocation{}, werr
-		}
-		if pass == 3 {
-			break
-		}
-		// Re-split each device at its fixed bandwidth.
-		for i, d := range s.Devices {
-			b := bands[i]
-			pl := plans[i]
-			cost := func(t float64) float64 {
-				r := d.UploadBits / t
-				p := numeric.Clamp(wireless.PowerForRate(r, b, d.Gain, s.N0), d.PMin, d.PMax)
-				g := wireless.Rate(p, b, d.Gain, s.N0)
-				if g < r*(1-1e-12) {
-					return math.Inf(1) // cannot reach this rate at pmax on band b
+	bands := make([]float64, n)
+	polish := func(start []float64) (fl.Allocation, float64, error) {
+		splits := append([]float64(nil), start...)
+		rebuild := func() error {
+			var floors float64
+			for i, d := range s.Devices {
+				rd, err := newReducedDevice(d, s.N0, d.UploadBits/splits[i])
+				if err != nil {
+					return err
 				}
-				f := numeric.Clamp(pl.cycles/(roundDeadline-t), d.FMin, d.FMax)
-				return s.Kappa*pl.cycles*f*f + p*d.UploadBits/g
+				reduced[i] = rd
+				floors += rd.bForced
 			}
-			if t, gerr := numeric.GridRefineMin(cost, pl.tLo, pl.tHi, 24, 1e-9*roundDeadline); gerr == nil &&
-				cost(t) <= cost(splits[i]) {
-				splits[i] = t
+			if floors > s.Bandwidth*(1+budgetSlack) {
+				return fmt.Errorf("core: deadline splits need %g > %g Hz: %w", floors, s.Bandwidth, ErrInfeasible)
 			}
+			return nil
 		}
 		if err := rebuild(); err != nil {
-			return fl.Allocation{}, err
+			return fl.Allocation{}, 0, err
 		}
+		for pass := 0; pass < 4; pass++ {
+			if _, _, err := waterfillReducedInto(reduced, s.N0, s.Bandwidth, bands); err != nil {
+				return fl.Allocation{}, 0, err
+			}
+			if pass == 3 {
+				break
+			}
+			// Re-split each device at its fixed bandwidth.
+			for i, d := range s.Devices {
+				b := bands[i]
+				cost := func(t float64) float64 {
+					r := d.UploadBits / t
+					p := numeric.Clamp(wireless.PowerForRate(r, b, d.Gain, s.N0), d.PMin, d.PMax)
+					g := wireless.Rate(p, b, d.Gain, s.N0)
+					if g < r*(1-1e-12) {
+						return math.Inf(1) // cannot reach this rate at pmax on band b
+					}
+					return compEnergy(i, t) + p*d.UploadBits/g
+				}
+				if t, gerr := numeric.GridRefineMin(cost, plans[i].tLo, plans[i].tHi, 24, 1e-9*roundDeadline); gerr == nil &&
+					cost(t) <= cost(splits[i]) {
+					splits[i] = t
+				}
+			}
+			if err := rebuild(); err != nil {
+				return fl.Allocation{}, 0, err
+			}
+		}
+		alloc := fl.NewAllocation(n)
+		var energy float64
+		for i, d := range s.Devices {
+			rd := reduced[i]
+			alloc.Bandwidth[i] = math.Max(bands[i], rd.bForced)
+			alloc.Power[i] = rd.power(s.N0, alloc.Bandwidth[i])
+			alloc.Freq[i] = numeric.Clamp(plans[i].cycles/(roundDeadline-splits[i]), d.FMin, d.FMax)
+			energy += compEnergy(i, splits[i]) + rd.energy(s.N0, alloc.Bandwidth[i])
+		}
+		return alloc, energy, nil
 	}
 
-	alloc := fl.NewAllocation(n)
-	for i, d := range s.Devices {
-		rd := reduced[i]
-		alloc.Bandwidth[i] = math.Max(bands[i], rd.bForced)
-		alloc.Power[i] = rd.power(s.N0, alloc.Bandwidth[i])
-		alloc.Freq[i] = numeric.Clamp(plans[i].cycles/(roundDeadline-splits[i]), d.FMin, d.FMax)
+	alloc, energy, err := polish(hi.t)
+	if err != nil {
+		return fl.Allocation{}, 0, err
 	}
-	return alloc, nil
+	bound := hi.dual
+	if lo.ok {
+		bound = math.Max(bound, lo.dual)
+		if !slices.Equal(lo.t, hi.t) {
+			if a, e, err := polish(lo.t); err == nil && e < energy {
+				alloc = a
+			}
+		}
+	}
+	return alloc, bound, nil
 }

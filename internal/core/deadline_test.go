@@ -1,0 +1,208 @@
+package core
+
+import (
+	"encoding/json"
+	"math"
+	"math/rand"
+	"os"
+	"testing"
+
+	"repro/internal/fl"
+	"repro/internal/wireless"
+)
+
+// TestDeadlineCorpus holds the deadline solver to the energies the
+// bisection-priced solver it replaced served on the same corpus, and to a
+// certified optimality gap: the dual function at the final price bracket
+// bounds the optimum from below.
+func TestDeadlineCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("48 N=50 deadline solves")
+	}
+	raw, err := os.ReadFile("testdata/deadline_corpus_energy.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seed struct {
+		Energy []float64 `json:"energy_j"`
+	}
+	if err := json.Unmarshal(raw, &seed); err != nil {
+		t.Fatal(err)
+	}
+	corpus := deadlineCorpus(t)
+	if len(seed.Energy) != len(corpus) {
+		t.Fatalf("%d recorded energies for %d corpus instances", len(seed.Energy), len(corpus))
+	}
+	var sum, seedSum, worstGap, bestGap float64
+	for k, s := range corpus {
+		round := corpusDeadline / s.GlobalRounds
+		alloc, bound, err := solveDeadlineJoint(s, round)
+		if err != nil {
+			t.Fatalf("instance %d: %v", k, err)
+		}
+		if err := s.ValidateDeadline(alloc, round, 1e-6); err != nil {
+			t.Errorf("instance %d: %v", k, err)
+		}
+		e := s.Evaluate(alloc).TotalEnergy
+		if e > seed.Energy[k]*(1+1e-5) {
+			t.Errorf("instance %d: energy %.9g J above the recorded %.9g J (rel %+.3g)",
+				k, e, seed.Energy[k], e/seed.Energy[k]-1)
+		}
+		gap := (e - s.GlobalRounds*bound) / e
+		if gap < -1e-9 || gap > 1e-5 {
+			t.Errorf("instance %d: primal-dual gap %.3g outside [-1e-9, 1e-5]", k, gap)
+		}
+		worstGap, bestGap = max(worstGap, gap), min(bestGap, gap)
+		sum += e
+		seedSum += seed.Energy[k]
+	}
+	if sum > seedSum {
+		t.Errorf("corpus mean energy %.9g J above the recorded %.9g J", sum/float64(len(corpus)), seedSum/float64(len(corpus)))
+	}
+	t.Logf("mean energy %.9g J (recorded %.9g J), gaps in [%.3g, %.3g]", sum/float64(len(corpus)), seedSum/float64(len(corpus)), bestGap, worstGap)
+}
+
+// TestBandAtInvertsMarginal checks the closed-form water level on both
+// branches of the reduced marginal: marginal(bandAt(lambda)) = lambda, or
+// the floor when the marginal there is already below lambda, or the
+// junction (where p(B) reaches pmin and the marginal drops) when lambda
+// falls inside that drop.
+func TestBandAtInvertsMarginal(t *testing.T) {
+	s := newTestSystem(40, 7)
+	var pinned, free, floor, junction int
+	for i, d := range s.Devices {
+		for _, tUp := range []float64{0.003, 0.03, 0.3} {
+			rd, err := newReducedDevice(d, s.N0, d.UploadBits/tUp)
+			if err != nil {
+				continue
+			}
+			for e := -16.0; e <= -4; e += 0.25 {
+				lambda := math.Pow(10, e)
+				b := rd.bandAt(s.N0, lambda)
+				m := rd.marginal(s.N0, b)
+				switch {
+				case b == rd.bForced:
+					floor++
+					if m > lambda*(1+1e-9) {
+						t.Errorf("device %d λ=%g: floor %g has marginal %g above λ", i, lambda, b, m)
+					}
+				case math.Abs(m-lambda) <= 1e-8*lambda:
+					if rd.power(s.N0, b) > rd.pmin*(1+1e-12) {
+						pinned++
+					} else {
+						free++
+					}
+				default:
+					junction++
+					// Left of b the power is pinned above pmin, right of it
+					// free at pmin, and λ lies between the two marginals.
+					lo, hi := rd.marginal(s.N0, b*(1+1e-9)), rd.marginal(s.N0, b*(1-1e-9))
+					if !(lo <= lambda*(1+1e-7) && lambda <= hi*(1+1e-7)) {
+						t.Errorf("device %d λ=%g: b=%g has marginal %g, not a root, floor or junction [%g, %g]",
+							i, lambda, b, m, lo, hi)
+					}
+				}
+			}
+		}
+	}
+	if pinned == 0 || free == 0 || floor == 0 || junction == 0 {
+		t.Errorf("branches not all exercised: pinned %d free %d floor %d junction %d", pinned, free, floor, junction)
+	}
+	t.Logf("pinned %d free %d floor %d junction %d", pinned, free, floor, junction)
+}
+
+// Deadline corpus: N=50 instances built the way the deadline-batch
+// benchmark workload builds them — 16 paper-default base topologies, each
+// instance a fresh σ=0.3 log-normal drift of every gain of one base taken
+// in turn, kept only when its minimum completion time is at most 90% of
+// the 120 s deadline.
+const (
+	corpusSize       = 48
+	corpusN          = 50
+	corpusTopologies = 16
+	corpusSigma      = 0.3
+	corpusDeadline   = 120.0 // s, total over all global rounds
+	corpusSeed       = 1
+)
+
+// scenarioSystem draws a population with the paper's Section VII-A
+// defaults, in the same order as experiments.Default().Build.
+func scenarioSystem(n int, seed int64) *fl.System {
+	rng := rand.New(rand.NewSource(seed))
+	pl := wireless.DefaultPathLoss()
+	devs := make([]fl.Device, n)
+	for i := range devs {
+		devs[i] = fl.Device{
+			Samples:         500,
+			CyclesPerSample: 1e4 + rng.Float64()*2e4,
+			UploadBits:      28.1e3,
+			Gain:            pl.SampleGain(rng, wireless.UniformDiskDistanceKm(rng, 0.25)),
+			FMin:            1e7,
+			FMax:            2e9,
+			PMin:            wireless.DBmToWatt(0),
+			PMax:            wireless.DBmToWatt(12),
+		}
+	}
+	return &fl.System{
+		Devices:      devs,
+		Bandwidth:    20e6,
+		N0:           wireless.NoisePSDWattPerHz(-174),
+		Kappa:        1e-28,
+		LocalIters:   10,
+		GlobalRounds: 400,
+	}
+}
+
+// deadlineCorpus returns the corpus instances, deterministic in corpusSeed.
+func deadlineCorpus(t testing.TB) []*fl.System {
+	t.Helper()
+	rng := rand.New(rand.NewSource(corpusSeed))
+	bases := make([]*fl.System, corpusTopologies)
+	for k := range bases {
+		bases[k] = scenarioSystem(corpusN, rng.Int63())
+	}
+	var out []*fl.System
+	for draws := 0; len(out) < corpusSize; draws++ {
+		if draws == 100*corpusSize {
+			t.Fatalf("only %d feasible corpus instances in %d draws", len(out), draws)
+		}
+		base := bases[draws%len(bases)]
+		s := *base
+		s.Devices = append([]fl.Device(nil), base.Devices...)
+		for i := range s.Devices {
+			s.Devices[i].Gain *= math.Exp(corpusSigma * rng.NormFloat64())
+		}
+		mt, err := SolveMinTime(&s)
+		if err != nil || mt.RoundDeadline*s.GlobalRounds > 0.9*corpusDeadline {
+			continue
+		}
+		out = append(out, &s)
+	}
+	return out
+}
+
+// TestDeadlineFixedPowerNearMinimum solves deadlines a hair above the
+// physical minimum for devices whose power box is a single point
+// (PMin = PMax). The band floors then fill the band to within rounding,
+// which leaves the polish's waterfill almost no room: the solve must still
+// succeed and be feasible.
+func TestDeadlineFixedPowerNearMinimum(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		s := newTestSystem(20, seed)
+		for i := range s.Devices {
+			s.Devices[i].PMin = s.Devices[i].PMax
+		}
+		mt, err := SolveMinTime(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := mt.RoundDeadline * 1.0001
+		alloc, _, err := solveDeadlineJoint(s, round)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := s.ValidateDeadline(alloc, round, 1e-6); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}

@@ -18,7 +18,6 @@ type reducedDevice struct {
 	pmin, pmax float64
 	rmin       float64
 	bForced    float64 // bandwidth where p(B) = pmax: the feasibility floor
-	bJunction  float64 // bandwidth where p(B) = pmin (+Inf if unreachable)
 }
 
 // newReducedDevice validates and precomputes the reduction for one device.
@@ -32,18 +31,6 @@ func newReducedDevice(dev fl.Device, n0, rmin float64) (reducedDevice, error) {
 		return rd, fmt.Errorf("core: rate %g unreachable at pmax: %w (%v)", rmin, ErrInfeasible, err)
 	}
 	rd.bForced = bf
-	// Probe reachability before solving: rmin is routinely unreachable at
-	// PMin, and the error path allocates on what is a hot loop (one
-	// reduced-device rebuild per direct SP2 solve).
-	if rmin < wireless.RateLimit(dev.PMin, dev.Gain, n0) {
-		if bj, err := wireless.BandwidthForRate(rmin, dev.PMin, dev.Gain, n0); err == nil {
-			rd.bJunction = bj
-		} else {
-			rd.bJunction = math.Inf(1)
-		}
-	} else {
-		rd.bJunction = math.Inf(1)
-	}
 	return rd, nil
 }
 
@@ -66,14 +53,14 @@ func (rd reducedDevice) energy(n0, b float64) float64 {
 // marginal returns -dE/dB at bandwidth b: the energy saved per extra hertz,
 // a positive quantity decreasing in b.
 func (rd reducedDevice) marginal(n0, b float64) float64 {
-	if b < rd.bJunction {
-		// Rate-pinned: E = (d/rmin)*p(B), p(B) = (2^(rmin/B)-1)*N0*B/g, so
-		// dp/dB = (N0/g)*(e^x*(1-x) - 1) with x = rmin*ln2/B. The expm1 form
-		// avoids catastrophic cancellation for small x:
-		// e^x*(1-x) - 1 = expm1(x)*(1-x) - x = -x^2/2 - x^3/3 - ...
-		x := rd.rmin * math.Ln2 / b
-		dp := n0 / rd.g * (math.Expm1(x)*(1-x) - x)
-		return -rd.d / rd.rmin * dp
+	// Rate-pinned while the power for rmin, (2^(rmin/B)-1)*N0*B/g, exceeds
+	// pmin: E = (d/rmin)*p(B), so dp/dB = (N0/g)*(e^x*(1-x) - 1) with
+	// x = rmin*ln2/B. The expm1 form avoids catastrophic cancellation for
+	// small x: e^x*(1-x) - 1 = expm1(x)*(1-x) - x = -x^2/2 - x^3/3 - ...
+	x := rd.rmin * math.Ln2 / b
+	em1 := math.Expm1(x)
+	if em1*n0*b/rd.g > rd.pmin {
+		return rd.d * n0 / (rd.rmin * rd.g) * (x - em1*(1-x))
 	}
 	// Free branch: E = pmin*d/G(pmin, B).
 	gRate := wireless.Rate(rd.pmin, b, rd.g, n0)
@@ -84,23 +71,56 @@ func (rd reducedDevice) marginal(n0, b float64) float64 {
 
 // bandAt returns the bandwidth at water level lambda: the b >= bForced with
 // marginal(b) = lambda, or bForced when even there the marginal is below
-// lambda.
+// lambda. Both branches of the marginal are inverted directly.
+//
+// Rate-pinned branch: with x = rmin*ln2/b the marginal is
+// (d*N0/(rmin*g))*phi(x), phi(x) = 1 + (x-1)*e^x, and phi(x) = c reads
+// (x-1)*e^(x-1) = (c-1)/e, so x = 1 + W0((c-1)/e). One Newton step
+// (phi'(x) = x*e^x) restores the digits W0 loses next to its branch point
+// (c -> 0).
+//
+// Free branch, past the junction where p(B) reaches pmin: with y = K/b,
+// K = pmin*g/N0 and L = ln(1+y), the marginal is
+// (pmin*d*ln2/K^2)*h(y), h(y) = y^2*(L - y/(1+y))/L^2. The slope of ln h
+// in ln y stays between 1.7 and 2, so Newton's method in ln y converges in
+// a few steps from the small-y root sqrt(2*c). The marginal
+// drops at the junction itself, so levels inside that drop return the
+// junction bandwidth.
 func (rd reducedDevice) bandAt(n0, lambda float64) float64 {
-	if rd.marginal(n0, rd.bForced) <= lambda {
+	c := lambda * rd.rmin * rd.g / (rd.d * n0)
+	w, err := numeric.LambertW0((c - 1) / math.E)
+	x := 1 + w
+	if err != nil || !(x > 0) {
+		x = math.Sqrt(2 * c) // phi(x) ~ x^2/2 near 0
+	}
+	em1 := math.Expm1(x)
+	x -= (x - em1*(1-x) - c) / (x * (em1 + 1))
+	b := rd.rmin * math.Ln2 / x
+	if !(b > rd.bForced) {
 		return rd.bForced
 	}
-	hi := rd.bForced * 2
-	for iter := 0; rd.marginal(n0, hi) > lambda; iter++ {
-		hi *= 4
-		if iter > 300 {
-			return hi
+	if wireless.PowerForRate(rd.rmin, b, rd.g, n0) >= rd.pmin {
+		return b
+	}
+
+	k := rd.pmin * rd.g / n0
+	c = lambda * k * k / (rd.pmin * rd.d * math.Ln2)
+	y := math.Sqrt(2 * c)
+	for i := 0; i < 30; i++ {
+		l := math.Log1p(y)
+		a := l - y/(1+y)
+		slope := 2 + y*y/((1+y)*(1+y)*a) - 2*y/((1+y)*l)
+		step := math.Log(y*y*a/(l*l*c)) / slope
+		y *= math.Exp(-step)
+		if !(math.Abs(step) > 1e-13) {
+			break
 		}
 	}
-	b, err := numeric.BisectDecreasing(func(b float64) float64 {
-		return rd.marginal(n0, b) - lambda
-	}, rd.bForced, hi, 1e-9*hi)
-	if err != nil {
-		return rd.bForced
+	if b = k / y; wireless.Rate(rd.pmin, b, rd.g, n0) >= rd.rmin {
+		return b
 	}
-	return b
+	// The error is nil: the pinned level needing less than pmin shows that
+	// pmin reaches rmin.
+	bj, _ := wireless.BandwidthForRate(rd.rmin, rd.pmin, rd.g, n0)
+	return bj
 }

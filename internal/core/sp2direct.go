@@ -87,15 +87,10 @@ func solveSubproblem2DirectInto(s *fl.System, w1Rg float64, rmin []float64, ws *
 	return res, nil
 }
 
-// waterfillReduced equalizes the marginal energy saving across reduced
+// waterfillReducedInto equalizes the marginal energy saving across reduced
 // devices within the bandwidth budget and returns the clearing water level
-// and the bandwidths (rescaled onto the exact budget, floors re-applied).
-func waterfillReduced(devs []reducedDevice, n0, budget float64) (float64, []float64, error) {
-	return waterfillReducedInto(devs, n0, budget, nil)
-}
-
-// waterfillReducedInto is waterfillReduced writing into bands when non-nil
-// (workspace reuse).
+// and the bandwidths (rescaled onto the exact budget, floors re-applied),
+// written into bands when non-nil (workspace reuse).
 func waterfillReducedInto(devs []reducedDevice, n0, budget float64, bands []float64) (float64, []float64, error) {
 	demand := func(lambda float64) float64 {
 		var sum float64
@@ -116,12 +111,17 @@ func waterfillReducedInto(devs []reducedDevice, n0, budget float64, bands []floa
 	lambda := lamHi
 	lamLo := lamHi
 	target := budget * (1 + budgetSlack)
-	for demand(lamLo) <= target && lamLo > 1e-300 {
+	excess := func(l float64) float64 { return demand(l) - target }
+	dLo := excess(lamLo)
+	for dLo <= 0 && lamLo > 1e-300 {
 		lamLo /= 16
+		dLo = excess(lamLo)
 	}
-	if demand(lamLo) > target {
+	if dLo > 0 {
+		// Demand is continuous and strictly decreasing in the level, so
+		// Brent's method finds it to full precision in a few sweeps.
 		var err error
-		lambda, err = numeric.BisectDecreasing(func(l float64) float64 { return demand(l) - target }, lamLo, lamHi, 0)
+		lambda, err = numeric.Brent(excess, lamLo, lamHi, 0)
 		if err != nil {
 			return 0, nil, fmt.Errorf("core: reduced waterfilling: %w", err)
 		}

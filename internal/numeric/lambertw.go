@@ -10,8 +10,9 @@ import (
 // branch W0 of the Lambert W function.
 var branchPoint = -1.0 / math.E
 
-// ErrLambertWDomain is returned by LambertW0 for arguments below -1/e.
-var ErrLambertWDomain = errors.New("numeric: LambertW0 argument below -1/e")
+// ErrLambertWDomain is returned for arguments outside a branch's domain:
+// below -1/e for LambertW0, outside [-1/e, 0) for LambertWm1.
+var ErrLambertWDomain = errors.New("numeric: Lambert W argument outside the branch's domain")
 
 // LambertW0 evaluates the principal branch of the Lambert W function, the
 // solution w >= -1 of w*exp(w) = x, for x >= -1/e.
@@ -38,15 +39,24 @@ func LambertW0(x float64) (float64, error) {
 		return math.Inf(1), nil
 	}
 
-	w := lambertW0Initial(x)
+	if w, ok := lambertHalley(lambertW0Initial(x), x); ok {
+		return w, nil
+	}
+	// Fall back to bisection if Halley stalled (extremely rare, e.g. at
+	// subnormal arguments next to the branch point).
+	return lambertW0Bisect(x)
+}
 
-	// Halley iteration: quadratically convergent with a cubic correction;
-	// a handful of steps reaches machine precision from the guesses above.
+// lambertHalley refines a starting point w for w*e^w = x by Halley
+// iteration: quadratically convergent with a cubic correction, a handful of
+// steps reaches machine precision from the initial guesses used here. It
+// reports false if the iteration stalled.
+func lambertHalley(w, x float64) (float64, bool) {
 	for i := 0; i < 64; i++ {
 		ew := math.Exp(w)
 		f := w*ew - x
 		if f == 0 {
-			return w, nil
+			return w, true
 		}
 		wp1 := w + 1
 		denom := ew*wp1 - (w+2)*f/(2*wp1)
@@ -56,12 +66,37 @@ func LambertW0(x float64) (float64, error) {
 		dw := f / denom
 		w -= dw
 		if math.Abs(dw) <= 1e-15*(1+math.Abs(w)) {
-			return w, nil
+			return w, true
 		}
 	}
-	// Fall back to bisection if Halley stalled (extremely rare, e.g. at
-	// subnormal arguments next to the branch point).
-	return lambertW0Bisect(x)
+	return w, false
+}
+
+// LambertWm1 evaluates the lower branch of the Lambert W function, the
+// solution w <= -1 of w*exp(w) = x, for -1/e <= x < 0. It starts from the
+// branch-point series near -1/e and from the asymptotic expansion
+// W ~ L1 - L2 + L2/L1 (L1 = ln(-x), L2 = ln(-L1)) elsewhere, then runs the
+// Halley iteration LambertW0 uses.
+func LambertWm1(x float64) (float64, error) {
+	switch {
+	case math.IsNaN(x) || x >= 0:
+		return math.NaN(), fmt.Errorf("numeric: LambertWm1(%g) outside [-1/e, 0): %w", x, ErrLambertWDomain)
+	case x <= branchPoint:
+		if x > branchPoint-1e-12 {
+			return -1, nil
+		}
+		return math.NaN(), fmt.Errorf("numeric: LambertWm1(%g) below -1/e: %w", x, ErrLambertWDomain)
+	}
+	if x < -0.25 {
+		// Branch-point series with p = -sqrt(2(e*x+1)).
+		p := -math.Sqrt(2 * (math.E*x + 1))
+		w, _ := lambertHalley(-1+p-p*p/3+11*p*p*p/72, x)
+		return w, nil
+	}
+	l1 := math.Log(-x)
+	l2 := math.Log(-l1)
+	w, _ := lambertHalley(l1-l2+l2/l1, x)
+	return w, nil
 }
 
 // lambertW0Initial produces a starting point accurate enough for Halley

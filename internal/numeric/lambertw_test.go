@@ -91,6 +91,60 @@ func TestLambertW0Monotone(t *testing.T) {
 	}
 }
 
+func TestLambertWm1KnownValues(t *testing.T) {
+	tests := []struct{ x, want float64 }{
+		{-1 / math.E, -1},
+		{-math.Ln2 / 2, -2 * math.Ln2},
+		{-2 * math.Exp(-2), -2},
+		{-10 * math.Exp(-10), -10},
+		{-40 * math.Exp(-40), -40},
+	}
+	for _, tc := range tests {
+		got, err := LambertWm1(tc.x)
+		if err != nil {
+			t.Fatalf("LambertWm1(%g) error: %v", tc.x, err)
+		}
+		if !AlmostEqual(got, tc.want, 1e-13, 1e-13) {
+			t.Errorf("LambertWm1(%g) = %.17g, want %.17g", tc.x, got, tc.want)
+		}
+	}
+}
+
+func TestLambertWm1Domain(t *testing.T) {
+	for _, x := range []float64{-0.5, -1/math.E - 1e-9, 0, 1, math.NaN()} {
+		if _, err := LambertWm1(x); !errors.Is(err, ErrLambertWDomain) {
+			t.Errorf("LambertWm1(%g): want ErrLambertWDomain, got %v", x, err)
+		}
+	}
+}
+
+// TestLambertWm1DefiningEquation checks w*e^w == x and w <= -1 on an
+// increasing grid dense at both ends of [-1/e, 0), and that W-1 decreases
+// along it.
+func TestLambertWm1DefiningEquation(t *testing.T) {
+	var xs []float64
+	for k := 0; k <= 280; k++ {
+		xs = append(xs, -1/math.E+math.Pow(10, -15+0.05*float64(k)))
+	}
+	for e := 1; e <= 300; e += 7 {
+		xs = append(xs, -math.Pow(10, -float64(e)))
+	}
+	prev := -1.0
+	for _, x := range xs {
+		w, err := LambertWm1(x)
+		if err != nil {
+			t.Fatalf("LambertWm1(%g): %v", x, err)
+		}
+		if w > -1 || w > prev+1e-12 {
+			t.Fatalf("LambertWm1(%g) = %g: off branch or not decreasing (prev %g)", x, w, prev)
+		}
+		prev = w
+		if back := w * math.Exp(w); !AlmostEqual(back, x, 0, 1e-13) {
+			t.Errorf("LambertWm1(%g) = %.17g: w*e^w = %.17g", x, w, back)
+		}
+	}
+}
+
 func BenchmarkLambertW0(b *testing.B) {
 	xs := []float64{-0.3, 0.1, 1, 10, 1e4, 1e8}
 	var sink float64

@@ -20,6 +20,14 @@ func GoldenSection(f func(float64) float64, lo, hi, tol float64) (float64, error
 	if hi-lo <= tol {
 		return 0.5 * (lo + hi), nil
 	}
+	x, _ := goldenSection(f, lo, hi, f(lo), f(hi), tol)
+	return x, nil
+}
+
+// goldenSection is GoldenSection on an interval whose endpoint values
+// flo = f(lo), fhi = f(hi) are already known; it returns the minimizer and
+// its value without evaluating any point twice.
+func goldenSection(f func(float64) float64, lo, hi, flo, fhi, tol float64) (float64, float64) {
 	a, b := lo, hi
 	c := b - invPhi*(b-a)
 	d := a + invPhi*(b-a)
@@ -35,17 +43,17 @@ func GoldenSection(f func(float64) float64, lo, hi, tol float64) (float64, error
 			fd = f(d)
 		}
 	}
-	mid := 0.5 * (a + b)
 	// Guard against boundary minima: golden section converges to an interior
 	// point; compare against the original endpoints explicitly.
-	best, fBest := mid, f(mid)
-	if fe := f(lo); fe < fBest {
-		best, fBest = lo, fe
+	best := 0.5 * (a + b)
+	fBest := f(best)
+	if flo < fBest {
+		best, fBest = lo, flo
 	}
-	if fe := f(hi); fe < fBest {
-		best = hi
+	if fhi < fBest {
+		best, fBest = hi, fhi
 	}
-	return best, nil
+	return best, fBest
 }
 
 // GridRefineMin minimizes a possibly multimodal 1-D function on [lo, hi] by
@@ -53,7 +61,8 @@ func GoldenSection(f func(float64) float64, lo, hi, tol float64) (float64, error
 // refining with golden section inside the bracketing grid cell. It is exact
 // for unimodal functions and robust for functions with a few basins (the
 // per-device time-split costs in the deadline optimizer are bimodal when a
-// bandwidth floor kicks in).
+// bandwidth floor kicks in). The grid values at the cell ends carry into the
+// refinement, so no point is evaluated twice.
 func GridRefineMin(f func(float64) float64, lo, hi float64, gridN int, tol float64) (float64, error) {
 	if lo > hi {
 		return 0, fmt.Errorf("numeric: GridRefineMin interval [%g,%g] reversed", lo, hi)
@@ -63,19 +72,34 @@ func GridRefineMin(f func(float64) float64, lo, hi float64, gridN int, tol float
 	}
 	bestX, bestF := lo, f(lo)
 	bestK := 0
+	fCellLo, fCellHi, prev := bestF, bestF, bestF
 	for k := 1; k < gridN; k++ {
 		x := lo + (hi-lo)*float64(k)/float64(gridN-1)
-		if v := f(x); v < bestF {
+		v := f(x)
+		if v < bestF {
 			bestX, bestF, bestK = x, v, k
+			fCellLo = prev
+		} else if k == bestK+1 {
+			fCellHi = v
 		}
+		prev = v
+	}
+	if bestK == gridN-1 {
+		fCellHi = bestF
 	}
 	cellLo := lo + (hi-lo)*float64(maxInt(bestK-1, 0))/float64(gridN-1)
 	cellHi := lo + (hi-lo)*float64(minInt(bestK+1, gridN-1))/float64(gridN-1)
-	x, err := GoldenSection(f, cellLo, cellHi, tol)
-	if err != nil {
-		return bestX, err
+	var x, fx float64
+	switch {
+	case cellHi-cellLo <= tol && 0.5*(cellLo+cellHi) == bestX:
+		x, fx = bestX, bestF // an interior cell's midpoint is its grid point
+	case cellHi-cellLo <= tol:
+		x = 0.5 * (cellLo + cellHi)
+		fx = f(x)
+	default:
+		x, fx = goldenSection(f, cellLo, cellHi, fCellLo, fCellHi, tol)
 	}
-	if f(x) <= bestF {
+	if fx <= bestF {
 		return x, nil
 	}
 	return bestX, nil

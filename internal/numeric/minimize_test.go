@@ -122,3 +122,65 @@ func TestGridRefineMin(t *testing.T) {
 		t.Errorf("boundary: got %g", got)
 	}
 }
+
+// gridRefineMinReference is GridRefineMin as first written: a grid scan,
+// then the public GoldenSection on the best cell and one more evaluation of
+// its answer. It re-evaluates the cell ends, the golden endpoints and the
+// answer.
+func gridRefineMinReference(f func(float64) float64, lo, hi float64, gridN int, tol float64) float64 {
+	bestX, bestF := lo, f(lo)
+	bestK := 0
+	for k := 1; k < gridN; k++ {
+		x := lo + (hi-lo)*float64(k)/float64(gridN-1)
+		if v := f(x); v < bestF {
+			bestX, bestF, bestK = x, v, k
+		}
+	}
+	cellLo := lo + (hi-lo)*float64(maxInt(bestK-1, 0))/float64(gridN-1)
+	cellHi := lo + (hi-lo)*float64(minInt(bestK+1, gridN-1))/float64(gridN-1)
+	x, _ := GoldenSection(f, cellLo, cellHi, tol)
+	if f(x) <= bestF {
+		return x
+	}
+	return bestX
+}
+
+// TestGridRefineMinEvaluatesEachPointOnce counts evaluations: no point is
+// evaluated twice, and the argmin is bit-identical to the re-evaluating
+// reference on every minimise test shape, grid size and tolerance.
+func TestGridRefineMinEvaluatesEachPointOnce(t *testing.T) {
+	shapes := []struct {
+		name   string
+		f      func(float64) float64
+		lo, hi float64
+	}{
+		{"parabola", func(x float64) float64 { return (x - 2) * (x - 2) }, -10, 10},
+		{"quartic", func(x float64) float64 { return math.Pow(x-1, 4) }, -5, 5},
+		{"abs", func(x float64) float64 { return math.Abs(x + 3) }, -10, 10},
+		{"min at lo", func(x float64) float64 { return x }, 0, 5},
+		{"min at hi", func(x float64) float64 { return -x }, 0, 5},
+		{"exp plus linear", func(x float64) float64 { return math.Exp(x) - 2*x }, -2, 4},
+		{"bimodal", func(x float64) float64 { return math.Min((x+3)*(x+3)-1, (x-4)*(x-4)-2) }, -10, 10},
+		{"plateau", func(x float64) float64 { return math.Max(math.Abs(x)-1, 0) }, -4, 4},
+	}
+	for _, sh := range shapes {
+		for _, gridN := range []int{3, 8, 24} {
+			for _, tol := range []float64{1e-3, 1e-9, 100} {
+				seen := map[float64]int{}
+				counted := func(x float64) float64 { seen[x]++; return sh.f(x) }
+				got, err := GridRefineMin(counted, sh.lo, sh.hi, gridN, tol)
+				if err != nil {
+					t.Fatalf("%s: %v", sh.name, err)
+				}
+				for x, c := range seen {
+					if c > 1 {
+						t.Errorf("%s gridN=%d tol=%g: f(%g) evaluated %d times", sh.name, gridN, tol, x, c)
+					}
+				}
+				if want := gridRefineMinReference(sh.f, sh.lo, sh.hi, gridN, tol); got != want {
+					t.Errorf("%s gridN=%d tol=%g: argmin %g, reference %g", sh.name, gridN, tol, got, want)
+				}
+			}
+		}
+	}
+}

@@ -80,6 +80,57 @@ func BisectDecreasing(f func(float64) float64, lo, hi, tol float64) (float64, er
 	return lo + 0.5*(hi-lo), nil
 }
 
+// IllinoisDecreasing narrows a bracket of a weakly decreasing f, given its
+// known end values flo = f(lo) > 0 >= fhi = f(hi), until hi-lo <= tol, and
+// returns the final bracket: f > 0 at its lo end and f <= 0 at its hi end,
+// so a jump in f stays bracketed. It stops early at an exact zero, which
+// becomes the hi end.
+//
+// Steps are regula falsi with the Illinois modification (Dowell & Jarratt,
+// 1971): an end kept twice in a row has its weight halved, which gives
+// superlinear convergence on smooth f. Whenever three steps together fail
+// to halve the bracket, the next step is a bisection, so jumps and flat
+// segments cost at most four times what bisection would. f is only
+// evaluated strictly inside the bracket.
+func IllinoisDecreasing(f func(float64) float64, lo, hi, flo, fhi, tol float64) (float64, float64, error) {
+	if !(flo > 0) || !(fhi <= 0) || !(lo < hi) {
+		return lo, hi, fmt.Errorf("numeric: IllinoisDecreasing on [%g,%g] f=(%g,%g): %w", lo, hi, flo, fhi, ErrNoBracket)
+	}
+	wlo, whi := flo, -fhi // interpolation weights, both >= 0
+	kept := 0             // +1: lo end was replaced last step, -1: hi end
+	bisect := false
+	w0, w1, w2 := math.Inf(1), math.Inf(1), hi-lo // widths before the last three steps
+	for i := 0; i < 300 && hi-lo > tol && fhi != 0; i++ {
+		width := hi - lo
+		x := lo + 0.5*width
+		if !bisect {
+			x = lo + wlo/(wlo+whi)*width
+		}
+		if !(x > lo && x < hi) {
+			x = lo + 0.5*width
+			if !(x > lo && x < hi) {
+				break // interval exhausted at double precision
+			}
+		}
+		if fx := f(x); fx > 0 {
+			lo, wlo = x, fx
+			if kept == 1 {
+				whi /= 2
+			}
+			kept = 1
+		} else {
+			hi, fhi, whi = x, fx, -fx
+			if kept == -1 {
+				wlo /= 2
+			}
+			kept = -1
+		}
+		bisect = hi-lo > 0.5*w0
+		w0, w1, w2 = w1, w2, hi-lo
+	}
+	return lo, hi, nil
+}
+
 // BracketUp grows hi geometrically from start until pred(hi) holds or the
 // expansion budget is exhausted. It is used to find upper bisection bounds
 // for dual prices whose scale is not known a priori.

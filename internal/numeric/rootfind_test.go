@@ -145,3 +145,90 @@ func TestNewton1DSafeguard(t *testing.T) {
 		t.Errorf("got %g, want 4", got)
 	}
 }
+
+// illinois runs IllinoisDecreasing on f over [lo, hi], counting the
+// evaluations it makes beyond the two known end values.
+func illinois(t *testing.T, f func(float64) float64, lo, hi, tol float64) (float64, float64, int) {
+	t.Helper()
+	evals := 0
+	counted := func(x float64) float64 {
+		if !(x > lo && x < hi) {
+			t.Fatalf("evaluated f(%g) outside the open bracket (%g, %g)", x, lo, hi)
+		}
+		evals++
+		return f(x)
+	}
+	a, b, err := IllinoisDecreasing(counted, lo, hi, f(lo), f(hi), tol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(f(a) > 0) || !(f(b) <= 0) || !(b-a <= tol || f(b) == 0) {
+		t.Fatalf("final bracket [%g, %g] f=(%g, %g) with tol %g", a, b, f(a), f(b), tol)
+	}
+	return a, b, evals
+}
+
+func TestIllinoisDecreasingSmooth(t *testing.T) {
+	// A demand-like curve in log price: log of a power-law share plus a
+	// fixed floor, relative to the budget. Smooth, convex and decreasing.
+	f := func(x float64) float64 { return math.Log((math.Exp(-x/2) + 1) / 2.5) }
+	lo, hi, evals := illinois(t, f, -10, 10, 1e-10)
+	if root := -2 * math.Log(1.5); root < lo || root > hi {
+		t.Errorf("bracket [%g, %g] misses the root %g", lo, hi, root)
+	}
+	if evals > 12 {
+		t.Errorf("smooth root took %d evaluations, want <= 12", evals)
+	}
+}
+
+func TestIllinoisDecreasingStep(t *testing.T) {
+	// A pure jump at 0.3: no root, the bracket must close on the jump.
+	f := func(x float64) float64 {
+		if x < 0.3 {
+			return 1
+		}
+		return -1
+	}
+	lo, hi, evals := illinois(t, f, -5, 5, 1e-9)
+	if lo >= 0.3 || hi < 0.3 {
+		t.Errorf("bracket [%g, %g] misses the jump at 0.3", lo, hi)
+	}
+	// Never worse than four times bisection's 34 steps.
+	if evals > 4*34 {
+		t.Errorf("step took %d evaluations", evals)
+	}
+}
+
+func TestIllinoisDecreasingFlat(t *testing.T) {
+	// Zero on a flat segment [1, 2]: the first evaluation inside it ends
+	// the search, and that point becomes the hi end.
+	f := func(x float64) float64 { return math.Max(1-x, 0) - math.Max(x-2, 0) }
+	lo, hi, _ := illinois(t, f, -3, 7, 1e-12)
+	if f(hi) != 0 || hi < 1 || hi > 2 {
+		t.Errorf("hi end %g (f=%g) not on the flat zero segment", hi, f(hi))
+	}
+	if lo >= hi {
+		t.Errorf("bracket reversed: [%g, %g]", lo, hi)
+	}
+	// A flat positive shoulder before the crossing still converges.
+	g := func(x float64) float64 {
+		if x < 3 {
+			return 1
+		}
+		return 3.5 - x
+	}
+	lo, hi, _ = illinois(t, g, 0, 10, 1e-9)
+	if lo > 3.5 || hi < 3.5 {
+		t.Errorf("bracket [%g, %g] misses the root 3.5", lo, hi)
+	}
+}
+
+func TestIllinoisDecreasingNoBracket(t *testing.T) {
+	f := func(x float64) float64 { return 1 - x }
+	never := func(float64) float64 { t.Fatal("evaluated without a bracket"); return 0 }
+	for _, c := range []struct{ lo, hi float64 }{{2, 3}, {-3, -2}, {1, 2}, {3, -3}} {
+		if _, _, err := IllinoisDecreasing(never, c.lo, c.hi, f(c.lo), f(c.hi), 1e-9); !errors.Is(err, ErrNoBracket) {
+			t.Errorf("[%g, %g]: want ErrNoBracket, got %v", c.lo, c.hi, err)
+		}
+	}
+}

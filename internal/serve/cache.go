@@ -14,7 +14,7 @@ const cacheShards = 16 // power of two; key distribution comes from FNV
 // fingerprint. Entries expire after a TTL and the per-shard size is bounded,
 // so a drifting workload cannot grow it without bound. Results are
 // deep-copied on both insert and lookup; callers can mutate what they get
-// back.
+// back. Entries keep no per-device metric slices (see compactResult).
 type Cache struct {
 	shards   [cacheShards]cacheShard
 	perShard int
@@ -76,7 +76,7 @@ func (c *Cache) Get(key uint64) (core.Result, bool) {
 // Put stores a copy of res under key, evicting the least-recently-used
 // entry of the shard when it is full.
 func (c *Cache) Put(key uint64, res core.Result) {
-	ent := &cacheEntry{key: key, res: cloneResult(res)} // clone outside the lock
+	ent := &cacheEntry{key: key, res: compactResult(res)} // clone outside the lock
 	sh := &c.shards[key%cacheShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -161,7 +161,7 @@ func (c *Cache) PutBatch(keys []uint64, results []core.Result) {
 	ents := make([]*cacheEntry, len(keys))
 	var byShard [cacheShards][]int
 	for i, key := range keys {
-		ents[i] = &cacheEntry{key: key, res: cloneResult(results[i])}
+		ents[i] = &cacheEntry{key: key, res: compactResult(results[i])}
 		byShard[key%cacheShards] = append(byShard[key%cacheShards], i)
 	}
 	for shard, idxs := range byShard {
@@ -201,6 +201,15 @@ func (c *Cache) Len() int {
 		sh.mu.Unlock()
 	}
 	return n
+}
+
+// compactResult is the copy a cache entry keeps: cloneResult without the
+// per-device metric slices (rates, upload and compute times). No serving
+// path reads them, System.Evaluate derives them from the allocation, and
+// they take as much memory as the allocation itself.
+func compactResult(r core.Result) core.Result {
+	r.Metrics.Rates, r.Metrics.UploadTimes, r.Metrics.CompTimes = nil, nil, nil
+	return cloneResult(r)
 }
 
 // cloneResult deep-copies a solver result so cache internals never alias

@@ -58,6 +58,14 @@ func TestSolveColdThenCached(t *testing.T) {
 	if st.Hits != 1 || st.ColdSolves != 1 {
 		t.Fatalf("stats = %+v, want 1 hit and 1 cold solve", st)
 	}
+	// Cache entries keep the totals, not the per-device metric slices.
+	if second.Result.Metrics.TotalEnergy != first.Result.Metrics.TotalEnergy ||
+		second.Result.Metrics.TotalTime != first.Result.Metrics.TotalTime {
+		t.Fatalf("cached totals %+v != solved totals %+v", second.Result.Metrics, first.Result.Metrics)
+	}
+	if m := second.Result.Metrics; m.Rates != nil || m.UploadTimes != nil || m.CompTimes != nil {
+		t.Fatalf("cached result carries per-device metrics: %+v", m)
+	}
 }
 
 func TestSingleflightDedup(t *testing.T) {

@@ -133,6 +133,9 @@ const (
 // Response is the outcome of one request.
 type Response struct {
 	// Result is the solver output (a private copy; callers may mutate it).
+	// A cache hit carries the totals of Result.Metrics but not its
+	// per-device slices (Rates, UploadTimes, CompTimes), which the cache
+	// does not keep; System.Evaluate(Result.Allocation) derives them.
 	Result core.Result
 	// Source tells whether the result came from cache, a warm or a cold
 	// solve.

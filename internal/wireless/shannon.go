@@ -54,6 +54,12 @@ func PowerForRate(r, bandwidth, gain, n0 float64) float64 {
 // power p. G is strictly increasing and concave in B with limit
 // RateLimit(p), so the solution exists iff r < RateLimit(p); otherwise
 // ErrRateUnreachable is returned.
+//
+// Closed form: with K = p*g/N0, y = 1 + K/B and a = r*ln2/K = r/RateLimit
+// in (0, 1), G = r reads ln(y)/(y-1) = a, whose root y > 1 is
+// y = -W_{-1}(-a*e^(-a))/a, so B = K/(y-1). Next to the limit (a -> 1) the
+// Lambert argument sits on the branch point and loses digits, so one Newton
+// step on log1p(eps)/eps = a, eps = y-1, restores them.
 func BandwidthForRate(r, p, gain, n0 float64) (float64, error) {
 	if r <= 0 {
 		return 0, nil
@@ -62,25 +68,22 @@ func BandwidthForRate(r, p, gain, n0 float64) (float64, error) {
 	if r >= limit {
 		return 0, fmt.Errorf("wireless: rate %g >= limit %g: %w", r, limit, ErrRateUnreachable)
 	}
-	f := func(b float64) float64 { return Rate(p, b, gain, n0) - r }
-	// Lower bracket: at B = r the SNR is p*g/(N0*r); rate >= r iff
-	// log2(1+snr) >= 1. Start from a bandwidth that certainly undershoots.
-	lo := r / 40 // rate <= 40 bit/s/Hz is far above any physical efficiency here
-	for f(lo) > 0 {
-		lo /= 8
-		if lo < 1e-30 {
-			return 0, fmt.Errorf("wireless: BandwidthForRate bracket collapse for r=%g", r)
+	a := r / limit
+	w, err := numeric.LambertWm1(-a * math.Exp(-a))
+	if err != nil {
+		return 0, fmt.Errorf("wireless: BandwidthForRate: %w", err)
+	}
+	eps := -w/a - 1
+	l := math.Log1p(eps)
+	if slope := (eps/(1+eps) - l) / (eps * eps); slope < 0 {
+		if next := eps - (l/eps-a)/slope; next > 0 {
+			eps = next
 		}
 	}
-	hi, err := numeric.BracketUp(func(b float64) bool { return f(b) >= 0 }, math.Max(lo*2, r), 200)
-	if err != nil {
-		return 0, fmt.Errorf("wireless: BandwidthForRate: %w", err)
+	if !(eps > 0) { // r/limit rounded to 1
+		return 0, fmt.Errorf("wireless: rate %g at limit %g: %w", r, limit, ErrRateUnreachable)
 	}
-	b, err := numeric.Brent(f, lo, hi, 1e-12*hi)
-	if err != nil {
-		return 0, fmt.Errorf("wireless: BandwidthForRate: %w", err)
-	}
-	return b, nil
+	return p * gain / n0 / eps, nil
 }
 
 // SpectralEfficiency returns r/B in bit/s/Hz for the pair (p, B).

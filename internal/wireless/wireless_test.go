@@ -235,6 +235,42 @@ func TestBandwidthForRateUnreachable(t *testing.T) {
 	}
 }
 
+// TestBandwidthForRateInvertsRate property-tests the closed form across the
+// whole reachable range: r/limit on a log grid over [1e-6, 1-1e-9], dense in
+// both the low-efficiency tail and next to the wideband limit, where the
+// Lambert argument sits on its branch point.
+func TestBandwidthForRateInvertsRate(t *testing.T) {
+	const n0 = 4e-21
+	var fracs []float64
+	for k := 0; k <= 60; k++ {
+		fracs = append(fracs, math.Pow(10, -6+0.1*float64(k)))
+	}
+	for k := 0; k <= 70; k++ {
+		fracs = append(fracs, 1-math.Pow(10, -2-0.1*float64(k)))
+	}
+	for _, pg := range [][2]float64{{0.001, 1e-13}, {0.016, 1e-10}, {0.5, 3e-9}} {
+		p, g := pg[0], pg[1]
+		limit := RateLimit(p, g, n0)
+		for _, q := range fracs {
+			q = math.Min(q, 1-1e-9)
+			r := q * limit
+			b, err := BandwidthForRate(r, p, g, n0)
+			if err != nil {
+				t.Fatalf("p=%g g=%g r/limit=%.12g: %v", p, g, q, err)
+			}
+			if got := Rate(p, b, g, n0); !almostEq(got, r, 1e-12) {
+				t.Errorf("p=%g g=%g r/limit=%.12g: Rate(B=%g) = %.17g, want %.17g (rel %.3g)",
+					p, g, q, b, got, r, math.Abs(got-r)/r)
+			}
+		}
+		for _, over := range []float64{1, 1 + 1e-12, 2} {
+			if _, err := BandwidthForRate(over*limit, p, g, n0); !errors.Is(err, ErrRateUnreachable) {
+				t.Errorf("p=%g g=%g r=%g*limit: want ErrRateUnreachable, got %v", p, g, over, err)
+			}
+		}
+	}
+}
+
 func TestSpectralEfficiency(t *testing.T) {
 	const n0 = 4e-21
 	p, g, b := 0.01, 1e-11, 1e6
