@@ -88,7 +88,7 @@ func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 		if opts.Trace != nil {
 			t0 = time.Now()
 		}
-		joint, _, err := solveDeadlineJoint(s, roundDeadline)
+		joint, _, err := solveDeadlineJoint(s, roundDeadline, opts.Trace)
 		if opts.Trace != nil {
 			opts.Trace.SP2Time += time.Since(t0)
 			opts.Trace.OuterIters++

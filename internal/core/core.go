@@ -176,6 +176,11 @@ type SolveTrace struct {
 	BracketSeeded     int
 	BracketDiscovered int
 	BracketRelWidth   float64
+	// ModeDeadline only: bandwidth prices tried, per-device split costs
+	// evaluated at them, and candidate splits polished (2 across a jump).
+	PriceEvals int
+	SplitEvals int
+	Polishes   int
 }
 
 func (o Options) withDefaults() Options {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/fl"
 	"repro/internal/numeric"
@@ -14,7 +13,8 @@ import (
 // w1 = 1, w2 = 0, fixed-T setting of Figs. 7-8) by dual decomposition on the
 // single coupling constraint sum B_n <= B. It returns the allocation and a
 // lower bound on the optimal per-round energy: the dual function at the
-// final price bracket.
+// final price bracket, for the budget B*(1+budgetSlack) the polish may
+// fill. A non-nil tr receives the ModeDeadline counters.
 //
 // At a bandwidth price lambda, each device independently chooses its upload
 // time share t (hence frequency f = clamp(Rl*c*D/(T-t), FMin, FMax) and rate
@@ -24,29 +24,37 @@ import (
 //
 // where E_tr is the reduced transmission energy (power eliminated, see
 // reducedDevice). The inner bandwidth choice is the reduced waterfilling
-// condition; the outer time split is a grid-and-golden search. A dearer band
-// buys a longer upload, so the best split is nondecreasing in lambda: once a
-// price bracket is known, each device searches only between its splits at
-// the two bracket ends.
+// condition; the outer time split is a grid scan refined by parabolic
+// interpolation (numeric.GridBrentMin), the cost being smooth within a
+// basin. A dearer band buys a longer upload, so the best split is
+// nondecreasing in lambda: once a price bracket is known, each device
+// searches only between its splits at the two bracket ends.
 //
-// The clearing price is found by a safeguarded Illinois secant on
-// ln(demand/B) in ln(lambda) (numeric.IllinoisDecreasing); demand is close
-// to a power law in the price, so secant steps are nearly exact. Demand
-// jumps where a device's best split switches basins, so the search, which
-// stops at a bracket 1e-7 wide in ln(lambda), may close on a jump. At the
-// bracket's under-demand end hi the band floors sum to at most
-// demand(hi) <= B, so the hi splits are always feasible; the splits at the
-// over-demand end lo, where they differ (the basin jumps) and their floors
-// fit, are a second candidate. Each candidate is polished by alternating an
-// exact bandwidth waterfill at fixed splits with per-device re-splits at
-// fixed bands (every half-step is an exact block minimization, so energy
-// never rises), and the lower energy wins.
+// From lambda = 1e-12, where demand exceeds the budget by
+// e0 = ln(demand/B) > 0, the first step raises ln(lambda) by 2.1*e0: demand
+// falls as lambda^(-1/2) in the rate-pinned branch at large band, so 2*e0
+// is exact for that power law and the margin lands past it; less elastic
+// demand (band floors) leaves the step short and the x16 walk goes on. A
+// safeguarded Illinois secant on ln(demand/B) in ln(lambda)
+// (numeric.IllinoisDecreasing) then closes the bracket to 1e-7 in
+// ln(lambda), possibly on a jump in demand where a device's best split
+// switches basins. At the under-demand end hi the band floors sum to at
+// most demand(hi) <= B, so the hi splits are always feasible; only where
+// some split differs between the ends by more than a few split tolerances
+// (a basin jump) are the over-demand end's splits a second candidate, used
+// if their floors fit. Each candidate is polished by alternating an exact
+// bandwidth waterfill at fixed splits with per-device re-splits at fixed
+// bands (every half-step is an exact block minimization, so energy never
+// rises), and the lower energy wins.
 //
 // Unlike alternating f/(p,B) updates — which ratchet every device's rate
 // floor at its incoming upload time — the price decomposition explores the
 // full compute/communicate tradeoff and is what makes the proposed scheme
 // dominate the block-coordinate Scheme 1 baseline.
-func solveDeadlineJoint(s *fl.System, roundDeadline float64) (fl.Allocation, float64, error) {
+func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl.Allocation, float64, error) {
+	if tr == nil {
+		tr = new(SolveTrace)
+	}
 	n := s.N()
 	type devPlan struct {
 		tLo, tHi float64
@@ -84,6 +92,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64) (fl.Allocation, flo
 		d := s.Devices[i]
 		cost = math.Inf(1)
 		eval := func(x float64) float64 {
+			tr.SplitEvals++
 			rd, err := newReducedDevice(d, s.N0, d.UploadBits/x)
 			if err != nil {
 				return math.Inf(1)
@@ -99,7 +108,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64) (fl.Allocation, flo
 			eval(0.5 * (lo + hi))
 		} else {
 			grid := 1 + int(math.Ceil(23*(hi-lo)/(plans[i].tHi-plans[i].tLo)))
-			_, _ = numeric.GridRefineMin(eval, lo, hi, grid, splitTol)
+			_, _ = numeric.GridBrentMin(eval, lo, hi, grid, splitTol)
 		}
 		return t, b, cost
 	}
@@ -118,8 +127,9 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64) (fl.Allocation, flo
 	}
 	cur := make([]float64, n)
 	excess := func(x float64) float64 {
+		tr.PriceEvals++
 		lambda := math.Exp(x)
-		demand, dual := 0.0, -lambda*s.Bandwidth
+		demand, dual := 0.0, -lambda*s.Bandwidth*(1+budgetSlack)
 		for i := range plans {
 			t, b, c := bestSplit(i, lambda, lo.t[i], hi.t[i])
 			cur[i] = t
@@ -139,7 +149,8 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64) (fl.Allocation, flo
 	// device to its tightest bandwidth; if demand still exceeds the budget
 	// the instance is infeasible.
 	x := math.Log(1e-12)
-	if excess(x) > 0 {
+	if e0 := excess(x); e0 > 0 {
+		x += max(0, 2.1*e0-math.Log(16)) // first step: max(ln 16, 2.1*e0)
 		for k := 0; !hi.ok; k++ {
 			if k == 200 {
 				return fl.Allocation{}, 0, fmt.Errorf("core: no bandwidth price clears the deadline instance: %w", ErrInfeasible)
@@ -163,6 +174,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64) (fl.Allocation, flo
 	reduced := make([]reducedDevice, n)
 	bands := make([]float64, n)
 	polish := func(start []float64) (fl.Allocation, float64, error) {
+		tr.Polishes++
 		splits := append([]float64(nil), start...)
 		rebuild := func() error {
 			var floors float64
@@ -229,7 +241,11 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64) (fl.Allocation, flo
 	bound := hi.dual
 	if lo.ok {
 		bound = math.Max(bound, lo.dual)
-		if !slices.Equal(lo.t, hi.t) {
+		jump := false // some split differs between the ends: a basin jump
+		for i := range lo.t {
+			jump = jump || math.Abs(lo.t[i]-hi.t[i]) > 4*splitTol
+		}
+		if jump {
 			if a, e, err := polish(lo.t); err == nil && e < energy {
 				alloc = a
 			}

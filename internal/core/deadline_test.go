@@ -36,7 +36,7 @@ func TestDeadlineCorpus(t *testing.T) {
 	var sum, seedSum, worstGap, bestGap float64
 	for k, s := range corpus {
 		round := corpusDeadline / s.GlobalRounds
-		alloc, bound, err := solveDeadlineJoint(s, round)
+		alloc, bound, err := solveDeadlineJoint(s, round, nil)
 		if err != nil {
 			t.Fatalf("instance %d: %v", k, err)
 		}
@@ -197,7 +197,7 @@ func TestDeadlineFixedPowerNearMinimum(t *testing.T) {
 			t.Fatal(err)
 		}
 		round := mt.RoundDeadline * 1.0001
-		alloc, _, err := solveDeadlineJoint(s, round)
+		alloc, _, err := solveDeadlineJoint(s, round, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -205,4 +205,103 @@ func TestDeadlineFixedPowerNearMinimum(t *testing.T) {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
+}
+
+// TestDeadlineEvaluationCounts holds the price search and the per-device
+// split searches to their evaluation budgets on the corpus, read from the
+// ModeDeadline counters of SolveTrace.
+func TestDeadlineEvaluationCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("48 N=50 deadline solves")
+	}
+	corpus := deadlineCorpus(t)
+	var tr SolveTrace
+	for k, s := range corpus {
+		if _, err := Optimize(s, fl.Weights{W1: 1}, Options{Mode: ModeDeadline, TotalDeadline: corpusDeadline, Trace: &tr}); err != nil {
+			t.Fatalf("instance %d: %v", k, err)
+		}
+	}
+	price := float64(tr.PriceEvals) / float64(len(corpus))
+	split := float64(tr.SplitEvals) / float64(len(corpus))
+	if price > 7.5 || split > 8000 {
+		t.Errorf("mean %.2f price and %.0f split evaluations per solve, budget 7.5 and 8000", price, split)
+	}
+	t.Logf("mean %.2f price and %.0f split evaluations per solve", price, split)
+
+	var weighted SolveTrace
+	if _, err := Optimize(corpus[0], fl.Weights{W1: 0.5, W2: 0.5}, Options{Trace: &weighted}); err != nil {
+		t.Fatal(err)
+	}
+	if weighted.PriceEvals != 0 || weighted.SplitEvals != 0 {
+		t.Errorf("weighted solve counted %d price and %d split evaluations, want none", weighted.PriceEvals, weighted.SplitEvals)
+	}
+}
+
+// TestDeadlineStress solves seeded instances from a hair above the
+// physical minimum deadline to three times it, with and without a fixed
+// transmit power, and checks each answer for feasibility and against the
+// dual bound. Two more instances, found by a seeded search, have a high
+// frequency floor (FMin a large share of FMax) that makes some device's
+// split cost bimodal; there the final price bracket straddles a basin jump,
+// and the over-demand end's splits must be polished as a second candidate.
+func TestDeadlineStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("202 deadline solves")
+	}
+	type stressCase struct {
+		n          int
+		seed       int64
+		fixedPower bool
+		fMinShare  float64 // FMin/FMax and PMin/PMax; 0 keeps the defaults
+		slack      float64
+	}
+	var cases []stressCase
+	for _, n := range []int{5, 20} {
+		for seed := int64(1); seed <= 10; seed++ {
+			for _, fixedPower := range []bool{false, true} {
+				for _, slack := range []float64{1.0001, 1.01, 1.2, 1.8, 3} {
+					cases = append(cases, stressCase{n, seed, fixedPower, 0, slack})
+				}
+			}
+		}
+	}
+	jumps := []stressCase{{5, 4, false, 0.5, 1.01}, {5, 8, false, 0.75, 1.001}}
+	cases = append(cases, jumps...)
+	bestGap, worstGap := math.Inf(1), math.Inf(-1)
+	for k, c := range cases {
+		s := newTestSystem(c.n, c.seed)
+		for i := range s.Devices {
+			d := &s.Devices[i]
+			if c.fixedPower {
+				d.PMin = d.PMax
+			}
+			if c.fMinShare > 0 {
+				d.FMin, d.PMin = c.fMinShare*d.FMax, 0.5*d.PMax
+			}
+		}
+		mt, err := SolveMinTime(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := mt.RoundDeadline * c.slack
+		var tr SolveTrace
+		alloc, bound, err := solveDeadlineJoint(s, round, &tr)
+		if err != nil {
+			t.Errorf("%+v: %v", c, err)
+			continue
+		}
+		if err := s.ValidateDeadline(alloc, round, 1e-6); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
+		e := s.Evaluate(alloc).TotalEnergy
+		gap := (e - s.GlobalRounds*bound) / e
+		if gap < -1e-9 || gap > 1e-5 {
+			t.Errorf("%+v: primal-dual gap %.3g outside [-1e-9, 1e-5]", c, gap)
+		}
+		bestGap, worstGap = min(bestGap, gap), max(worstGap, gap)
+		if k >= len(cases)-len(jumps) && tr.Polishes != 2 {
+			t.Errorf("%+v: %d candidates polished across a basin jump, want 2", c, tr.Polishes)
+		}
+	}
+	t.Logf("primal-dual gaps in [%.3g, %.3g]", bestGap, worstGap)
 }

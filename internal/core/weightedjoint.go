@@ -54,7 +54,7 @@ func SolveWeightedJoint(s *fl.System, w fl.Weights, opts Options) (Result, error
 			return p
 		}
 		var p point
-		alloc, _, err := solveDeadlineJoint(s, t)
+		alloc, _, err := solveDeadlineJoint(s, t, nil)
 		if err == nil {
 			m := s.Evaluate(alloc)
 			p = point{alloc: alloc, obj: w.W1*m.TotalEnergy + w.W2*s.GlobalRounds*t, ok: true}

@@ -67,6 +67,91 @@ func GridRefineMin(f func(float64) float64, lo, hi float64, gridN int, tol float
 	if lo > hi {
 		return 0, fmt.Errorf("numeric: GridRefineMin interval [%g,%g] reversed", lo, hi)
 	}
+	g := scanGrid(f, lo, hi, gridN)
+	var x, fx float64
+	switch {
+	case g.hi-g.lo <= tol && 0.5*(g.lo+g.hi) == g.x:
+		x, fx = g.x, g.fx // an interior cell's midpoint is its grid point
+	case g.hi-g.lo <= tol:
+		x = 0.5 * (g.lo + g.hi)
+		fx = f(x)
+	default:
+		x, fx = goldenSection(f, g.lo, g.hi, g.flo, g.fhi, tol)
+	}
+	if fx <= g.fx {
+		return x, nil
+	}
+	return g.x, nil
+}
+
+// GridBrentMin is GridRefineMin refining with Brent's parabolic
+// interpolation (Brent 1973, ch. 5), golden steps where a parabola is
+// unusable: superlinear on a smooth basin, poor at kinks and +Inf walls.
+// It returns the best point evaluated and evaluates no point twice.
+func GridBrentMin(f func(float64) float64, lo, hi float64, gridN int, tol float64) (float64, error) {
+	if lo > hi {
+		return 0, fmt.Errorf("numeric: GridBrentMin interval [%g,%g] reversed", lo, hi)
+	}
+	g := scanGrid(f, lo, hi, gridN)
+	a, b, x, fx := g.lo, g.hi, g.x, g.fx
+	w, fw, v, fv := a, g.flo, b, g.fhi // on a boundary cell the first step is golden
+	if fv < fw {
+		w, fw, v, fv = v, fv, w, fw
+	}
+	d, e := 0.0, b-a // the last step and the one before it
+	for i := 0; i < 100; i++ {
+		tol1 := 0.25*tol + 1e-15*math.Abs(x)
+		if max(x-a, b-x) <= 2*tol1 {
+			break
+		}
+		// Take the vertex when it lies inside [a, b] and the step is under
+		// half the step before last.
+		r, q := (x-w)*(fx-fv), (x-v)*(fx-fw)
+		p := (x-v)*q - (x-w)*r
+		if q = 2 * (q - r); q > 0 {
+			p = -p
+		}
+		if q = math.Abs(q); math.Abs(e) > tol1 && math.Abs(p) < math.Abs(0.5*q*e) && p > q*(a-x) && p < q*(b-x) {
+			e, d = d, p/q
+			if u := x + d; u-a < 2*tol1 || b-u < 2*tol1 {
+				d = math.Copysign(tol1, 0.5*(a+b)-x)
+			}
+		} else {
+			if e = b - x; x >= 0.5*(a+b) {
+				e = a - x
+			}
+			d = (1 - invPhi) * e
+		}
+		u := x + d
+		if math.Abs(d) < tol1 {
+			u = x + math.Copysign(tol1, d)
+		}
+		fu := f(u)
+		// The worse of u and x becomes the end on its side of the better.
+		if (u < x) == (fu <= fx) {
+			b = max(x, u)
+		} else {
+			a = min(x, u)
+		}
+		switch {
+		case fu <= fx:
+			v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+		case fu <= fw || w == x:
+			v, fv, w, fw = w, fw, u, fu
+		case fu <= fv || v == x || v == w:
+			v, fv = u, fu
+		}
+	}
+	return x, nil
+}
+
+// gridCell is the best point (x, fx) of a grid scan and the grid cell
+// [lo, hi] around it, with end values flo and fhi.
+type gridCell struct{ x, fx, lo, hi, flo, fhi float64 }
+
+// scanGrid evaluates f on a uniform grid of gridN >= 3 points over
+// [lo, hi] and returns the cell bracketing the best one.
+func scanGrid(f func(float64) float64, lo, hi float64, gridN int) gridCell {
 	if gridN < 3 {
 		gridN = 3
 	}
@@ -87,36 +172,9 @@ func GridRefineMin(f func(float64) float64, lo, hi float64, gridN int, tol float
 	if bestK == gridN-1 {
 		fCellHi = bestF
 	}
-	cellLo := lo + (hi-lo)*float64(maxInt(bestK-1, 0))/float64(gridN-1)
-	cellHi := lo + (hi-lo)*float64(minInt(bestK+1, gridN-1))/float64(gridN-1)
-	var x, fx float64
-	switch {
-	case cellHi-cellLo <= tol && 0.5*(cellLo+cellHi) == bestX:
-		x, fx = bestX, bestF // an interior cell's midpoint is its grid point
-	case cellHi-cellLo <= tol:
-		x = 0.5 * (cellLo + cellHi)
-		fx = f(x)
-	default:
-		x, fx = goldenSection(f, cellLo, cellHi, fCellLo, fCellHi, tol)
-	}
-	if fx <= bestF {
-		return x, nil
-	}
-	return bestX, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	cellLo := lo + (hi-lo)*float64(max(bestK-1, 0))/float64(gridN-1)
+	cellHi := lo + (hi-lo)*float64(min(bestK+1, gridN-1))/float64(gridN-1)
+	return gridCell{bestX, bestF, cellLo, cellHi, fCellLo, fCellHi}
 }
 
 // MinimizeConvex1D minimizes a differentiable convex function given its

@@ -136,8 +136,8 @@ func gridRefineMinReference(f func(float64) float64, lo, hi float64, gridN int, 
 			bestX, bestF, bestK = x, v, k
 		}
 	}
-	cellLo := lo + (hi-lo)*float64(maxInt(bestK-1, 0))/float64(gridN-1)
-	cellHi := lo + (hi-lo)*float64(minInt(bestK+1, gridN-1))/float64(gridN-1)
+	cellLo := lo + (hi-lo)*float64(max(bestK-1, 0))/float64(gridN-1)
+	cellHi := lo + (hi-lo)*float64(min(bestK+1, gridN-1))/float64(gridN-1)
 	x, _ := GoldenSection(f, cellLo, cellHi, tol)
 	if f(x) <= bestF {
 		return x
@@ -179,6 +179,84 @@ func TestGridRefineMinEvaluatesEachPointOnce(t *testing.T) {
 				}
 				if want := gridRefineMinReference(sh.f, sh.lo, sh.hi, gridN, tol); got != want {
 					t.Errorf("%s gridN=%d tol=%g: argmin %g, reference %g", sh.name, gridN, tol, got, want)
+				}
+			}
+		}
+	}
+}
+
+// brentShapes are the minimise test shapes with their sets of minimizers
+// [wantLo, wantHi]; smooth marks the ones with a smooth basin.
+var brentShapes = []struct {
+	name           string
+	f              func(float64) float64
+	lo, hi         float64
+	wantLo, wantHi float64
+	smooth         bool
+}{
+	{"parabola", func(x float64) float64 { return (x - 2) * (x - 2) }, -10, 10, 2, 2, true},
+	{"quartic", func(x float64) float64 { return math.Pow(x-1, 4) }, -5, 5, 1, 1, true},
+	{"abs", func(x float64) float64 { return math.Abs(x + 3) }, -10, 10, -3, -3, false},
+	{"min at lo", func(x float64) float64 { return x }, 0, 5, 0, 0, false},
+	{"min at hi", func(x float64) float64 { return -x }, 0, 5, 5, 5, false},
+	{"exp plus linear", func(x float64) float64 { return math.Exp(x) - 2*x }, -2, 4, math.Ln2, math.Ln2, true},
+	{"bimodal", func(x float64) float64 { return math.Min((x+3)*(x+3)-1, (x-4)*(x-4)-2) }, -10, 10, 4, 4, false},
+	{"plateau", func(x float64) float64 { return math.Max(math.Abs(x)-1, 0) }, -4, 4, -1, 1, false},
+}
+
+// TestGridBrentMin checks the parabolic refiner against each shape's
+// minimizers, and that it settles in the basin GridRefineMin picks: the
+// grid scan they share chooses the cell.
+func TestGridBrentMin(t *testing.T) {
+	for _, sh := range brentShapes {
+		for _, gridN := range []int{8, 24} {
+			for _, tol := range []float64{1e-3, 1e-6} {
+				got, err := GridBrentMin(sh.f, sh.lo, sh.hi, gridN, tol)
+				if err != nil {
+					t.Fatalf("%s: %v", sh.name, err)
+				}
+				if got < sh.wantLo-tol || got > sh.wantHi+tol {
+					t.Errorf("%s gridN=%d tol=%g: argmin %.12g outside [%g, %g] by more than tol",
+						sh.name, gridN, tol, got, sh.wantLo, sh.wantHi)
+				}
+				golden, _ := GridRefineMin(sh.f, sh.lo, sh.hi, gridN, tol)
+				if cell := (sh.hi - sh.lo) / float64(gridN-1); math.Abs(got-golden) > cell {
+					t.Errorf("%s gridN=%d tol=%g: argmin %g, GridRefineMin's %g in another basin", sh.name, gridN, tol, got, golden)
+				}
+			}
+		}
+	}
+	if _, err := GridBrentMin(math.Abs, 5, -5, 10, 1e-9); err == nil {
+		t.Error("want error on reversed interval")
+	}
+}
+
+// TestGridBrentMinEvaluations counts evaluations: no point is evaluated
+// twice, and on the smooth shapes at tol 1e-9 the parabolic refiner needs
+// at most half of golden section's evaluations. The count is compared on
+// grids of 3 and 8 points, where the refinement rather than the scan
+// dominates it.
+func TestGridBrentMinEvaluations(t *testing.T) {
+	for _, sh := range brentShapes {
+		for _, gridN := range []int{3, 8, 24} {
+			for _, tol := range []float64{1e-3, 1e-9, 100} {
+				seen := map[float64]int{}
+				counted := func(x float64) float64 { seen[x]++; return sh.f(x) }
+				if _, err := GridBrentMin(counted, sh.lo, sh.hi, gridN, tol); err != nil {
+					t.Fatalf("%s: %v", sh.name, err)
+				}
+				for x, c := range seen {
+					if c > 1 {
+						t.Errorf("%s gridN=%d tol=%g: f(%g) evaluated %d times", sh.name, gridN, tol, x, c)
+					}
+				}
+				if !sh.smooth || tol != 1e-9 || gridN == 24 {
+					continue
+				}
+				golden := 0
+				_, _ = GridRefineMin(func(x float64) float64 { golden++; return sh.f(x) }, sh.lo, sh.hi, gridN, tol)
+				if 2*len(seen) > golden {
+					t.Errorf("%s gridN=%d: %d evaluations, golden section %d", sh.name, gridN, len(seen), golden)
 				}
 			}
 		}

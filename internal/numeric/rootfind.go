@@ -88,10 +88,12 @@ func BisectDecreasing(f func(float64) float64, lo, hi, tol float64) (float64, er
 //
 // Steps are regula falsi with the Illinois modification (Dowell & Jarratt,
 // 1971): an end kept twice in a row has its weight halved, which gives
-// superlinear convergence on smooth f. Whenever three steps together fail
-// to halve the bracket, the next step is a bisection, so jumps and flat
-// segments cost at most four times what bisection would. f is only
-// evaluated strictly inside the bracket.
+// superlinear convergence on smooth f. A point within tol/2 of an end is
+// moved tol/2 further in, to land past the root and close the bracket
+// rather than creep up on it from that end's side. Whenever three steps
+// together fail to halve the bracket, the next step is a bisection, so
+// jumps and flat segments cost at most four times what bisection would. f
+// is only evaluated strictly inside the bracket.
 func IllinoisDecreasing(f func(float64) float64, lo, hi, flo, fhi, tol float64) (float64, float64, error) {
 	if !(flo > 0) || !(fhi <= 0) || !(lo < hi) {
 		return lo, hi, fmt.Errorf("numeric: IllinoisDecreasing on [%g,%g] f=(%g,%g): %w", lo, hi, flo, fhi, ErrNoBracket)
@@ -105,6 +107,11 @@ func IllinoisDecreasing(f func(float64) float64, lo, hi, flo, fhi, tol float64) 
 		x := lo + 0.5*width
 		if !bisect {
 			x = lo + wlo/(wlo+whi)*width
+			if hi-x < tol/2 {
+				x -= tol / 2
+			} else if x-lo < tol/2 {
+				x += tol / 2
+			}
 		}
 		if !(x > lo && x < hi) {
 			x = lo + 0.5*width

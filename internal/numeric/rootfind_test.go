@@ -181,6 +181,29 @@ func TestIllinoisDecreasingSmooth(t *testing.T) {
 	}
 }
 
+// TestIllinoisDecreasingClosesPastRoot counts evaluations on convex
+// roots, where regula falsi keeps landing on the hi side: once a point
+// falls within tol/2 of an end, the next one is placed past the root and
+// closes the bracket.
+func TestIllinoisDecreasingClosesPastRoot(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		f      func(float64) float64
+		lo, hi float64
+		tol    float64
+		want   int
+	}{
+		{"exp", func(x float64) float64 { return math.Exp(-x) - 1 }, -1, 3, 1e-7, 9},
+		{"exp", func(x float64) float64 { return math.Exp(-x) - 1 }, -0.5, 1.5, 1e-9, 8},
+		{"log power", func(x float64) float64 { return math.Log((math.Exp(-x/2) + 1) / 2.5) }, -1, 3, 1e-5, 5},
+		{"cubic", func(x float64) float64 { return 0.3 - x - x*x*x }, -1, 3, 1e-9, 16},
+	} {
+		if _, _, evals := illinois(t, c.f, c.lo, c.hi, c.tol); evals > c.want {
+			t.Errorf("%s on [%g, %g] tol %g: %d evaluations, want <= %d", c.name, c.lo, c.hi, c.tol, evals, c.want)
+		}
+	}
+}
+
 func TestIllinoisDecreasingStep(t *testing.T) {
 	// A pure jump at 0.3: no root, the bracket must close on the jump.
 	f := func(x float64) float64 {
