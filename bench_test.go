@@ -209,21 +209,11 @@ func BenchmarkServeCached(b *testing.B) {
 	}
 }
 
-// BenchmarkServeWarmStart measures drifted requests with full warm starts:
+// BenchmarkServeWarmStart measures drifted requests with warm starts:
 // every iteration misses the exact fingerprint but seeds Algorithm 2 with
-// the topology bucket's cached allocation AND its Subproblem 2 dual state,
-// so the seeded solves skip their Newton iterations (reported as the
-// newton/op metric).
+// the topology bucket's cached allocation.
 func BenchmarkServeWarmStart(b *testing.B) {
 	benchServeWarm(b, repro.ServeConfig{}, nil)
-}
-
-// BenchmarkServeWarmStartAllocOnly is the same drifted stream with the dual
-// seed disabled: the warm start carries only the allocation, and every
-// solve re-runs its Newton iteration. The gap to BenchmarkServeWarmStart
-// (ns/op and newton/op) is what dual-state caching buys.
-func BenchmarkServeWarmStartAllocOnly(b *testing.B) {
-	benchServeWarm(b, repro.ServeConfig{DisableDualSeed: true}, nil)
 }
 
 // BenchmarkServeTraced is BenchmarkServeWarmStart with the full telemetry
@@ -258,21 +248,16 @@ func benchServeWarm(b *testing.B, cfg repro.ServeConfig, col *repro.ObsCollector
 	if _, err := srv.Solve(context.Background(), repro.ServeRequest{System: base, Weights: w}); err != nil {
 		b.Fatal(err)
 	}
-	var newton int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := driftBench(base, 0.3, rng)
 		ctx, tr := col.StartTrace(context.Background())
-		resp, err := srv.Solve(ctx, repro.ServeRequest{System: s, Weights: w})
+		_, err := srv.Solve(ctx, repro.ServeRequest{System: s, Weights: w})
 		tr.Finish()
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, it := range resp.Result.Iterations {
-			newton += it.NewtonIters
-		}
 	}
-	b.ReportMetric(float64(newton)/float64(b.N), "newton/op")
 }
 
 // BenchmarkServeBatch measures the amortized batch path: each op posts one
@@ -371,8 +356,7 @@ func sparseDriftDelta(s *repro.System, seq uint64, k int, sigma float64, rng *ra
 // carrying one drifted gain of the N=50 system to an open session and reads
 // the re-solve back. The session re-fingerprints incrementally; a drift
 // that leaves its quantization bucket re-solves seeded with the topology
-// bucket's allocation + SP2 dual state (0 Newton iterations — newton/op
-// reports the average), and one that stays inside is answered from the
+// bucket's allocation, and one that stays inside is answered from the
 // solution cache (warm/op counts both reuse paths). Its counterpart
 // BenchmarkStreamRepostCold pays the full client re-POST + cold solve for
 // the identical drift stream.
@@ -381,7 +365,7 @@ func BenchmarkStreamDelta(b *testing.B) {
 	url, session, cleanup := streamBenchSetup(b, base)
 	defer cleanup()
 	rng := rand.New(rand.NewSource(2))
-	var newton, warm int
+	var warm int
 	seq := uint64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -403,25 +387,23 @@ func BenchmarkStreamDelta(b *testing.B) {
 		if !u.OK || u.Result == nil {
 			b.Fatalf("delta %d: %+v", seq, u)
 		}
-		newton += u.Result.NewtonIters
 		if u.Result.Source == string(repro.ServeSourceWarm) || u.Result.Source == string(repro.ServeSourceCache) {
 			warm++
 		}
 	}
-	b.ReportMetric(float64(newton)/float64(b.N), "newton/op")
 	b.ReportMetric(float64(warm)/float64(b.N), "warm/op")
 }
 
 // massHandoffSetup builds a 2-cell cluster with `devices` distinct devices
-// served (and pinned) in cell 0, each with one cached solution, a warm
-// allocation and a dual state to migrate. A stub solver keeps the setup
+// served (and pinned) in cell 0, each with one cached solution and a warm
+// allocation to migrate. A stub solver keeps the setup
 // about migration machinery, not solve time: the benchmarks move state,
 // they never re-solve it.
 func massHandoffSetup(b *testing.B, devices int) (*repro.Cluster, []string) {
 	b.Helper()
 	const n = 12
 	stub := func(s *repro.System, w repro.Weights, o repro.Options) (repro.Result, error) {
-		res := repro.Result{Duals: &repro.DualState{Mu: 1, Nu: make([]float64, s.N()), Beta: make([]float64, s.N())}}
+		var res repro.Result
 		res.Allocation.Power = make([]float64, s.N())
 		res.Allocation.Bandwidth = make([]float64, s.N())
 		res.Allocation.Freq = make([]float64, s.N())
@@ -429,7 +411,6 @@ func massHandoffSetup(b *testing.B, devices int) (*repro.Cluster, []string) {
 			res.Allocation.Power[i] = d.PMax
 			res.Allocation.Bandwidth[i] = s.Bandwidth / float64(s.N())
 			res.Allocation.Freq[i] = d.FMax
-			res.Duals.Nu[i], res.Duals.Beta[i] = 1, 1
 		}
 		return res, nil
 	}
@@ -460,8 +441,8 @@ func massHandoffSetup(b *testing.B, devices int) (*repro.Cluster, []string) {
 }
 
 // BenchmarkMassHandoff measures the batched mass-mobility migration: per
-// op, ONE MassHandoff call moves all 1000 devices' cached solutions, warm
-// allocations and dual state to the other cell (directions alternate so
+// op, ONE MassHandoff call moves all 1000 devices' cached solutions and
+// warm allocations to the other cell (directions alternate so
 // every op moves the full population). One routing-lock acquisition and
 // one bulk extract/inject per cell, recorded fingerprints reused — compare
 // BenchmarkHandoffPerDevice, which migrates the identical population

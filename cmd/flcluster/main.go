@@ -102,8 +102,7 @@
 // sparse NDJSON gain deltas (-deltadev gains per update) down a live
 // connection; migrations fire POST /v1/handoff between deltas of the SAME
 // open session, exercising session survival across cross-cell handoff —
-// the post-move deltas must keep re-solving warm and dual-seeded off the
-// migrated state.
+// the post-move deltas must keep re-solving warm off the migrated state.
 package main
 
 import (
@@ -1321,8 +1320,8 @@ type streamClusterStats struct {
 // delta sessions over the cluster's HTTP stack. With probability migrate a
 // device fires POST /v1/handoff between two deltas of its OPEN session —
 // the stream keeps flowing and the post-move re-solves should stay warm
-// and dual-seeded off the migrated cache state (watch the client cells and
-// dual-seeded counts).
+// off the migrated cache state (watch the client cells and post-handoff
+// counts).
 func runStreamLoadgen(cfg repro.ClusterConfig, scfg repro.StreamConfig, total, devices, n int, drift, migrate float64, conc int, seed int64, deltaDevs int) error {
 	cl := repro.NewCluster(cfg)
 	defer cl.Close()
@@ -1344,8 +1343,7 @@ func runStreamLoadgen(cfg repro.ClusterConfig, scfg repro.StreamConfig, total, d
 	type tally struct {
 		ok, fail, handoffs     int64
 		cache, warm, cold      int64
-		dualSeeded, postMove   int64
-		postMoveWarm, newtonIt int64
+		postMove, postMoveWarm int64
 		err                    error
 	}
 	tallies := make([]tally, conc)
@@ -1447,10 +1445,6 @@ func runStreamLoadgen(cfg repro.ClusterConfig, scfg repro.StreamConfig, total, d
 				default:
 					t.cold++
 				}
-				if u.Result.DualSeeded {
-					t.dualSeeded++
-				}
-				t.newtonIt += int64(u.Result.NewtonIters)
 				if migrated {
 					t.postMove++
 					if u.Result.Source == string(repro.ServeSourceWarm) || u.Result.Source == string(repro.ServeSourceCache) {
@@ -1473,10 +1467,8 @@ func runStreamLoadgen(cfg repro.ClusterConfig, scfg repro.StreamConfig, total, d
 		agg.cache += tallies[i].cache
 		agg.warm += tallies[i].warm
 		agg.cold += tallies[i].cold
-		agg.dualSeeded += tallies[i].dualSeeded
 		agg.postMove += tallies[i].postMove
 		agg.postMoveWarm += tallies[i].postMoveWarm
-		agg.newtonIt += tallies[i].newtonIt
 	}
 
 	var stats streamClusterStats
@@ -1492,19 +1484,13 @@ func runStreamLoadgen(cfg repro.ClusterConfig, scfg repro.StreamConfig, total, d
 	fmt.Printf("loadgen (stream): %d deltas over %d sessions (%d ok, %d failed), %d handoffs in %.3fs = %.1f upd/s, %d cells\n",
 		deltas, devices, agg.ok, agg.fail, agg.handoffs, elapsed.Seconds(),
 		float64(deltas)/elapsed.Seconds(), cl.Cells())
-	perDelta := 0.0
-	if agg.ok > 0 {
-		perDelta = float64(agg.newtonIt) / float64(agg.ok)
-	}
-	fmt.Printf("client sources: %d cache, %d warm, %d cold; dual-seeded %d; newton/delta %.2f\n",
-		agg.cache, agg.warm, agg.cold, agg.dualSeeded, perDelta)
+	fmt.Printf("client sources: %d cache, %d warm, %d cold\n", agg.cache, agg.warm, agg.cold)
 	fmt.Printf("post-handoff deltas: %d, of which %d warm/cached off migrated state\n",
 		agg.postMove, agg.postMoveWarm)
 	a := stats.Aggregate
 	fmt.Printf("cluster: hits %d, misses %d, warm %d, cold %d, handoffs %d (results %d, warm %d)\n",
 		a.Hits, a.Misses, a.WarmStarts, a.ColdSolves, a.Handoffs, a.MigratedResults, a.MigratedWarm)
-	fmt.Printf("stream:  sessions %d open / %d opened, deltas %d, errors %d, dual-seeded %d\n",
-		stats.Stream.ActiveSessions, stats.Stream.SessionsOpened, stats.Stream.Deltas,
-		stats.Stream.DeltaErrors, stats.Stream.SolveDualSeeded)
+	fmt.Printf("stream:  sessions %d open / %d opened, deltas %d, errors %d\n",
+		stats.Stream.ActiveSessions, stats.Stream.SessionsOpened, stats.Stream.Deltas, stats.Stream.DeltaErrors)
 	return nil
 }

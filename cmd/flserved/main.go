@@ -9,11 +9,10 @@
 //	         [-sessions 1024] [-session-ttl 5m]
 //	         [-snapshot-dir DIR] [-snapshot-interval 30s]
 //
-// With -snapshot-dir the process persists its cache/warm/dual state and
-// open stream sessions to DIR/flserved.snap on the interval and on
-// graceful shutdown, and restores the file at boot — post-restart solves
-// are warm + dual-seeded and clients resume sessions at the next sequence
-// number. A corrupt or version-skewed snapshot degrades to a cold start.
+// With -snapshot-dir the process persists its cache/warm state and open
+// stream sessions to DIR/flserved.snap on the interval and on graceful
+// shutdown, and restores the file at boot — post-restart solves are cache
+// hits or warm and clients resume sessions at the next sequence number. A corrupt or version-skewed snapshot degrades to a cold start.
 //
 // Endpoints:
 //
@@ -550,10 +549,9 @@ func runStreamLoadgen(cfg repro.ServeConfig, scfg repro.StreamConfig, total, n i
 		deltaDevs = 1
 	}
 	type tally struct {
-		ok, fail                int64
-		cache, warm, cold       int64
-		dualSeeded, newtonIters int64
-		err                     error
+		ok, fail          int64
+		cache, warm, cold int64
+		err               error
 	}
 	tallies := make([]tally, conc)
 	var wg sync.WaitGroup
@@ -621,10 +619,6 @@ func runStreamLoadgen(cfg repro.ServeConfig, scfg repro.StreamConfig, total, n i
 				default:
 					t.cold++
 				}
-				if u.Result.DualSeeded {
-					t.dualSeeded++
-				}
-				t.newtonIters += int64(u.Result.NewtonIters)
 			}
 		}(wkr, share)
 	}
@@ -640,8 +634,6 @@ func runStreamLoadgen(cfg repro.ServeConfig, scfg repro.StreamConfig, total, n i
 		agg.cache += tallies[i].cache
 		agg.warm += tallies[i].warm
 		agg.cold += tallies[i].cold
-		agg.dualSeeded += tallies[i].dualSeeded
-		agg.newtonIters += tallies[i].newtonIters
 	}
 
 	var stats streamStats
@@ -656,16 +648,10 @@ func runStreamLoadgen(cfg repro.ServeConfig, scfg repro.StreamConfig, total, n i
 	deltas := agg.ok + agg.fail
 	fmt.Printf("loadgen (stream): %d deltas over %d sessions (%d ok, %d failed) in %.3fs = %.1f upd/s\n",
 		deltas, conc, agg.ok, agg.fail, elapsed.Seconds(), float64(deltas)/elapsed.Seconds())
-	perDelta := 0.0
-	if agg.ok > 0 {
-		perDelta = float64(agg.newtonIters) / float64(agg.ok)
-	}
-	fmt.Printf("client sources: %d cache, %d warm, %d cold; dual-seeded %d; newton/delta %.2f\n",
-		agg.cache, agg.warm, agg.cold, agg.dualSeeded, perDelta)
+	fmt.Printf("client sources: %d cache, %d warm, %d cold\n", agg.cache, agg.warm, agg.cold)
 	fmt.Printf("server:  hits %d, misses %d, warm starts %d, cold solves %d; solve p50 %.1f ms, p99 %.1f ms\n",
 		stats.Hits, stats.Misses, stats.WarmStarts, stats.ColdSolves, stats.SolveP50*1e3, stats.SolveP99*1e3)
-	fmt.Printf("stream:  sessions %d open / %d opened, deltas %d, errors %d, dual-seeded %d\n",
-		stats.Stream.ActiveSessions, stats.Stream.SessionsOpened, stats.Stream.Deltas,
-		stats.Stream.DeltaErrors, stats.Stream.SolveDualSeeded)
+	fmt.Printf("stream:  sessions %d open / %d opened, deltas %d, errors %d\n",
+		stats.Stream.ActiveSessions, stats.Stream.SessionsOpened, stats.Stream.Deltas, stats.Stream.DeltaErrors)
 	return nil
 }

@@ -669,10 +669,9 @@ func (r *Router) Handoff(ctx context.Context, deviceID string, from, to int) (Ha
 // was evicted is itself just as good a seed.
 func prepareMigration(m *serve.Migration, solver serve.SolverName) {
 	if !solver.Warmable() {
-		m.Warm, m.WarmDuals = nil, nil
+		m.Warm = nil
 	} else if m.Warm == nil && m.Result != nil {
 		m.Warm = &m.Result.Allocation
-		m.WarmDuals = m.Result.Duals
 	}
 }
 

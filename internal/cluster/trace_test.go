@@ -188,6 +188,12 @@ func TestHTTPTraceAdoptionAcrossHop(t *testing.T) {
 	if got := resp.Header.Get(obs.TraceHeader); got != wireID {
 		t.Fatalf("edge response trace header %q, want the client's %q", got, wireID)
 	}
+	// The edge finishes its trace after its handler returns, and a body
+	// past the sniff length streams out before that; only the end of the
+	// body orders the finished trace before the collector reads below.
+	if _, err := io.ReadAll(resp.Body); err != nil {
+		t.Fatal(err)
+	}
 	for name, col := range map[string]*obs.Collector{"edge": colEdge, "cell": colCell} {
 		recent := col.Recent()
 		if len(recent) != 1 || recent[0].TraceID != wireID {

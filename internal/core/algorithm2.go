@@ -9,21 +9,21 @@ import (
 
 // Optimize runs the paper's resource allocation (Algorithm 2): starting from
 // a feasible allocation, it alternates Subproblem 1 (frequencies and round
-// deadline, given upload times) and Subproblem 2 (powers and bandwidths via
-// the Newton-like sum-of-ratios method, given minimum rates from the
-// deadline) until the allocation stops moving or MaxOuter iterations.
+// deadline, given upload times) and Subproblem 2 (powers and bandwidths,
+// given minimum rates from the deadline) until the allocation stops moving
+// or MaxOuter iterations. Subproblem 2 is solved by the direct reduction
+// unless Options.SP2Solver selects the paper's Algorithm 1 (SP2NewtonOnly);
+// see SolveSubproblem2.
 //
 // The weighted objective is non-increasing across both half-steps: SP1 is
 // solved exactly for (f, T) with transmission terms fixed, and SP2 minimizes
 // transmission energy while preserving every rate floor, hence the deadline.
 //
 // The hot loop is allocation-free: scratch memory comes from Options.Work,
-// or from a shared pool when the caller brings none. A caller-provided
-// Options.DualStart seeds the first Subproblem 2 call (see SolveSubproblem2);
-// later calls are seeded from the previous iteration's converged duals, so
-// the confirmation iterations of a converged run skip their Newton steps.
-// The converged dual state of the final iteration is exported in
-// Result.Duals for caching.
+// or from a shared pool when the caller brings none. Options.Start, when
+// set, replaces the default start point: the serving layer warm-starts a
+// drifted instance from a neighbour's allocation, which saves outer
+// iterations.
 func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.check(s, w); err != nil {
@@ -121,9 +121,6 @@ func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 
 	res := Result{Iterations: make([]IterationTrace, 0, opts.MaxOuter)}
 	ws.stashPrev(alloc)
-	externalSeed := opts.DualStart
-	var haveDuals bool
-	var duals DualState
 	for k := 0; k < opts.MaxOuter; k++ {
 		upTimes := ws.upTimes
 		for i := range upTimes {
@@ -164,14 +161,6 @@ func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 				}
 				rmin[i] = s.Devices[i].UploadBits / residual
 			}
-			if k == 0 {
-				opts.DualStart = externalSeed
-			} else {
-				// Seed the confirmation iterations from the previous SP2's
-				// converged duals: when SP1 barely moved the rate floors the
-				// residual check accepts them with zero Newton steps.
-				opts.DualStart = &duals
-			}
 			if opts.Trace != nil {
 				t0 = time.Now()
 			}
@@ -189,8 +178,6 @@ func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 			if opts.Trace != nil {
 				opts.Trace.NewtonIters += sp2.Iterations
 			}
-			duals = sp2.Duals
-			haveDuals = true
 		}
 
 		trace.Objective = objectiveFor(s, w, alloc, opts)
@@ -207,10 +194,6 @@ func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 	res.RoundDeadline = roundDeadline
 	res.Metrics = s.Evaluate(alloc)
 	res.Objective = objectiveFor(s, w, alloc, opts)
-	if haveDuals {
-		// Copied off the workspace: the Result outlives the pooled scratch.
-		res.Duals = duals.Clone()
-	}
 	return res, nil
 }
 

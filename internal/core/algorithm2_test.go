@@ -189,7 +189,7 @@ func TestOptimizeWithPaperPathways(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paper, err := Optimize(s, w, Options{UsePaperSP1Dual: true, UsePaperSP2Dual: true})
+	paper, err := Optimize(s, w, Options{SP2Solver: SP2NewtonOnly, UsePaperSP1Dual: true, UsePaperSP2Dual: true})
 	if err != nil {
 		t.Fatal(err)
 	}

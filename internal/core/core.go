@@ -7,10 +7,13 @@
 //     directly (1-D golden section over the deadline) and via the paper's
 //     Lagrangian dual (17);
 //   - Subproblem 2 (eq. (11)): minimal transmission energy over powers and
-//     bandwidths — an NP-hard sum-of-ratios program handled with the
-//     Newton-like method of Jong (Algorithm 1), whose inner convex program
-//     SP2_v2 (eq. (21)) is solved in closed form per Theorem 2/Appendix B
-//     (Lambert-W waterfilling on the bandwidth price);
+//     bandwidths — a sum-of-ratios program the paper handles with the
+//     Newton-like method of Jong (Algorithm 1, kept as SP2NewtonOnly),
+//     whose inner convex program SP2_v2 (eq. (21)) is solved in closed form
+//     per Theorem 2/Appendix B (Lambert-W waterfilling on the bandwidth
+//     price). By default it is solved to global optimality by a direct
+//     reduction to a convex waterfilling over bandwidths
+//     (SolveSubproblem2Direct);
 //   - a min-time solver used for feasibility probing, the w1 = 0 corner, and
 //     baseline initialization.
 package core
@@ -35,17 +38,18 @@ var ErrBadInput = errors.New("core: bad input")
 type SP2Method int
 
 const (
-	// SP2Hybrid (default) runs the paper's Algorithm 1 and polishes the
-	// result with the direct reduction solver, returning the better
-	// allocation. Algorithm 1's damped Newton iteration can stall when the
-	// inner SP2_v2 solution is bang-bang in the multipliers; the polish
-	// restores global optimality in those cases at negligible cost.
-	SP2Hybrid SP2Method = iota
-	// SP2NewtonOnly runs the paper's Algorithm 1 alone (fidelity mode).
+	// SP2DirectOnly (default) solves Subproblem 2 with the direct
+	// reduction (SolveSubproblem2Direct): a waterfilling bisection over
+	// devices whose power is eliminated in closed form, globally optimal
+	// for the subproblem. It is the serving solver.
+	SP2DirectOnly SP2Method = iota
+	// SP2NewtonOnly runs the paper's Algorithm 1 (Jong's Newton-like
+	// sum-of-ratios method with Lambert-W inner waterfilling), the
+	// paper-fidelity mode. Its damped Newton iteration can stall when the
+	// inner SP2_v2 solution is bang-bang in the multipliers, and its price
+	// bisection fails on some PMin = PMax instances where the direct
+	// reduction still answers.
 	SP2NewtonOnly
-	// SP2DirectOnly runs only the reduction-based global solver
-	// (SolveSubproblem2Direct).
-	SP2DirectOnly
 )
 
 // Mode selects the optimizer's operating regime.
@@ -71,13 +75,14 @@ type Options struct {
 	TotalDeadline float64
 	// MaxOuter bounds Algorithm 2 iterations (paper: K). Default 30.
 	MaxOuter int
-	// MaxNewton bounds Algorithm 1 iterations (paper: i0). Default 50.
+	// MaxNewton bounds Algorithm 1 iterations (paper: i0; SP2NewtonOnly
+	// only). Default 50.
 	MaxNewton int
 	// OuterTol is the allocation-distance stopping tolerance (paper: eps0).
 	// Default 1e-6.
 	OuterTol float64
-	// PhiTol is the |phi| stopping tolerance of Algorithm 1. Default 1e-9
-	// relative to the initial residual.
+	// PhiTol is the |phi| stopping tolerance of Algorithm 1 (SP2NewtonOnly
+	// only). Default 1e-9 relative to the initial residual.
 	PhiTol float64
 	// Xi and Epsilon are the line-search parameters of Algorithm 1
 	// (paper: xi, eps in (0,1)). Defaults 0.5 and 0.01.
@@ -86,11 +91,11 @@ type Options struct {
 	// pathway instead of the direct 1-D solve. Both give the same optimum;
 	// the direct solve additionally honours the frequency boxes exactly.
 	UsePaperSP1Dual bool
-	// UsePaperSP2Dual switches SP2_v2 to the literal Appendix-B dual
-	// (all-binding price root + greedy (A.6)) instead of the clamp-aware
-	// waterfilling.
+	// UsePaperSP2Dual switches Algorithm 1's inner SP2_v2 solve to the
+	// literal Appendix-B dual (all-binding price root + greedy (A.6))
+	// instead of the clamp-aware waterfilling (SP2NewtonOnly only).
 	UsePaperSP2Dual bool
-	// SP2Solver selects the Subproblem 2 strategy (default SP2Hybrid).
+	// SP2Solver selects the Subproblem 2 strategy (default SP2DirectOnly).
 	SP2Solver SP2Method
 	// JointWeighted replaces the paper's alternating loop in ModeWeighted
 	// with the joint 1-D-over-deadline solver (SolveWeightedJoint), which
@@ -100,22 +105,6 @@ type Options struct {
 	// Start optionally overrides the initial allocation; when nil the
 	// optimizer starts from p = PMax, f = FMax, B = B/N.
 	Start *fl.Allocation
-	// DualStart optionally seeds Subproblem 2 with a converged dual state
-	// from a neighbouring instance (typically cached next to the Start
-	// allocation). A valid seed certifies the start point as a Newton fixed
-	// point: the first SP2 call verifies the certificate with one residual
-	// evaluation and, under the hybrid solver's direct polish, accepts it
-	// with zero Newton iterations when the relative residual is below
-	// DualSeedTol; the cached bandwidth price narrows the inner bisection
-	// bracket. A stale or malformed seed (wrong length, non-finite or
-	// non-positive entries, residual above tolerance) is safely ignored and
-	// the solve proceeds exactly as unseeded.
-	DualStart *DualState
-	// DualSeedTol is the relative phi-residual tolerance at which a seeded
-	// Subproblem 2 accepts its certificate, measured against the magnitude
-	// of the residual's constituent terms. Default 1e-6, matching the outer
-	// loop's allocation resolution (OuterTol).
-	DualSeedTol float64
 	// Work optionally supplies reusable scratch memory; when nil the
 	// optimizer borrows a pooled workspace. Callers that solve in a loop
 	// (serving workers) pass their own to keep the hot path allocation-free.
@@ -129,24 +118,6 @@ type Options struct {
 	Trace *SolveTrace
 }
 
-// Dual-seed certificate outcomes recorded in SolveTrace.DualSeedOutcome.
-const (
-	// DualSeedNone: no valid dual seed was offered to the first SP2 call.
-	DualSeedNone = "none"
-	// DualSeedAccepted: the raw cached multipliers passed the residual
-	// certificate — the solve skipped its Newton iterations outright.
-	DualSeedAccepted = "accepted"
-	// DualSeedProjected: the raw multipliers missed, but the certificate
-	// projected through the start allocation onto the current channel
-	// gains passed the re-check.
-	DualSeedProjected = "projected"
-	// DualSeedRejected: both checks missed and the full iteration ran.
-	DualSeedRejected = "rejected"
-	// DualSeedErrored: the seeded inner solve failed and the solve fell
-	// back to the unseeded step-3 init.
-	DualSeedErrored = "errored"
-)
-
 // SolveTrace accumulates per-phase timing facts for one Optimize call.
 // The caller owns the struct and Optimize adds into it, so a staged or
 // retried solve aggregates naturally. Fields are written without
@@ -158,24 +129,11 @@ type SolveTrace struct {
 	// SP2Time the joint dual-decomposition solve.
 	SP1Time time.Duration
 	SP2Time time.Duration
-	// NewtonIters totals Subproblem 2 Newton iterations; OuterIters counts
-	// Algorithm 2 outer loops (1 for the one-shot deadline path).
+	// NewtonIters totals Algorithm 1 Newton iterations (0 unless
+	// SP2NewtonOnly); OuterIters counts Algorithm 2 outer loops (1 for the
+	// one-shot deadline path).
 	NewtonIters int
 	OuterIters  int
-	// DualSeedOutcome records the fate of the dual-seed certificate at the
-	// first Subproblem 2 call — the externally seeded one — as a DualSeed*
-	// label ("" when SP2 never ran). Later calls inside the same Optimize
-	// are self-seeded confirmation iterations and do not overwrite it.
-	DualSeedOutcome string
-	// BracketSeeded and BracketDiscovered count inner SP2_v2 price
-	// searches whose bisection bracket came from a carried clearing price
-	// versus from-scratch discovery; BracketRelWidth accumulates each
-	// search's relative bracket width (muHi-muLo)/mu at bisection entry,
-	// so BracketRelWidth/(BracketSeeded+BracketDiscovered) is the solve's
-	// mean bracket quality.
-	BracketSeeded     int
-	BracketDiscovered int
-	BracketRelWidth   float64
 	// ModeDeadline only: bandwidth prices tried, per-device split costs
 	// evaluated at them, and candidate splits polished (2 across a jump).
 	PriceEvals int
@@ -204,9 +162,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Epsilon <= 0 || o.Epsilon >= 1 {
 		o.Epsilon = 0.01
-	}
-	if o.DualSeedTol <= 0 {
-		o.DualSeedTol = 1e-6
 	}
 	return o
 }
@@ -258,10 +213,4 @@ type Result struct {
 	Iterations []IterationTrace
 	// Converged reports whether the outer loop met OuterTol before MaxOuter.
 	Converged bool
-	// Duals is the converged Subproblem 2 dual state at the final
-	// allocation (nil when the solve never ran SP2: deadline mode, w1 = 0,
-	// joint weighted, baselines). Cache it next to the allocation and pass
-	// it back via Options.DualStart to let a neighbouring solve skip the
-	// Newton iteration.
-	Duals *DualState
 }

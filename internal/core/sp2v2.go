@@ -223,8 +223,9 @@ func SolveSP2v2(s *fl.System, nu, beta, rmin []float64) (SP2v2Result, error) {
 // solveSP2v2Into is SolveSP2v2 writing powers and bandwidths into
 // caller-provided slices and drawing scratch (device table, per-price
 // allocations) from ws. A positive ws.lastMu seeds the price bracket: the
-// clearing price of a neighbouring solve is verified with two demand probes
-// and, when it still brackets, replaces the from-scratch bracket discovery.
+// clearing price of the previous inner solve is verified with two demand
+// probes and, when it still brackets, replaces the from-scratch bracket
+// discovery.
 func solveSP2v2Into(s *fl.System, nu, beta, rmin []float64, ws *Workspace, outP, outB []float64) (float64, float64, error) {
 	devs, err := buildSP2DevicesInto(ws.devs[:0], s, nu, beta, rmin)
 	if err != nil {
@@ -245,12 +246,10 @@ func solveSP2v2Into(s *fl.System, nu, beta, rmin []float64, ws *Workspace, outP,
 	// always valuable) and falls to the forced floor as mu -> infinity. A
 	// seeded price shortcuts the discovery when it still brackets.
 	var muLo, muHi float64
-	seededBracket := false
 	if seed := ws.lastMu; seed > 0 && !math.IsInf(seed, 1) {
 		lo, hi := seed/16, seed*16
 		if demand(lo) > total && demand(hi) <= total {
 			muLo, muHi = lo, hi
-			seededBracket = true
 		}
 	}
 	if muHi == 0 {
@@ -280,14 +279,6 @@ func solveSP2v2Into(s *fl.System, nu, beta, rmin []float64, ws *Workspace, outP,
 		return 0, 0, fmt.Errorf("core: SP2v2 price bisection: %w", err)
 	}
 	ws.lastMu = mu
-	if seededBracket {
-		ws.brSeeded++
-	} else {
-		ws.brDiscovered++
-	}
-	if mu > 0 {
-		ws.brRelSum += (muHi - muLo) / mu
-	}
 
 	// Evaluate on the feasible (low-demand) side of the clearing price and
 	// hand the residual band to marginal devices along their flat segments.

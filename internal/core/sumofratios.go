@@ -7,23 +7,19 @@ import (
 	"repro/internal/fl"
 )
 
-// SP2Result is the solution of Subproblem 2 (eq. (11)) produced by
-// Algorithm 1.
+// SP2Result is the solution of Subproblem 2 (eq. (11)).
 type SP2Result struct {
 	// Power and Bandwidth are the final p_n, B_n.
 	Power, Bandwidth []float64
-	// Iterations is the number of Newton-like outer iterations used.
+	// Iterations is the number of Algorithm 1 Newton-like iterations used
+	// (0 for the direct reduction).
 	Iterations int
-	// PhiResidual is |phi(beta, nu)| at exit (0 at an exact fixed point).
+	// PhiResidual is |phi(beta, nu)| at Algorithm 1 exit (0 at an exact
+	// fixed point, and for the direct reduction).
 	PhiResidual float64
 	// CommEnergy is the achieved weighted transmission energy
 	// w1*Rg*sum_n p_n*d_n/G_n, the Subproblem 2 objective.
 	CommEnergy float64
-	// Duals is the self-consistent dual state at the returned allocation
-	// (nu_n = w1Rg/G_n, beta_n = p_n*d_n/G_n, plus the final inner
-	// bandwidth price). When Options.Work was provided its slices alias the
-	// workspace and are overwritten by the next solve on it.
-	Duals DualState
 }
 
 // phiResidual computes |phi(beta, nu)| of eq. (26) at rates g.
@@ -37,23 +33,12 @@ func phiResidual(w1Rg float64, d, p, g, beta, nu []float64) float64 {
 	return math.Sqrt(sum)
 }
 
-// phiReference is the magnitude of the residual's constituent terms,
-// sqrt(sum_n ((p_n d_n)^2 + (w1Rg)^2)): the scale against which a phi value
-// counts as converged. Unlike the legacy phi0-relative check it does not
-// depend on the start point, so a seeded solve can recognize an
-// already-converged init.
-func phiReference(w1Rg float64, d, p []float64) float64 {
-	var sum float64
-	for i := range d {
-		pd := p[i] * d[i]
-		sum += pd*pd + w1Rg*w1Rg
-	}
-	return math.Sqrt(sum)
-}
-
-// SolveSubproblem2 runs Algorithm 1: the Newton-like iteration of Jong for
-// the sum-of-ratios program (11). Starting from a feasible (p, B) with rates
-// at least rmin, it alternates
+// SolveSubproblem2 solves Subproblem 2 (eq. (11)) at the rate floors rmin
+// with the method Options.SP2Solver selects: by default the direct
+// reduction (SolveSubproblem2Direct), which ignores the start point; under
+// SP2NewtonOnly the paper's Algorithm 1, the Newton-like iteration of Jong
+// for the sum-of-ratios program. Starting from a feasible (p, B) with rates
+// at least rmin, Algorithm 1 alternates
 //
 //	nu_n = w1*Rg / G_n,  beta_n = p_n*d_n / G_n          (step 3, eq. (22)-(23))
 //	(p, B) <- argmin SP2_v2(nu, beta)                    (step 4, Theorem 2)
@@ -62,16 +47,8 @@ func phiReference(w1Rg float64, d, p []float64) float64 {
 // until phi = 0 (the fixed point where the SP2_v2 solution is optimal for
 // the original fractional program) or MaxNewton iterations.
 //
-// A valid Options.DualStart changes the convergence bookkeeping, not the
-// mathematics: it certifies the start point as the converged fixed point of
-// a neighbouring instance, so after the mandatory first inner solve the
-// iteration may stop at zero Newton steps when the measured relative
-// residual confirms the certificate (<= DualSeedTol of the residual term
-// magnitude). The certificate is only honoured under SP2Hybrid, whose
-// direct-solver polish bounds the result by the subproblem's global optimum
-// regardless of the seed's quality; a stale seed simply fails the residual
-// check and the full iteration runs. The seed's bandwidth price narrows the
-// inner bisection bracket either way.
+// When Options.Work is provided the returned slices alias it and are
+// overwritten by the next solve on the same workspace.
 func SolveSubproblem2(s *fl.System, w1Rg float64, rmin []float64, startP, startB []float64, opts Options) (SP2Result, error) {
 	opts = opts.withDefaults()
 	n := s.N()
@@ -81,21 +58,22 @@ func SolveSubproblem2(s *fl.System, w1Rg float64, rmin []float64, startP, startB
 	if !(w1Rg > 0) {
 		return SP2Result{}, fmt.Errorf("core: SolveSubproblem2 needs w1*Rg > 0 (w1=0 is handled by SolveMinTime): %w", ErrBadInput)
 	}
-	if opts.SP2Solver == SP2DirectOnly {
-		return SolveSubproblem2Direct(s, w1Rg, rmin)
+	ws := opts.Work
+	if opts.SP2Solver != SP2NewtonOnly {
+		if ws == nil {
+			return SolveSubproblem2Direct(s, w1Rg, rmin)
+		}
+		ws.grow(n)
+		return solveSubproblem2DirectInto(s, w1Rg, rmin, ws, ws.dirP, ws.dirB)
 	}
 
 	// The workspace owns every slice below. A caller-provided one is reused
 	// as documented; otherwise a private one is allocated (not pooled: the
 	// returned slices alias it).
-	ws := opts.Work
 	if ws == nil {
 		ws = NewWorkspace()
 	}
 	ws.grow(n)
-	// Snapshot the workspace's monotonic bracket counters; the deltas at
-	// return are this call's contribution to the solve trace.
-	brS0, brD0, brW0 := ws.brSeeded, ws.brDiscovered, ws.brRelSum
 
 	d := ws.d
 	for i, dev := range s.Devices {
@@ -128,157 +106,73 @@ func SolveSubproblem2(s *fl.System, w1Rg float64, rmin []float64, startP, startB
 	curP, curB, curG := ws.curP, ws.curB, ws.curG
 	triP, triB, triG := ws.triP, ws.triB, ws.triG
 
-	// Initialize (nu, beta) per step 3 from the start point, or from the
-	// dual seed. The seeded path tries the raw cached multipliers first
-	// (exact for a replayed instance); when their residual misses the
-	// certificate tolerance — channel gains drifted, so the cached 1/G_n
-	// scale is off — it falls back to the step-3 init at the certified
-	// start allocation, which projects the same fixed point onto the
-	// current gains, and accepts that when it passes instead.
-	seed := opts.DualStart
-	seeded := opts.SP2Solver == SP2Hybrid && seed.ValidFor(n)
-	seedOutcome := DualSeedNone
-	if seeded && seed.Mu > 0 {
-		ws.lastMu = seed.Mu
+	// Initialize (nu, beta) per step 3 from the start point.
+	ratesInto(startP, startB, triG)
+	for i := range nu {
+		nu[i] = w1Rg / triG[i]
+		beta[i] = startP[i] * d[i] / triG[i]
 	}
-	stepThreeInit := func(beta, nu []float64) {
-		ratesInto(startP, startB, triG)
-		for i := range nu {
-			nu[i] = w1Rg / triG[i]
-			beta[i] = startP[i] * d[i] / triG[i]
-		}
-	}
-	if seeded {
-		copy(nu, seed.Nu)
-		copy(beta, seed.Beta)
-	} else {
-		stepThreeInit(beta, nu)
-	}
-
 	residual, err := evalPhi(beta, nu, curP, curB, curG)
-	if err != nil && seeded {
-		// A seed sound enough to pass validation can still push the inner
-		// program somewhere degenerate; fall back to the unseeded init.
-		seeded = false
-		seedOutcome = DualSeedErrored
-		stepThreeInit(beta, nu)
-		residual, err = evalPhi(beta, nu, curP, curB, curG)
-	}
 	if err != nil {
 		return SP2Result{}, fmt.Errorf("core: Algorithm 1 initial solve: %w", err)
-	}
-	accepted := false
-	if seeded {
-		seedOutcome = DualSeedRejected
-		if ref := phiReference(w1Rg, d, curP); residual <= opts.DualSeedTol*(1+ref) {
-			accepted = true
-			seedOutcome = DualSeedAccepted
-		} else {
-			// Gains drifted: project the certificate through the start
-			// allocation and re-check.
-			stepThreeInit(ws.nb, ws.nn)
-			trial, terr := evalPhi(ws.nb, ws.nn, triP, triB, triG)
-			if terr == nil && trial <= residual {
-				ws.nb, ws.beta = ws.beta, ws.nb
-				ws.nn, ws.nu = ws.nu, ws.nn
-				beta, nu = ws.beta, ws.nu
-				ws.curP, ws.triP = ws.triP, ws.curP
-				ws.curB, ws.triB = ws.triB, ws.curB
-				ws.curG, ws.triG = ws.triG, ws.curG
-				curP, curB, curG = ws.curP, ws.curB, ws.curG
-				triP, triB, triG = ws.triP, ws.triB, ws.triG
-				residual = trial
-				if ref := phiReference(w1Rg, d, curP); residual <= opts.DualSeedTol*(1+ref) {
-					accepted = true
-					seedOutcome = DualSeedProjected
-				}
-			}
-		}
 	}
 	phi0 := residual
 
 	var iters int
-	if !accepted {
-		for iters = 0; iters < opts.MaxNewton; iters++ {
-			if residual <= opts.PhiTol*(1+phi0) {
-				break
-			}
-			// Newton direction (30) with the diagonal Jacobian diag(G_n):
-			// sigma1_n = (p_n d_n - beta_n G_n)/G_n, sigma2_n = (w1Rg - nu_n G_n)/G_n.
-			sigma1, sigma2 := ws.sigma1, ws.sigma2
+	for iters = 0; iters < opts.MaxNewton; iters++ {
+		if residual <= opts.PhiTol*(1+phi0) {
+			break
+		}
+		// Newton direction (30) with the diagonal Jacobian diag(G_n):
+		// sigma1_n = (p_n d_n - beta_n G_n)/G_n, sigma2_n = (w1Rg - nu_n G_n)/G_n.
+		sigma1, sigma2 := ws.sigma1, ws.sigma2
+		for i := range curG {
+			sigma1[i] = (curP[i]*d[i] - beta[i]*curG[i]) / curG[i]
+			sigma2[i] = (w1Rg - nu[i]*curG[i]) / curG[i]
+		}
+		stepTaken := false
+		xi := 1.0 // xi^j with j starting at 0
+		for j := 0; j < 30; j++ {
+			nb, nn := ws.nb, ws.nn
+			ok := true
 			for i := range curG {
-				sigma1[i] = (curP[i]*d[i] - beta[i]*curG[i]) / curG[i]
-				sigma2[i] = (w1Rg - nu[i]*curG[i]) / curG[i]
-			}
-			stepTaken := false
-			xi := 1.0 // xi^j with j starting at 0
-			for j := 0; j < 30; j++ {
-				nb, nn := ws.nb, ws.nn
-				ok := true
-				for i := range curG {
-					nb[i] = beta[i] + xi*sigma1[i]
-					nn[i] = nu[i] + xi*sigma2[i]
-					if !(nb[i] > 0) || !(nn[i] > 0) {
-						ok = false
-						break
-					}
+				nb[i] = beta[i] + xi*sigma1[i]
+				nn[i] = nu[i] + xi*sigma2[i]
+				if !(nb[i] > 0) || !(nn[i] > 0) {
+					ok = false
+					break
 				}
-				if ok {
-					trial, errT := evalPhi(nb, nn, triP, triB, triG)
-					if errT == nil && trial <= (1-opts.Epsilon*xi)*residual {
-						// Accept by swapping buffers: the rejected iterate's
-						// storage becomes the next trial's scratch.
-						ws.beta, ws.nb = ws.nb, ws.beta
-						ws.nu, ws.nn = ws.nn, ws.nu
-						beta, nu = ws.beta, ws.nu
-						ws.curP, ws.triP = ws.triP, ws.curP
-						ws.curB, ws.triB = ws.triB, ws.curB
-						ws.curG, ws.triG = ws.triG, ws.curG
-						curP, curB, curG = ws.curP, ws.curB, ws.curG
-						triP, triB, triG = ws.triP, ws.triB, ws.triG
-						residual = trial
-						stepTaken = true
-						break
-					}
+			}
+			if ok {
+				trial, errT := evalPhi(nb, nn, triP, triB, triG)
+				if errT == nil && trial <= (1-opts.Epsilon*xi)*residual {
+					// Accept by swapping buffers: the rejected iterate's
+					// storage becomes the next trial's scratch.
+					ws.beta, ws.nb = ws.nb, ws.beta
+					ws.nu, ws.nn = ws.nn, ws.nu
+					beta, nu = ws.beta, ws.nu
+					ws.curP, ws.triP = ws.triP, ws.curP
+					ws.curB, ws.triB = ws.triB, ws.curB
+					ws.curG, ws.triG = ws.triG, ws.curG
+					curP, curB, curG = ws.curP, ws.curB, ws.curG
+					triP, triB, triG = ws.triP, ws.triB, ws.triG
+					residual = trial
+					stepTaken = true
+					break
 				}
-				xi *= opts.Xi
 			}
-			if !stepTaken {
-				// Even heavily damped steps no longer reduce phi: numerical
-				// fixed point of the iteration.
-				break
-			}
+			xi *= opts.Xi
+		}
+		if !stepTaken {
+			// Even heavily damped steps no longer reduce phi: numerical
+			// fixed point of the iteration.
+			break
 		}
 	}
 
 	res := SP2Result{Power: curP, Bandwidth: curB, Iterations: iters, PhiResidual: residual}
 	for i := range curG {
 		res.CommEnergy += w1Rg * curP[i] * d[i] / curG[i]
-	}
-	if opts.SP2Solver == SP2Hybrid {
-		if direct, derr := solveSubproblem2DirectInto(s, w1Rg, rmin, ws, ws.dirP, ws.dirB); derr == nil && direct.CommEnergy < res.CommEnergy {
-			direct.Iterations = res.Iterations
-			direct.PhiResidual = res.PhiResidual
-			res = direct
-		}
-	}
-	// Export the self-consistent dual state at whatever allocation is being
-	// returned; a neighbouring solve seeds from it.
-	ratesInto(res.Power, res.Bandwidth, curG)
-	for i := range curG {
-		ws.outNu[i] = w1Rg / curG[i]
-		ws.outBeta[i] = res.Power[i] * d[i] / curG[i]
-	}
-	res.Duals = DualState{Mu: ws.lastMu, Nu: ws.outNu, Beta: ws.outBeta}
-	if tr := opts.Trace; tr != nil {
-		tr.BracketSeeded += ws.brSeeded - brS0
-		tr.BracketDiscovered += ws.brDiscovered - brD0
-		tr.BracketRelWidth += ws.brRelSum - brW0
-		// First call wins: within one Optimize, only the first SP2 call sees
-		// the external seed; later ones re-seed from their own iterates.
-		if tr.DualSeedOutcome == "" {
-			tr.DualSeedOutcome = seedOutcome
-		}
 	}
 	return res, nil
 }

@@ -1,60 +1,10 @@
 package core
 
 import (
-	"math"
 	"sync"
 
 	"repro/internal/fl"
 )
-
-// DualState is the converged dual state of a Subproblem 2 solve: the
-// bandwidth price of the inner convex program and the per-device Newton
-// multipliers of Algorithm 1 at its fixed point. Cached next to an
-// allocation it certifies that allocation as a Newton fixed point, so a
-// later solve seeded with both (Options.Start + Options.DualStart) can skip
-// the Newton iteration entirely once one residual evaluation confirms the
-// certificate (see SolveSubproblem2), and the price seeds the inner
-// bisection bracket.
-type DualState struct {
-	// Mu is the SP2_v2 bandwidth price (multiplier of sum B_n <= B) at the
-	// final inner solve.
-	Mu float64
-	// Nu and Beta are Algorithm 1's per-device multipliers at the fixed
-	// point: nu_n = w1*Rg/G_n, beta_n = p_n*d_n/G_n at the returned
-	// allocation.
-	Nu, Beta []float64
-}
-
-// ValidFor reports whether the dual state can seed an N-device solve: the
-// lengths match and every multiplier is positive and finite (the price may
-// be zero, meaning unknown). Invalid states are ignored by the solver, never
-// an error: a stale seed must not fail a solve that works without it.
-func (d *DualState) ValidFor(n int) bool {
-	if d == nil || len(d.Nu) != n || len(d.Beta) != n {
-		return false
-	}
-	if !(d.Mu >= 0) || math.IsInf(d.Mu, 0) {
-		return false
-	}
-	for i := range d.Nu {
-		if !(d.Nu[i] > 0) || math.IsInf(d.Nu[i], 0) || !(d.Beta[i] > 0) || math.IsInf(d.Beta[i], 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone deep-copies the dual state (nil stays nil).
-func (d *DualState) Clone() *DualState {
-	if d == nil {
-		return nil
-	}
-	return &DualState{
-		Mu:   d.Mu,
-		Nu:   append([]float64(nil), d.Nu...),
-		Beta: append([]float64(nil), d.Beta...),
-	}
-}
 
 // Workspace holds the scratch memory of one solver invocation so the hot
 // loops of Optimize, Subproblem 1 and Subproblem 2 run allocation-free.
@@ -81,27 +31,18 @@ type Workspace struct {
 	sigma1, sigma2   []float64
 	curP, curB, curG []float64
 	triP, triB, triG []float64
-	outNu, outBeta   []float64
 
 	// Inner SP2_v2 solver.
 	devs   []sp2Device
 	allocs []sp2Alloc
 
-	// Direct (reduction) solver, used by the hybrid polish.
+	// Direct (reduction) solver.
 	rdevs      []reducedDevice
 	dirP, dirB []float64
 
 	// lastMu carries the most recent inner clearing price within a solve;
-	// it seeds the next price bisection's bracket. Reset by grow and
-	// overridden by a DualStart seed.
+	// it seeds the next price bisection's bracket. Reset by grow.
 	lastMu float64
-
-	// Bracket telemetry, accumulated by solveSP2v2Into and harvested as a
-	// per-call delta into SolveTrace by SolveSubproblem2. Monotonic across
-	// the workspace's lifetime; only differences are meaningful.
-	brSeeded     int
-	brDiscovered int
-	brRelSum     float64
 }
 
 // NewWorkspace returns an empty workspace (buffers grow on first use).
@@ -134,8 +75,6 @@ func (ws *Workspace) grow(n int) {
 	ws.triP = growF(ws.triP, n)
 	ws.triB = growF(ws.triB, n)
 	ws.triG = growF(ws.triG, n)
-	ws.outNu = growF(ws.outNu, n)
-	ws.outBeta = growF(ws.outBeta, n)
 	ws.dirP = growF(ws.dirP, n)
 	ws.dirB = growF(ws.dirB, n)
 	if cap(ws.devs) < n {

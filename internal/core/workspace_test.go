@@ -19,142 +19,6 @@ func driftSystem(s *fl.System, sigma float64, rng *rand.Rand) *fl.System {
 	return &out
 }
 
-func newtonTotal(r Result) int {
-	tot := 0
-	for _, it := range r.Iterations {
-		tot += it.NewtonIters
-	}
-	return tot
-}
-
-// TestDualStartSeededMatchesCold is the correctness contract of dual-state
-// warm starts: on randomized drifted scenarios, a solve seeded with a
-// neighbour's allocation and dual state reaches the cold solve's objective
-// to tolerance, with a feasible allocation and no more Newton iterations.
-func TestDualStartSeededMatchesCold(t *testing.T) {
-	w := fl.Weights{W1: 0.5, W2: 0.5}
-	for seed := int64(1); seed <= 4; seed++ {
-		s := newTestSystem(12, seed)
-		base, err := Optimize(s, w, Options{})
-		if err != nil {
-			t.Fatalf("seed %d: base solve: %v", seed, err)
-		}
-		if base.Duals == nil {
-			t.Fatalf("seed %d: base solve exported no duals", seed)
-		}
-		rng := rand.New(rand.NewSource(seed + 100))
-		for trial := 0; trial < 3; trial++ {
-			drifted := driftSystem(s, 0.2, rng)
-			cold, err := Optimize(drifted, w, Options{})
-			if err != nil {
-				t.Fatalf("seed %d trial %d: cold: %v", seed, trial, err)
-			}
-			start := base.Allocation.Clone()
-			seeded, err := Optimize(drifted, w, Options{Start: &start, DualStart: base.Duals})
-			if err != nil {
-				t.Fatalf("seed %d trial %d: seeded: %v", seed, trial, err)
-			}
-			if rel := relDiff(seeded.Objective, cold.Objective); rel > 1e-6 {
-				t.Errorf("seed %d trial %d: seeded objective %.10g vs cold %.10g (rel %.3g)",
-					seed, trial, seeded.Objective, cold.Objective, rel)
-			}
-			if seeded.Objective > cold.Objective*(1+1e-6) {
-				t.Errorf("seed %d trial %d: seeded objective worse than cold", seed, trial)
-			}
-			if err := drifted.Validate(seeded.Allocation, 1e-6); err != nil {
-				t.Errorf("seed %d trial %d: seeded allocation infeasible: %v", seed, trial, err)
-			}
-			if ns, nc := newtonTotal(seeded), newtonTotal(cold); ns > nc {
-				t.Errorf("seed %d trial %d: seeded used %d Newton iterations, cold %d", seed, trial, ns, nc)
-			}
-			if seeded.Duals == nil || !seeded.Duals.ValidFor(drifted.N()) {
-				t.Errorf("seed %d trial %d: seeded solve exported invalid duals", seed, trial)
-			}
-		}
-	}
-}
-
-// TestDualSeedSkipsNewton pins the perf contract the serving layer relies
-// on: with both the allocation and the dual state seeded from a converged
-// neighbour, the whole solve runs zero Newton iterations, while an
-// allocation-only warm start still pays at least one.
-func TestDualSeedSkipsNewton(t *testing.T) {
-	w := fl.Weights{W1: 0.5, W2: 0.5}
-	s := newTestSystem(12, 3)
-	base, err := Optimize(s, w, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	drifted := driftSystem(s, 0.2, rng)
-
-	start := base.Allocation.Clone()
-	allocOnly, err := Optimize(drifted, w, Options{Start: &start})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start2 := base.Allocation.Clone()
-	seeded, err := Optimize(drifted, w, Options{Start: &start2, DualStart: base.Duals})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := newtonTotal(seeded); got != 0 {
-		t.Errorf("dual-seeded solve used %d Newton iterations, want 0", got)
-	}
-	if got := newtonTotal(allocOnly); got < 1 {
-		t.Errorf("allocation-only warm start used %d Newton iterations, want >= 1 (the dual seed is what skips them)", got)
-	}
-	if rel := relDiff(seeded.Objective, allocOnly.Objective); rel > 1e-6 {
-		t.Errorf("seeded and allocation-only objectives differ by %.3g relative", rel)
-	}
-}
-
-// TestDualStartInvalidIgnored feeds the solver malformed and stale dual
-// seeds: every one must be ignored or absorbed — same objective as the
-// unseeded solve to tolerance, never an error or a corrupted allocation.
-func TestDualStartInvalidIgnored(t *testing.T) {
-	w := fl.Weights{W1: 0.5, W2: 0.5}
-	s := newTestSystem(10, 2)
-	clean, err := Optimize(s, w, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := s.N()
-	posVec := func(v float64) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = v
-		}
-		return out
-	}
-	bad := map[string]*DualState{
-		"wrong length": {Mu: 1, Nu: posVec(1)[:n-1], Beta: posVec(1)},
-		"empty":        {},
-		"nan nu":       {Mu: 1, Nu: append(posVec(1)[:n-1], math.NaN()), Beta: posVec(1)},
-		"inf beta":     {Mu: 1, Nu: posVec(1), Beta: append(posVec(1)[:n-1], math.Inf(1))},
-		"negative nu":  {Mu: 1, Nu: append(posVec(1)[:n-1], -2), Beta: posVec(1)},
-		"zero beta":    {Mu: 1, Nu: posVec(1), Beta: append(posVec(1)[:n-1], 0)},
-		"negative mu":  {Mu: -3, Nu: posVec(1), Beta: posVec(1)},
-		"inf mu":       {Mu: math.Inf(1), Nu: posVec(1), Beta: posVec(1)},
-		// Valid-looking but wildly wrong magnitudes: must fail the residual
-		// certificate and converge through the normal iteration.
-		"stale garbage": {Mu: 12345, Nu: posVec(1e12), Beta: posVec(1e-12)},
-	}
-	for name, seed := range bad {
-		res, err := Optimize(s, w, Options{DualStart: seed})
-		if err != nil {
-			t.Errorf("%s: solve failed: %v", name, err)
-			continue
-		}
-		if rel := relDiff(res.Objective, clean.Objective); rel > 1e-6 {
-			t.Errorf("%s: objective %.10g vs clean %.10g (rel %.3g)", name, res.Objective, clean.Objective, rel)
-		}
-		if err := s.Validate(res.Allocation, 1e-6); err != nil {
-			t.Errorf("%s: allocation infeasible: %v", name, err)
-		}
-	}
-}
-
 // TestWorkspaceReuseMatches solves different instances through one shared
 // workspace and checks each against a fresh-memory solve: reuse must never
 // leak state between solves.
@@ -204,7 +68,7 @@ func TestPrevDiffZeroAlloc(t *testing.T) {
 // TestOptimizeWorkspaceAllocs bounds the full weighted solve's allocations
 // when the caller reuses a workspace. The seed repository ran ~80
 // allocations per solve; the workspace path must stay under half that (the
-// residue is the returned Result: allocation, metrics, duals, trace).
+// residue is the returned Result: allocation, metrics, trace).
 func TestOptimizeWorkspaceAllocs(t *testing.T) {
 	s := newTestSystem(50, 1)
 	w := fl.Weights{W1: 0.5, W2: 0.5}

@@ -50,7 +50,7 @@ type CrashReport struct {
 
 // CrashCell removes a cell WITHOUT draining it — the failure-injection
 // twin of DrainCell. Nothing migrates: the cell leaves the ring under a
-// new generation and closes, its cache/warm/dual state dying with it,
+// new generation and closes, its cache/warm state dying with it,
 // exactly as if the process segfaulted. In-flight solves on the cell fail
 // with ErrClosed and re-resolve onto the post-crash ring owner via the
 // router's epoch check; stale pins self-heal the same way on the next

@@ -7,18 +7,18 @@
 //   - AddCell spins up a fresh cell, splices it into the consistent-hash
 //     ring under a new generation, and back-fills only the remapped
 //     keyspace: the ~1/(N+1) of tracked, hash-routed devices whose ring
-//     owner became the new cell get their cached solutions, warm starts
-//     and dual state moved over in one batched MassHandoff — nobody else
-//     is touched.
+//     owner became the new cell get their cached solutions and warm
+//     starts moved over in one batched MassHandoff — nobody else is
+//     touched.
 //   - DrainCell evacuates a cell before removal: the stream sessions of
 //     every affected device are suspended (deltas keep applying in
 //     sequence order and queue — no ErrStaleSeq ever reaches a client),
-//     the cell's cache/warm/dual state and device pins migrate to each
+//     the cell's cache/warm state and device pins migrate to each
 //     device's post-removal ring owner in one batched MassHandoff, the
 //     cell leaves the ring (a new generation; racing requests re-resolve
 //     via the router's epoch check), and the sessions resume — their
-//     queued deltas coalesce into one warm, dual-seeded re-solve on the
-//     destination cell.
+//     queued deltas coalesce into one warm re-solve on the destination
+//     cell.
 //   - The rebalance planner reports, per cell, how many devices' cached
 //     state sits away from its current ring owner (pins drift during
 //     mobility); Rebalance executes the plan as a batched migration and
@@ -161,8 +161,8 @@ type AddCellReport struct {
 
 // AddCell grows the cluster by one cell and back-fills the remapped
 // keyspace. Only the devices the new ring arcs claim move — their cached
-// solutions, warm-start allocations and SP2 dual state land on the new
-// cell in one batched pass, so the first post-add solve of a remapped
+// solutions and warm-start allocations land on the new cell in one
+// batched pass, so the first post-add solve of a remapped
 // device is warm or cached, not cold. Their stream sessions (if any) are
 // suspended around the move, so in-flight deltas queue and coalesce
 // instead of racing the migration. ctx carries the operation's lifecycle
@@ -231,13 +231,13 @@ type DrainReport struct {
 }
 
 // DrainCell evacuates and removes one cell. Every device currently routed
-// to it migrates — cached solutions, warm allocations, dual state and the
-// routing pin — to its owner under the post-removal ring, in one batched
+// to it migrates — cached solutions, warm allocations and the routing pin
+// — to its owner under the post-removal ring, in one batched
 // MassHandoff (one routing-lock acquisition, one bulk state transfer per
 // cell). Stream sessions of affected devices are suspended first: their
 // in-flight deltas apply and queue in sequence order, and after the move
 // they coalesce into a single re-solve on the destination cell, which is
-// warm and dual-seeded off the migrated state. Draining the last cell is
+// warm off the migrated state. Draining the last cell is
 // refused.
 //
 // ctx carries the operation's lifecycle trace, if any: the plan, session

@@ -177,8 +177,8 @@ func TestDrainCellMigratesStateAndMembership(t *testing.T) {
 // TestDrainWithLiveStreamSessions is the acceptance scenario: a cell is
 // drained WHILE its stream sessions keep firing deltas. No delta may be
 // lost, no ErrStaleSeq may surface, and the post-drain re-solves on the
-// destination cell must ride the warm + dual-seeded path (0 Newton
-// iterations) off the migrated state.
+// destination cell must ride the warm path off the migrated state, as good
+// as cold solves.
 func TestDrainWithLiveStreamSessions(t *testing.T) {
 	_, m, p := testStack(t, 2)
 
@@ -224,7 +224,7 @@ func TestDrainWithLiveStreamSessions(t *testing.T) {
 		}
 		return m.Apply(context.Background(), ls.sess.ID(), stream.Delta{Seq: ls.seq, Gains: gains})
 	}
-	// Settle a few deltas so the drain has warm + dual state to migrate.
+	// Settle a few deltas so the drain has warm state to migrate.
 	for _, ls := range sessions {
 		for k := 0; k < 3; k++ {
 			if _, err := apply(ls, rng); err != nil {
@@ -291,8 +291,8 @@ func TestDrainWithLiveStreamSessions(t *testing.T) {
 		}
 	}
 
-	// Post-drain deltas: served by the surviving cell, warm + dual-seeded,
-	// zero Newton iterations — the migrated dual state is live.
+	// Post-drain deltas: served by the surviving cell, off the migrated
+	// state (warm, or a cache hit when the drift lands in a solved bucket).
 	for si, ls := range sessions {
 		for k := 0; k < 3; k++ {
 			u, err := apply(ls, rng)
@@ -305,15 +305,8 @@ func TestDrainWithLiveStreamSessions(t *testing.T) {
 			if u.Response.Source != serve.SourceWarm && u.Response.Source != serve.SourceCache {
 				t.Fatalf("session %d post-drain delta source %q, want warm or cache", si, u.Response.Source)
 			}
-			if u.Response.Source == serve.SourceWarm && !u.Response.DualSeeded {
-				t.Fatalf("session %d post-drain warm solve not dual-seeded", si)
-			}
-			newton := 0
-			for _, it := range u.Response.Result.Iterations {
-				newton += it.NewtonIters
-			}
-			if newton != 0 {
-				t.Fatalf("session %d post-drain delta ran %d Newton iterations, want 0", si, newton)
+			if u.Response.Source == serve.SourceWarm {
+				requireWarmNearCold(t, ls.sess.SystemSnapshot(), balanced(), u.Response)
 			}
 		}
 	}

@@ -144,9 +144,9 @@ func ExtE(cfg RunConfig) (Figure, error) {
 	return fig, nil
 }
 
-// ExtC ablates the Subproblem 2 solver: the paper's Algorithm 1 alone, the
-// direct reduction alone, and the default hybrid — objective achieved and
-// wall time, swept over the energy weight.
+// ExtC ablates the Subproblem 2 solver: the paper's Algorithm 1 against the
+// default direct reduction — objective achieved and wall time, swept over
+// the energy weight.
 func ExtC(cfg RunConfig) (Figure, Figure, error) {
 	cfg = cfg.withDefaults()
 	xs := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
@@ -155,8 +155,7 @@ func ExtC(cfg RunConfig) (Figure, Figure, error) {
 		method core.SP2Method
 	}{
 		{"Algorithm 1 (paper)", core.SP2NewtonOnly},
-		{"direct reduction", core.SP2DirectOnly},
-		{"hybrid (default)", core.SP2Hybrid},
+		{"direct reduction (default)", core.SP2DirectOnly},
 	}
 	objFig := Figure{ID: "extC-objective", Title: "SP2 solver ablation: achieved objective",
 		XLabel: "w1", YLabel: "weighted objective"}

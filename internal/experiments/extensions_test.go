@@ -53,17 +53,14 @@ func TestExtCShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(objFig.Series) != 3 || len(timeFig.Series) != 3 {
+	if len(objFig.Series) != 2 || len(timeFig.Series) != 2 {
 		t.Fatalf("series %d/%d", len(objFig.Series), len(timeFig.Series))
 	}
-	newton, direct, hybrid := objFig.Series[0], objFig.Series[1], objFig.Series[2]
-	for i := range hybrid.Y {
-		// The hybrid must match the better of its two components.
-		if hybrid.Y[i] > newton.Y[i]*(1+1e-6) {
-			t.Errorf("w1=%g: hybrid %g worse than Newton-only %g", hybrid.X[i], hybrid.Y[i], newton.Y[i])
-		}
-		if hybrid.Y[i] > direct.Y[i]*(1+1e-6) {
-			t.Errorf("w1=%g: hybrid %g worse than direct %g", hybrid.X[i], hybrid.Y[i], direct.Y[i])
+	newton, direct := objFig.Series[0], objFig.Series[1]
+	for i := range direct.Y {
+		// The default direct solver must match Algorithm 1 or beat it.
+		if direct.Y[i] > newton.Y[i]*(1+1e-6) {
+			t.Errorf("w1=%g: direct %g worse than Newton-only %g", direct.X[i], direct.Y[i], newton.Y[i])
 		}
 	}
 }

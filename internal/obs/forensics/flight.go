@@ -29,7 +29,7 @@ type Event struct {
 	// Cell is the serving cell (the last cell-scoped span wins, so an
 	// epoch re-route reports the cell that finally answered), or -1.
 	Cell int `json:"cell"`
-	// Path is the serving path: "cold", "warm", "warm_dual", or "" for
+	// Path is the serving path: "cold", "warm", or "" for
 	// requests that never reached the solver (cache hits, errors).
 	Path string `json:"path,omitempty"`
 	// Cache is the cache-lookup outcome ("hit" or "miss"), if any.
@@ -38,8 +38,8 @@ type Event struct {
 	// "bulk"); QueueWaitUS the total time it spent there.
 	Queue       string `json:"queue,omitempty"`
 	QueueWaitUS int64  `json:"queue_wait_us,omitempty"`
-	// NewtonIters is the solve's Newton iteration count (0 on the
-	// dual-seeded warm path — that is the point of dual seeding).
+	// NewtonIters is the solve's Algorithm 1 Newton iteration count (0
+	// unless the solve selected the paper's Algorithm 1).
 	NewtonIters int64 `json:"newton_iters,omitempty"`
 	// Error is the failure string for requests that ended in an error
 	// (solver errors, queue-full sheds, malformed bodies).
@@ -67,9 +67,6 @@ func EventFromTrace(t obs.TraceJSON) Event {
 				continue
 			}
 			e.Path = s.Detail
-			if e.Path == "warm+dual" { // span detail predates the label form
-				e.Path = "warm_dual"
-			}
 			e.NewtonIters = s.Value
 		case obs.PhaseError:
 			e.Error = s.Detail

@@ -35,11 +35,12 @@ const (
 	// PhaseDedupWait is a follower waiting on an identical in-flight solve.
 	PhaseDedupWait = "dedup_wait"
 	// PhaseSolve is the full Algorithm 2 run; Detail carries the serving
-	// path ("cold", "warm", "warm+dual") and Value the Newton iterations.
+	// path ("cold", "warm") and Value the Algorithm 1 Newton iterations
+	// (0 under the default direct Subproblem 2 solver).
 	PhaseSolve = "solve"
-	// PhaseSP1 / PhaseSP2 split the solve into Subproblem 1 (bandwidth)
-	// and Subproblem 2 (power/frequency Newton) time; PhaseSP2's Value is
-	// the Newton iteration count.
+	// PhaseSP1 / PhaseSP2 split the solve into Subproblem 1 (frequencies
+	// and deadline) and Subproblem 2 (powers and bandwidths) time; PhaseSP1's
+	// Value is the outer iteration count, PhaseSP2's the Newton count.
 	PhaseSP1 = "sp1"
 	PhaseSP2 = "sp2"
 	// PhaseRoute is one per-cell solve attempt inside the cluster router;

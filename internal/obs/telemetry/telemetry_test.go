@@ -108,6 +108,12 @@ func TestTwoHopAssembledTrace(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("solve through both hops: status %d: %s", resp.StatusCode, b)
 	}
+	// The edge finishes its trace (and hands it to its exporter) after its
+	// handler returns, and a body past the sniff length streams out before
+	// that; only the end of the body orders it before the flushes below.
+	if _, err := io.ReadAll(resp.Body); err != nil {
+		t.Fatal(err)
+	}
 
 	expCell.Flush()
 	expEdge.Flush()

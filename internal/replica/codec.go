@@ -1,17 +1,16 @@
 // Package replica is the durability layer over the serving stack: it
 // makes the expensive state a cell accumulates — cached solutions,
-// warm-start allocations, Subproblem 2 dual seeds, pinned stream
-// sessions — survive process death.
+// warm-start allocations, pinned stream sessions — survive process death.
 //
 // Two mechanisms, two failure modes:
 //
 //   - Snapshot/restore (Snapshotter) covers planned restarts and whole-
-//     process crashes WITH a disk: every cell's cache/warm/dual state and
+//     process crashes WITH a disk: every cell's cache/warm state and
 //     every open stream session serialize to one versioned, checksummed
 //     file on a ticker and on graceful shutdown (atomic rename — a crash
 //     mid-write leaves the previous snapshot intact). A restarted
-//     process restores it at boot, so post-restart solves are warm +
-//     dual-seeded and clients resume their sessions at the next sequence
+//     process restores it at boot, so post-restart solves are cache hits
+//     or warm and clients resume their sessions at the next sequence
 //     number without ever seeing ErrStaleSeq. A corrupt, truncated or
 //     version-skewed file degrades to a cold start — never a failed
 //     boot.
@@ -20,13 +19,13 @@
 //     WITHOUT warning. Every successful device-routed solve marks its
 //     fingerprint dirty; a background flush coalesces the dirty set
 //     (bounded lag — one shipment covers however many solves landed
-//     since the last) and copies each device's warm allocation + dual
-//     seed to an in-memory replica keyed by the owning cell. When the
+//     since the last) and copies each device's warm allocation to an
+//     in-memory replica keyed by the owning cell. When the
 //     control plane removes a cell WITHOUT a drain (ctrl.CrashCell),
 //     Promote injects the dead cell's replicas into each device's
 //     post-crash ring owner — so the keyspace degrades to
 //     warm-but-not-cached instead of cold, and the first re-solve after
-//     the crash runs 0 Newton iterations off the replicated dual seed.
+//     the crash starts from the replicated allocation.
 package replica
 
 import (
@@ -58,9 +57,10 @@ var ErrSnapshotCorrupt = errors.New("replica: snapshot corrupt")
 // checksum of the payload, then the JSON payload itself. Magic-with-
 // version keeps the two failure modes distinguishable: a file whose
 // prefix matches but whose version digits differ is ErrSnapshotVersion;
-// anything else malformed is ErrSnapshotCorrupt.
+// anything else malformed is ErrSnapshotCorrupt. Version 02 dropped the
+// Subproblem 2 dual state from cached results and warm seeds.
 const (
-	snapMagic       = "FLSNAP01"
+	snapMagic       = "FLSNAP02"
 	snapMagicPrefix = "FLSNAP"
 	headerLen       = len(snapMagic) + 8 + 8
 )
@@ -74,7 +74,7 @@ type CellState struct {
 }
 
 // Snapshot is the full durable state of one serving process: every
-// cell's cache/warm/dual state plus every open stream session.
+// cell's cache/warm state plus every open stream session.
 type Snapshot struct {
 	// SavedAt is when the snapshot was captured.
 	SavedAt time.Time `json:"saved_at"`

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"encoding/binary"
 	"errors"
 	"log/slog"
 	"os"
@@ -22,6 +23,23 @@ func sampleSnapshot() Snapshot {
 			},
 		}},
 	}
+}
+
+// preBumpSnapshot is a well-formed snapshot as the version-01 codec wrote
+// it: FLSNAP01 envelope, valid checksum, and a payload whose cached result
+// and warm seed still carry the Subproblem 2 dual state that version 02
+// dropped.
+func preBumpSnapshot() []byte {
+	duals := `{"Mu":2.5,"Nu":[1,2],"Beta":[3,4]}`
+	payload := []byte(`{"saved_at":"2023-11-14T22:13:20Z","cells":[{"cell":0,"state":{` +
+		`"results":[{"key":42,"result":{"Objective":1.5,"Converged":true,"Duals":` + duals + `}}],` +
+		`"warm":[{"key":7,"alloc":{"Power":[0.01,0.01],"Bandwidth":[1e6,1e6],"Freq":[1e9,1e9]},"duals":` + duals + `}]}}]}`)
+	buf := make([]byte, headerLen+len(payload))
+	copy(buf, "FLSNAP01")
+	binary.LittleEndian.PutUint64(buf[len(snapMagic):], uint64(len(payload)))
+	binary.LittleEndian.PutUint64(buf[len(snapMagic)+8:], checksum(payload))
+	copy(buf[headerLen:], payload)
+	return buf
 }
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -75,6 +93,51 @@ func TestDecodeRejectsVersionSkew(t *testing.T) {
 	if _, err := Decode(skewed); !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("version-skewed decode err %v, want ErrSnapshotVersion", err)
 	}
+	old := preBumpSnapshot()
+	if _, err := Decode(old); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("pre-bump decode err %v, want ErrSnapshotVersion", err)
+	}
+	// The version is the only thing wrong with it: relabeled, it decodes.
+	relabeled := append([]byte(snapMagic), old[len(snapMagic):]...)
+	if _, err := Decode(relabeled); err != nil {
+		t.Fatalf("relabeled pre-bump snapshot: %v", err)
+	}
+}
+
+// FuzzDecode feeds the snapshot decoder arbitrary bytes: it must never
+// panic, and every rejection must be typed — ErrSnapshotVersion for a
+// recognizable snapshot of another codec version, ErrSnapshotCorrupt for a
+// truncated, checksum-failing or unparsable one. A buffer it accepts must
+// re-encode to one that decodes again.
+func FuzzDecode(f *testing.F) {
+	good, err := Encode(sampleSnapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	old := preBumpSnapshot()
+	for _, seed := range [][]byte{
+		good, old,
+		good[:headerLen], good[:len(good)-1], old[:len(old)/2],
+		{}, []byte(snapMagic),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := Decode(data)
+		if err != nil {
+			if !errors.Is(err, ErrSnapshotVersion) && !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("untyped rejection: %v", err)
+			}
+			return
+		}
+		again, err := Encode(snap)
+		if err != nil {
+			t.Fatalf("accepted snapshot does not re-encode: %v", err)
+		}
+		if _, err := Decode(again); err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+	})
 }
 
 func TestSaveLoadAtomic(t *testing.T) {
@@ -101,8 +164,9 @@ func TestSaveLoadAtomic(t *testing.T) {
 }
 
 // TestBootRestoreDegradesToColdStart is the never-fail-boot contract: a
-// missing, truncated, corrupt or version-skewed snapshot file must all
-// come back as a clean cold start, with the restore callback untouched.
+// missing, truncated, corrupt or version-skewed snapshot file — including
+// a well-formed one from the pre-bump codec — must all come back as a clean
+// cold start, with the restore callback untouched.
 func TestBootRestoreDegradesToColdStart(t *testing.T) {
 	dir := t.TempDir()
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -120,7 +184,8 @@ func TestBootRestoreDegradesToColdStart(t *testing.T) {
 			c[headerLen] ^= 0x55
 			return c
 		}(),
-		"version.snap": append([]byte("FLSNAP77"), good[len(snapMagic):]...),
+		"version.snap":  append([]byte("FLSNAP77"), good[len(snapMagic):]...),
+		"pre-bump.snap": preBumpSnapshot(),
 	}
 	for name, content := range files {
 		path := filepath.Join(dir, name)

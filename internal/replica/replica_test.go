@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fl"
 	"repro/internal/serve"
@@ -46,18 +47,26 @@ func driftGains(s *fl.System, sigma float64, rng *rand.Rand) *fl.System {
 	return &out
 }
 
-func newtonIters(resp serve.Response) int {
-	n := 0
-	for _, it := range resp.Result.Iterations {
-		n += it.NewtonIters
+// requireWarmNearCold fails unless resp came off the warm-start path with
+// an objective within 1e-6 (relative) of a cold solve of sys.
+func requireWarmNearCold(t testing.TB, sys *fl.System, w fl.Weights, resp serve.Response) {
+	t.Helper()
+	if resp.Source != serve.SourceWarm {
+		t.Fatalf("source %q, want warm", resp.Source)
 	}
-	return n
+	cold, err := core.Optimize(sys, w, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel := math.Abs(resp.Result.Objective/cold.Objective - 1); rel > 1e-6 {
+		t.Fatalf("warm objective %.12g vs cold %.12g (rel %.3g)", resp.Result.Objective, cold.Objective, rel)
+	}
 }
 
 // TestSnapshotterSaveRestore runs the snapshot lifecycle end to end: a
 // warmed server is captured on Close (the graceful-shutdown flush), and a
 // fresh "restarted" server restored from the file answers the exact
-// replay from cache and a drifted replay warm + dual-seeded.
+// replay from cache and a drifted replay warm.
 func TestSnapshotterSaveRestore(t *testing.T) {
 	srv := serve.New(serve.Config{Workers: 2})
 	defer srv.Close()
@@ -93,24 +102,19 @@ func TestSnapshotterSaveRestore(t *testing.T) {
 	if exact.Source != serve.SourceCache {
 		t.Fatalf("restored exact replay source %q, want cache", exact.Source)
 	}
-	drifted, err := srv2.Solve(context.Background(), serve.Request{System: driftGains(sys, 0.05, rand.New(rand.NewSource(2))), Weights: balanced()})
+	driftedSys := driftGains(sys, 0.05, rand.New(rand.NewSource(2)))
+	drifted, err := srv2.Solve(context.Background(), serve.Request{System: driftedSys, Weights: balanced()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if drifted.Source != serve.SourceWarm || !drifted.DualSeeded {
-		t.Fatalf("restored drifted solve source %q dualSeeded %t, want warm + dual-seeded", drifted.Source, drifted.DualSeeded)
-	}
-	if n := newtonIters(drifted); n != 0 {
-		t.Fatalf("restored dual-seeded solve took %d Newton iterations, want 0", n)
-	}
+	requireWarmNearCold(t, driftedSys, balanced(), drifted)
 }
 
 // TestReplicatorPromote is the crash acceptance path: devices solve
 // across a cluster, the replicator ships their warm state, a cell is
 // removed WITHOUT draining, and Promote lands its replicas on the
 // post-crash ring owners — so the drifted re-solve for a replicated
-// device is warm + dual-seeded with zero Newton iterations instead of
-// cold.
+// device is warm, and as good as a cold solve, instead of cold.
 func TestReplicatorPromote(t *testing.T) {
 	r := testRouter(t, 3)
 	rep := NewReplicator(ReplicatorConfig{Router: r, Interval: -1})
@@ -179,23 +183,18 @@ func TestReplicatorPromote(t *testing.T) {
 		}
 	}
 
-	// Every replicated device of the dead cell re-solves warm +
-	// dual-seeded on its successor, with zero Newton iterations — the
-	// keyspace degraded to warm-but-not-cached, not cold.
+	// Every replicated device of the dead cell re-solves warm on its
+	// successor — the keyspace degraded to warm-but-not-cached, not cold.
 	for _, sv := range byCell[victim] {
-		resp, cell, err := r.Solve(context.Background(), cluster.CellAuto, sv.dev, serve.Request{System: driftGains(sv.sys, 0.05, rng), Weights: balanced()})
+		drifted := driftGains(sv.sys, 0.05, rng)
+		resp, cell, err := r.Solve(context.Background(), cluster.CellAuto, sv.dev, serve.Request{System: drifted, Weights: balanced()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cell == victim {
 			t.Fatalf("device %s still routed to dead cell %d", sv.dev, victim)
 		}
-		if resp.Source != serve.SourceWarm || !resp.DualSeeded {
-			t.Fatalf("post-crash re-solve for %s: source %q dualSeeded %t, want warm + dual-seeded", sv.dev, resp.Source, resp.DualSeeded)
-		}
-		if n := newtonIters(resp); n != 0 {
-			t.Fatalf("post-crash dual-seeded re-solve for %s took %d Newton iterations, want 0", sv.dev, n)
-		}
+		requireWarmNearCold(t, drifted, balanced(), resp)
 	}
 
 	st = rep.Stats()

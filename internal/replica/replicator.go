@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fl"
 	"repro/internal/serve"
 )
@@ -59,14 +58,12 @@ type dirtyEntry struct {
 }
 
 // warmBundle is one replicated warm seed: the fingerprint it is filed
-// under and the allocation + dual state that make a successor's first
-// re-solve warm and dual-seeded. Replication deliberately ships the warm
-// state only, never the solution cache: a crash degrades the keyspace to
+// under and the allocation that makes a successor's first re-solve warm.
+// Replication deliberately ships the warm state only, never the solution cache: a crash degrades the keyspace to
 // warm-but-not-cached, and the cache refills on the successor naturally.
 type warmBundle struct {
-	fp    serve.Fingerprint
-	warm  *fl.Allocation
-	duals *core.DualState
+	fp   serve.Fingerprint
+	warm *fl.Allocation
 }
 
 // devReplica is one device's replicated state held for a source cell.
@@ -79,7 +76,7 @@ type devReplica struct {
 // warm-state shipments keyed by source cell — the in-process stand-in
 // for shipping to each cell's ring successor over the network. The hook
 // installed on the router marks devices dirty; the flush loop ships each
-// dirty device's warm allocation + dual seed into the replica store
+// dirty device's warm allocation into the replica store
 // (bounded lag: one shipment covers all solves since the last); Promote
 // injects a dead cell's replicas into the post-crash ring owners.
 type Replicator struct {
@@ -188,7 +185,7 @@ func (r *Replicator) Close() {
 // Flush ships every dirty device's warm state into the replica store:
 // the dirty set is swapped out under the lock, each source cell's
 // fingerprints are peeked in one batch (copies — the serving cell keeps
-// its state), and the warm allocation + dual seed land in the store
+// its state), and the warm allocations land in the store
 // keyed by source cell. Returns how many warm seeds shipped.
 func (r *Replicator) Flush() int {
 	r.mu.Lock()
@@ -232,18 +229,17 @@ func (r *Replicator) Flush() int {
 			migs := srv.PeekBatch(df.fps)
 			var bundles []warmBundle
 			for i, m := range migs {
-				warm, duals := m.Warm, m.WarmDuals
+				warm := m.Warm
 				if warm == nil && m.Result != nil {
 					// Warm bucket evicted but the solution survives: its
 					// allocation is just as good a seed (mirrors the
 					// handoff path's prepareMigration).
 					warm = &m.Result.Allocation
-					duals = m.Result.Duals
 				}
 				if warm == nil {
 					continue
 				}
-				bundles = append(bundles, warmBundle{fp: df.fps[i], warm: warm, duals: duals})
+				bundles = append(bundles, warmBundle{fp: df.fps[i], warm: warm})
 			}
 			if len(bundles) == 0 {
 				continue
@@ -282,7 +278,7 @@ type PromoteReport struct {
 	// Cell is the dead cell whose replicas were promoted.
 	Cell int `json:"cell"`
 	// Devices is how many devices had replicated state; WarmSeeds how
-	// many warm allocation + dual bundles landed on successors.
+	// many warm allocation bundles landed on successors.
 	Devices   int `json:"devices"`
 	WarmSeeds int `json:"warm_seeds"`
 	// LostDirty is how many devices had solves still unflushed at crash
@@ -340,7 +336,7 @@ func (r *Replicator) Promote(cell int) PromoteReport {
 		}
 		for _, b := range replica.bundles {
 			s.fps = append(s.fps, b.fp)
-			s.migs = append(s.migs, serve.Migration{Warm: b.warm, WarmDuals: b.duals})
+			s.migs = append(s.migs, serve.Migration{Warm: b.warm})
 		}
 		if lag := now.Sub(replica.shippedAt).Seconds(); lag > rep.MaxLagSeconds {
 			rep.MaxLagSeconds = lag
@@ -408,7 +404,7 @@ func (r *Replicator) Stats() ReplicaStats {
 // WritePrometheus emits the replica_* series.
 func (st ReplicaStats) WritePrometheus(pw *serve.PromWriter) {
 	pw.Counter("replica_flushes_total", "Replication flush passes.", "", float64(st.Flushes))
-	pw.Counter("replica_shipped_warm_seeds_total", "Warm allocation+dual bundles shipped to the replica store.", "", float64(st.ShippedWarm))
+	pw.Counter("replica_shipped_warm_seeds_total", "Warm allocation bundles shipped to the replica store.", "", float64(st.ShippedWarm))
 	pw.Counter("replica_flush_dropped_devices_total", "Dirty devices dropped at flush because their cell was gone.", "", float64(st.FlushDropped))
 	pw.Counter("replica_promotions_total", "Crash promotions executed.", "", float64(st.Promotions))
 	pw.Counter("replica_promoted_warm_seeds_total", "Warm bundles injected into successors at promotion.", "", float64(st.PromotedWarm))

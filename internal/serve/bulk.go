@@ -1,6 +1,9 @@
 package serve
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/fl"
+)
 
 // This file is the bulk half of the cross-cell migration API: where
 // Extract/Inject move one fingerprint's state with one lock round trip
@@ -27,11 +30,10 @@ func (s *Server) ExtractBatch(fps []Fingerprint) []Migration {
 	}
 	s.warm.mu.Lock()
 	for i := range fps {
-		if e, ok := s.warm.m[fps[i].Topo]; ok {
+		if a, ok := s.warm.m[fps[i].Topo]; ok {
 			// Entries are immutable (put stores private clones), so
 			// referencing the map copy is safe, exactly as in get.
-			out[i].Warm = &e.alloc
-			out[i].WarmDuals = e.duals
+			out[i].Warm = &a
 		}
 	}
 	s.warm.mu.Unlock()
@@ -58,30 +60,23 @@ func (s *Server) InjectBatch(fps []Fingerprint, ms []Migration) {
 	if !s.cfg.DisableWarmStart {
 		// Clone outside the warm-index lock, like put does.
 		keys := make([]uint64, 0, len(fps))
-		entries := make([]warmEntry, 0, len(fps))
+		allocs := make([]fl.Allocation, 0, len(fps))
 		for i := range fps {
 			if ms[i].Warm != nil {
 				keys = append(keys, fps[i].Topo)
-				entries = append(entries, warmEntry{alloc: ms[i].Warm.Clone(), duals: ms[i].WarmDuals.Clone()})
+				allocs = append(allocs, ms[i].Warm.Clone())
 			}
 		}
-		s.warm.putBatch(keys, entries)
+		s.warm.putBatch(keys, allocs)
 	}
 }
 
-// putBatch inserts pre-cloned entries under one lock; keys[i] gets
-// entries[i]. Eviction on overflow matches put: an arbitrary existing
-// entry is dropped per insertion beyond the bound.
-func (w *warmIndex) putBatch(keys []uint64, entries []warmEntry) {
+// putBatch inserts pre-cloned allocations under one lock; keys[i] gets
+// allocs[i]. Eviction on overflow matches put.
+func (w *warmIndex) putBatch(keys []uint64, allocs []fl.Allocation) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for i, key := range keys {
-		if _, ok := w.m[key]; !ok && len(w.m) >= w.max {
-			for k := range w.m {
-				delete(w.m, k)
-				break
-			}
-		}
-		w.m[key] = entries[i]
+		w.insertLocked(key, allocs[i])
 	}
 }

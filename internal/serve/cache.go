@@ -221,6 +221,5 @@ func cloneResult(r core.Result) core.Result {
 	out.Metrics.UploadTimes = append([]float64(nil), r.Metrics.UploadTimes...)
 	out.Metrics.CompTimes = append([]float64(nil), r.Metrics.CompTimes...)
 	out.Iterations = append([]core.IterationTrace(nil), r.Iterations...)
-	out.Duals = r.Duals.Clone()
 	return out
 }

@@ -8,10 +8,10 @@ import (
 	"repro/internal/core"
 )
 
-// IterBucketBounds are the upper bounds of the iteration-count histograms
-// (Newton and outer); a final implicit +Inf bucket catches the overflow.
-// Counts are small integers, so a handful of widening buckets separates
-// "certificate accepted, zero iterations" from "solver ground for dozens".
+// IterBucketBounds are the upper bounds of the outer-iteration
+// histograms; a final implicit +Inf bucket catches the overflow. Counts are
+// small integers, so a handful of widening buckets separates "converged on
+// the first confirmation" from "solver ground for dozens".
 var IterBucketBounds = [...]int{0, 1, 2, 4, 8, 16, 32}
 
 // iterHist is a fixed-bucket histogram over iteration counts.
@@ -68,26 +68,13 @@ func (j *IterHistJSON) merge(o IterHistJSON) {
 }
 
 // ConvergenceJSON is the solver convergence observatory's /v1/stats
-// section: numerical-behaviour telemetry aggregated over every solve the
-// server ran, split by serving path so a warm-start regression is visible
-// as its own histogram shift rather than a blended average.
+// section, aggregated over every solve the server ran and split by serving
+// path so a warm-start regression is visible as its own histogram shift
+// rather than a blended average.
 type ConvergenceJSON struct {
-	// Newton histograms per serving path ("cold", "warm", "warm_dual").
-	Newton map[string]IterHistJSON `json:"newton_iterations"`
-	// Outer is the Algorithm 2 outer-iteration histogram over all paths.
-	Outer IterHistJSON `json:"outer_iterations"`
-	// DualSeed counts first-call dual-seed certificate outcomes by label
-	// (accepted, projected, rejected, errored, none).
-	DualSeed map[string]int64 `json:"dual_seed"`
-	// BracketSeeded / BracketDiscovered count inner price searches whose
-	// bisection bracket came from a carried clearing price versus
-	// from-scratch discovery.
-	BracketSeeded     int64 `json:"bracket_seeded"`
-	BracketDiscovered int64 `json:"bracket_discovered"`
-	// BracketRelWidthSum accumulates relative bracket widths; dividing by
-	// the search count gives BracketMeanRelWidth.
-	BracketRelWidthSum  float64 `json:"bracket_rel_width_sum"`
-	BracketMeanRelWidth float64 `json:"bracket_mean_rel_width"`
+	// Outer holds the Algorithm 2 outer-iteration histograms per serving
+	// path ("cold", "warm").
+	Outer map[string]IterHistJSON `json:"outer_iterations"`
 	// SanitizeRejected counts warm-start candidates discarded because the
 	// cached allocation could not be repaired into a feasible start.
 	SanitizeRejected int64 `json:"sanitize_rejected"`
@@ -96,26 +83,13 @@ type ConvergenceJSON struct {
 // Merge folds another cell's convergence section into this one — the
 // cluster-wide rollup.
 func (j *ConvergenceJSON) Merge(o ConvergenceJSON) {
-	for path, h := range o.Newton {
-		if j.Newton == nil {
-			j.Newton = make(map[string]IterHistJSON)
+	for path, h := range o.Outer {
+		if j.Outer == nil {
+			j.Outer = make(map[string]IterHistJSON)
 		}
-		cur := j.Newton[path]
+		cur := j.Outer[path]
 		cur.merge(h)
-		j.Newton[path] = cur
-	}
-	j.Outer.merge(o.Outer)
-	for k, v := range o.DualSeed {
-		if j.DualSeed == nil {
-			j.DualSeed = make(map[string]int64)
-		}
-		j.DualSeed[k] += v
-	}
-	j.BracketSeeded += o.BracketSeeded
-	j.BracketDiscovered += o.BracketDiscovered
-	j.BracketRelWidthSum += o.BracketRelWidthSum
-	if n := j.BracketSeeded + j.BracketDiscovered; n > 0 {
-		j.BracketMeanRelWidth = j.BracketRelWidthSum / float64(n)
+		j.Outer[path] = cur
 	}
 	j.SanitizeRejected += o.SanitizeRejected
 }
@@ -124,40 +98,25 @@ func (j *ConvergenceJSON) Merge(o ConvergenceJSON) {
 // once per completed solve (not per request), so contention is negligible
 // next to the solve itself.
 type convStats struct {
-	mu                sync.Mutex
-	newton            map[string]*iterHist
-	outer             iterHist
-	dualSeed          map[string]int64
-	bracketSeeded     int64
-	bracketDiscovered int64
-	bracketRelSum     float64
-	sanitizeRejected  int64
+	mu               sync.Mutex
+	outer            map[string]*iterHist
+	sanitizeRejected int64
 }
 
 // recordSolve folds one solve's trace into the observatory. path is the
-// serving path label ("cold", "warm", "warm_dual").
+// serving path label ("cold", "warm").
 func (c *convStats) recordSolve(path string, tr core.SolveTrace) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.newton == nil {
-		c.newton = make(map[string]*iterHist)
+	if c.outer == nil {
+		c.outer = make(map[string]*iterHist)
 	}
-	h := c.newton[path]
+	h := c.outer[path]
 	if h == nil {
 		h = &iterHist{}
-		c.newton[path] = h
+		c.outer[path] = h
 	}
-	h.record(tr.NewtonIters)
-	c.outer.record(tr.OuterIters)
-	if tr.DualSeedOutcome != "" {
-		if c.dualSeed == nil {
-			c.dualSeed = make(map[string]int64)
-		}
-		c.dualSeed[tr.DualSeedOutcome]++
-	}
-	c.bracketSeeded += int64(tr.BracketSeeded)
-	c.bracketDiscovered += int64(tr.BracketDiscovered)
-	c.bracketRelSum += tr.BracketRelWidth
+	h.record(tr.OuterIters)
 }
 
 func (c *convStats) recordSanitizeReject() {
@@ -169,27 +128,12 @@ func (c *convStats) recordSanitizeReject() {
 func (c *convStats) snapshot() ConvergenceJSON {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := ConvergenceJSON{
-		Outer:              c.outer.toJSON(),
-		BracketSeeded:      c.bracketSeeded,
-		BracketDiscovered:  c.bracketDiscovered,
-		BracketRelWidthSum: c.bracketRelSum,
-		SanitizeRejected:   c.sanitizeRejected,
-	}
-	if len(c.newton) > 0 {
-		out.Newton = make(map[string]IterHistJSON, len(c.newton))
-		for path, h := range c.newton {
-			out.Newton[path] = h.toJSON()
+	out := ConvergenceJSON{SanitizeRejected: c.sanitizeRejected}
+	if len(c.outer) > 0 {
+		out.Outer = make(map[string]IterHistJSON, len(c.outer))
+		for path, h := range c.outer {
+			out.Outer[path] = h.toJSON()
 		}
-	}
-	if len(c.dualSeed) > 0 {
-		out.DualSeed = make(map[string]int64, len(c.dualSeed))
-		for k, v := range c.dualSeed {
-			out.DualSeed[k] = v
-		}
-	}
-	if n := c.bracketSeeded + c.bracketDiscovered; n > 0 {
-		out.BracketMeanRelWidth = c.bracketRelSum / float64(n)
 	}
 	return out
 }
@@ -205,51 +149,23 @@ func iterLE(i int) string {
 // writePrometheus emits the convergence series under prefix with the given
 // label set (the per-cell cell="N" label in cluster mode).
 func (j ConvergenceJSON) writePrometheus(p *PromWriter, prefix, labels string) {
-	histogram := func(name, help, extraLabels string, h IterHistJSON) {
-		ls := labels
-		if extraLabels != "" {
-			if ls != "" {
-				ls += ","
-			}
-			ls += extraLabels
-		}
-		bounds := make([]string, len(h.Buckets))
-		for i := range h.Buckets {
-			bounds[i] = iterLE(i)
-		}
-		p.Histogram(name, help, ls, bounds, h.Buckets, float64(h.Sum), h.Count)
-	}
-	paths := make([]string, 0, len(j.Newton))
-	for path := range j.Newton {
+	paths := make([]string, 0, len(j.Outer))
+	for path := range j.Outer {
 		paths = append(paths, path)
 	}
 	sort.Strings(paths)
 	for _, path := range paths {
-		histogram(prefix+"_newton_iterations", "Subproblem 2 Newton iterations per solve by serving path.",
-			`path="`+path+`"`, j.Newton[path])
-	}
-	histogram(prefix+"_outer_iterations", "Algorithm 2 outer iterations per solve.", "", j.Outer)
-
-	outcomes := make([]string, 0, len(j.DualSeed))
-	for k := range j.DualSeed {
-		outcomes = append(outcomes, k)
-	}
-	sort.Strings(outcomes)
-	for _, k := range outcomes {
-		ls := labels
-		if ls != "" {
-			ls += ","
+		ls := `path="` + path + `"`
+		if labels != "" {
+			ls = labels + "," + ls
 		}
-		p.Counter(prefix+"_dual_seed_total", "First-call dual-seed certificate outcomes by label.",
-			ls+`outcome="`+k+`"`, float64(j.DualSeed[k]))
+		h := j.Outer[path]
+		bounds := make([]string, len(h.Buckets))
+		for i := range h.Buckets {
+			bounds[i] = iterLE(i)
+		}
+		p.Histogram(prefix+"_outer_iterations", "Algorithm 2 outer iterations per solve by serving path.",
+			ls, bounds, h.Buckets, float64(h.Sum), h.Count)
 	}
-	seededLs, discoveredLs := `bracket="seeded"`, `bracket="discovered"`
-	if labels != "" {
-		seededLs = labels + "," + seededLs
-		discoveredLs = labels + "," + discoveredLs
-	}
-	p.Counter(prefix+"_bracket_searches_total", "Inner SP2_v2 price searches by bracket provenance.", seededLs, float64(j.BracketSeeded))
-	p.Counter(prefix+"_bracket_searches_total", "Inner SP2_v2 price searches by bracket provenance.", discoveredLs, float64(j.BracketDiscovered))
-	p.Gauge(prefix+"_bracket_rel_width_mean", "Mean relative bisection bracket width at entry.", labels, j.BracketMeanRelWidth)
 	p.Counter(prefix+"_sanitize_rejected_total", "Warm-start candidates rejected by start sanitization.", labels, float64(j.SanitizeRejected))
 }

@@ -6,14 +6,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
-// TestConvergenceObservatory drives cold, warm and dual-seeded solves and
-// checks the per-path Newton histograms, outer-iteration histogram,
-// dual-seed outcome counts and bracket telemetry all populate in the
-// snapshot.
+// TestConvergenceObservatory drives cold and warm solves and checks the
+// per-path outer-iteration histograms populate in the snapshot.
 func TestConvergenceObservatory(t *testing.T) {
 	s := testSystem(t, 8, 5)
 	srv := New(Config{Workers: 2})
@@ -23,8 +19,7 @@ func TestConvergenceObservatory(t *testing.T) {
 	if _, err := srv.Solve(context.Background(), Request{System: s, Weights: balanced()}); err != nil {
 		t.Fatal(err)
 	}
-	// Small drifts stay in the warm bucket; repeated drifts of the same
-	// instance exercise the dual-seeded path once a DualState is cached.
+	// Small drifts stay in the warm bucket.
 	cur := s
 	for i := 0; i < 4; i++ {
 		cur = driftGains(cur, 0.05, rng)
@@ -34,89 +29,51 @@ func TestConvergenceObservatory(t *testing.T) {
 	}
 
 	conv := srv.Stats().Convergence
-	var newtonTotal int64
-	for path, h := range conv.Newton {
-		if h.Count <= 0 || h.Sum < 0 {
-			t.Fatalf("newton histogram for %q degenerate: %+v", path, h)
+	var total int64
+	for path, h := range conv.Outer {
+		if h.Count <= 0 || h.Sum <= 0 {
+			t.Fatalf("outer histogram for %q degenerate: %+v", path, h)
 		}
-		switch path {
-		case "cold", "warm", "warm_dual":
-		default:
+		if path != "cold" && path != "warm" {
 			t.Fatalf("unexpected serving path %q in convergence stats", path)
 		}
-		newtonTotal += h.Count
-	}
-	if newtonTotal != 5 {
-		t.Fatalf("newton histograms hold %d solves, want 5: %+v", newtonTotal, conv.Newton)
-	}
-	if conv.Newton["cold"].Count != 1 {
-		t.Fatalf("cold newton count %d, want 1", conv.Newton["cold"].Count)
-	}
-	if conv.Outer.Count != 5 || conv.Outer.Sum <= 0 {
-		t.Fatalf("outer histogram %+v, want 5 solves with iterations", conv.Outer)
-	}
-	if len(conv.Outer.Buckets) != len(IterBucketBounds)+1 {
-		t.Fatalf("outer buckets %d, want %d (+Inf last)", len(conv.Outer.Buckets), len(IterBucketBounds)+1)
-	}
-	var seedTotal int64
-	for outcome, n := range conv.DualSeed {
-		switch outcome {
-		case core.DualSeedNone, core.DualSeedAccepted, core.DualSeedProjected,
-			core.DualSeedRejected, core.DualSeedErrored:
-		default:
-			t.Fatalf("unexpected dual-seed outcome %q", outcome)
+		if len(h.Buckets) != len(IterBucketBounds)+1 {
+			t.Fatalf("%s outer buckets %d, want %d (+Inf last)", path, len(h.Buckets), len(IterBucketBounds)+1)
 		}
-		seedTotal += n
+		total += h.Count
 	}
-	if seedTotal != 5 {
-		t.Fatalf("dual-seed outcomes cover %d solves, want 5: %+v", seedTotal, conv.DualSeed)
+	if total != 5 {
+		t.Fatalf("outer histograms hold %d solves, want 5: %+v", total, conv.Outer)
 	}
-	if conv.BracketSeeded+conv.BracketDiscovered <= 0 {
-		t.Fatalf("no bracket searches recorded: %+v", conv)
-	}
-	if conv.BracketMeanRelWidth <= 0 {
-		t.Fatalf("bracket mean relative width %v, want > 0", conv.BracketMeanRelWidth)
+	if conv.Outer["cold"].Count != 1 || conv.Outer["warm"].Count != 4 {
+		t.Fatalf("outer counts cold %d warm %d, want 1 and 4", conv.Outer["cold"].Count, conv.Outer["warm"].Count)
 	}
 }
 
 // TestConvergenceMergeAndPrometheus checks the cluster-rollup Merge keeps
-// bucket-wise sums and recomputes the mean, and that the Prometheus
-// emission carries the convergence series.
+// bucket-wise sums per path, and that the Prometheus emission carries the
+// convergence series.
 func TestConvergenceMergeAndPrometheus(t *testing.T) {
 	a := ConvergenceJSON{
-		Newton:             map[string]IterHistJSON{"cold": {Buckets: []int64{1, 0, 2}, Sum: 9, Count: 3}},
-		Outer:              IterHistJSON{Buckets: []int64{3, 1}, Sum: 5, Count: 4},
-		DualSeed:           map[string]int64{core.DualSeedAccepted: 2},
-		BracketSeeded:      2,
-		BracketDiscovered:  1,
-		BracketRelWidthSum: 3.0,
+		Outer:            map[string]IterHistJSON{"cold": {Buckets: []int64{1, 0, 2}, Sum: 9, Count: 3}},
+		SanitizeRejected: 1,
 	}
 	b := ConvergenceJSON{
-		Newton:             map[string]IterHistJSON{"cold": {Buckets: []int64{0, 1, 1}, Sum: 4, Count: 2}, "warm": {Buckets: []int64{1}, Sum: 0, Count: 1}},
-		Outer:              IterHistJSON{Buckets: []int64{1, 0, 2}, Sum: 7, Count: 3},
-		DualSeed:           map[string]int64{core.DualSeedAccepted: 1, core.DualSeedRejected: 1},
-		BracketSeeded:      1,
-		BracketDiscovered:  2,
-		BracketRelWidthSum: 3.0,
+		Outer: map[string]IterHistJSON{
+			"cold": {Buckets: []int64{0, 1, 1}, Sum: 4, Count: 2},
+			"warm": {Buckets: []int64{1}, Sum: 0, Count: 1},
+		},
+		SanitizeRejected: 2,
 	}
 	a.Merge(b)
-	if got := a.Newton["cold"]; got.Count != 5 || got.Sum != 13 || got.Buckets[0] != 1 || got.Buckets[1] != 1 || got.Buckets[2] != 3 {
+	if got := a.Outer["cold"]; got.Count != 5 || got.Sum != 13 || got.Buckets[0] != 1 || got.Buckets[1] != 1 || got.Buckets[2] != 3 {
 		t.Fatalf("merged cold histogram %+v", got)
 	}
-	if a.Newton["warm"].Count != 1 {
-		t.Fatalf("merge dropped the warm histogram: %+v", a.Newton)
+	if a.Outer["warm"].Count != 1 {
+		t.Fatalf("merge dropped the warm histogram: %+v", a.Outer)
 	}
-	if a.Outer.Count != 7 || a.Outer.Sum != 12 || len(a.Outer.Buckets) != 3 {
-		t.Fatalf("merged outer histogram %+v", a.Outer)
-	}
-	if a.DualSeed[core.DualSeedAccepted] != 3 || a.DualSeed[core.DualSeedRejected] != 1 {
-		t.Fatalf("merged dual-seed counts %+v", a.DualSeed)
-	}
-	if a.BracketSeeded != 3 || a.BracketDiscovered != 3 || a.BracketRelWidthSum != 6.0 {
-		t.Fatalf("merged bracket counters %+v", a)
-	}
-	if a.BracketMeanRelWidth != 1.0 { // 6.0 rel-width sum over 6 searches
-		t.Fatalf("merged mean rel width %v, want 1.0", a.BracketMeanRelWidth)
+	if a.SanitizeRejected != 3 {
+		t.Fatalf("merged sanitize rejects %d, want 3", a.SanitizeRejected)
 	}
 
 	var buf bytes.Buffer
@@ -127,16 +84,19 @@ func TestConvergenceMergeAndPrometheus(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		`flserve_newton_iterations_bucket{path="cold",le="0"} 1`,
-		`flserve_newton_iterations_count{path="cold"} 5`,
-		"flserve_outer_iterations_sum 12",
-		`flserve_dual_seed_total{outcome="accepted"} 3`,
-		`flserve_bracket_searches_total{bracket="seeded"} 3`,
-		"flserve_bracket_rel_width_mean 1",
-		"flserve_sanitize_rejected_total 0",
+		`flserve_outer_iterations_bucket{path="cold",le="0"} 1`,
+		`flserve_outer_iterations_count{path="cold"} 5`,
+		`flserve_outer_iterations_sum{path="cold"} 13`,
+		`flserve_outer_iterations_count{path="warm"} 1`,
+		"flserve_sanitize_rejected_total 3",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	for _, gone := range []string{"newton_iterations", "dual_seed", "bracket"} {
+		if strings.Contains(out, gone) {
+			t.Fatalf("exposition still carries %q series:\n%s", gone, out)
 		}
 	}
 }

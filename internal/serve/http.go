@@ -95,12 +95,10 @@ type SolveResponseJSON struct {
 	Converged    bool      `json:"converged"`
 	Iterations   int       `json:"iterations"`
 	// NewtonIters is the total Algorithm 1 (Subproblem 2) iteration count
-	// over all outer iterations — 0 on the dual-seeded warm path.
-	NewtonIters int    `json:"newton_iters"`
-	Source      string `json:"source"`
-	// DualSeeded marks solves that consumed a cached Subproblem 2 dual
-	// state on top of the warm-start allocation.
-	DualSeeded    bool    `json:"dual_seeded"`
+	// over all outer iterations — 0 unless the request selected the
+	// paper's Algorithm 1 (the default direct solver runs none).
+	NewtonIters   int     `json:"newton_iters"`
+	Source        string  `json:"source"`
 	Solver        string  `json:"solver"`
 	SolveSeconds  float64 `json:"solve_seconds"`
 	FingerprintHx string  `json:"fingerprint"`
@@ -212,7 +210,6 @@ func ResponseToJSON(resp Response) SolveResponseJSON {
 		Iterations:    len(resp.Result.Iterations),
 		NewtonIters:   newton,
 		Source:        string(resp.Source),
-		DualSeeded:    resp.DualSeeded,
 		Solver:        string(resp.Solver),
 		SolveSeconds:  resp.SolveTime.Seconds(),
 		FingerprintHx: fmt.Sprintf("%016x", resp.Fingerprint.Exact),

@@ -28,6 +28,22 @@ func driftGains(s *fl.System, sigma float64, rng *rand.Rand) *fl.System {
 	return &out
 }
 
+// requireWarmNearCold fails unless resp came off the warm-start path with
+// an objective within 1e-6 (relative) of a cold solve of the same instance.
+func requireWarmNearCold(t testing.TB, sys *fl.System, w fl.Weights, resp Response) {
+	t.Helper()
+	if resp.Source != SourceWarm {
+		t.Fatalf("source %q, want warm", resp.Source)
+	}
+	cold, err := core.Optimize(sys, w, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel := math.Abs(resp.Result.Objective/cold.Objective - 1); rel > 1e-6 {
+		t.Fatalf("warm objective %.12g vs cold %.12g (rel %.3g)", resp.Result.Objective, cold.Objective, rel)
+	}
+}
+
 func TestSolveColdThenCached(t *testing.T) {
 	s := testSystem(t, 10, 1)
 	srv := New(Config{Workers: 2})
@@ -165,7 +181,9 @@ func TestWarmStartNeverWorseThanCold(t *testing.T) {
 
 // TestCachedAtLeastTenTimesFasterThanCold is the serving-path speedup
 // guarantee: answering from the cache must beat re-solving by >= 10x (in
-// practice it is orders of magnitude).
+// practice about 30x at N=15). The hit cost is the best of several
+// batches, so a scheduler preemption or GC pause landing inside one batch
+// cannot pass for the cost of a hit.
 func TestCachedAtLeastTenTimesFasterThanCold(t *testing.T) {
 	s := testSystem(t, 15, 1)
 	srv := New(Config{Workers: 1})
@@ -181,18 +199,21 @@ func TestCachedAtLeastTenTimesFasterThanCold(t *testing.T) {
 		t.Fatalf("first source = %q", first.Source)
 	}
 
-	const hits = 100
-	began = time.Now()
-	for i := 0; i < hits; i++ {
-		resp, err := srv.Solve(context.Background(), Request{System: s, Weights: balanced()})
-		if err != nil {
-			t.Fatal(err)
+	const batches, hits = 5, 100
+	perHit := time.Duration(math.MaxInt64)
+	for b := 0; b < batches; b++ {
+		began = time.Now()
+		for i := 0; i < hits; i++ {
+			resp, err := srv.Solve(context.Background(), Request{System: s, Weights: balanced()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Source != SourceCache {
+				t.Fatalf("hit %d source = %q", i, resp.Source)
+			}
 		}
-		if resp.Source != SourceCache {
-			t.Fatalf("hit %d source = %q", i, resp.Source)
-		}
+		perHit = min(perHit, time.Since(began)/hits)
 	}
-	perHit := time.Since(began) / hits
 	if perHit*10 > coldWall {
 		t.Fatalf("cache hit %v not >= 10x faster than cold solve %v", perHit, coldWall)
 	}

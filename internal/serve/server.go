@@ -47,12 +47,6 @@ type Config struct {
 	DisableCache bool
 	// DisableWarmStart turns off seeding solves from topology neighbours.
 	DisableWarmStart bool
-	// DisableDualSeed restricts warm starts to the allocation alone,
-	// without the cached Subproblem 2 dual state. Allocation-only warm
-	// starts buy safety but re-run the Newton iteration; the dual seed is
-	// what lets a drifted re-solve skip it (kept as a knob so benchmarks
-	// can measure the difference).
-	DisableDualSeed bool
 	// BulkQueueDepth bounds the low-priority queue fed by batch requests;
 	// arrivals beyond it are rejected with ErrOverloaded. Default
 	// 4*QueueDepth.
@@ -147,11 +141,6 @@ type Response struct {
 	Fingerprint Fingerprint
 	// SolveTime is the wall time of the solve (zero on cache hits).
 	SolveTime time.Duration
-	// DualSeeded reports whether the solve was seeded with a cached
-	// Subproblem 2 dual state on top of the warm-start allocation (the
-	// path that lets a drifted re-solve skip its Newton iterations).
-	// Always false on cache hits and cold solves.
-	DualSeeded bool
 	// TraceID identifies the lifecycle trace this solve was recorded
 	// under ("" when the request was not traced); the same ID is echoed
 	// in the X-Trace-Id response header and retrievable via
@@ -295,21 +284,19 @@ func (s *Server) QueueWaitLatencies() []time.Duration { return s.stats.queueWait
 func (s *Server) Quantization() Quantization { return s.cfg.Quantization }
 
 // Migration bundles the cacheable state one fingerprint identifies: the
-// exact-match solution and the topology-bucket warm-start allocation with
-// its dual state. Either part may be absent (nil).
+// exact-match solution and the topology-bucket warm-start allocation.
+// Either part may be absent (nil).
 type Migration struct {
 	// Result is the exact-fingerprint cache entry, nil if absent.
 	Result *core.Result
 	// Warm is the topology-bucket warm-start allocation, nil if absent.
 	Warm *fl.Allocation
-	// WarmDuals is the dual state cached next to Warm, nil if absent.
-	WarmDuals *core.DualState
 }
 
 // Extract removes and returns the solution-cache entry identified by fp,
-// together with a copy of its topology bucket's warm-start allocation and
-// dual state. It is the source half of a cross-cell device handoff: after
-// Extract the server answers that exact fingerprint cold again. The warm
+// together with a copy of its topology bucket's warm-start allocation. It
+// is the source half of a cross-cell device handoff: after Extract the
+// server answers that exact fingerprint cold again. The warm
 // entry is copied, not removed — topology buckets are shared by every
 // device whose instances collide there, and one device's mobility must not
 // cold-start the neighbours it leaves behind.
@@ -318,25 +305,24 @@ func (s *Server) Extract(fp Fingerprint) Migration {
 	if res, ok := s.cache.Take(fp.Exact); ok {
 		m.Result = &res
 	}
-	if e, ok := s.warm.get(fp.Topo); ok {
-		m.Warm = &e.alloc
-		m.WarmDuals = e.duals
+	if a, ok := s.warm.get(fp.Topo); ok {
+		m.Warm = &a
 	}
 	return m
 }
 
 // Inject inserts a migrated bundle under fp, the destination half of a
 // handoff: the next identical request is a cache hit, and a drifted one
-// warm-starts from the migrated allocation and duals. Exactly what the
-// bundle carries is inserted — whether a Result should double as a warm
-// seed is the caller's call (it knows the solver; see SolverName.Warmable)
-// — and parts whose pipeline stage is disabled by config are dropped.
+// warm-starts from the migrated allocation. Exactly what the bundle
+// carries is inserted — whether a Result should double as a warm seed is
+// the caller's call (it knows the solver; see SolverName.Warmable) — and
+// parts whose pipeline stage is disabled by config are dropped.
 func (s *Server) Inject(fp Fingerprint, m Migration) {
 	if m.Result != nil && !s.cfg.DisableCache {
 		s.cache.Put(fp.Exact, *m.Result)
 	}
 	if m.Warm != nil && !s.cfg.DisableWarmStart {
-		s.warm.put(fp.Topo, *m.Warm, m.WarmDuals)
+		s.warm.put(fp.Topo, *m.Warm)
 	}
 }
 
@@ -552,25 +538,15 @@ func (s *Server) runTask(t *task, ws *core.Workspace) {
 	s.flight.finish(t.fp.Exact, t.call, resp, err)
 }
 
-// process runs one solve, trying the warm-start path first. A topology-
-// bucket hit seeds both the allocation and, unless disabled, the cached
-// Subproblem 2 dual state, which lets the seeded solve skip its Newton
-// iterations once the solver's residual check confirms the seed (the
-// objective is protected by the hybrid solver's direct polish either way).
+// process runs one solve, trying the warm-start path first: a topology-
+// bucket hit seeds the solve's start allocation.
 func (s *Server) process(t *task, ws *core.Workspace) (Response, error) {
 	req := t.req
 	source := SourceCold
-	dualSeeded := false
 	if !s.cfg.DisableWarmStart && startMatters(req) {
 		if cand, ok := s.warm.get(t.fp.Topo); ok {
-			if start, ok := sanitizeStart(req.System, cand.alloc); ok {
+			if start, ok := sanitizeStart(req.System, cand); ok {
 				req.Options.Start = &start
-				if !s.cfg.DisableDualSeed && cand.duals.ValidFor(req.System.N()) {
-					// Entries are immutable and the solver copies the seed
-					// at init, so the reference is safe to share.
-					req.Options.DualStart = cand.duals
-					dualSeeded = true
-				}
 				source = SourceWarm
 			} else {
 				s.stats.conv.recordSanitizeReject()
@@ -600,19 +576,9 @@ func (s *Server) process(t *task, ws *core.Workspace) (Response, error) {
 		s.stats.errors.Add(1)
 		return Response{}, err
 	}
-	path := "cold"
-	if source == SourceWarm {
-		path = "warm"
-		if dualSeeded {
-			path = "warm_dual"
-		}
-	}
+	path := string(source)
 	if t.tr != nil {
-		detail := path
-		if path == "warm_dual" {
-			detail = "warm+dual" // the span detail predates the label form
-		}
-		t.tr.RecordDur(obs.PhaseSolve, began, elapsed, obs.Attr{Cell: obs.CellNone, Detail: detail, Value: int64(stp.NewtonIters)})
+		t.tr.RecordDur(obs.PhaseSolve, began, elapsed, obs.Attr{Cell: obs.CellNone, Detail: path, Value: int64(stp.NewtonIters)})
 		// SP1/SP2 sub-spans are drawn from the solver's own clocks; they
 		// share the solve's start offset since only the split matters.
 		if stp.SP1Time > 0 {
@@ -637,7 +603,7 @@ func (s *Server) process(t *task, ws *core.Workspace) (Response, error) {
 	// Baselines never consume a seeded start, so their allocations would
 	// only sit dead in (their own, solver-keyed) topology buckets.
 	if !s.cfg.DisableWarmStart && req.Solver.Warmable() {
-		s.warm.put(t.fp.Topo, res.Allocation, res.Duals)
+		s.warm.put(t.fp.Topo, res.Allocation)
 	}
 	// Not cloned here: every waiter in Solve copies Result for itself.
 	return Response{
@@ -646,7 +612,6 @@ func (s *Server) process(t *task, ws *core.Workspace) (Response, error) {
 		Solver:      req.Solver.normalize(),
 		Fingerprint: t.fp,
 		SolveTime:   elapsed,
-		DualSeeded:  dualSeeded,
 		TraceID:     t.tr.ID(),
 	}, nil
 }
@@ -709,39 +674,30 @@ func sanitizeStart(s *fl.System, a fl.Allocation) (fl.Allocation, bool) {
 	return out, true
 }
 
-// warmEntry is one topology bucket's cached seed: the most recent
-// allocation solved there and, when the solver exported one, its converged
-// dual state.
-type warmEntry struct {
-	alloc fl.Allocation
-	duals *core.DualState
-}
-
-// warmIndex maps topology buckets to the most recent allocation (and dual
-// state) solved in that bucket. Eviction on overflow drops an arbitrary
-// entry — the index is a best-effort hint, never a source of truth.
+// warmIndex maps topology buckets to the most recent allocation solved in
+// that bucket. Eviction on overflow drops an arbitrary entry — the index is
+// a best-effort hint, never a source of truth.
 type warmIndex struct {
 	mu  sync.Mutex
 	max int
-	m   map[uint64]warmEntry
+	m   map[uint64]fl.Allocation
 }
 
 func newWarmIndex(max int) *warmIndex {
 	if max < 1 {
 		max = 1
 	}
-	return &warmIndex{max: max, m: make(map[uint64]warmEntry)}
+	return &warmIndex{max: max, m: make(map[uint64]fl.Allocation)}
 }
 
-// get returns the stored entry by reference; entries are immutable (put
-// stores private clones and replaces wholesale), so callers may read but
-// must clone before mutating — sanitizeStart does, and the solver copies a
-// dual seed at init.
-func (w *warmIndex) get(key uint64) (warmEntry, bool) {
+// get returns the stored allocation by reference; entries are immutable
+// (put stores private clones and replaces wholesale), so callers may read
+// but must clone before mutating — sanitizeStart does.
+func (w *warmIndex) get(key uint64) (fl.Allocation, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	e, ok := w.m[key]
-	return e, ok
+	a, ok := w.m[key]
+	return a, ok
 }
 
 // len reports the current entry count.
@@ -751,14 +707,22 @@ func (w *warmIndex) len() int {
 	return len(w.m)
 }
 
-func (w *warmIndex) put(key uint64, a fl.Allocation, duals *core.DualState) {
+// put stores a private clone of a under key.
+func (w *warmIndex) put(key uint64, a fl.Allocation) {
+	a = a.Clone()
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.insertLocked(key, a)
+}
+
+// insertLocked stores a under key; on overflow an arbitrary existing entry
+// is dropped first. The caller holds w.mu.
+func (w *warmIndex) insertLocked(key uint64, a fl.Allocation) {
 	if _, ok := w.m[key]; !ok && len(w.m) >= w.max {
 		for k := range w.m {
 			delete(w.m, k)
 			break
 		}
 	}
-	w.m[key] = warmEntry{alloc: a.Clone(), duals: duals.Clone()}
+	w.m[key] = a
 }

@@ -22,12 +22,10 @@ type CachedResult struct {
 }
 
 // WarmSeed is one topology-bucket warm-start entry in a ServerState: the
-// most recent allocation solved in that bucket and, when the solver
-// exported one, its converged Subproblem 2 dual state.
+// most recent allocation solved in that bucket.
 type WarmSeed struct {
-	Key   uint64          `json:"key"`
-	Alloc fl.Allocation   `json:"alloc"`
-	Duals *core.DualState `json:"duals,omitempty"`
+	Key   uint64        `json:"key"`
+	Alloc fl.Allocation `json:"alloc"`
 }
 
 // ServerState is the serializable hot state of one Server: the solution
@@ -52,10 +50,10 @@ func (s *Server) ExportState() ServerState {
 	for i := range keys {
 		st.Results[i] = CachedResult{Key: keys[i], Result: results[i]}
 	}
-	wkeys, entries := s.warm.dump()
+	wkeys, allocs := s.warm.dump()
 	st.Warm = make([]WarmSeed, len(wkeys))
 	for i := range wkeys {
-		st.Warm[i] = WarmSeed{Key: wkeys[i], Alloc: entries[i].alloc, Duals: entries[i].duals}
+		st.Warm[i] = WarmSeed{Key: wkeys[i], Alloc: allocs[i]}
 	}
 	return st
 }
@@ -78,12 +76,12 @@ func (s *Server) ImportState(st ServerState) {
 	}
 	if !s.cfg.DisableWarmStart && len(st.Warm) > 0 {
 		keys := make([]uint64, 0, len(st.Warm))
-		entries := make([]warmEntry, 0, len(st.Warm))
+		allocs := make([]fl.Allocation, 0, len(st.Warm))
 		for i := range st.Warm {
 			keys = append(keys, st.Warm[i].Key)
-			entries = append(entries, warmEntry{alloc: st.Warm[i].Alloc.Clone(), duals: st.Warm[i].Duals.Clone()})
+			allocs = append(allocs, st.Warm[i].Alloc.Clone())
 		}
-		s.warm.putBatch(keys, entries)
+		s.warm.putBatch(keys, allocs)
 	}
 }
 
@@ -102,11 +100,10 @@ func (s *Server) PeekBatch(fps []Fingerprint) []Migration {
 	}
 	s.warm.mu.Lock()
 	for i := range fps {
-		if e, ok := s.warm.m[fps[i].Topo]; ok {
+		if a, ok := s.warm.m[fps[i].Topo]; ok {
 			// Entries are immutable (put stores private clones), so
 			// referencing the map copy is safe, exactly as in ExtractBatch.
-			out[i].Warm = &e.alloc
-			out[i].WarmDuals = e.duals
+			out[i].Warm = &a
 		}
 	}
 	s.warm.mu.Unlock()
@@ -184,16 +181,16 @@ func (c *Cache) GetBatch(keys []uint64) []*core.Result {
 	return out
 }
 
-// dump copies every warm entry's key and contents; entries are immutable
-// in place, so the references are safe to hand out.
-func (w *warmIndex) dump() ([]uint64, []warmEntry) {
+// dump copies every warm entry's key and allocation; entries are
+// immutable in place, so the references are safe to hand out.
+func (w *warmIndex) dump() ([]uint64, []fl.Allocation) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	keys := make([]uint64, 0, len(w.m))
-	entries := make([]warmEntry, 0, len(w.m))
-	for k, e := range w.m {
+	allocs := make([]fl.Allocation, 0, len(w.m))
+	for k, a := range w.m {
 		keys = append(keys, k)
-		entries = append(entries, e)
+		allocs = append(allocs, a)
 	}
-	return keys, entries
+	return keys, allocs
 }

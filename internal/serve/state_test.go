@@ -8,8 +8,8 @@ import (
 
 // TestServerStateRoundTrip exports a warmed server's state and imports it
 // into a fresh one: an exact replay must hit the cache, and a drifted
-// replay must run warm + dual-seeded — the restored process behaves like
-// the one that snapshotted.
+// replay must run warm — the restored process behaves like the one that
+// snapshotted.
 func TestServerStateRoundTrip(t *testing.T) {
 	src := New(Config{Workers: 2})
 	defer src.Close()
@@ -21,9 +21,6 @@ func TestServerStateRoundTrip(t *testing.T) {
 	st := src.ExportState()
 	if len(st.Results) != 1 || len(st.Warm) != 1 {
 		t.Fatalf("exported state: %d results, %d warm seeds, want 1+1", len(st.Results), len(st.Warm))
-	}
-	if st.Warm[0].Duals == nil {
-		t.Fatal("exported warm seed lost its dual state")
 	}
 
 	dst := New(Config{Workers: 2})
@@ -43,9 +40,7 @@ func TestServerStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Source != SourceWarm || !resp.DualSeeded {
-		t.Fatalf("restored drifted solve source %q dualSeeded %t, want warm + dual-seeded", resp.Source, resp.DualSeeded)
-	}
+	requireWarmNearCold(t, drifted, balanced(), resp)
 }
 
 // TestExportStateNonDestructive checks that exporting leaves the source
@@ -79,7 +74,7 @@ func TestPeekBatchNonDestructive(t *testing.T) {
 		t.Fatal(err)
 	}
 	migs := srv.PeekBatch([]Fingerprint{resp.Fingerprint})
-	if len(migs) != 1 || migs[0].Result == nil || migs[0].Warm == nil || migs[0].WarmDuals == nil {
+	if len(migs) != 1 || migs[0].Result == nil || migs[0].Warm == nil {
 		t.Fatalf("peeked migration incomplete: %+v", migs)
 	}
 	replay, err := srv.Solve(context.Background(), Request{System: sys, Weights: balanced()})
@@ -94,15 +89,13 @@ func TestPeekBatchNonDestructive(t *testing.T) {
 	// drifted solve warm there.
 	other := New(Config{Workers: 2})
 	defer other.Close()
-	other.InjectBatch([]Fingerprint{resp.Fingerprint}, []Migration{{Warm: migs[0].Warm, WarmDuals: migs[0].WarmDuals}})
+	other.InjectBatch([]Fingerprint{resp.Fingerprint}, []Migration{{Warm: migs[0].Warm}})
 	drifted := driftGains(sys, 0.05, rand.New(rand.NewSource(9)))
 	warm, err := other.Solve(context.Background(), Request{System: drifted, Weights: balanced()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Source != SourceWarm || !warm.DualSeeded {
-		t.Fatalf("injected peek copy: drifted solve source %q dualSeeded %t, want warm + dual-seeded", warm.Source, warm.DualSeeded)
-	}
+	requireWarmNearCold(t, drifted, balanced(), warm)
 }
 
 // TestImportStateRespectsDisableFlags checks a disabled cache/warm index

@@ -193,10 +193,8 @@ type Snapshot struct {
 	// Buckets lists the busiest topology buckets by request volume with
 	// their cache hit rates, busiest first.
 	Buckets []BucketSnapshot `json:"buckets,omitempty"`
-	// Convergence is the solver convergence observatory: Newton/outer
-	// iteration histograms per serving path, dual-seed certificate
-	// outcomes, bisection bracket provenance and widths, and sanitization
-	// rejections.
+	// Convergence is the solver convergence observatory: outer-iteration
+	// histograms per serving path and sanitization rejections.
 	Convergence ConvergenceJSON `json:"convergence"`
 }
 

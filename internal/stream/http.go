@@ -69,7 +69,7 @@ type UpdateJSON struct {
 	Error string `json:"error,omitempty"`
 	Cell  int    `json:"cell"`
 	// Result carries the allocation plus solve metadata (source,
-	// dual_seeded, newton_iters, solve_seconds, fingerprint).
+	// newton_iters, solve_seconds, fingerprint).
 	Result *serve.SolveResponseJSON `json:"result,omitempty"`
 }
 

@@ -62,14 +62,16 @@ func TestSessionSnapshotResumeWithoutStaleSeq(t *testing.T) {
 		t.Fatalf("post-restore update seq %d, want 4", upd.Seq)
 	}
 	// The restored state must keep serving hot: a cache hit when the
-	// drifted gains land back in a solved bucket, otherwise a warm +
-	// dual-seeded re-solve. Cold means the restore lost the state.
+	// drifted gains land back in a solved bucket, otherwise a warm
+	// re-solve. Cold means the restore lost the state.
 	switch upd.Response.Source {
 	case serve.SourceCache:
 	case serve.SourceWarm:
-		if !upd.Response.DualSeeded {
-			t.Fatalf("post-restore warm re-solve not dual-seeded")
+		restored, err := m2.lookup(sess.ID())
+		if err != nil {
+			t.Fatal(err)
 		}
+		requireWarmNearCold(t, restored.SystemSnapshot(), balanced(), upd.Response)
 	default:
 		t.Fatalf("post-restore re-solve source %q: restored state not used", upd.Response.Source)
 	}

@@ -20,7 +20,6 @@ type Stats struct {
 	solveCache       atomic.Int64
 	solveWarm        atomic.Int64
 	solveCold        atomic.Int64
-	solveDualSeeded  atomic.Int64
 }
 
 // countSolve attributes one session solve (opening solve or delta re-solve)
@@ -33,9 +32,6 @@ func (st *Stats) countSolve(resp serve.Response) {
 		st.solveWarm.Add(1)
 	default:
 		st.solveCold.Add(1)
-	}
-	if resp.DualSeeded {
-		st.solveDualSeeded.Add(1)
 	}
 }
 
@@ -65,12 +61,10 @@ type Snapshot struct {
 	DeltasCoalesced int64 `json:"deltas_coalesced"`
 	DeltaErrors     int64 `json:"delta_errors"`
 	// SolveCache/Warm/Cold split session solves (open + delta) by serving
-	// path; SolveDualSeeded counts the warm solves that also consumed the
-	// cached Subproblem 2 dual state.
-	SolveCache      int64 `json:"solve_cache_hits"`
-	SolveWarm       int64 `json:"solve_warm_starts"`
-	SolveCold       int64 `json:"solve_cold_solves"`
-	SolveDualSeeded int64 `json:"solve_dual_seeded"`
+	// path.
+	SolveCache int64 `json:"solve_cache_hits"`
+	SolveWarm  int64 `json:"solve_warm_starts"`
+	SolveCold  int64 `json:"solve_cold_solves"`
 }
 
 func (st *Stats) snapshot() Snapshot {
@@ -86,7 +80,6 @@ func (st *Stats) snapshot() Snapshot {
 		SolveCache:       st.solveCache.Load(),
 		SolveWarm:        st.solveWarm.Load(),
 		SolveCold:        st.solveCold.Load(),
-		SolveDualSeeded:  st.solveDualSeeded.Load(),
 	}
 }
 
@@ -119,7 +112,6 @@ func (s Snapshot) WritePrometheus(p *serve.PromWriter, prefix, labels string) {
 		}
 		p.Counter(prefix+"_solves_total", "Session solves by serving path.", sl, float64(sv.v))
 	}
-	p.Counter(prefix+"_dual_seeded_total", "Session solves that consumed the cached SP2 dual state.", labels, float64(s.SolveDualSeeded))
 	p.Gauge(prefix+"_active_sessions", "Currently open stream sessions.", labels, float64(s.ActiveSessions))
 	p.Gauge(prefix+"_suspended_sessions", "Sessions currently suspended by a drain or migration.", labels, float64(s.SuspendedSessions))
 }

@@ -17,17 +17,15 @@
 //     re-fingerprints incrementally (gains-only deltas reuse the cached
 //     topology-bucket hash and re-hash just the gains), and re-solves
 //     through the backend — where the topology bucket's warm-start
-//     allocation and Subproblem 2 dual state (Options.DualStart) let the
-//     drifted re-solve skip its Newton iterations entirely;
+//     allocation seeds the drifted re-solve;
 //   - every update is answered with the new allocation plus solve metadata:
-//     the path taken (cache/warm/cold), whether the dual seed was consumed,
-//     Newton iteration count and latency.
+//     the path taken (cache/warm/cold), iteration counts and latency.
 //
 // Sessions are bounded (max sessions, idle TTL) and survive cross-cell
 // handoff: session state lives above the cells, deltas route by device ID
 // (following the handoff pin), and the existing cluster Handoff machinery
-// migrates the cached warm allocation and dual state, so the first
-// post-move re-solve is still warm and dual-seeded.
+// migrates the cached warm allocation, so the first post-move re-solve is
+// still warm.
 package stream
 
 import (
@@ -129,7 +127,7 @@ type Update struct {
 	// Cell is the cell that served the re-solve (0 on a single server).
 	Cell int
 	// Response is the serving-layer outcome: allocation, metrics, source
-	// (cache/warm/cold), dual-seed flag, fingerprint and solve time.
+	// (cache/warm/cold), fingerprint and solve time.
 	Response serve.Response
 	// Elapsed is the wall time of the whole apply (validation, in-place
 	// application, fingerprint, queueing and solve).
@@ -337,7 +335,7 @@ func newSessionID() (string, error) {
 // Open creates a session from a full solve request, running the opening
 // solve through the backend (routed by deviceID on a cluster). The request's
 // system is copied — the caller keeps ownership of its own — and any
-// caller-provided Start/DualStart/Work/Fingerprint are dropped: seeds are
+// caller-provided Start/Work/Fingerprint are dropped: seeds are
 // the serving layer's job. On solver or validation failure no session is
 // created. The returned Update carries Seq 0.
 func (m *Manager) Open(ctx context.Context, deviceID string, req serve.Request) (*Session, Update, error) {
@@ -378,7 +376,7 @@ func (m *Manager) Open(ctx context.Context, deviceID string, req serve.Request) 
 		solver:   req.Solver,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.opts.Start, s.opts.DualStart, s.opts.Work = nil, nil, nil
+	s.opts.Start, s.opts.Work = nil, nil
 	s.touch()
 
 	began := time.Now()

@@ -27,6 +27,22 @@ func testSystem(t testing.TB, n int, seed int64) *fl.System {
 
 func balanced() fl.Weights { return fl.Weights{W1: 0.5, W2: 0.5} }
 
+// requireWarmNearCold fails unless resp came off the warm-start path with
+// an objective within 1e-6 (relative) of a cold solve of sys.
+func requireWarmNearCold(t testing.TB, sys *fl.System, w fl.Weights, resp serve.Response) {
+	t.Helper()
+	if resp.Source != serve.SourceWarm {
+		t.Fatalf("source %q, want warm", resp.Source)
+	}
+	cold, err := core.Optimize(sys, w, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel := math.Abs(resp.Result.Objective/cold.Objective - 1); rel > 1e-6 {
+		t.Fatalf("warm objective %.12g vs cold %.12g (rel %.3g)", resp.Result.Objective, cold.Objective, rel)
+	}
+}
+
 // testManager builds a manager over a single 2-worker server; the cleanup
 // closes both.
 func testManager(t testing.TB, cfg Config) *Manager {
@@ -63,7 +79,7 @@ func sparseDrift(s *fl.System, seq uint64, k int, sigma float64, rng *rand.Rand)
 	return Delta{Seq: seq, Gains: gains}
 }
 
-func TestSessionDeltaHitsWarmDualSeededPath(t *testing.T) {
+func TestSessionDeltaHitsWarmPath(t *testing.T) {
 	m := testManager(t, Config{})
 	base := testSystem(t, 10, 1)
 	sess, upd := openSession(t, m, base)
@@ -85,19 +101,7 @@ func TestSessionDeltaHitsWarmDualSeededPath(t *testing.T) {
 		if upd.Seq != seq {
 			t.Fatalf("update seq = %d, want %d", upd.Seq, seq)
 		}
-		if upd.Response.Source != serve.SourceWarm {
-			t.Fatalf("delta %d source = %q, want warm", seq, upd.Response.Source)
-		}
-		if !upd.Response.DualSeeded {
-			t.Fatalf("delta %d not dual-seeded", seq)
-		}
-		newton := 0
-		for _, it := range upd.Response.Result.Iterations {
-			newton += it.NewtonIters
-		}
-		if newton != 0 {
-			t.Fatalf("delta %d ran %d Newton iterations, want 0 on the dual-seeded path", seq, newton)
-		}
+		requireWarmNearCold(t, sess.SystemSnapshot(), balanced(), upd.Response)
 	}
 
 	// The authoritative state tracked every applied gain.
@@ -111,8 +115,8 @@ func TestSessionDeltaHitsWarmDualSeededPath(t *testing.T) {
 		t.Fatalf("session seq = %d, want 8", sess.Seq())
 	}
 	st := m.Stats()
-	if st.SolveWarm != 8 || st.SolveDualSeeded != 8 || st.Deltas != 8 {
-		t.Fatalf("stats = %+v, want 8 warm / 8 dual-seeded / 8 deltas", st)
+	if st.SolveWarm != 8 || st.Deltas != 8 {
+		t.Fatalf("stats = %+v, want 8 warm / 8 deltas", st)
 	}
 }
 

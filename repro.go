@@ -72,10 +72,6 @@ type (
 	Mode = core.Mode
 	// SP2Method selects the Subproblem 2 strategy.
 	SP2Method = core.SP2Method
-	// DualState is the converged Subproblem 2 dual state (bandwidth price
-	// plus per-device Newton multipliers); cache it next to an allocation
-	// and pass it back via Options.DualStart to skip Newton iterations.
-	DualState = core.DualState
 	// Workspace is reusable solver scratch memory (Options.Work); one per
 	// goroutine keeps repeated solves allocation-free.
 	Workspace = core.Workspace
@@ -90,12 +86,11 @@ const (
 	ModeWeighted = core.ModeWeighted
 	// ModeDeadline minimizes E under a fixed completion time (Figs. 7-8).
 	ModeDeadline = core.ModeDeadline
-	// SP2Hybrid runs the paper's Algorithm 1 polished by the direct solver.
-	SP2Hybrid = core.SP2Hybrid
-	// SP2NewtonOnly runs the paper's Algorithm 1 alone.
-	SP2NewtonOnly = core.SP2NewtonOnly
-	// SP2DirectOnly runs only the reduction-based global solver.
+	// SP2DirectOnly (default) solves Subproblem 2 by the globally optimal
+	// direct reduction.
 	SP2DirectOnly = core.SP2DirectOnly
+	// SP2NewtonOnly runs the paper's Algorithm 1 (paper-fidelity mode).
+	SP2NewtonOnly = core.SP2NewtonOnly
 )
 
 // Experiment types (see internal/experiments).
@@ -730,7 +725,7 @@ func NewCtrlActuator(p *ControlPlane) HealthActuator { return ctrl.Actuator{Plan
 // hot cell state.
 type (
 	// ReplicaSnapshot is the full durable state of one serving process
-	// (every cell's cache/warm/dual state plus open stream sessions).
+	// (every cell's cache/warm state plus open stream sessions).
 	ReplicaSnapshot = replica.Snapshot
 	// ReplicaSnapshotter persists periodic snapshots; Close flushes one
 	// final snapshot on graceful shutdown.
@@ -751,7 +746,7 @@ type (
 	CrashReport = ctrl.CrashReport
 	// StreamSessionSnapshot is one serialized stream session.
 	StreamSessionSnapshot = stream.SessionSnapshot
-	// ServerState is one server's serializable cache/warm/dual state.
+	// ServerState is one server's serializable cache/warm state.
 	ServerState = serve.ServerState
 )
 

@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkOptimizeWeighted|BenchmarkOptimizeDeadline|BenchmarkServeCold|BenchmarkServeCached|BenchmarkServeWarmStart|BenchmarkServeWarmStartAllocOnly|BenchmarkServeTraced|BenchmarkServeBatch|BenchmarkClusterRoutedCached|BenchmarkStreamDelta|BenchmarkStreamRepostCold|BenchmarkMassHandoff|BenchmarkHandoffPerDevice)$'
+BENCHES='^(BenchmarkOptimizeWeighted|BenchmarkOptimizeDeadline|BenchmarkServeCold|BenchmarkServeCached|BenchmarkServeWarmStart|BenchmarkServeTraced|BenchmarkServeBatch|BenchmarkClusterRoutedCached|BenchmarkStreamDelta|BenchmarkStreamRepostCold|BenchmarkMassHandoff|BenchmarkHandoffPerDevice)$'
 BENCHTIME="${BENCHTIME:-2s}"
 
 # Churn smoke: the elastic-cluster loadgen with cells added and drained

@@ -4,8 +4,8 @@
 # device keyspaces, kill a cell WITHOUT draining, and assert the failure
 # degraded to warm-but-not-cached instead of cold:
 #
-#   - the post-crash replay of a dead cell's device is source "warm" with
-#     "dual_seeded":true on a surviving cell (its replica was promoted),
+#   - the post-crash replay of a dead cell's device is source "warm" on a
+#     surviving cell (its replica was promoted),
 #   - /metrics records replica_promotions_total 1,
 #   - a SIGTERM flushes a final snapshot, and a restarted process answers
 #     the same request from its restored cache ("source":"cache").
@@ -71,14 +71,13 @@ curl -fsS -X POST "http://localhost:$PORT/v1/cells/$victim/crash" -o "$TMP/crash
 grep -q '"warm_seeds":0' "$TMP/crash.json" &&
     { echo "crash smoke: promotion shipped no warm seeds: $(cat "$TMP/crash.json")" >&2; exit 1; }
 
-# The dead cell's device replays warm + dual-seeded on a survivor: the
-# cache died with the cell, the replicated warm seed did not.
+# The dead cell's device replays warm on a survivor: the cache died with
+# the cell, the replicated warm seed did not.
 out="$(solve smoke-0)"
 cell="$(field "$out" cell)"
 src="$(field "$out" source)"
-dual="$(field "$out" dual_seeded)"
-if [ "$cell" = "$victim" ] || [ "$src" != warm ] || [ "$dual" != true ]; then
-    echo "crash smoke: post-crash replay cell=$cell source=$src dual_seeded=$dual (victim=$victim), want warm+dual-seeded on a survivor" >&2
+if [ "$cell" = "$victim" ] || [ "$src" != warm ]; then
+    echo "crash smoke: post-crash replay cell=$cell source=$src (victim=$victim), want warm on a survivor" >&2
     exit 1
 fi
 

@@ -34,16 +34,17 @@ for _ in $(seq 1 50); do
 done
 
 # Cache-defeating load: every request carries a fresh channel-gain draw,
-# so each solve is cold and queues behind the single worker. 50 devices
-# per request keeps one solve slow enough that concurrent clients push
-# queue wait past the 50ms SLO within a couple of health ticks.
+# so each solve is cold and queues behind the single worker. A 50-device
+# fixed-deadline solve takes 10-25 ms, slow enough that concurrent clients
+# push queue wait past the 50ms SLO within a couple of health ticks (a
+# weighted solve of the same system takes about 1 ms and would not).
 mkbody() { # mkbody <salt>
     local devs="" i
     for i in $(seq 1 50); do
         [ -n "$devs" ] && devs+=","
         devs+='{"samples":500,"cycles_per_sample":2e4,"upload_bits":2.81e4,"gain":'"$1.$i"'e-13,"f_min_hz":1e7,"f_max_hz":2e9,"p_min_w":1e-3,"p_max_w":1.585e-2}'
     done
-    printf '{"device_id":"smoke-%s","weights":{"w1":0.5,"w2":0.5},"system":{"bandwidth_hz":2e7,"n0_w_per_hz":3.98e-21,"kappa":1e-28,"local_iters":10,"global_rounds":400,"devices":[%s]}}' "$1" "$devs"
+    printf '{"device_id":"smoke-%s","mode":"deadline","total_deadline_s":300,"weights":{"w1":1,"w2":0},"system":{"bandwidth_hz":2e7,"n0_w_per_hz":3.98e-21,"kappa":1e-28,"local_iters":10,"global_rounds":400,"devices":[%s]}}' "$1" "$devs"
 }
 
 loaders=()
