@@ -174,11 +174,11 @@ func driftBench(s *repro.System, sigma float64, rng *rand.Rand) *repro.System {
 	return &out
 }
 
-// BenchmarkServeCold measures the serving path with both the cache and the
-// warm-start index disabled: every request is a from-scratch solve.
+// BenchmarkServeCold measures the serving path with the cache disabled:
+// every request is a from-scratch solve.
 func BenchmarkServeCold(b *testing.B) {
 	base := serveBenchSystem(b)
-	srv := repro.NewServer(repro.ServeConfig{DisableCache: true, DisableWarmStart: true})
+	srv := repro.NewServer(repro.ServeConfig{DisableCache: true})
 	defer srv.Close()
 	rng := rand.New(rand.NewSource(2))
 	w := repro.Weights{W1: 0.5, W2: 0.5}
@@ -209,21 +209,21 @@ func BenchmarkServeCached(b *testing.B) {
 	}
 }
 
-// BenchmarkServeWarmStart measures drifted requests with warm starts:
-// every iteration misses the exact fingerprint but seeds Algorithm 2 with
-// the topology bucket's cached allocation.
-func BenchmarkServeWarmStart(b *testing.B) {
-	benchServeWarm(b, repro.ServeConfig{}, nil)
+// BenchmarkServeDrift measures drifted requests through the default server:
+// every iteration misses the exact fingerprint and solves cold, paying the
+// cache lookup and insert on top of BenchmarkServeCold.
+func BenchmarkServeDrift(b *testing.B) {
+	benchServeDrift(b, repro.ServeConfig{}, nil)
 }
 
-// BenchmarkServeTraced is BenchmarkServeWarmStart with the full telemetry
+// BenchmarkServeTraced is BenchmarkServeDrift with the full telemetry
 // plane live: a collector at the default 1-in-16 sampling starts and
 // finishes one solve-lifecycle trace per iteration, the server records
 // fingerprint/cache/queue/solve spans into it, and every finished trace is
 // exported through a span exporter into a local aggregator (the
 // single-process assembly path) AND folded into the always-on flight
 // recorder, exactly as the serving cmds wire it. The gap to
-// BenchmarkServeWarmStart (the nil-collector fast path) is the tracing +
+// BenchmarkServeDrift (the nil-collector fast path) is the tracing +
 // export + flight-event overhead.
 func BenchmarkServeTraced(b *testing.B) {
 	col := repro.NewObsCollector(repro.ObsConfig{})
@@ -235,10 +235,10 @@ func BenchmarkServeTraced(b *testing.B) {
 		flight.Observe(t)
 	})
 	defer exp.Close()
-	benchServeWarm(b, repro.ServeConfig{}, col)
+	benchServeDrift(b, repro.ServeConfig{}, col)
 }
 
-func benchServeWarm(b *testing.B, cfg repro.ServeConfig, col *repro.ObsCollector) {
+func benchServeDrift(b *testing.B, cfg repro.ServeConfig, col *repro.ObsCollector) {
 	b.Helper()
 	base := serveBenchSystem(b)
 	srv := repro.NewServer(cfg)
@@ -355,9 +355,8 @@ func sparseDriftDelta(s *repro.System, seq uint64, k int, sigma float64, rng *ra
 // workload — a per-device gain-delta stream: each op posts ONE NDJSON delta
 // carrying one drifted gain of the N=50 system to an open session and reads
 // the re-solve back. The session re-fingerprints incrementally; a drift
-// that leaves its quantization bucket re-solves seeded with the topology
-// bucket's allocation, and one that stays inside is answered from the
-// solution cache (warm/op counts both reuse paths). Its counterpart
+// that leaves its quantization bucket re-solves cold, and one that stays
+// inside is answered from the solution cache (cache/op). Its counterpart
 // BenchmarkStreamRepostCold pays the full client re-POST + cold solve for
 // the identical drift stream.
 func BenchmarkStreamDelta(b *testing.B) {
@@ -365,7 +364,7 @@ func BenchmarkStreamDelta(b *testing.B) {
 	url, session, cleanup := streamBenchSetup(b, base)
 	defer cleanup()
 	rng := rand.New(rand.NewSource(2))
-	var warm int
+	var cached int
 	seq := uint64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -387,18 +386,17 @@ func BenchmarkStreamDelta(b *testing.B) {
 		if !u.OK || u.Result == nil {
 			b.Fatalf("delta %d: %+v", seq, u)
 		}
-		if u.Result.Source == string(repro.ServeSourceWarm) || u.Result.Source == string(repro.ServeSourceCache) {
-			warm++
+		if u.Result.Source == string(repro.ServeSourceCache) {
+			cached++
 		}
 	}
-	b.ReportMetric(float64(warm)/float64(b.N), "warm/op")
+	b.ReportMetric(float64(cached)/float64(b.N), "cache/op")
 }
 
 // massHandoffSetup builds a 2-cell cluster with `devices` distinct devices
-// served (and pinned) in cell 0, each with one cached solution and a warm
-// allocation to migrate. A stub solver keeps the setup
-// about migration machinery, not solve time: the benchmarks move state,
-// they never re-solve it.
+// served (and pinned) in cell 0, each with one cached solution to migrate. A
+// stub solver keeps the setup about migration machinery, not solve time: the
+// benchmarks move state, they never re-solve it.
 func massHandoffSetup(b *testing.B, devices int) (*repro.Cluster, []string) {
 	b.Helper()
 	const n = 12
@@ -441,8 +439,8 @@ func massHandoffSetup(b *testing.B, devices int) (*repro.Cluster, []string) {
 }
 
 // BenchmarkMassHandoff measures the batched mass-mobility migration: per
-// op, ONE MassHandoff call moves all 1000 devices' cached solutions and
-// warm allocations to the other cell (directions alternate so
+// op, ONE MassHandoff call moves all 1000 devices' cached solutions to
+// the other cell (directions alternate so
 // every op moves the full population). One routing-lock acquisition and
 // one bulk extract/inject per cell, recorded fingerprints reused — compare
 // BenchmarkHandoffPerDevice, which migrates the identical population
@@ -506,13 +504,13 @@ func BenchmarkHandoffPerDevice(b *testing.B) {
 
 // BenchmarkStreamRepostCold is the same drifting workload served the
 // pre-stream way: the client re-POSTs the ENTIRE system to /v1/solve for
-// every single-gain drift, and the server (cache and warm starts disabled,
+// every single-gain drift, and the server (cache disabled,
 // as for a stateless client whose every instance is new to the server)
 // solves cold. The gap to BenchmarkStreamDelta is what the delta subsystem
 // buys end to end.
 func BenchmarkStreamRepostCold(b *testing.B) {
 	base := streamBenchSystem(b)
-	srv := repro.NewServer(repro.ServeConfig{DisableCache: true, DisableWarmStart: true})
+	srv := repro.NewServer(repro.ServeConfig{DisableCache: true})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

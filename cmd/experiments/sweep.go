@@ -70,8 +70,8 @@ func runSweep(steps, n int, sweepDrift, deadline, radius float64, seed int64) er
 	for step := 0; step < steps; step++ {
 		if step > 0 {
 			// One scenario stream: the SAME system drifts between steps, so
-			// consecutive instances share a topology bucket and the serving
-			// path answers them warm (exactly what a live base station sees).
+			// consecutive instances share a topology bucket (exactly what a
+			// live base station sees).
 			for i := range sys.Devices {
 				sys.Devices[i].Gain *= math.Exp(sweepDrift * rng.NormFloat64())
 			}
@@ -119,7 +119,7 @@ func runSweep(steps, n int, sweepDrift, deadline, radius float64, seed int64) er
 			sumSimp/float64(counted), sumSimpTx/float64(counted), sumS1/float64(counted), counted)
 	}
 	st := srv.Stats()
-	fmt.Printf("serving path: %d requests, %d cache hits, %d warm starts, %d cold solves (p50 %.1f ms)\n",
-		st.Requests, st.Hits, st.WarmStarts, st.ColdSolves, st.SolveP50*1e3)
+	fmt.Printf("serving path: %d requests, %d cache hits, %d cold solves (p50 %.1f ms)\n",
+		st.Requests, st.Hits, st.ColdSolves, st.SolveP50*1e3)
 	return nil
 }

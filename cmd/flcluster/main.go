@@ -1,15 +1,14 @@
 // Command flcluster runs the multi-cell allocation cluster: N independent
-// per-cell solver services (each with its own cache, warm-start index and
-// worker pool) behind a router with consistent-hash device routing,
-// cross-cell device handoff, runtime cell add/remove under a control
-// plane, and aggregated stats.
+// per-cell solver services (each with its own cache and worker pool) behind
+// a router with consistent-hash device routing, cross-cell device handoff,
+// runtime cell add/remove under a control plane, and aggregated stats.
 //
 // Usage:
 //
 //	flcluster [-addr :8080] [-cells 4] [-workers 0] [-queue 0]
 //	          [-cache 4096] [-ttl 10m] [-timeout 30s] [-gainres 0.25]
 //	          [-sessions 1024] [-session-ttl 5m]
-//	          [-replicate] [-snapshot-dir DIR] [-snapshot-interval 30s]
+//	          [-snapshot-dir DIR] [-snapshot-interval 30s]
 //
 // Endpoints:
 //
@@ -23,9 +22,8 @@
 //	POST   /v1/cells              add a cell (splice + backfill)
 //	DELETE /v1/cells/{id}         drain a cell and remove it
 //	POST   /v1/cells/{id}/crash   remove a cell WITHOUT draining (failure
-//	                              injection); with -replicate its keyspace
-//	                              degrades to warm-but-not-cached on the
-//	                              successors instead of cold
+//	                              injection); its keyspace re-solves cold
+//	                              on the survivors
 //	GET    /v1/rebalance/plan     per-cell moved-key counts (dry run)
 //	POST   /v1/rebalance          execute the rebalance
 //	GET    /v1/health             per-cell rolling windows + SLO standing
@@ -74,22 +72,19 @@
 //
 // With -crash K the replay instead runs under failure injection: the
 // chaos goroutine performs K add-cell/crash-cell cycles, removing cells
-// WITHOUT draining them while a fast-flushing replicator ships warm state
-// to ring successors — each crash's promotion (devices, warm seeds, lost
-// dirty, replica lag) is reported after the replay.
+// WITHOUT draining them; the dead cells' devices reroute to survivors and
+// re-solve cold there.
 //
-// With -replicate (server mode) every cell's warm state ships
-// asynchronously to its ring successor; -snapshot-dir additionally
-// persists whole-cluster snapshots (all cells + open sessions) to
-// DIR/flcluster.snap on -snapshot-interval and on graceful shutdown, and
-// restores them at boot.
+// With -snapshot-dir (server mode) the process persists whole-cluster
+// snapshots (all cells + open sessions) to DIR/flcluster.snap on
+// -snapshot-interval and on graceful shutdown, and restores them at boot.
 //
 // Each device owns a base scenario; every request is, with probability
 // -repeat, an exact replay of that device's previous instance (exercising
 // the cache and, across a migration, the handoff-carried cache entry),
-// otherwise a fresh log-normal drift of its gains (exercising warm
-// starts). With probability -migrate the device first hands off to a
-// random other cell.
+// otherwise a fresh log-normal drift of its gains (a cold solve unless the
+// drift stays inside the gain buckets). With probability -migrate the device
+// first hands off to a random other cell.
 //
 // With -loadgen N -wave the replay instead runs a traffic wave against an
 // autoscaling cluster: a hot phase of N cache-defeating solves at full
@@ -102,7 +97,7 @@
 // sparse NDJSON gain deltas (-deltadev gains per update) down a live
 // connection; migrations fire POST /v1/handoff between deltas of the SAME
 // open session, exercising session survival across cross-cell handoff —
-// the post-move deltas must keep re-solving warm off the migrated state.
+// the post-move deltas must keep re-solving on the destination cell.
 package main
 
 import (
@@ -169,13 +164,12 @@ func main() {
 		deltadev = flag.Int("deltadev", 3, "loadgen -stream: devices drifted per delta")
 		churn    = flag.Int("churn", 0, "loadgen: add+drain this many cells mid-replay (per-request mode)")
 		wave     = flag.Bool("wave", false, "loadgen: autoscale traffic wave (hot phase, then idle until the cluster drains back)")
-		crash    = flag.Int("crash", 0, "loadgen: add+crash this many cells mid-replay WITHOUT draining, promoting replicas (per-request mode)")
+		crash    = flag.Int("crash", 0, "loadgen: add+crash this many cells mid-replay WITHOUT draining (per-request mode)")
 
 		profileDir = flag.String("profile-dir", "", "capture pprof profiles here on SLO breaches (empty disables the trigger)")
 		profileCPU = flag.Float64("profile-cpu-seconds", 1.0, "triggered CPU profile sampling window (seconds)")
 		profileMin = flag.Duration("profile-min-interval", 2*time.Minute, "minimum interval between triggered captures")
 
-		replicate    = flag.Bool("replicate", false, "ship each cell's warm state to its ring successor and promote it on crash removals")
 		snapshotDir  = flag.String("snapshot-dir", "", "persist periodic cluster snapshots in this directory and restore at boot (empty disables)")
 		snapInterval = flag.Duration("snapshot-interval", 30*time.Second, "periodic snapshot cadence (<0 saves only on shutdown)")
 
@@ -235,7 +229,7 @@ func main() {
 	case *loadgen > 0:
 		err = runLoadgen(cfg, *loadgen, *devices, *n, *drift, *repeat, *migrate, *conc, *seed, *batch, *churn, *crash)
 	default:
-		err = runServer(cfg, scfg, hcfg, *autoscale, *replicate, *addr, *debugAddr, *traceN, *traceSlow, *spanExport, *snapshotDir, *snapInterval,
+		err = runServer(cfg, scfg, hcfg, *autoscale, *addr, *debugAddr, *traceN, *traceSlow, *spanExport, *snapshotDir, *snapInterval,
 			forensicsOpts{Dir: *profileDir, CPUSeconds: *profileCPU, MinInterval: *profileMin})
 	}
 	if err != nil {
@@ -274,7 +268,7 @@ func newProfileTrigger(opts forensicsOpts) *repro.ProfileTrigger {
 // runServer serves until SIGINT/SIGTERM: the listener stops accepting,
 // one final snapshot flushes (when -snapshot-dir is set), and the process
 // exits.
-func runServer(cfg repro.ClusterConfig, scfg repro.StreamConfig, hcfg repro.HealthConfig, autoscale, replicate bool, addr, debugAddr string, traceN int, traceSlow time.Duration, spanExport string, snapshotDir string, snapInterval time.Duration, fopts forensicsOpts) error {
+func runServer(cfg repro.ClusterConfig, scfg repro.StreamConfig, hcfg repro.HealthConfig, autoscale bool, addr, debugAddr string, traceN int, traceSlow time.Duration, spanExport string, snapshotDir string, snapInterval time.Duration, fopts forensicsOpts) error {
 	var col *repro.ObsCollector
 	if traceN > 0 {
 		col = repro.NewObsCollector(repro.ObsConfig{SampleEvery: traceN, SlowThreshold: traceSlow})
@@ -314,13 +308,6 @@ func runServer(cfg repro.ClusterConfig, scfg repro.StreamConfig, hcfg repro.Heal
 	defer mgr.Close()
 	plane := repro.NewControlPlane(cl, mgr)
 	plane.SetLogger(slog.Default())
-	if replicate {
-		rep := repro.NewReplicator(repro.ReplicatorConfig{Router: cl, Logger: slog.Default()})
-		rep.Start()
-		defer rep.Close()
-		plane.SetReplicator(rep)
-		slog.Info("ring-successor replication enabled")
-	}
 	if snapshotDir != "" {
 		path := filepath.Join(snapshotDir, "flcluster.snap")
 		repro.ReplicaBootRestore(path, slog.Default(), func(s repro.ReplicaSnapshot) repro.ReplicaRestoreReport {
@@ -505,16 +492,7 @@ func runLoadgen(cfg repro.ClusterConfig, total, devices, n int, drift, repeat, m
 		// manual per-device migration on top would just fight the control
 		// plane for the same pins.
 		migrate = 0
-		plane := repro.NewControlPlane(cl, nil)
-		if crash > 0 {
-			// A fast flush keeps the replication lag short against the
-			// chaos driver's cadence, so crashes find state to promote.
-			rep := repro.NewReplicator(repro.ReplicatorConfig{Router: cl, Interval: 50 * time.Millisecond})
-			rep.Start()
-			defer rep.Close()
-			plane.SetReplicator(rep)
-		}
-		handler = plane.Handler(handler)
+		handler = repro.NewControlPlane(cl, nil).Handler(handler)
 	}
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
@@ -543,7 +521,7 @@ func runLoadgen(cfg repro.ClusterConfig, total, devices, n int, drift, repeat, m
 	// sequence stays ordered; counts merge after the join.
 	type tally struct {
 		ok, fail, handoffs int64
-		cache, warm, cold  int64
+		cache, cold        int64
 		err                error
 	}
 	tallies := make([]tally, conc)
@@ -599,12 +577,9 @@ func runLoadgen(cfg repro.ClusterConfig, total, devices, n int, drift, repeat, m
 				return dev, req, nil
 			}
 			tallySource := func(source string) {
-				switch source {
-				case string(repro.ServeSourceCache):
+				if source == string(repro.ServeSourceCache) {
 					t.cache++
-				case string(repro.ServeSourceWarm):
-					t.warm++
-				default:
+				} else {
 					t.cold++
 				}
 			}
@@ -693,7 +668,6 @@ func runLoadgen(cfg repro.ClusterConfig, total, devices, n int, drift, repeat, m
 		agg.fail += tallies[i].fail
 		agg.handoffs += tallies[i].handoffs
 		agg.cache += tallies[i].cache
-		agg.warm += tallies[i].warm
 		agg.cold += tallies[i].cold
 	}
 
@@ -714,11 +688,11 @@ func runLoadgen(cfg repro.ClusterConfig, total, devices, n int, drift, repeat, m
 	fmt.Printf("loadgen (%s): %d requests (%d ok, %d failed), %d handoffs in %.3fs = %.1f req/s over %d clients, %d devices, %d cells\n",
 		mode, agg.ok+agg.fail, agg.ok, agg.fail, agg.handoffs, elapsed.Seconds(),
 		float64(agg.ok+agg.fail)/elapsed.Seconds(), conc, devices, cl.Cells())
-	fmt.Printf("client sources: %d cache, %d warm, %d cold\n", agg.cache, agg.warm, agg.cold)
+	fmt.Printf("client sources: %d cache, %d cold\n", agg.cache, agg.cold)
 	a := stats.Aggregate
-	fmt.Printf("cluster: hits %d, misses %d, warm %d, cold %d, deduped %d, rejected %d, handoffs %d (results %d, warm %d), cache entries %d\n",
-		a.Hits, a.Misses, a.WarmStarts, a.ColdSolves, a.Deduped, a.Rejected,
-		a.Handoffs, a.MigratedResults, a.MigratedWarm, a.CacheEntries)
+	fmt.Printf("cluster: hits %d, misses %d, cold %d, deduped %d, rejected %d, handoffs %d (results %d), cache entries %d\n",
+		a.Hits, a.Misses, a.ColdSolves, a.Deduped, a.Rejected,
+		a.Handoffs, a.MigratedResults, a.CacheEntries)
 	fmt.Printf("routing: explicit %d, pinned %d, hashed %d; solve latency p50 %.1f ms, p99 %.1f ms\n",
 		a.RoutedExplicit, a.RoutedPinned, a.RoutedHashed, a.SolveP50*1e3, a.SolveP99*1e3)
 	if churn > 0 {
@@ -733,13 +707,12 @@ func runLoadgen(cfg repro.ClusterConfig, total, devices, n int, drift, repeat, m
 		if crashed.err != nil {
 			return fmt.Errorf("crash driver: %w", crashed.err)
 		}
-		fmt.Printf("crash: %d cells added, %d crashed without drain; promoted %d devices / %d warm seeds to successors, %d dirty lost, max replica lag %.3fs; final cells %v, ring generation %d, rerouted %d\n",
-			crashed.added, crashed.crashed, crashed.promotedDevices, crashed.promotedWarm,
-			crashed.lostDirty, crashed.maxLag, cl.CellIDs(), a.Generation, a.Rerouted)
+		fmt.Printf("crash: %d cells added, %d crashed without drain; final cells %v, ring generation %d, rerouted %d\n",
+			crashed.added, crashed.crashed, cl.CellIDs(), a.Generation, a.Rerouted)
 	}
 	for _, c := range stats.Cells {
-		fmt.Printf("  cell %d: requests %d, hits %d, warm %d, cold %d, cache %d\n",
-			c.Cell, c.Requests, c.Hits, c.WarmStarts, c.ColdSolves, c.CacheEntries)
+		fmt.Printf("  cell %d: requests %d, hits %d, cold %d, cache %d\n",
+			c.Cell, c.Requests, c.Hits, c.ColdSolves, c.CacheEntries)
 	}
 	return nil
 }
@@ -1139,20 +1112,14 @@ func runChurn(baseURL string, initialCells, cycles int, seed int64, stop <-chan 
 
 // crashSummary is what the crash-chaos driver hands back after the replay.
 type crashSummary struct {
-	added, crashed  int
-	promotedDevices int
-	promotedWarm    int
-	lostDirty       int
-	maxLag          float64
-	err             error
+	added, crashed int
+	err            error
 }
 
 // runCrashChaos performs up to `cycles` add-cell/crash-cell rounds against
 // the live admin API: each round adds a fresh cell, lets traffic land on
 // the new ring, then crashes a random cell WITHOUT draining it — its state
-// dies, and the control plane promotes whatever the replicator had shipped
-// for it. Pauses between membership changes let the replication flush keep
-// up; stops early when the replay finishes.
+// dies with it. Stops early when the replay finishes.
 func runCrashChaos(baseURL string, initialCells, cycles int, seed int64, stop <-chan struct{}, done chan<- crashSummary) {
 	var sum crashSummary
 	defer func() { done <- sum }()
@@ -1192,12 +1159,6 @@ func runCrashChaos(baseURL string, initialCells, cycles int, seed int64, stop <-
 			return
 		}
 		sum.crashed++
-		sum.promotedDevices += crash.Promotion.Devices
-		sum.promotedWarm += crash.Promotion.WarmSeeds
-		sum.lostDirty += crash.Promotion.LostDirty
-		if crash.Promotion.MaxLagSeconds > sum.maxLag {
-			sum.maxLag = crash.Promotion.MaxLagSeconds
-		}
 		cells = crash.Cells
 		if !pause() {
 			return
@@ -1319,9 +1280,8 @@ type streamClusterStats struct {
 // runStreamLoadgen replays total sparse gain deltas through per-device
 // delta sessions over the cluster's HTTP stack. With probability migrate a
 // device fires POST /v1/handoff between two deltas of its OPEN session —
-// the stream keeps flowing and the post-move re-solves should stay warm
-// off the migrated cache state (watch the client cells and post-handoff
-// counts).
+// the stream keeps flowing and the post-move re-solves land on the
+// destination cell (watch the client cells and post-handoff counts).
 func runStreamLoadgen(cfg repro.ClusterConfig, scfg repro.StreamConfig, total, devices, n int, drift, migrate float64, conc int, seed int64, deltaDevs int) error {
 	cl := repro.NewCluster(cfg)
 	defer cl.Close()
@@ -1341,10 +1301,10 @@ func runStreamLoadgen(cfg repro.ClusterConfig, scfg repro.StreamConfig, total, d
 	}
 
 	type tally struct {
-		ok, fail, handoffs     int64
-		cache, warm, cold      int64
-		postMove, postMoveWarm int64
-		err                    error
+		ok, fail, handoffs int64
+		cache, cold        int64
+		postMove           int64
+		err                error
 	}
 	tallies := make([]tally, conc)
 	var wg sync.WaitGroup
@@ -1437,19 +1397,13 @@ func runStreamLoadgen(cfg repro.ClusterConfig, scfg repro.StreamConfig, total, d
 				}
 				t.ok++
 				dev.lastCell = u.Cell
-				switch u.Result.Source {
-				case string(repro.ServeSourceCache):
+				if u.Result.Source == string(repro.ServeSourceCache) {
 					t.cache++
-				case string(repro.ServeSourceWarm):
-					t.warm++
-				default:
+				} else {
 					t.cold++
 				}
 				if migrated {
 					t.postMove++
-					if u.Result.Source == string(repro.ServeSourceWarm) || u.Result.Source == string(repro.ServeSourceCache) {
-						t.postMoveWarm++
-					}
 				}
 			}
 		}(wkr, mine, share)
@@ -1465,10 +1419,8 @@ func runStreamLoadgen(cfg repro.ClusterConfig, scfg repro.StreamConfig, total, d
 		agg.fail += tallies[i].fail
 		agg.handoffs += tallies[i].handoffs
 		agg.cache += tallies[i].cache
-		agg.warm += tallies[i].warm
 		agg.cold += tallies[i].cold
 		agg.postMove += tallies[i].postMove
-		agg.postMoveWarm += tallies[i].postMoveWarm
 	}
 
 	var stats streamClusterStats
@@ -1484,12 +1436,11 @@ func runStreamLoadgen(cfg repro.ClusterConfig, scfg repro.StreamConfig, total, d
 	fmt.Printf("loadgen (stream): %d deltas over %d sessions (%d ok, %d failed), %d handoffs in %.3fs = %.1f upd/s, %d cells\n",
 		deltas, devices, agg.ok, agg.fail, agg.handoffs, elapsed.Seconds(),
 		float64(deltas)/elapsed.Seconds(), cl.Cells())
-	fmt.Printf("client sources: %d cache, %d warm, %d cold\n", agg.cache, agg.warm, agg.cold)
-	fmt.Printf("post-handoff deltas: %d, of which %d warm/cached off migrated state\n",
-		agg.postMove, agg.postMoveWarm)
+	fmt.Printf("client sources: %d cache, %d cold\n", agg.cache, agg.cold)
+	fmt.Printf("post-handoff deltas: %d\n", agg.postMove)
 	a := stats.Aggregate
-	fmt.Printf("cluster: hits %d, misses %d, warm %d, cold %d, handoffs %d (results %d, warm %d)\n",
-		a.Hits, a.Misses, a.WarmStarts, a.ColdSolves, a.Handoffs, a.MigratedResults, a.MigratedWarm)
+	fmt.Printf("cluster: hits %d, misses %d, cold %d, handoffs %d (results %d)\n",
+		a.Hits, a.Misses, a.ColdSolves, a.Handoffs, a.MigratedResults)
 	fmt.Printf("stream:  sessions %d open / %d opened, deltas %d, errors %d\n",
 		stats.Stream.ActiveSessions, stats.Stream.SessionsOpened, stats.Stream.Deltas, stats.Stream.DeltaErrors)
 	return nil

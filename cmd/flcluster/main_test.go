@@ -122,8 +122,8 @@ func TestRunLoadgenChurn(t *testing.T) {
 }
 
 // TestRunLoadgenCrash replays under failure injection: cells are added and
-// then crashed WITHOUT draining while the replicated device-routed replay
-// runs, exercising promotion mid-traffic.
+// then crashed WITHOUT draining while the device-routed replay runs, so
+// requests reroute off dead cells mid-traffic.
 func TestRunLoadgenCrash(t *testing.T) {
 	cfg := repro.ClusterConfig{Cells: 3}
 	if err := runLoadgen(cfg, 600, 8, 5, 0.05, 0.3, 0, 4, 1, 0, 0, 2); err != nil {

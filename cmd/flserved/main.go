@@ -1,6 +1,6 @@
 // Command flserved runs the allocation service: an HTTP front end over the
 // concurrent solver pool of internal/serve, with a fingerprint-keyed
-// solution cache and topology-bucket warm starts.
+// solution cache.
 //
 // Usage:
 //
@@ -9,10 +9,11 @@
 //	         [-sessions 1024] [-session-ttl 5m]
 //	         [-snapshot-dir DIR] [-snapshot-interval 30s]
 //
-// With -snapshot-dir the process persists its cache/warm state and open
+// With -snapshot-dir the process persists its solution cache and open
 // stream sessions to DIR/flserved.snap on the interval and on graceful
-// shutdown, and restores the file at boot — post-restart solves are cache
-// hits or warm and clients resume sessions at the next sequence number. A corrupt or version-skewed snapshot degrades to a cold start.
+// shutdown, and restores the file at boot — post-restart replays are cache
+// hits and clients resume sessions at the next sequence number. A corrupt
+// or version-skewed snapshot degrades to a cold start.
 //
 // Endpoints:
 //
@@ -49,7 +50,8 @@
 //
 // Each request is, with probability -repeat, an exact replay of an earlier
 // instance (exercising the cache), otherwise a fresh log-normal drift of
-// every channel gain by -drift nepers (exercising the warm-start path).
+// every channel gain by -drift nepers (a cold solve unless the drift stays
+// inside the gain buckets).
 // With -batch B the stream is replayed through POST /v1/solve-batch in
 // bulk-priority chunks of B instances, amortizing decode and dispatch.
 // With -stream each client opens one delta session and replays its share as
@@ -498,13 +500,13 @@ func runLoadgen(cfg repro.ServeConfig, total, n int, drift, repeat float64, conc
 	fmt.Printf("loadgen (%s): %d instances (%d ok, %d failed) in %.3fs = %.1f inst/s over %d clients\n",
 		mode, total, okCount.Load(), failCount.Load(), elapsed.Seconds(),
 		float64(total)/elapsed.Seconds(), conc)
-	fmt.Printf("server:  hits %d, misses %d, warm starts %d, cold solves %d, deduped %d, rejected %d, batches %d\n",
-		stats.Hits, stats.Misses, stats.WarmStarts, stats.ColdSolves, stats.Deduped, stats.Rejected, stats.BatchRequests)
+	fmt.Printf("server:  hits %d, misses %d, cold solves %d, deduped %d, rejected %d, batches %d\n",
+		stats.Hits, stats.Misses, stats.ColdSolves, stats.Deduped, stats.Rejected, stats.BatchRequests)
 	fmt.Printf("solve latency: p50 %.1f ms, p99 %.1f ms; tracked buckets %d\n",
 		stats.SolveP50*1e3, stats.SolveP99*1e3, stats.TrackedBuckets)
 	for _, b := range stats.Buckets {
-		fmt.Printf("  bucket %s: hits %d, misses %d (hit rate %.0f%%), warm %d, cold %d\n",
-			b.Bucket, b.Hits, b.Misses, 100*b.HitRate, b.WarmStarts, b.ColdSolves)
+		fmt.Printf("  bucket %s: hits %d, misses %d (hit rate %.0f%%), cold %d\n",
+			b.Bucket, b.Hits, b.Misses, 100*b.HitRate, b.ColdSolves)
 	}
 	return nil
 }
@@ -549,9 +551,9 @@ func runStreamLoadgen(cfg repro.ServeConfig, scfg repro.StreamConfig, total, n i
 		deltaDevs = 1
 	}
 	type tally struct {
-		ok, fail          int64
-		cache, warm, cold int64
-		err               error
+		ok, fail    int64
+		cache, cold int64
+		err         error
 	}
 	tallies := make([]tally, conc)
 	var wg sync.WaitGroup
@@ -611,12 +613,9 @@ func runStreamLoadgen(cfg repro.ServeConfig, scfg repro.StreamConfig, total, n i
 					continue
 				}
 				t.ok++
-				switch u.Result.Source {
-				case string(repro.ServeSourceCache):
+				if u.Result.Source == string(repro.ServeSourceCache) {
 					t.cache++
-				case string(repro.ServeSourceWarm):
-					t.warm++
-				default:
+				} else {
 					t.cold++
 				}
 			}
@@ -632,7 +631,6 @@ func runStreamLoadgen(cfg repro.ServeConfig, scfg repro.StreamConfig, total, n i
 		agg.ok += tallies[i].ok
 		agg.fail += tallies[i].fail
 		agg.cache += tallies[i].cache
-		agg.warm += tallies[i].warm
 		agg.cold += tallies[i].cold
 	}
 
@@ -648,9 +646,9 @@ func runStreamLoadgen(cfg repro.ServeConfig, scfg repro.StreamConfig, total, n i
 	deltas := agg.ok + agg.fail
 	fmt.Printf("loadgen (stream): %d deltas over %d sessions (%d ok, %d failed) in %.3fs = %.1f upd/s\n",
 		deltas, conc, agg.ok, agg.fail, elapsed.Seconds(), float64(deltas)/elapsed.Seconds())
-	fmt.Printf("client sources: %d cache, %d warm, %d cold\n", agg.cache, agg.warm, agg.cold)
-	fmt.Printf("server:  hits %d, misses %d, warm starts %d, cold solves %d; solve p50 %.1f ms, p99 %.1f ms\n",
-		stats.Hits, stats.Misses, stats.WarmStarts, stats.ColdSolves, stats.SolveP50*1e3, stats.SolveP99*1e3)
+	fmt.Printf("client sources: %d cache, %d cold\n", agg.cache, agg.cold)
+	fmt.Printf("server:  hits %d, misses %d, cold solves %d; solve p50 %.1f ms, p99 %.1f ms\n",
+		stats.Hits, stats.Misses, stats.ColdSolves, stats.SolveP50*1e3, stats.SolveP99*1e3)
 	fmt.Printf("stream:  sessions %d open / %d opened, deltas %d, errors %d\n",
 		stats.Stream.ActiveSessions, stats.Stream.SessionsOpened, stats.Stream.Deltas, stats.Stream.DeltaErrors)
 	return nil

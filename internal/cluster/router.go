@@ -1,14 +1,13 @@
 // Package cluster shards the allocation service of internal/serve across
 // the cells of a cellular deployment. Each cell is a full serve.Server —
-// its own worker pool, solution cache and warm-start index — and a Router
-// in front of them
+// its own worker pool and solution cache — and a Router in front of them
 //
 //   - routes requests by explicit cell ID, by a pin established through
 //     handoff, or (for unpinned devices) by consistent hashing of the
 //     device ID;
 //   - hands devices off between cells, re-fingerprinting and migrating
-//     their cached solutions and warm-start allocations so the first solve
-//     after a move is a warm or cached hit instead of a cold solve;
+//     their cached solutions so a replay after a move is a cache hit
+//     instead of a cold solve;
 //   - supports runtime membership changes: AddCell splices a fresh cell
 //     into the consistent-hash ring and RemoveCell splices one out, each
 //     installing a new ring generation; routing is epoch-checked, so a
@@ -159,17 +158,9 @@ type Router struct {
 	mu      sync.Mutex
 	devices map[string]*deviceState
 
-	// serveHook, when set, observes every successful device-attributed
-	// solve (deviceID, serving cell, fingerprint) after the router's own
-	// bookkeeping. The replication layer uses it to mark fingerprints
-	// dirty for successor shipment; it runs outside every router lock and
-	// must be fast and non-blocking.
-	serveHook atomic.Pointer[func(deviceID string, cell int, fp serve.Fingerprint)]
-
 	handoffs        atomic.Int64
 	massHandoffs    atomic.Int64
 	migratedResults atomic.Int64
-	migratedWarm    atomic.Int64
 	routedExplicit  atomic.Int64
 	routedPinned    atomic.Int64
 	routedHashed    atomic.Int64
@@ -242,38 +233,6 @@ func (r *Router) HasCell(id int) bool {
 // server with the given ID, or false for a non-member.
 func (r *Router) CellServer(id int) (*serve.Server, bool) {
 	return r.mem.Load().server(id)
-}
-
-// SetServeHook installs (or, with nil, clears) the per-solve observer:
-// fn is called after every successful device-attributed solve with the
-// device, the serving cell and the response fingerprint. It runs on the
-// request path outside the router locks, so it must be cheap; the
-// replication layer's hook just flips a dirty bit.
-func (r *Router) SetServeHook(fn func(deviceID string, cell int, fp serve.Fingerprint)) {
-	if fn == nil {
-		r.serveHook.Store(nil)
-		return
-	}
-	r.serveHook.Store(&fn)
-}
-
-func (r *Router) notifyServe(deviceID string, cell int, fp serve.Fingerprint) {
-	if h := r.serveHook.Load(); h != nil {
-		(*h)(deviceID, cell, fp)
-	}
-}
-
-// RingOwners resolves each device's CURRENT ring owner, pins ignored.
-// After a crash removal the installed ring is already the post-crash
-// ring, so the owners are exactly where the dead cell's keyspace lands —
-// which is where the replication layer promotes its bundles to.
-func (r *Router) RingOwners(devices []string) map[string]int {
-	mem := r.mem.Load()
-	owners := make(map[string]int, len(devices))
-	for _, dev := range devices {
-		owners[dev] = mem.ring.cell(dev)
-	}
-	return owners
 }
 
 // Quantization returns the fingerprint quantization shared by every cell
@@ -447,7 +406,6 @@ func (r *Router) Solve(ctx context.Context, cell int, deviceID string, req serve
 				r.pin(deviceID, target)
 			}
 			r.remember(deviceID, target, req, resp.Fingerprint)
-			r.notifyServe(deviceID, target, resp.Fingerprint)
 		}
 		return resp, target, nil
 	}
@@ -490,7 +448,6 @@ func (r *Router) SolveBatch(ctx context.Context, reqs []serve.Request, deviceIDs
 	for i, it := range items {
 		if it.Err == nil && deviceIDs[i] != "" {
 			r.remember(deviceIDs[i], cells[i], reqs[i], it.Response.Fingerprint)
-			r.notifyServe(deviceIDs[i], cells[i], it.Response.Fingerprint)
 		}
 	}
 	return items, cells
@@ -540,8 +497,8 @@ func (r *Router) remember(deviceID string, cell int, req serve.Request, fp serve
 
 // state returns (creating if needed) the device's state; callers hold
 // r.mu. The map is bounded: at MaxDevices an arbitrary other device is
-// evicted, like the warm index — routing state is a best-effort hint, an
-// evicted device simply falls back to hash routing and cold solves.
+// evicted — routing state is a best-effort hint, an evicted device simply
+// falls back to hash routing and cold solves.
 func (r *Router) state(deviceID string) *deviceState {
 	if st, ok := r.devices[deviceID]; ok {
 		return st
@@ -568,21 +525,15 @@ type HandoffReport struct {
 	// MigratedResults counts solution-cache entries moved to the
 	// destination cell.
 	MigratedResults int `json:"migrated_results"`
-	// MigratedWarm counts warm-start allocations moved (a migrated result
-	// with no separate warm entry still seeds the destination's index).
-	MigratedWarm int `json:"migrated_warm_starts"`
 }
 
 // Handoff moves a device from one cell to another: every tracked instance
 // of the device is re-fingerprinted under the destination cell's
 // quantization, its cached solution is extracted from the source cell and
-// injected into the destination (the warm-start allocation is copied, not
-// removed — the source's topology bucket may be serving devices that did
-// not move), and the device is pinned to the destination so device-routed
-// requests follow it. After a handoff the first solve of a carried
-// instance in the destination is a cache hit (exact replay) or a warm
-// start (drifted gains), and the source cell no longer holds the cache
-// entry.
+// injected into the destination, and the device is pinned to the
+// destination so device-routed requests follow it. After a handoff an
+// exact replay of a carried instance in the destination is a cache hit,
+// and the source cell no longer holds the cache entry.
 //
 // Instances whose history says they were last served by a different cell
 // than from are left where they are. A device the router has never seen is
@@ -636,8 +587,7 @@ func (r *Router) Handoff(ctx context.Context, deviceID string, from, to int) (Ha
 		}
 		fpDst := serve.FingerprintRequest(rec.req, dst.Quantization())
 		rec.cell, rec.fp = to, fpDst
-		prepareMigration(&m, rec.req.Solver)
-		if m.Result == nil && m.Warm == nil {
+		if m.Result == nil {
 			continue // expired or evicted at the source; nothing to carry
 		}
 		if tr != nil {
@@ -647,32 +597,14 @@ func (r *Router) Handoff(ctx context.Context, deviceID string, from, to int) (Ha
 		if tr != nil {
 			injectDur += time.Since(t0)
 		}
-		if m.Result != nil {
-			rep.MigratedResults++
-			r.migratedResults.Add(1)
-		}
-		if m.Warm != nil {
-			rep.MigratedWarm++
-			r.migratedWarm.Add(1)
-		}
+		rep.MigratedResults++
+		r.migratedResults.Add(1)
 	}
 	if tr != nil {
 		tr.RecordDur(obs.PhaseHandoffExtract, began, extractDur, obs.Attr{Cell: from, Value: int64(rep.Instances)})
-		tr.RecordDur(obs.PhaseHandoffInject, began, injectDur, obs.Attr{Cell: to, Value: int64(rep.MigratedResults + rep.MigratedWarm)})
+		tr.RecordDur(obs.PhaseHandoffInject, began, injectDur, obs.Attr{Cell: to, Value: int64(rep.MigratedResults)})
 	}
 	return rep, nil
-}
-
-// prepareMigration normalizes an extracted bundle before injection:
-// baseline solvers never read a seeded start, so their allocations must
-// not burn bounded warm slots; and a surviving solution whose warm bucket
-// was evicted is itself just as good a seed.
-func prepareMigration(m *serve.Migration, solver serve.SolverName) {
-	if !solver.Warmable() {
-		m.Warm = nil
-	} else if m.Warm == nil && m.Result != nil {
-		m.Warm = &m.Result.Allocation
-	}
 }
 
 // Move is one device's planned migration in a MassHandoff: the device and
@@ -699,9 +631,8 @@ type MassHandoffReport struct {
 	Devices int `json:"devices_with_state"`
 	// Instances counts the tracked instances considered for migration.
 	Instances int `json:"instances"`
-	// MigratedResults / MigratedWarm count what actually moved.
+	// MigratedResults counts the cache entries that actually moved.
 	MigratedResults int `json:"migrated_results"`
-	MigratedWarm    int `json:"migrated_warm_starts"`
 	// PerCell breaks the instance flow down by cell ID.
 	PerCell map[int]CellFlow `json:"per_cell,omitempty"`
 }
@@ -715,8 +646,8 @@ type MassHandoffReport struct {
 // instances were served are reused verbatim (every cell shares the one
 // Config.Cell quantization template, so a recorded fingerprint is valid at
 // both ends), and the per-cell state transfer happens through the bulk
-// ExtractBatch/InjectBatch APIs, which take each cache shard and warm
-// index lock once per cell instead of once per device.
+// ExtractBatch/InjectBatch APIs, which take each cache shard lock once
+// per cell instead of once per device.
 //
 // pin controls the routing state after the move: true pins every device to
 // its destination (mass mobility — the devices demonstrably moved), false
@@ -746,16 +677,15 @@ func (r *Router) MassHandoff(ctx context.Context, moves []Move, pin bool) (MassH
 
 	// Phase 1 — ONE routing-lock acquisition for the whole batch, held
 	// only for the map walk: repin every device, snapshot each migrating
-	// record's fingerprint + solver, and relabel the record to its
+	// record's fingerprint, and relabel the record to its
 	// destination (the fingerprint stays valid: shared quantization). The
 	// bulk state transfer below then runs without r.mu, so routing never
 	// stalls behind it — a request racing the transfer sees at worst a
 	// cold solve, the same best-effort contract every cache miss has.
 	type pending struct {
-		fp     serve.Fingerprint
-		solver serve.SolverName
-		to     int
-		mig    serve.Migration
+		fp  serve.Fingerprint
+		to  int
+		mig serve.Migration
 	}
 	bySrc := make(map[int][]*pending)
 	var t0 time.Time
@@ -785,7 +715,7 @@ func (r *Router) MassHandoff(ctx context.Context, moves []Move, pin bool) (MassH
 			}
 			moved = true
 			rep.Instances++
-			bySrc[src] = append(bySrc[src], &pending{fp: rec.fp, solver: rec.req.Solver, to: mv.To})
+			bySrc[src] = append(bySrc[src], &pending{fp: rec.fp, to: mv.To})
 		}
 		if moved {
 			rep.Devices++
@@ -809,9 +739,8 @@ func (r *Router) MassHandoff(ctx context.Context, moves []Move, pin bool) (MassH
 		}
 		for i, m := range mem.cells[src].ExtractBatch(fps) {
 			p := ps[i]
-			prepareMigration(&m, p.solver)
 			p.mig = m
-			if m.Result != nil || m.Warm != nil {
+			if m.Result != nil {
 				flow := rep.PerCell[src]
 				flow.Out++
 				rep.PerCell[src] = flow
@@ -836,14 +765,8 @@ func (r *Router) MassHandoff(ctx context.Context, moves []Move, pin bool) (MassH
 			flow := rep.PerCell[dst]
 			flow.In++
 			rep.PerCell[dst] = flow
-			if p.mig.Result != nil {
-				rep.MigratedResults++
-				r.migratedResults.Add(1)
-			}
-			if p.mig.Warm != nil {
-				rep.MigratedWarm++
-				r.migratedWarm.Add(1)
-			}
+			rep.MigratedResults++
+			r.migratedResults.Add(1)
 		}
 		mem.cells[dst].InjectBatch(fps, migs)
 		if tr != nil {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core/coretest"
 	"repro/internal/experiments"
 	"repro/internal/fl"
 	"repro/internal/serve"
@@ -81,7 +82,10 @@ func TestRouteHashFallbackAndPinning(t *testing.T) {
 	}
 }
 
-func TestHandoffMigratesCacheAndWarm(t *testing.T) {
+// TestHandoffMigratesCache moves a device's cache entry with it: the
+// destination answers the exact replay from its cache with the cold
+// solve's objective, and the source has to solve the instance again.
+func TestHandoffMigratesCache(t *testing.T) {
 	r := testRouter(t, 3)
 	s := testSystem(t, 8, 2)
 	req := serve.Request{System: s, Weights: balanced()}
@@ -121,25 +125,11 @@ func TestHandoffMigratesCacheAndWarm(t *testing.T) {
 	if replay.Source != serve.SourceCache {
 		t.Fatalf("post-handoff replay source %q, want cache", replay.Source)
 	}
-	if replay.Result.Objective != first.Result.Objective {
-		t.Fatalf("migrated objective %v != original %v", replay.Result.Objective, first.Result.Objective)
-	}
-
-	// Drifted replay in the destination: warm start from the migrated
-	// allocation, not a cold solve.
-	drifted := driftGains(s, 0.25, rand.New(rand.NewSource(3)))
-	warm, _, err := r.Solve(context.Background(), CellAuto, dev, serve.Request{System: drifted, Weights: balanced()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Source != serve.SourceWarm {
-		t.Fatalf("drifted post-handoff solve source %q, want warm", warm.Source)
-	}
+	coretest.RequireCold(t, s, balanced(), replay.Result.Objective)
 
 	// The source cell's cache entry is gone (migrated, not copied): its
 	// occupancy dropped to zero and the same instance there has to solve
-	// again. The warm bucket is deliberately left behind (shared hint), so
-	// the re-solve may warm-start — but never hit the cache.
+	// again.
 	if occ := r.Cell(0).Stats().CacheEntries; occ != 0 {
 		t.Fatalf("source cell still holds %d cache entries after handoff", occ)
 	}
@@ -147,33 +137,8 @@ func TestHandoffMigratesCacheAndWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gone.Source == serve.SourceCache {
-		t.Fatal("source cell served from cache after its entry migrated away")
-	}
-}
-
-// TestHandoffLeavesSharedWarmBucket pins the copy-not-steal semantics of
-// warm migration: a second device sharing the source cell's topology
-// bucket keeps warm-starting after the first device moves away.
-func TestHandoffLeavesSharedWarmBucket(t *testing.T) {
-	r := testRouter(t, 2)
-	base := testSystem(t, 6, 4)
-	rng := rand.New(rand.NewSource(8))
-
-	// Two devices, same topology (gains drifted): they share cell 0's
-	// topology bucket.
-	if _, _, err := r.Solve(context.Background(), 0, "mover", serve.Request{System: base, Weights: balanced()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Handoff(context.Background(), "mover", 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	stay, _, err := r.Solve(context.Background(), 0, "stayer", serve.Request{System: driftGains(base, 0.25, rng), Weights: balanced()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stay.Source != serve.SourceWarm {
-		t.Fatalf("staying device's post-handoff solve source %q, want warm (bucket must survive the neighbour's move)", stay.Source)
+	if gone.Source != serve.SourceCold {
+		t.Fatalf("source cell answered %q after its entry migrated away, want cold", gone.Source)
 	}
 }
 
@@ -193,10 +158,9 @@ func TestFailedExplicitSolveDoesNotPin(t *testing.T) {
 	}
 }
 
-// TestHandoffBaselineCarriesNoWarmSeed: baseline results migrate as cache
-// entries only — their solvers never read a start, so planting warm seeds
-// would waste bounded slots.
-func TestHandoffBaselineCarriesNoWarmSeed(t *testing.T) {
+// TestHandoffBaselineMigratesCacheEntry: a baseline solver's result
+// migrates like Algorithm 2's, under its own solver-keyed fingerprint.
+func TestHandoffBaselineMigratesCacheEntry(t *testing.T) {
 	r := testRouter(t, 2)
 	s := testSystem(t, 6, 12)
 	req := serve.Request{System: s, Weights: balanced(), Solver: serve.SolverSimplified}
@@ -207,8 +171,8 @@ func TestHandoffBaselineCarriesNoWarmSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.MigratedResults != 1 || rep.MigratedWarm != 0 {
-		t.Fatalf("baseline handoff report %+v, want 1 result and 0 warm seeds", rep)
+	if rep.MigratedResults != 1 {
+		t.Fatalf("baseline handoff report %+v, want 1 result", rep)
 	}
 	resp, _, err := r.Solve(context.Background(), CellAuto, "b-dev", req)
 	if err != nil {
@@ -269,17 +233,16 @@ func TestClusterStatsAggregateConsistent(t *testing.T) {
 	if len(st.Cells) != 3 {
 		t.Fatalf("%d cell snapshots, want 3", len(st.Cells))
 	}
-	var requests, hits, warm, cold, cacheEntries int64
+	var requests, hits, cold, cacheEntries int64
 	for _, c := range st.Cells {
 		requests += c.Requests
 		hits += c.Hits
-		warm += c.WarmStarts
 		cold += c.ColdSolves
 		cacheEntries += int64(c.CacheEntries)
 	}
 	a := st.Aggregate
-	if a.Requests != requests || a.Hits != hits || a.WarmStarts != warm || a.ColdSolves != cold {
-		t.Fatalf("aggregate %+v does not sum per-cell counters (req %d hits %d warm %d cold %d)", a, requests, hits, warm, cold)
+	if a.Requests != requests || a.Hits != hits || a.ColdSolves != cold {
+		t.Fatalf("aggregate %+v does not sum per-cell counters (req %d hits %d cold %d)", a, requests, hits, cold)
 	}
 	if int64(a.CacheEntries) != cacheEntries {
 		t.Fatalf("aggregate cache entries %d, per-cell sum %d", a.CacheEntries, cacheEntries)
@@ -293,7 +256,7 @@ func TestClusterStatsAggregateConsistent(t *testing.T) {
 	if a.RoutedPinned+a.RoutedHashed+a.RoutedExplicit != 12 {
 		t.Fatalf("routing breakdown %d+%d+%d, want 12", a.RoutedExplicit, a.RoutedPinned, a.RoutedHashed)
 	}
-	if hits+warm+cold > 0 && !(a.SolveP50 > 0) {
+	if hits+cold > 0 && !(a.SolveP50 > 0) {
 		t.Fatalf("aggregate latency quantiles missing: %+v", a)
 	}
 }

@@ -33,8 +33,6 @@ type Aggregate struct {
 	Rerouted int64 `json:"rerouted"`
 	// MigratedResults counts solution-cache entries moved across cells.
 	MigratedResults int64 `json:"migrated_results"`
-	// MigratedWarm counts warm-start allocations moved across cells.
-	MigratedWarm int64 `json:"migrated_warm_starts"`
 	// PinnedDevices is how many devices are currently pinned to a cell.
 	PinnedDevices int `json:"pinned_devices"`
 	// TrackedDevices is how many devices the router holds state for.
@@ -67,13 +65,11 @@ func (r *Router) Stats() Stats {
 		agg.Requests += snap.Requests
 		agg.Hits += snap.Hits
 		agg.Misses += snap.Misses
-		agg.WarmStarts += snap.WarmStarts
 		agg.ColdSolves += snap.ColdSolves
 		agg.Deduped += snap.Deduped
 		agg.Rejected += snap.Rejected
 		agg.Errors += snap.Errors
 		agg.CacheEntries += snap.CacheEntries
-		agg.WarmEntries += snap.WarmEntries
 		agg.QueueLen += snap.QueueLen
 		agg.BulkQueueLen += snap.BulkQueueLen
 		agg.BatchRequests += snap.BatchRequests
@@ -94,7 +90,6 @@ func (r *Router) Stats() Stats {
 	agg.MassHandoffs = r.massHandoffs.Load()
 	agg.Rerouted = r.rerouted.Load()
 	agg.MigratedResults = r.migratedResults.Load()
-	agg.MigratedWarm = r.migratedWarm.Load()
 	agg.RoutedExplicit = r.routedExplicit.Load()
 	agg.RoutedPinned = r.routedPinned.Load()
 	agg.RoutedHashed = r.routedHashed.Load()
@@ -128,7 +123,6 @@ func (s Stats) WritePrometheus(w io.Writer) error {
 	pw.Counter("flcluster_mass_handoffs_total", "Batched mass migrations (drains, rebalances, mobility events).", "", float64(a.MassHandoffs))
 	pw.Counter("flcluster_rerouted_total", "Requests re-resolved after racing a membership change.", "", float64(a.Rerouted))
 	pw.Counter("flcluster_migrated_results_total", "Solution-cache entries moved across cells.", "", float64(a.MigratedResults))
-	pw.Counter("flcluster_migrated_warm_starts_total", "Warm-start allocations moved across cells.", "", float64(a.MigratedWarm))
 	pw.Counter("flcluster_routed_total", "Requests by routing decision.", `via="explicit"`, float64(a.RoutedExplicit))
 	pw.Counter("flcluster_routed_total", "Requests by routing decision.", `via="pinned"`, float64(a.RoutedPinned))
 	pw.Counter("flcluster_routed_total", "Requests by routing decision.", `via="hashed"`, float64(a.RoutedHashed))

@@ -21,9 +21,8 @@ import (
 //
 // The hot loop is allocation-free: scratch memory comes from Options.Work,
 // or from a shared pool when the caller brings none. Options.Start, when
-// set, replaces the default start point: the serving layer warm-starts a
-// drifted instance from a neighbour's allocation, which saves outer
-// iterations.
+// set, replaces the default start point for library callers; the serving
+// layer never sets it, so every served solve starts from the default.
 func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.check(s, w); err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -13,7 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/fl"
 	"repro/internal/health"
 	"repro/internal/replica"
@@ -21,31 +20,12 @@ import (
 	"repro/internal/stream"
 )
 
-// requireWarmNearCold fails unless resp came off the warm-start path with
-// an objective within 1e-6 (relative) of a cold solve of sys.
-func requireWarmNearCold(t testing.TB, sys *fl.System, w fl.Weights, resp serve.Response) {
-	t.Helper()
-	if resp.Source != serve.SourceWarm {
-		t.Fatalf("source %q, want warm", resp.Source)
-	}
-	cold, err := core.Optimize(sys, w, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(resp.Result.Objective/cold.Objective - 1); rel > 1e-6 {
-		t.Fatalf("warm objective %.12g vs cold %.12g (rel %.3g)", resp.Result.Objective, cold.Objective, rel)
-	}
-}
-
-// TestCrashCellPromotesReplicas is the tentpole acceptance: a cell dies
-// WITHOUT draining, and because its warm state was replicated, every one
-// of its devices re-solves warm on its post-crash ring owner, as good as a
-// cold solve — warm-but-not-cached, never cold.
-func TestCrashCellPromotesReplicas(t *testing.T) {
+// TestCrashCellReroutesToSurvivors is the crash acceptance: a cell dies
+// WITHOUT draining, its state dies with it, and every one of its devices
+// re-solves cold on its post-crash ring owner — the cold solve's objective,
+// then a cache hit on the repeat.
+func TestCrashCellReroutesToSurvivors(t *testing.T) {
 	r, _, p := testStack(t, 3)
-	rep := replica.NewReplicator(replica.ReplicatorConfig{Router: r, Interval: -1})
-	defer rep.Close()
-	p.SetReplicator(rep)
 	ev := health.New(health.Config{})
 	p.SetEvents(ev)
 
@@ -67,9 +47,6 @@ func TestCrashCellPromotesReplicas(t *testing.T) {
 	if len(victims) == 0 {
 		t.Fatal("no device landed on the victim cell")
 	}
-	if shipped := rep.Flush(); shipped == 0 {
-		t.Fatal("flush shipped nothing")
-	}
 
 	crash, err := p.CrashCell(context.Background(), victim)
 	if err != nil {
@@ -78,40 +55,39 @@ func TestCrashCellPromotesReplicas(t *testing.T) {
 	if crash.Cell != victim || len(crash.Cells) != 2 {
 		t.Fatalf("crash report %+v, want cell %d removed leaving 2", crash, victim)
 	}
-	if crash.Promotion.Devices != len(victims) || crash.Promotion.WarmSeeds == 0 {
-		t.Fatalf("promotion %+v, want %d devices with warm seeds", crash.Promotion, len(victims))
-	}
 
-	rng := rand.New(rand.NewSource(9))
 	for _, dev := range victims {
-		drifted := driftGains(systems[dev], 0.05, rng)
-		resp, cell, err := r.Solve(context.Background(), cluster.CellAuto, dev,
-			serve.Request{System: drifted, Weights: balanced()})
+		req := serve.Request{System: systems[dev], Weights: balanced()}
+		resp, cell, err := r.Solve(context.Background(), cluster.CellAuto, dev, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cell == victim {
 			t.Fatalf("device %s still routed to crashed cell", dev)
 		}
-		requireWarmNearCold(t, drifted, balanced(), resp)
-	}
-
-	// Counters and the alert ring both saw the crash and the recovery.
-	st := p.Stats()
-	if st.Crashes != 1 || st.PromotedWarm != int64(crash.Promotion.WarmSeeds) || st.CellsRemoved != 1 {
-		t.Fatalf("plane stats after crash: %+v", st)
-	}
-	var sawCrash, sawRecovery bool
-	for _, a := range ev.Alerts() {
-		switch a.Kind {
-		case health.KindCrash:
-			sawCrash = a.Cell == victim
-		case health.KindRecovery:
-			sawRecovery = a.Cell == victim
+		if resp.Source != serve.SourceCold {
+			t.Fatalf("device %s post-crash source %q, want cold (its cache died with the cell)", dev, resp.Source)
+		}
+		coretest.RequireCold(t, systems[dev], balanced(), resp.Result.Objective)
+		again, _, err := r.Solve(context.Background(), cluster.CellAuto, dev, req)
+		if err != nil || again.Source != serve.SourceCache {
+			t.Fatalf("device %s post-crash repeat: source %q, err %v; want cache", dev, again.Source, err)
 		}
 	}
-	if !sawCrash || !sawRecovery {
-		t.Fatalf("alert ring missing crash (%t) or recovery (%t): %+v", sawCrash, sawRecovery, ev.Alerts())
+
+	// Counters and the alert ring both saw the crash.
+	st := p.Stats()
+	if st.Crashes != 1 || st.CellsRemoved != 1 {
+		t.Fatalf("plane stats after crash: %+v", st)
+	}
+	sawCrash := false
+	for _, a := range ev.Alerts() {
+		if a.Kind == health.KindCrash {
+			sawCrash = a.Cell == victim
+		}
+	}
+	if !sawCrash {
+		t.Fatalf("alert ring missing the crash: %+v", ev.Alerts())
 	}
 }
 
@@ -131,12 +107,9 @@ func TestCrashCellGuards(t *testing.T) {
 }
 
 // TestHTTPCrashLifecycle drives the crash endpoint over the wire and
-// checks /v1/stats and /metrics grew their replica and snapshot sections.
+// checks /v1/stats and /metrics carry the ctrl and snapshot sections.
 func TestHTTPCrashLifecycle(t *testing.T) {
 	r, _, p, ts := testHTTPStack(t, 3)
-	rep := replica.NewReplicator(replica.ReplicatorConfig{Router: r, Interval: -1})
-	defer rep.Close()
-	p.SetReplicator(rep)
 	snapper := replica.NewSnapshotter(replica.SnapshotterConfig{
 		Path:     t.TempDir() + "/cluster.snap",
 		Interval: -1,
@@ -145,14 +118,13 @@ func TestHTTPCrashLifecycle(t *testing.T) {
 	defer snapper.Close()
 	p.SetSnapshotter(snapper)
 
-	// Warm one device per cell so the crash has something to promote.
+	// Spread devices over the cells so the crash kills some state.
 	for d := 0; d < 12; d++ {
 		if _, _, err := r.Solve(context.Background(), cluster.CellAuto, devName(d),
 			serve.Request{System: testSystem(t, 6, int64(700+d)), Weights: balanced()}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep.Flush()
 	if err := snapper.SaveNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,17 +158,10 @@ func TestHTTPCrashLifecycle(t *testing.T) {
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"ctrl", "replica", "snapshot"} {
+	for _, key := range []string{"ctrl", "snapshot"} {
 		if _, ok := stats[key]; !ok {
 			t.Fatalf("/v1/stats missing %q section: %s", key, body)
 		}
-	}
-	var rs replica.ReplicaStats
-	if err := json.Unmarshal(stats["replica"], &rs); err != nil {
-		t.Fatal(err)
-	}
-	if rs.Promotions != 1 {
-		t.Fatalf("replica stats over HTTP: %+v, want 1 promotion", rs)
 	}
 
 	resp, body = doJSON(t, http.MethodGet, ts.URL+"/metrics", nil)
@@ -204,7 +169,7 @@ func TestHTTPCrashLifecycle(t *testing.T) {
 		t.Fatalf("metrics: status %d", resp.StatusCode)
 	}
 	text := string(body)
-	for _, series := range []string{"ctrl_crashes_total 1", "replica_promotions_total 1", "snapshot_saves_total 1"} {
+	for _, series := range []string{"ctrl_crashes_total 1", "snapshot_saves_total 1"} {
 		if !strings.Contains(text, series) {
 			t.Fatalf("/metrics missing %q", series)
 		}
@@ -215,12 +180,9 @@ func TestHTTPCrashLifecycle(t *testing.T) {
 // sessions keep firing deltas WHILE their cell crashes. Because nothing
 // drains, an individual apply may fail — but only with a typed, retryable
 // error, never a silent wrong answer — and a failed session must resume
-// cleanly (correct seq continuity, warm re-solve) on the survivor.
+// cleanly (correct seq continuity, a cold re-solve) on the survivor.
 func TestCrashWithLiveStreamSessions(t *testing.T) {
-	r, m, p := testStack(t, 2)
-	rep := replica.NewReplicator(replica.ReplicatorConfig{Router: r, Interval: -1})
-	defer rep.Close()
-	p.SetReplicator(rep)
+	_, m, p := testStack(t, 2)
 
 	type liveSess struct {
 		dev      string
@@ -280,9 +242,6 @@ func TestCrashWithLiveStreamSessions(t *testing.T) {
 			}
 		}
 	}
-	if shipped := rep.Flush(); shipped == 0 {
-		t.Fatal("flush shipped nothing before crash")
-	}
 
 	// Fire deltas concurrently with the crash.
 	const inflight = 12
@@ -331,7 +290,8 @@ func TestCrashWithLiveStreamSessions(t *testing.T) {
 
 	// Every session resumes after the crash: the authoritative seq matches
 	// the client's committed bookkeeping, the next delta applies on the
-	// survivor, and the re-solve is warm off the promoted replicas.
+	// survivor, and a re-solve (rather than a cache hit) equals a cold
+	// solve of the session's instance.
 	for si, ls := range sessions {
 		if got := ls.sess.Seq(); got != ls.seq {
 			t.Fatalf("session %d seq %d, want %d (lost or phantom delta)", si, got, ls.seq)
@@ -344,7 +304,7 @@ func TestCrashWithLiveStreamSessions(t *testing.T) {
 			t.Fatalf("session %d post-crash delta served by dead cell", si)
 		}
 		if u.Response.Source == serve.SourceCold {
-			t.Fatalf("session %d post-crash re-solve went cold despite replication", si)
+			coretest.RequireCold(t, ls.sess.SystemSnapshot(), balanced(), u.Response.Result.Objective)
 		}
 	}
 }

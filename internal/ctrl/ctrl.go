@@ -7,18 +7,16 @@
 //   - AddCell spins up a fresh cell, splices it into the consistent-hash
 //     ring under a new generation, and back-fills only the remapped
 //     keyspace: the ~1/(N+1) of tracked, hash-routed devices whose ring
-//     owner became the new cell get their cached solutions and warm
-//     starts moved over in one batched MassHandoff — nobody else is
-//     touched.
+//     owner became the new cell get their cached solutions moved over
+//     in one batched MassHandoff — nobody else is touched.
 //   - DrainCell evacuates a cell before removal: the stream sessions of
 //     every affected device are suspended (deltas keep applying in
 //     sequence order and queue — no ErrStaleSeq ever reaches a client),
-//     the cell's cache/warm state and device pins migrate to each
+//     the cell's cached solutions and device pins migrate to each
 //     device's post-removal ring owner in one batched MassHandoff, the
 //     cell leaves the ring (a new generation; racing requests re-resolve
 //     via the router's epoch check), and the sessions resume — their
-//     queued deltas coalesce into one warm re-solve on the destination
-//     cell.
+//     queued deltas coalesce into one re-solve on the destination cell.
 //   - The rebalance planner reports, per cell, how many devices' cached
 //     state sits away from its current ring owner (pins drift during
 //     mobility); Rebalance executes the plan as a batched migration and
@@ -62,23 +60,20 @@ type Plane struct {
 	// into the operation's report; guarded by mu.
 	lastSuspended int
 
-	// events receives crash/promotion notifications (the health evaluator
-	// files them in its alert ring); replicator and snapshotter are the
-	// durability layer's handles, surfaced via stats/metrics and used by
-	// CrashCell. All three are set before serving, nil when absent.
+	// events receives crash notifications (the health evaluator files
+	// them in its alert ring); snapshotter is the durability layer's
+	// handle, surfaced via stats/metrics. Both are set before serving,
+	// nil when absent.
 	events      EventRecorder
-	replicator  *replica.Replicator
 	snapshotter *replica.Snapshotter
 
 	cellsAdded        atomic.Int64
 	cellsRemoved      atomic.Int64
 	crashes           atomic.Int64
-	promotedWarm      atomic.Int64
 	drains            atomic.Int64
 	rebalances        atomic.Int64
 	movedDevices      atomic.Int64
 	migratedResults   atomic.Int64
-	migratedWarm      atomic.Int64
 	suspendedSessions atomic.Int64
 	autoscale         autoscaleCounters
 
@@ -161,12 +156,11 @@ type AddCellReport struct {
 
 // AddCell grows the cluster by one cell and back-fills the remapped
 // keyspace. Only the devices the new ring arcs claim move — their cached
-// solutions and warm-start allocations land on the new cell in one
-// batched pass, so the first post-add solve of a remapped
-// device is warm or cached, not cold. Their stream sessions (if any) are
-// suspended around the move, so in-flight deltas queue and coalesce
-// instead of racing the migration. ctx carries the operation's lifecycle
-// trace, if any; the backfill migration records spans against it.
+// solutions land on the new cell in one batched pass, so a post-add replay
+// of a remapped device is a cache hit, not a cold solve. Their stream
+// sessions (if any) are suspended around the move, so in-flight deltas queue
+// and coalesce instead of racing the migration. ctx carries the operation's
+// lifecycle trace, if any; the backfill migration records spans against it.
 func (p *Plane) AddCell(ctx context.Context) (AddCellReport, error) {
 	tr := obs.FromContext(ctx)
 	p.mu.Lock()
@@ -230,15 +224,13 @@ type DrainReport struct {
 	Handoff cluster.MassHandoffReport `json:"mass_handoff"`
 }
 
-// DrainCell evacuates and removes one cell. Every device currently routed
-// to it migrates — cached solutions, warm allocations and the routing pin
-// — to its owner under the post-removal ring, in one batched
-// MassHandoff (one routing-lock acquisition, one bulk state transfer per
-// cell). Stream sessions of affected devices are suspended first: their
-// in-flight deltas apply and queue in sequence order, and after the move
-// they coalesce into a single re-solve on the destination cell, which is
-// warm off the migrated state. Draining the last cell is
-// refused.
+// DrainCell evacuates and removes one cell. Every device currently routed to
+// it migrates — cached solutions and the routing pin — to its owner under
+// the post-removal ring, in one batched MassHandoff (one routing-lock
+// acquisition, one bulk state transfer per cell). Stream sessions of
+// affected devices are suspended first: their in-flight deltas apply and
+// queue in sequence order, and after the move they coalesce into a single
+// re-solve on the destination cell. Draining the last cell is refused.
 //
 // ctx carries the operation's lifecycle trace, if any: the plan, session
 // suspension, migration, removal and resume stages each record a span, so
@@ -413,7 +405,6 @@ func (p *Plane) suspendDeviceSet(devs map[string]bool) func() {
 func (p *Plane) countMigration(rep cluster.MassHandoffReport) {
 	p.movedDevices.Add(int64(rep.Devices))
 	p.migratedResults.Add(int64(rep.MigratedResults))
-	p.migratedWarm.Add(int64(rep.MigratedWarm))
 }
 
 // Snapshot is the control plane's counter view, the "ctrl" section of
@@ -427,15 +418,12 @@ type Snapshot struct {
 	CellsRemoved int64 `json:"cells_removed"`
 	Drains       int64 `json:"drains"`
 	Rebalances   int64 `json:"rebalances"`
-	// Crashes counts drain-less removals (failure injections);
-	// PromotedWarm the warm seeds their promotions landed on successors.
-	Crashes      int64 `json:"crashes"`
-	PromotedWarm int64 `json:"promoted_warm_seeds"`
+	// Crashes counts drain-less removals (failure injections).
+	Crashes int64 `json:"crashes"`
 	// MovedDevices counts devices whose state migrated in control-plane
-	// batches; MigratedResults/MigratedWarm what moved with them.
+	// batches; MigratedResults the cache entries that moved with them.
 	MovedDevices    int64 `json:"moved_devices"`
 	MigratedResults int64 `json:"migrated_results"`
-	MigratedWarm    int64 `json:"migrated_warm_starts"`
 	// SuspendedSessions counts stream sessions suspended around control-
 	// plane migrations (their deltas queued + coalesced, never failed).
 	SuspendedSessions int64 `json:"suspended_sessions"`
@@ -458,10 +446,8 @@ func (p *Plane) Stats() Snapshot {
 		Drains:            p.drains.Load(),
 		Rebalances:        p.rebalances.Load(),
 		Crashes:           p.crashes.Load(),
-		PromotedWarm:      p.promotedWarm.Load(),
 		MovedDevices:      p.movedDevices.Load(),
 		MigratedResults:   p.migratedResults.Load(),
-		MigratedWarm:      p.migratedWarm.Load(),
 		SuspendedSessions: p.suspendedSessions.Load(),
 		AutoscaleAdds:     p.autoscale.adds.Load(),
 		AutoscaleDrains:   p.autoscale.drains.Load(),
@@ -478,10 +464,8 @@ func (s Snapshot) WritePrometheus(pw *serve.PromWriter) {
 	pw.Counter("ctrl_drains_total", "Completed cell drains.", "", float64(s.Drains))
 	pw.Counter("ctrl_rebalances_total", "Executed rebalances.", "", float64(s.Rebalances))
 	pw.Counter("ctrl_crashes_total", "Drain-less cell removals (failure injections).", "", float64(s.Crashes))
-	pw.Counter("ctrl_promoted_warm_seeds_total", "Warm seeds landed on successors by crash promotions.", "", float64(s.PromotedWarm))
 	pw.Counter("ctrl_moved_devices_total", "Devices migrated by control-plane batches.", "", float64(s.MovedDevices))
 	pw.Counter("ctrl_migrated_results_total", "Cache entries migrated by control-plane batches.", "", float64(s.MigratedResults))
-	pw.Counter("ctrl_migrated_warm_starts_total", "Warm-start allocations migrated by control-plane batches.", "", float64(s.MigratedWarm))
 	pw.Counter("ctrl_suspended_sessions_total", "Stream sessions suspended around control-plane migrations.", "", float64(s.SuspendedSessions))
 	pw.Counter("ctrl_autoscale_adds_total", "Cells added by the autoscaler.", "", float64(s.AutoscaleAdds))
 	pw.Counter("ctrl_autoscale_drains_total", "Cells drained by the autoscaler.", "", float64(s.AutoscaleDrains))

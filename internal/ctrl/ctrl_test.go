@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core/coretest"
 	"repro/internal/experiments"
 	"repro/internal/fl"
 	"repro/internal/serve"
@@ -37,15 +38,6 @@ func testStack(t testing.TB, cells int) (*cluster.Router, *stream.Manager, *Plan
 		r.Close()
 	})
 	return r, m, New(r, m)
-}
-
-func driftGains(s *fl.System, sigma float64, rng *rand.Rand) *fl.System {
-	out := *s
-	out.Devices = append([]fl.Device(nil), s.Devices...)
-	for i := range out.Devices {
-		out.Devices[i].Gain *= 1 + sigma*rng.Float64()
-	}
-	return &out
 }
 
 // TestAddCellBackfillsRemappedKeyspace grows the cluster by one cell and
@@ -176,9 +168,8 @@ func TestDrainCellMigratesStateAndMembership(t *testing.T) {
 
 // TestDrainWithLiveStreamSessions is the acceptance scenario: a cell is
 // drained WHILE its stream sessions keep firing deltas. No delta may be
-// lost, no ErrStaleSeq may surface, and the post-drain re-solves on the
-// destination cell must ride the warm path off the migrated state, as good
-// as cold solves.
+// lost, no ErrStaleSeq may surface, and every post-drain re-solve on the
+// destination cell must equal a cold solve of the session's instance.
 func TestDrainWithLiveStreamSessions(t *testing.T) {
 	_, m, p := testStack(t, 2)
 
@@ -224,7 +215,7 @@ func TestDrainWithLiveStreamSessions(t *testing.T) {
 		}
 		return m.Apply(context.Background(), ls.sess.ID(), stream.Delta{Seq: ls.seq, Gains: gains})
 	}
-	// Settle a few deltas so the drain has warm state to migrate.
+	// Settle a few deltas so the drain has cache state to migrate.
 	for _, ls := range sessions {
 		for k := 0; k < 3; k++ {
 			if _, err := apply(ls, rng); err != nil {
@@ -273,8 +264,8 @@ func TestDrainWithLiveStreamSessions(t *testing.T) {
 			t.Fatalf("session %d in-flight delta failed: %v (ErrStaleSeq surfaced: %v)", si, err, errors.Is(err, stream.ErrStaleSeq))
 		}
 	}
-	if rep.Handoff.MigratedWarm == 0 {
-		t.Fatalf("drain migrated no warm state: %+v", rep.Handoff)
+	if rep.Handoff.MigratedResults == 0 {
+		t.Fatalf("drain migrated no cache entries: %+v", rep.Handoff)
 	}
 
 	// No lost deltas: every session's seq and authoritative state match the
@@ -291,8 +282,8 @@ func TestDrainWithLiveStreamSessions(t *testing.T) {
 		}
 	}
 
-	// Post-drain deltas: served by the surviving cell, off the migrated
-	// state (warm, or a cache hit when the drift lands in a solved bucket).
+	// Post-drain deltas: served by the surviving cell, cold (or a cache hit
+	// when the drift lands in a solved bucket).
 	for si, ls := range sessions {
 		for k := 0; k < 3; k++ {
 			u, err := apply(ls, rng)
@@ -302,11 +293,8 @@ func TestDrainWithLiveStreamSessions(t *testing.T) {
 			if u.Cell != 1 {
 				t.Fatalf("session %d post-drain delta served by cell %d, want 1", si, u.Cell)
 			}
-			if u.Response.Source != serve.SourceWarm && u.Response.Source != serve.SourceCache {
-				t.Fatalf("session %d post-drain delta source %q, want warm or cache", si, u.Response.Source)
-			}
-			if u.Response.Source == serve.SourceWarm {
-				requireWarmNearCold(t, ls.sess.SystemSnapshot(), balanced(), u.Response)
+			if u.Response.Source == serve.SourceCold {
+				coretest.RequireCold(t, ls.sess.SystemSnapshot(), balanced(), u.Response.Result.Objective)
 			}
 		}
 	}

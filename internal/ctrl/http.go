@@ -18,7 +18,7 @@ import (
 //	POST   /v1/cells           add a cell (splice + backfill), report JSON
 //	DELETE /v1/cells/{id}      drain + remove a cell, report JSON
 //	POST   /v1/cells/{id}/crash  remove WITHOUT draining (failure
-//	                           injection) and promote its replicas
+//	                           injection)
 //	GET    /v1/rebalance/plan  per-cell moved-key counts (dry run)
 //	POST   /v1/rebalance       execute the rebalance
 //	GET    /v1/stats           next's stats + "ctrl" section
@@ -104,11 +104,6 @@ func (p *Plane) handleStats(w http.ResponseWriter, r *http.Request, next http.Ha
 		return
 	}
 	obj["ctrl"] = cj
-	if p.replicator != nil {
-		if rj, err := json.Marshal(p.replicator.Stats()); err == nil {
-			obj["replica"] = rj
-		}
-	}
 	if p.snapshotter != nil {
 		if sj, err := json.Marshal(p.snapshotter.Stats()); err == nil {
 			obj["snapshot"] = sj
@@ -130,9 +125,6 @@ func (p *Plane) handleMetrics(w http.ResponseWriter, r *http.Request, next http.
 	_, _ = w.Write(rec.Body.Bytes())
 	pw := serve.NewPromWriter(w)
 	p.Stats().WritePrometheus(pw)
-	if p.replicator != nil {
-		p.replicator.Stats().WritePrometheus(pw)
-	}
 	if p.snapshotter != nil {
 		p.snapshotter.Stats().WritePrometheus(pw)
 	}

@@ -91,9 +91,10 @@ type Weights struct {
 	W2 float64
 }
 
-// Check validates the weight pair.
+// Check validates the weight pair. The comparisons are negated so a NaN
+// weight, for which every comparison is false, is rejected too.
 func (w Weights) Check() error {
-	if w.W1 < 0 || w.W2 < 0 || math.Abs(w.W1+w.W2-1) > 1e-9 {
+	if !(w.W1 >= 0) || !(w.W2 >= 0) || !(math.Abs(w.W1+w.W2-1) <= 1e-9) {
 		return fmt.Errorf("fl: weights (%g,%g) must be nonnegative and sum to 1: %w", w.W1, w.W2, ErrInvalidSystem)
 	}
 	return nil

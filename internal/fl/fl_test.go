@@ -72,6 +72,10 @@ func TestWeightsCheck(t *testing.T) {
 		{Weights{0, 1}, true},
 		{Weights{0.6, 0.6}, false},
 		{Weights{-0.1, 1.1}, false},
+		{Weights{math.NaN(), math.NaN()}, false},
+		{Weights{math.NaN(), 1}, false},
+		{Weights{0.5, math.NaN()}, false},
+		{Weights{math.Inf(1), math.Inf(-1)}, false},
 	} {
 		err := tc.w.Check()
 		if tc.ok && err != nil {

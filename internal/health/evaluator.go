@@ -39,9 +39,6 @@ const (
 	// KindCrash marks a drain-less cell removal (failure injection or real
 	// crash detection) reported by the control plane.
 	KindCrash AlertKind = "crash"
-	// KindRecovery marks a replica promotion: a crashed cell's replicated
-	// warm state landing on its successors.
-	KindRecovery AlertKind = "recovery"
 	// KindProfile marks an SLO-triggered pprof capture (the forensics
 	// profile trigger reporting where the evidence landed).
 	KindProfile AlertKind = "profile"
@@ -171,7 +168,6 @@ type Evaluator struct {
 	scaleUps      atomic.Int64
 	scaleDowns    atomic.Int64
 	crashEvents   atomic.Int64
-	recoveries    atomic.Int64
 	profileEvents atomic.Int64
 
 	mu       sync.Mutex
@@ -387,7 +383,7 @@ func (e *Evaluator) emit(a Alert) {
 // RecordEvent files a control-plane lifecycle event into the alert ring.
 // It satisfies the control plane's EventRecorder structurally: kind
 // "crash" becomes a KindCrash alert (warn-logged — a cell just died with
-// its state), "promotion" a KindRecovery alert, "profile" a KindProfile
+// its state), "profile" a KindProfile
 // alert (the forensics trigger reporting a capture); anything else lands
 // as KindMembership so no event is ever dropped on the floor.
 func (e *Evaluator) RecordEvent(kind string, cell int, message string) {
@@ -396,9 +392,6 @@ func (e *Evaluator) RecordEvent(kind string, cell int, message string) {
 	case "crash":
 		k = KindCrash
 		e.crashEvents.Add(1)
-	case "promotion":
-		k = KindRecovery
-		e.recoveries.Add(1)
 	case "profile":
 		k = KindProfile
 		e.profileEvents.Add(1)

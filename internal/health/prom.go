@@ -36,7 +36,6 @@ func (e *Evaluator) WritePrometheus(pw *serve.PromWriter) {
 	pw.Counter("health_autoscale_actions_total", "Autoscale actions enacted.", `action="scale_up"`, float64(e.scaleUps.Load()))
 	pw.Counter("health_autoscale_actions_total", "Autoscale actions enacted.", `action="scale_down"`, float64(e.scaleDowns.Load()))
 	pw.Counter("health_events_total", "Control-plane lifecycle events recorded.", `kind="crash"`, float64(e.crashEvents.Load()))
-	pw.Counter("health_events_total", "Control-plane lifecycle events recorded.", `kind="recovery"`, float64(e.recoveries.Load()))
 	pw.Counter("health_events_total", "Control-plane lifecycle events recorded.", `kind="profile"`, float64(e.profileEvents.Load()))
 	pw.Gauge("health_status", "Worst cell state: 0 ok, 1 degraded, 2 breached.", "", stateValue(h.Status))
 	pw.Gauge("health_cells", "Cells under health observation.", "", float64(len(h.Cells)))

@@ -29,8 +29,8 @@ type Event struct {
 	// Cell is the serving cell (the last cell-scoped span wins, so an
 	// epoch re-route reports the cell that finally answered), or -1.
 	Cell int `json:"cell"`
-	// Path is the serving path: "cold", "warm", or "" for
-	// requests that never reached the solver (cache hits, errors).
+	// Path is the serving path: "cold", or "" for requests that never
+	// reached the solver (cache hits, errors).
 	Path string `json:"path,omitempty"`
 	// Cache is the cache-lookup outcome ("hit" or "miss"), if any.
 	Cache string `json:"cache,omitempty"`

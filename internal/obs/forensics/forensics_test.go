@@ -26,10 +26,10 @@ func TestEventFromTraceDerivation(t *testing.T) {
 	tr := obs.TraceJSON{TraceID: "t1", TotalUS: 5000, Slow: true, Spans: []obs.Span{
 		{Phase: obs.PhaseQueueWait, DurUS: 120, Detail: "interactive", Cell: obs.CellNone},
 		{Phase: obs.PhaseCacheLookup, Detail: "miss", Cell: obs.CellNone},
-		{Phase: obs.PhaseSolve, DurUS: 4000, Detail: "warm", Value: 7, Cell: 3},
+		{Phase: obs.PhaseSolve, DurUS: 4000, Detail: "cold", Value: 7, Cell: 3},
 	}}
 	e := EventFromTrace(tr)
-	if e.Path != "warm" || e.Cache != "miss" || e.Queue != "interactive" ||
+	if e.Path != "cold" || e.Cache != "miss" || e.Queue != "interactive" ||
 		e.QueueWaitUS != 120 || e.NewtonIters != 7 || e.Cell != 3 || !e.Slow {
 		t.Fatalf("derived event %+v", e)
 	}

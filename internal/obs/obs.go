@@ -35,7 +35,7 @@ const (
 	// PhaseDedupWait is a follower waiting on an identical in-flight solve.
 	PhaseDedupWait = "dedup_wait"
 	// PhaseSolve is the full Algorithm 2 run; Detail carries the serving
-	// path ("cold", "warm") and Value the Algorithm 1 Newton iterations
+	// path ("cold") and Value the Algorithm 1 Newton iterations
 	// (0 under the default direct Subproblem 2 solver).
 	PhaseSolve = "solve"
 	// PhaseSP1 / PhaseSP2 split the solve into Subproblem 1 (frequencies
@@ -55,7 +55,7 @@ const (
 	PhaseCoalesceWait = "coalesce_wait"
 	// PhaseHandoffExtract / PhaseHandoffInject are the two sides of a
 	// per-device handoff; Cell names the source / destination cell and
-	// Value the cache+warm instances moved.
+	// Value the cache entries moved.
 	PhaseHandoffExtract = "handoff_extract"
 	PhaseHandoffInject  = "handoff_inject"
 	// PhaseMassPlan is MassHandoff's single-pass repin/collect walk;
@@ -71,11 +71,9 @@ const (
 	PhaseDrainSuspend = "drain_suspend"
 	PhaseDrainRemove  = "drain_remove"
 	PhaseDrainResume  = "drain_resume"
-	// Crash stages inside ctrl.CrashCell: the drain-less removal (nothing
-	// migrates — the cell's state dies with it) and the replica promotion
-	// that re-seeds the successors (Value = warm seeds injected).
-	PhaseCrashRemove  = "crash_remove"
-	PhaseCrashPromote = "crash_promote"
+	// PhaseCrashRemove is ctrl.CrashCell's drain-less removal: nothing
+	// migrates, the cell's state dies with it.
+	PhaseCrashRemove = "crash_remove"
 	// PhaseError is a zero-duration mark recorded by the HTTP front ends
 	// when a request ends in an error response; Detail carries the error
 	// string. It exists for requests that fail before any solve span is

@@ -1,31 +1,15 @@
 // Package replica is the durability layer over the serving stack: it
-// makes the expensive state a cell accumulates — cached solutions,
-// warm-start allocations, pinned stream sessions — survive process death.
+// makes the expensive state a process accumulates — cached solutions and
+// pinned stream sessions — survive a restart.
 //
-// Two mechanisms, two failure modes:
-//
-//   - Snapshot/restore (Snapshotter) covers planned restarts and whole-
-//     process crashes WITH a disk: every cell's cache/warm state and
-//     every open stream session serialize to one versioned, checksummed
-//     file on a ticker and on graceful shutdown (atomic rename — a crash
-//     mid-write leaves the previous snapshot intact). A restarted
-//     process restores it at boot, so post-restart solves are cache hits
-//     or warm and clients resume their sessions at the next sequence
-//     number without ever seeing ErrStaleSeq. A corrupt, truncated or
-//     version-skewed file degrades to a cold start — never a failed
-//     boot.
-//
-//   - Ring-successor replication (Replicator) covers a single cell dying
-//     WITHOUT warning. Every successful device-routed solve marks its
-//     fingerprint dirty; a background flush coalesces the dirty set
-//     (bounded lag — one shipment covers however many solves landed
-//     since the last) and copies each device's warm allocation to an
-//     in-memory replica keyed by the owning cell. When the
-//     control plane removes a cell WITHOUT a drain (ctrl.CrashCell),
-//     Promote injects the dead cell's replicas into each device's
-//     post-crash ring owner — so the keyspace degrades to
-//     warm-but-not-cached instead of cold, and the first re-solve after
-//     the crash starts from the replicated allocation.
+// Snapshot/restore (Snapshotter) serializes every cell's solution cache
+// and every open stream session to one versioned, checksummed file on a
+// ticker and on graceful shutdown (atomic rename — a crash mid-write
+// leaves the previous snapshot intact). A restarted process restores it
+// at boot, so post-restart replays are cache hits and clients resume
+// their sessions at the next sequence number without ever seeing
+// ErrStaleSeq. A corrupt, truncated or version-skewed file degrades to a
+// cold start — never a failed boot.
 package replica
 
 import (
@@ -58,7 +42,9 @@ var ErrSnapshotCorrupt = errors.New("replica: snapshot corrupt")
 // version keeps the two failure modes distinguishable: a file whose
 // prefix matches but whose version digits differ is ErrSnapshotVersion;
 // anything else malformed is ErrSnapshotCorrupt. Version 02 dropped the
-// Subproblem 2 dual state from cached results and warm seeds.
+// Subproblem 2 dual state from cached results. A version 02 file written
+// while the serving layer still kept a warm-start index carries a "warm"
+// section in each cell's state; the JSON decode ignores it.
 const (
 	snapMagic       = "FLSNAP02"
 	snapMagicPrefix = "FLSNAP"
@@ -74,7 +60,7 @@ type CellState struct {
 }
 
 // Snapshot is the full durable state of one serving process: every
-// cell's cache/warm state plus every open stream session.
+// cell's solution cache plus every open stream session.
 type Snapshot struct {
 	// SavedAt is when the snapshot was captured.
 	SavedAt time.Time `json:"saved_at"`

@@ -115,8 +115,12 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	old := preBumpSnapshot()
+	withWarm, err := os.ReadFile(filepath.Join("testdata", "flsnap02_warm.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, seed := range [][]byte{
-		good, old,
+		good, old, withWarm,
 		good[:headerLen], good[:len(good)-1], old[:len(old)/2],
 		{}, []byte(snapMagic),
 	} {

@@ -187,11 +187,10 @@ func CaptureCluster(r *cluster.Router, mgr *stream.Manager) func() Snapshot {
 
 // RestoreReport summarizes what a restore landed.
 type RestoreReport struct {
-	// Cells is how many cell-state sections were imported; Results and
-	// WarmSeeds what they carried.
-	Cells     int `json:"cells"`
-	Results   int `json:"results"`
-	WarmSeeds int `json:"warm_seeds"`
+	// Cells is how many cell-state sections were imported; Results the
+	// cache entries they carried.
+	Cells   int `json:"cells"`
+	Results int `json:"results"`
 	// Sessions is how many stream sessions were recreated.
 	Sessions int `json:"sessions"`
 }
@@ -206,7 +205,6 @@ func RestoreServer(srv *serve.Server, mgr *stream.Manager, snap Snapshot) Restor
 		srv.ImportState(cs.State)
 		rep.Cells++
 		rep.Results += len(cs.State.Results)
-		rep.WarmSeeds += len(cs.State.Warm)
 	}
 	if mgr != nil {
 		rep.Sessions = mgr.RestoreSessions(snap.Sessions)
@@ -239,7 +237,6 @@ func RestoreCluster(r *cluster.Router, mgr *stream.Manager, snap Snapshot) Resto
 		srv.ImportState(cs.State)
 		rep.Cells++
 		rep.Results += len(cs.State.Results)
-		rep.WarmSeeds += len(cs.State.Warm)
 	}
 	if mgr != nil {
 		rep.Sessions = mgr.RestoreSessions(snap.Sessions)
@@ -266,6 +263,6 @@ func BootRestore(path string, log *slog.Logger, restore func(Snapshot) RestoreRe
 	rep := restore(snap)
 	log.Info("snapshot restored",
 		"path", path, "saved_at", snap.SavedAt,
-		"cells", rep.Cells, "results", rep.Results, "warm_seeds", rep.WarmSeeds, "sessions", rep.Sessions)
+		"cells", rep.Cells, "results", rep.Results, "sessions", rep.Sessions)
 	return rep, true
 }

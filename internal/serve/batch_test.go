@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/fl"
 )
 
@@ -348,10 +349,10 @@ func TestBucketStats(t *testing.T) {
 	}
 }
 
-// TestHandoffCarriesWarmStart verifies a migrated warm entry still seeds
-// the destination: after Extract/Inject a drifted solve there is warm and
-// as good as a cold solve.
-func TestHandoffCarriesWarmStart(t *testing.T) {
+// TestHandoffCarriesCacheEntry verifies Extract/Inject move the cache
+// entry: the destination answers the exact replay from its cache with the
+// cold solve's objective, and the source solves it cold again.
+func TestHandoffCarriesCacheEntry(t *testing.T) {
 	base := testSystem(t, 8, 1)
 	src := New(Config{Workers: 1})
 	defer src.Close()
@@ -364,15 +365,20 @@ func TestHandoffCarriesWarmStart(t *testing.T) {
 	}
 	fp := FingerprintRequest(req, src.Quantization())
 	m := src.Extract(fp)
-	if m.Warm == nil {
-		t.Fatal("extract carried no warm allocation")
+	if m.Result == nil {
+		t.Fatal("extract carried no cache entry")
 	}
 	dst.Inject(fp, m)
 
-	drifted := driftGains(base, 0.25, rand.New(rand.NewSource(4)))
-	resp, err := dst.Solve(context.Background(), Request{System: drifted, Weights: balanced()})
+	resp, err := dst.Solve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireWarmNearCold(t, drifted, balanced(), resp)
+	if resp.Source != SourceCache {
+		t.Fatalf("destination replay source %q, want cache", resp.Source)
+	}
+	coretest.RequireCold(t, base, balanced(), resp.Result.Objective)
+	if again, err := src.Solve(context.Background(), req); err != nil || again.Source != SourceCold {
+		t.Fatalf("source replay after extract: source %q, err %v; want cold", again.Source, err)
+	}
 }

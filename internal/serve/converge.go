@@ -68,16 +68,12 @@ func (j *IterHistJSON) merge(o IterHistJSON) {
 }
 
 // ConvergenceJSON is the solver convergence observatory's /v1/stats
-// section, aggregated over every solve the server ran and split by serving
-// path so a warm-start regression is visible as its own histogram shift
-// rather than a blended average.
+// section, aggregated over every solve the server ran and keyed by serving
+// path.
 type ConvergenceJSON struct {
 	// Outer holds the Algorithm 2 outer-iteration histograms per serving
-	// path ("cold", "warm").
+	// path; every solve is "cold".
 	Outer map[string]IterHistJSON `json:"outer_iterations"`
-	// SanitizeRejected counts warm-start candidates discarded because the
-	// cached allocation could not be repaired into a feasible start.
-	SanitizeRejected int64 `json:"sanitize_rejected"`
 }
 
 // Merge folds another cell's convergence section into this one — the
@@ -91,20 +87,18 @@ func (j *ConvergenceJSON) Merge(o ConvergenceJSON) {
 		cur.merge(h)
 		j.Outer[path] = cur
 	}
-	j.SanitizeRejected += o.SanitizeRejected
 }
 
 // convStats accumulates the observatory under one mutex; recording happens
 // once per completed solve (not per request), so contention is negligible
 // next to the solve itself.
 type convStats struct {
-	mu               sync.Mutex
-	outer            map[string]*iterHist
-	sanitizeRejected int64
+	mu    sync.Mutex
+	outer map[string]*iterHist
 }
 
 // recordSolve folds one solve's trace into the observatory. path is the
-// serving path label ("cold", "warm").
+// serving path label.
 func (c *convStats) recordSolve(path string, tr core.SolveTrace) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -119,16 +113,10 @@ func (c *convStats) recordSolve(path string, tr core.SolveTrace) {
 	h.record(tr.OuterIters)
 }
 
-func (c *convStats) recordSanitizeReject() {
-	c.mu.Lock()
-	c.sanitizeRejected++
-	c.mu.Unlock()
-}
-
 func (c *convStats) snapshot() ConvergenceJSON {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := ConvergenceJSON{SanitizeRejected: c.sanitizeRejected}
+	var out ConvergenceJSON
 	if len(c.outer) > 0 {
 		out.Outer = make(map[string]IterHistJSON, len(c.outer))
 		for path, h := range c.outer {
@@ -167,5 +155,4 @@ func (j ConvergenceJSON) writePrometheus(p *PromWriter, prefix, labels string) {
 		p.Histogram(prefix+"_outer_iterations", "Algorithm 2 outer iterations per solve by serving path.",
 			ls, bounds, h.Buckets, float64(h.Sum), h.Count)
 	}
-	p.Counter(prefix+"_sanitize_rejected_total", "Warm-start candidates rejected by start sanitization.", labels, float64(j.SanitizeRejected))
 }

@@ -8,8 +8,6 @@
 //   - deterministic, quantization-bucketed instance fingerprinting
 //     (nearby channel realizations collide on purpose);
 //   - a sharded, TTL- and size-bounded LRU cache of solver results;
-//   - a warm-start path that seeds Algorithm 2 from the cached allocation
-//     of the same topology bucket when the exact fingerprint misses;
 //   - a worker-pool server with a bounded queue, per-request deadlines,
 //     singleflight deduplication of identical in-flight instances, and
 //     hit/miss/latency counters;
@@ -53,8 +51,8 @@ func (q Quantization) withDefaults() Quantization {
 // means the instances are interchangeable up to quantization noise and the
 // cached result can be returned directly. Topo keys equal means the
 // instances share everything but the channel realization (same device
-// population, boxes, shared constants, weights and options), so a cached
-// allocation is a feasible, near-optimal starting point for Algorithm 2.
+// population, boxes, shared constants, weights and options); the stats
+// group per-bucket hit rates by it.
 type Fingerprint struct {
 	// Exact is the full instance hash, gains included (bucketed).
 	Exact uint64
@@ -121,7 +119,7 @@ func FingerprintInstance(s *fl.System, w fl.Weights, opts core.Options, q Quanti
 
 // FingerprintRequest hashes a full request, solver choice included: the
 // same instance posted to different solvers must occupy different cache
-// entries and different warm-start buckets, or a baseline's answer would
+// entries and different topology buckets, or a baseline's answer would
 // masquerade as Algorithm 2's (and vice versa).
 func FingerprintRequest(req Request, q Quantization) Fingerprint {
 	s, w, opts := req.System, req.Weights, req.Options

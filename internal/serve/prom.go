@@ -119,7 +119,6 @@ func (s Snapshot) WritePrometheus(p *PromWriter, prefix, labels string) {
 		{"requests_total", "Solve requests received, whatever the outcome.", s.Requests},
 		{"cache_hits_total", "Requests answered from the solution cache.", s.Hits},
 		{"cache_misses_total", "Requests whose exact fingerprint was absent.", s.Misses},
-		{"warm_starts_total", "Solves seeded from a topology-bucket neighbour.", s.WarmStarts},
 		{"cold_solves_total", "Solves started from scratch.", s.ColdSolves},
 		{"deduped_total", "Requests joined onto an identical in-flight solve.", s.Deduped},
 		{"rejected_total", "Requests shed because the queue was full.", s.Rejected},
@@ -131,7 +130,6 @@ func (s Snapshot) WritePrometheus(p *PromWriter, prefix, labels string) {
 		p.Counter(prefix+"_"+c.name, c.help, labels, float64(c.v))
 	}
 	p.Gauge(prefix+"_cache_entries", "Current solution-cache occupancy.", labels, float64(s.CacheEntries))
-	p.Gauge(prefix+"_warm_entries", "Current warm-start index occupancy.", labels, float64(s.WarmEntries))
 	p.Gauge(prefix+"_queue_len", "Instantaneous interactive-queue depth.", labels, float64(s.QueueLen))
 	p.Gauge(prefix+"_bulk_queue_len", "Instantaneous bulk-queue depth.", labels, float64(s.BulkQueueLen))
 	p.Gauge(prefix+"_tracked_buckets", "Topology buckets with per-bucket hit-rate counters.", labels, float64(s.TrackedBuckets))

@@ -28,22 +28,6 @@ func driftGains(s *fl.System, sigma float64, rng *rand.Rand) *fl.System {
 	return &out
 }
 
-// requireWarmNearCold fails unless resp came off the warm-start path with
-// an objective within 1e-6 (relative) of a cold solve of the same instance.
-func requireWarmNearCold(t testing.TB, sys *fl.System, w fl.Weights, resp Response) {
-	t.Helper()
-	if resp.Source != SourceWarm {
-		t.Fatalf("source %q, want warm", resp.Source)
-	}
-	cold, err := core.Optimize(sys, w, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(resp.Result.Objective/cold.Objective - 1); rel > 1e-6 {
-		t.Fatalf("warm objective %.12g vs cold %.12g (rel %.3g)", resp.Result.Objective, cold.Objective, rel)
-	}
-}
-
 func TestSolveColdThenCached(t *testing.T) {
 	s := testSystem(t, 10, 1)
 	srv := New(Config{Workers: 2})
@@ -136,46 +120,6 @@ func TestSingleflightDedup(t *testing.T) {
 	results[0].Result.Allocation.Power[0] = -1
 	if results[1].Result.Allocation.Power[0] == -1 {
 		t.Fatal("deduplicated responses share allocation slices")
-	}
-}
-
-func TestWarmStartNeverWorseThanCold(t *testing.T) {
-	base := testSystem(t, 10, 1)
-	srv := New(Config{Workers: 2})
-	defer srv.Close()
-
-	if _, err := srv.Solve(context.Background(), Request{System: base, Weights: balanced()}); err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 5; trial++ {
-		drifted := driftGains(base, 0.25, rng) // ~1 dB std, outside the 0.25 dB bucket
-		warm, err := srv.Solve(context.Background(), Request{System: drifted, Weights: balanced()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.Source != SourceWarm {
-			t.Fatalf("trial %d: source = %q, want warm (topology bucket should hit)", trial, warm.Source)
-		}
-		cold, err := core.Optimize(drifted, balanced(), core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The warm start must not cost optimality: same objective as the
-		// cold solve within tolerance, and never meaningfully worse.
-		if warm.Result.Objective > cold.Objective*(1+1e-6) {
-			t.Errorf("trial %d: warm objective %.10g worse than cold %.10g", trial, warm.Result.Objective, cold.Objective)
-		}
-		if rel := math.Abs(warm.Result.Objective-cold.Objective) / cold.Objective; rel > 1e-4 {
-			t.Errorf("trial %d: warm/cold objectives differ by %.3g relative", trial, rel)
-		}
-		if err := drifted.Validate(warm.Result.Allocation, 1e-6); err != nil {
-			t.Errorf("trial %d: warm allocation infeasible: %v", trial, err)
-		}
-	}
-	if st := srv.Stats(); st.WarmStarts == 0 {
-		t.Fatalf("no warm starts recorded: %+v", st)
 	}
 }
 
@@ -288,8 +232,8 @@ func TestQueueOverloadSheds(t *testing.T) {
 }
 
 // TestCacheChurnParallel hammers a deliberately tiny cache from many
-// goroutines; run under -race it checks the sharded LRU, warm index and
-// counters for data races, and that the size bound holds under churn.
+// goroutines; run under -race it checks the sharded LRU and counters for
+// data races, and that the size bound holds under churn.
 func TestCacheChurnParallel(t *testing.T) {
 	s := testSystem(t, 4, 1)
 	srv := New(Config{

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -45,8 +44,6 @@ type Config struct {
 	Quantization Quantization
 	// DisableCache turns off the exact-fingerprint solution cache.
 	DisableCache bool
-	// DisableWarmStart turns off seeding solves from topology neighbours.
-	DisableWarmStart bool
 	// BulkQueueDepth bounds the low-priority queue fed by batch requests;
 	// arrivals beyond it are rejected with ErrOverloaded. Default
 	// 4*QueueDepth.
@@ -87,8 +84,8 @@ type Request struct {
 	System *fl.System
 	// Weights is the objective weight pair.
 	Weights fl.Weights
-	// Options configures the solver. A caller-provided Options.Start is
-	// always honored; the warm-start path only fills in a nil Start.
+	// Options configures the solver; a caller-provided Options.Start is
+	// passed through unchanged.
 	Options core.Options
 	// Solver selects the answering algorithm (default SolverAlgorithm2).
 	// The choice is part of the fingerprint, so the same instance under
@@ -118,9 +115,8 @@ type Source string
 const (
 	// SourceCache means the exact fingerprint hit the solution cache.
 	SourceCache Source = "cache"
-	// SourceWarm means Algorithm 2 ran seeded from a topology neighbour.
-	SourceWarm Source = "warm"
-	// SourceCold means Algorithm 2 ran from the default start.
+	// SourceCold means the solver ran: every cache miss solves from the
+	// default start (or the caller's own Options.Start).
 	SourceCold Source = "cold"
 )
 
@@ -131,8 +127,7 @@ type Response struct {
 	// per-device slices (Rates, UploadTimes, CompTimes), which the cache
 	// does not keep; System.Evaluate(Result.Allocation) derives them.
 	Result core.Result
-	// Source tells whether the result came from cache, a warm or a cold
-	// solve.
+	// Source tells whether the result came from the cache or a solve.
 	Source Source
 	// Solver is the algorithm that produced the result (normalized; never
 	// empty).
@@ -158,12 +153,11 @@ func (r Response) Clone() Response {
 
 // Server is a concurrent allocation service over the Algorithm 2 solver: a
 // fixed worker pool drains a bounded queue, identical in-flight instances
-// are deduplicated, exact fingerprint matches are answered from an LRU
-// cache, and topology-bucket matches seed warm starts.
+// are deduplicated, and exact fingerprint matches are answered from an LRU
+// cache. Every cache miss solves cold.
 type Server struct {
 	cfg    Config
 	cache  *Cache
-	warm   *warmIndex
 	flight *flightGroup
 	stats  Stats
 
@@ -217,7 +211,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		cache:  NewCache(cfg.CacheEntries, cfg.CacheTTL),
-		warm:   newWarmIndex(cfg.CacheEntries),
 		flight: newFlightGroup(),
 		queue:  make(chan *task, cfg.QueueDepth),
 		bulk:   make(chan *task, cfg.BulkQueueDepth),
@@ -252,12 +245,11 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// Stats returns a snapshot of the server counters, cache and warm-index
-// occupancy included.
+// Stats returns a snapshot of the server counters, cache occupancy
+// included.
 func (s *Server) Stats() Snapshot {
 	st := s.stats.Snapshot()
 	st.CacheEntries = s.cache.Len()
-	st.WarmEntries = s.warm.len()
 	st.QueueLen = len(s.queue)
 	st.BulkQueueLen = len(s.bulk)
 	return st
@@ -283,52 +275,35 @@ func (s *Server) QueueWaitLatencies() []time.Duration { return s.stats.queueWait
 // server's quantization, which need not match the source's.
 func (s *Server) Quantization() Quantization { return s.cfg.Quantization }
 
-// Migration bundles the cacheable state one fingerprint identifies: the
-// exact-match solution and the topology-bucket warm-start allocation.
-// Either part may be absent (nil).
+// Migration is the cacheable state one fingerprint identifies: its
+// exact-match solution-cache entry, nil if absent.
 type Migration struct {
-	// Result is the exact-fingerprint cache entry, nil if absent.
 	Result *core.Result
-	// Warm is the topology-bucket warm-start allocation, nil if absent.
-	Warm *fl.Allocation
 }
 
-// Extract removes and returns the solution-cache entry identified by fp,
-// together with a copy of its topology bucket's warm-start allocation. It
-// is the source half of a cross-cell device handoff: after Extract the
-// server answers that exact fingerprint cold again. The warm
-// entry is copied, not removed — topology buckets are shared by every
-// device whose instances collide there, and one device's mobility must not
-// cold-start the neighbours it leaves behind.
+// Extract removes and returns the solution-cache entry identified by fp.
+// It is the source half of a cross-cell device handoff: after Extract the
+// server answers that exact fingerprint cold again.
 func (s *Server) Extract(fp Fingerprint) Migration {
 	var m Migration
 	if res, ok := s.cache.Take(fp.Exact); ok {
 		m.Result = &res
 	}
-	if a, ok := s.warm.get(fp.Topo); ok {
-		m.Warm = &a
-	}
 	return m
 }
 
-// Inject inserts a migrated bundle under fp, the destination half of a
-// handoff: the next identical request is a cache hit, and a drifted one
-// warm-starts from the migrated allocation. Exactly what the bundle
-// carries is inserted — whether a Result should double as a warm seed is
-// the caller's call (it knows the solver; see SolverName.Warmable) — and
-// parts whose pipeline stage is disabled by config are dropped.
+// Inject inserts a migrated cache entry under fp, the destination half of
+// a handoff: the next identical request is a cache hit. A server with its
+// cache disabled drops it.
 func (s *Server) Inject(fp Fingerprint, m Migration) {
 	if m.Result != nil && !s.cfg.DisableCache {
 		s.cache.Put(fp.Exact, *m.Result)
-	}
-	if m.Warm != nil && !s.cfg.DisableWarmStart {
-		s.warm.put(fp.Topo, *m.Warm)
 	}
 }
 
 // Solve answers one allocation request: from the cache on an exact
 // fingerprint hit, by joining an identical in-flight solve, or by queueing
-// a (warm- or cold-started) solve on the worker pool. ctx governs only
+// a cold solve on the worker pool. ctx governs only
 // this caller's wait: a solve, once enqueued, always runs to completion
 // and lands in the cache, so a timed-out caller neither loses the work nor
 // fails the other callers deduplicated onto it.
@@ -538,21 +513,9 @@ func (s *Server) runTask(t *task, ws *core.Workspace) {
 	s.flight.finish(t.fp.Exact, t.call, resp, err)
 }
 
-// process runs one solve, trying the warm-start path first: a topology-
-// bucket hit seeds the solve's start allocation.
+// process runs one cold solve on the worker's workspace.
 func (s *Server) process(t *task, ws *core.Workspace) (Response, error) {
 	req := t.req
-	source := SourceCold
-	if !s.cfg.DisableWarmStart && startMatters(req) {
-		if cand, ok := s.warm.get(t.fp.Topo); ok {
-			if start, ok := sanitizeStart(req.System, cand); ok {
-				req.Options.Start = &start
-				source = SourceWarm
-			} else {
-				s.stats.conv.recordSanitizeReject()
-			}
-		}
-	}
 	if req.Options.Work == nil {
 		req.Options.Work = ws
 	}
@@ -576,9 +539,8 @@ func (s *Server) process(t *task, ws *core.Workspace) (Response, error) {
 		s.stats.errors.Add(1)
 		return Response{}, err
 	}
-	path := string(source)
 	if t.tr != nil {
-		t.tr.RecordDur(obs.PhaseSolve, began, elapsed, obs.Attr{Cell: obs.CellNone, Detail: path, Value: int64(stp.NewtonIters)})
+		t.tr.RecordDur(obs.PhaseSolve, began, elapsed, obs.Attr{Cell: obs.CellNone, Detail: string(SourceCold), Value: int64(stp.NewtonIters)})
 		// SP1/SP2 sub-spans are drawn from the solver's own clocks; they
 		// share the solve's start offset since only the split matters.
 		if stp.SP1Time > 0 {
@@ -588,141 +550,20 @@ func (s *Server) process(t *task, ws *core.Workspace) (Response, error) {
 			t.tr.RecordDur(obs.PhaseSP2, began, stp.SP2Time, obs.Attr{Cell: obs.CellNone, Value: int64(stp.NewtonIters)})
 		}
 	}
-	s.stats.conv.recordSolve(path, *stp)
+	s.stats.conv.recordSolve(string(SourceCold), *stp)
 	s.stats.recordLatency(elapsed)
-	if source == SourceWarm {
-		s.stats.warmStarts.Add(1)
-		s.stats.bucketEvent(t.fp.Topo, bucketWarm)
-	} else {
-		s.stats.coldSolves.Add(1)
-		s.stats.bucketEvent(t.fp.Topo, bucketCold)
-	}
+	s.stats.coldSolves.Add(1)
+	s.stats.bucketEvent(t.fp.Topo, bucketCold)
 	if !s.cfg.DisableCache {
 		s.cache.Put(t.fp.Exact, res)
-	}
-	// Baselines never consume a seeded start, so their allocations would
-	// only sit dead in (their own, solver-keyed) topology buckets.
-	if !s.cfg.DisableWarmStart && req.Solver.Warmable() {
-		s.warm.put(t.fp.Topo, res.Allocation)
 	}
 	// Not cloned here: every waiter in Solve copies Result for itself.
 	return Response{
 		Result:      res,
-		Source:      source,
+		Source:      SourceCold,
 		Solver:      req.Solver.normalize(),
 		Fingerprint: t.fp,
 		SolveTime:   elapsed,
 		TraceID:     t.tr.ID(),
 	}, nil
-}
-
-// startMatters reports whether the solver would actually consume a seeded
-// Options.Start for this request: only core.Optimize's weighted
-// alternating loop reads it. The baseline solvers pick their own fixed
-// starts, the deadline mode solves jointly from scratch, the joint
-// weighted solver runs its own 1-D search, the pure-delay corner (w1 = 0)
-// reduces to min-time, and a caller-provided Start always wins. Skipping
-// the lookup in those cases keeps Source and the warm_starts counter
-// honest (and saves the clone + validation).
-func startMatters(req Request) bool {
-	if !req.Solver.Warmable() {
-		return false
-	}
-	if req.Options.Start != nil || req.Options.JointWeighted {
-		return false
-	}
-	if req.Options.Mode != 0 && req.Options.Mode != core.ModeWeighted {
-		return false
-	}
-	return req.Weights.W1 > 0
-}
-
-// sanitizeStart turns a cached allocation into a strictly feasible start
-// point for the target system: solver outputs carry ~1e-6 floating-point
-// residue at the box edges, while core.Optimize validates Start at 1e-9, so
-// powers and frequencies are clamped into their boxes and the bandwidths
-// rescaled under the budget. Returns false when the allocation cannot be
-// repaired (wrong size, NaN, non-positive bandwidth).
-func sanitizeStart(s *fl.System, a fl.Allocation) (fl.Allocation, bool) {
-	if len(a.Power) != s.N() || len(a.Bandwidth) != s.N() || len(a.Freq) != s.N() {
-		return fl.Allocation{}, false
-	}
-	out := a.Clone()
-	var sum float64
-	for i, d := range s.Devices {
-		out.Power[i] = math.Min(math.Max(out.Power[i], d.PMin), d.PMax)
-		out.Freq[i] = math.Min(math.Max(out.Freq[i], d.FMin), d.FMax)
-		if !(out.Bandwidth[i] > 0) {
-			return fl.Allocation{}, false
-		}
-		sum += out.Bandwidth[i]
-	}
-	if !(sum > 0) || math.IsInf(sum, 0) {
-		return fl.Allocation{}, false
-	}
-	if sum > s.Bandwidth {
-		// The margin keeps the rescaled sum strictly under the budget even
-		// after the rounding of the per-device multiplies.
-		scale := s.Bandwidth / sum * (1 - 1e-12)
-		for i := range out.Bandwidth {
-			out.Bandwidth[i] *= scale
-		}
-	}
-	if s.Validate(out, 0) != nil {
-		return fl.Allocation{}, false
-	}
-	return out, true
-}
-
-// warmIndex maps topology buckets to the most recent allocation solved in
-// that bucket. Eviction on overflow drops an arbitrary entry — the index is
-// a best-effort hint, never a source of truth.
-type warmIndex struct {
-	mu  sync.Mutex
-	max int
-	m   map[uint64]fl.Allocation
-}
-
-func newWarmIndex(max int) *warmIndex {
-	if max < 1 {
-		max = 1
-	}
-	return &warmIndex{max: max, m: make(map[uint64]fl.Allocation)}
-}
-
-// get returns the stored allocation by reference; entries are immutable
-// (put stores private clones and replaces wholesale), so callers may read
-// but must clone before mutating — sanitizeStart does.
-func (w *warmIndex) get(key uint64) (fl.Allocation, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	a, ok := w.m[key]
-	return a, ok
-}
-
-// len reports the current entry count.
-func (w *warmIndex) len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.m)
-}
-
-// put stores a private clone of a under key.
-func (w *warmIndex) put(key uint64, a fl.Allocation) {
-	a = a.Clone()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.insertLocked(key, a)
-}
-
-// insertLocked stores a under key; on overflow an arbitrary existing entry
-// is dropped first. The caller holds w.mu.
-func (w *warmIndex) insertLocked(key uint64, a fl.Allocation) {
-	if _, ok := w.m[key]; !ok && len(w.m) >= w.max {
-		for k := range w.m {
-			delete(w.m, k)
-			break
-		}
-	}
-	w.m[key] = a
 }

@@ -33,13 +33,6 @@ func (n SolverName) normalize() SolverName {
 	return n
 }
 
-// Warmable reports whether the solver consumes a seeded Options.Start.
-// Only Algorithm 2's alternating loop does; the baselines pick their own
-// fixed starting points, so seeding them would only mislabel the Source.
-// Callers migrating cache state across servers use it to avoid planting
-// warm entries that could never be read.
-func (n SolverName) Warmable() bool { return n.normalize() == SolverAlgorithm2 }
-
 // solveFunc resolves the request's solver to a callable with the common
 // solve signature, validating that the request's mode fits the solver.
 // The default solver comes from the server config (tests override it).

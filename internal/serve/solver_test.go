@@ -146,15 +146,15 @@ func TestStatsExposeCacheOccupancy(t *testing.T) {
 	srv := New(Config{Workers: 2})
 	defer srv.Close()
 
-	if st := srv.Stats(); st.CacheEntries != 0 || st.WarmEntries != 0 {
-		t.Fatalf("fresh server occupancy %d/%d, want 0/0", st.CacheEntries, st.WarmEntries)
+	if st := srv.Stats(); st.CacheEntries != 0 {
+		t.Fatalf("fresh server occupancy %d, want 0", st.CacheEntries)
 	}
 	if _, err := srv.Solve(context.Background(), Request{System: s, Weights: balanced()}); err != nil {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
-	if st.CacheEntries != 1 || st.WarmEntries != 1 {
-		t.Fatalf("after one solve occupancy %d/%d, want 1/1", st.CacheEntries, st.WarmEntries)
+	if st.CacheEntries != 1 {
+		t.Fatalf("after one solve occupancy %d, want 1", st.CacheEntries)
 	}
 
 	// And over the wire.

@@ -15,9 +15,8 @@ import (
 const latencyWindow = 1024
 
 // maxTrackedBuckets bounds the per-topology-bucket counters (summed over
-// shards); beyond it an arbitrary bucket's counters are evicted, like the
-// warm index — the per-bucket view is an observability aid, not a source
-// of truth.
+// shards); beyond it an arbitrary bucket's counters are evicted — the
+// per-bucket view is an observability aid, not a source of truth.
 const maxTrackedBuckets = 1024
 
 // bucketStatShards spreads the per-bucket maps over independently locked
@@ -35,14 +34,12 @@ type bucketEventKind int
 const (
 	bucketHit bucketEventKind = iota
 	bucketMiss
-	bucketWarm
 	bucketCold
 )
 
 // bucketCounters tracks one topology bucket's pipeline outcomes.
 type bucketCounters struct {
-	hits, misses int64
-	warm, cold   int64
+	hits, misses, cold int64
 }
 
 // Stats aggregates the server's counters. Counters are updated atomically
@@ -52,7 +49,6 @@ type Stats struct {
 	requests   atomic.Int64
 	hits       atomic.Int64
 	misses     atomic.Int64
-	warmStarts atomic.Int64
 	coldSolves atomic.Int64
 	deduped    atomic.Int64
 	rejected   atomic.Int64
@@ -115,8 +111,6 @@ func (st *Stats) bucketEvent(topo uint64, kind bucketEventKind) {
 		bc.hits++
 	case bucketMiss:
 		bc.misses++
-	case bucketWarm:
-		bc.warm++
 	case bucketCold:
 		bc.cold++
 	}
@@ -152,9 +146,10 @@ type Snapshot struct {
 	Hits int64 `json:"cache_hits"`
 	// Misses are requests whose exact fingerprint was absent.
 	Misses int64 `json:"cache_misses"`
-	// WarmStarts are solves seeded from a topology-bucket neighbour.
+	// WarmStarts is always zero: every cache miss solves cold. The field
+	// stays for callers that read it.
 	WarmStarts int64 `json:"warm_starts"`
-	// ColdSolves are solves started from scratch.
+	// ColdSolves are solves run on a cache miss.
 	ColdSolves int64 `json:"cold_solves"`
 	// Deduped are requests that piggybacked on an identical in-flight solve.
 	Deduped int64 `json:"deduped"`
@@ -181,8 +176,6 @@ type Snapshot struct {
 	// CacheEntries is the current solution-cache occupancy (filled by
 	// Server.Stats; Stats itself does not know the cache).
 	CacheEntries int `json:"cache_entries"`
-	// WarmEntries is the current warm-start index occupancy.
-	WarmEntries int `json:"warm_entries"`
 	// BatchRequests counts SolveBatch calls; BatchItems counts the
 	// instances they carried (each item also counts in Requests).
 	BatchRequests int64 `json:"batch_requests"`
@@ -194,7 +187,7 @@ type Snapshot struct {
 	// their cache hit rates, busiest first.
 	Buckets []BucketSnapshot `json:"buckets,omitempty"`
 	// Convergence is the solver convergence observatory: outer-iteration
-	// histograms per serving path and sanitization rejections.
+	// histograms per serving path.
 	Convergence ConvergenceJSON `json:"convergence"`
 }
 
@@ -207,8 +200,7 @@ type BucketSnapshot struct {
 	// landing in this bucket.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// WarmStarts and ColdSolves split the misses by how they solved.
-	WarmStarts int64 `json:"warm_starts"`
+	// ColdSolves counts the solves run for the bucket's misses.
 	ColdSolves int64 `json:"cold_solves"`
 	// HitRate is Hits/(Hits+Misses), 0 for an untouched bucket.
 	HitRate float64 `json:"hit_rate"`
@@ -220,7 +212,6 @@ func (st *Stats) Snapshot() Snapshot {
 		Requests:   st.requests.Load(),
 		Hits:       st.hits.Load(),
 		Misses:     st.misses.Load(),
-		WarmStarts: st.warmStarts.Load(),
 		ColdSolves: st.coldSolves.Load(),
 		Deduped:    st.deduped.Load(),
 		Rejected:   st.rejected.Load(),
@@ -255,7 +246,6 @@ func (st *Stats) bucketSnapshots() (int, []BucketSnapshot) {
 				Bucket:     fmt.Sprintf("%016x", topo),
 				Hits:       bc.hits,
 				Misses:     bc.misses,
-				WarmStarts: bc.warm,
 				ColdSolves: bc.cold,
 			}
 			if total := bc.hits + bc.misses; total > 0 {

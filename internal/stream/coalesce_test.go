@@ -123,7 +123,7 @@ func TestDeltasCoalesceBehindSlowSolve(t *testing.T) {
 // per actual backend re-solve, coalesced followers excluded).
 func sessionSolves(m *Manager) int64 {
 	st := m.Stats()
-	return st.SolveCache + st.SolveWarm + st.SolveCold
+	return st.SolveCache + st.SolveCold
 }
 
 // TestSuspendQueuesAndCoalescesReplay is the drain replay queue in

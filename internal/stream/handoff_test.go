@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core/coretest"
 	"repro/internal/fl"
 	"repro/internal/serve"
 )
@@ -14,8 +15,7 @@ import (
 // TestActiveSessionSurvivesHandoff drives deltas through a cluster-backed
 // session WHILE the device hands off between cells: no update may be lost
 // (every sequence number applies, in order, to the authoritative state) and
-// the post-move re-solves must still be warm — the handoff migrated the
-// topology bucket's allocation to the new cell.
+// the post-move re-solves land on the new cell as cold solves.
 func TestActiveSessionSurvivesHandoff(t *testing.T) {
 	r := cluster.New(cluster.Config{Cells: 2, Cell: serve.Config{Workers: 2}})
 	defer r.Close()
@@ -34,7 +34,7 @@ func TestActiveSessionSurvivesHandoff(t *testing.T) {
 		t.Fatalf("device routed to cell %d, opening solve served by %d", got, from)
 	}
 
-	// A few settled deltas so the source cell holds warm state to migrate.
+	// A few settled deltas so the source cell holds cache state to migrate.
 	rng := rand.New(rand.NewSource(32))
 	expected := append([]fl.Device(nil), base.Devices...)
 	apply := func(seq uint64) Update {
@@ -94,7 +94,7 @@ func TestActiveSessionSurvivesHandoff(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	if rep.MigratedWarm == 0 && rep.MigratedResults == 0 {
+	if rep.MigratedResults == 0 {
 		t.Fatalf("handoff migrated nothing: %+v", rep)
 	}
 
@@ -113,14 +113,16 @@ func TestActiveSessionSurvivesHandoff(t *testing.T) {
 		}
 	}
 
-	// Post-move deltas route to the destination cell and still ride the
-	// warm path off the migrated state.
+	// Post-move deltas route to the destination cell and solve cold there.
 	for seq := uint64(5 + inflight); seq < 8+inflight; seq++ {
 		u := apply(seq)
 		if u.Cell != to {
 			t.Fatalf("post-handoff delta %d served by cell %d, want %d", seq, u.Cell, to)
 		}
-		requireWarmNearCold(t, sess.SystemSnapshot(), balanced(), u.Response)
+		if u.Response.Source != serve.SourceCold {
+			t.Fatalf("post-handoff delta %d source %q, want cold", seq, u.Response.Source)
+		}
+		coretest.RequireCold(t, sess.SystemSnapshot(), balanced(), u.Response.Result.Objective)
 	}
 
 	// The in-flight updates themselves were all served somewhere real and
@@ -280,5 +282,8 @@ func TestHandoffPinMovesSessionRouting(t *testing.T) {
 	if u.Cell != to {
 		t.Fatalf("post-handoff delta served by cell %d, want %d", u.Cell, to)
 	}
-	requireWarmNearCold(t, sess.SystemSnapshot(), balanced(), u.Response)
+	if u.Response.Source != serve.SourceCold {
+		t.Fatalf("post-handoff delta source %q, want cold", u.Response.Source)
+	}
+	coretest.RequireCold(t, sess.SystemSnapshot(), balanced(), u.Response.Result.Objective)
 }

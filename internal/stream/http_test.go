@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/fl"
 	"repro/internal/serve"
 )
@@ -71,7 +72,7 @@ func TestHTTPStreamLifecycle(t *testing.T) {
 
 	// Stream three sparse deltas plus one stale and one bad over a single
 	// NDJSON request; the response must carry one update line per delta,
-	// ok lines warm and as good as a cold solve of the state they answer,
+	// ok lines cold solves of the state they answer,
 	// error lines typed but non-fatal.
 	rng := rand.New(rand.NewSource(22))
 	var buf bytes.Buffer
@@ -130,16 +131,10 @@ func TestHTTPStreamLifecycle(t *testing.T) {
 	}
 	for k, i := range []int{0, 1, 2, 5} {
 		u := updates[i]
-		if u.Result == nil || u.Result.Source != string(serve.SourceWarm) {
-			t.Fatalf("update %d not warm: %+v", i, u)
+		if u.Result == nil || u.Result.Source != string(serve.SourceCold) {
+			t.Fatalf("update %d not cold: %+v", i, u)
 		}
-		cold, err := core.Optimize(states[k], balanced(), core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rel := math.Abs(u.Result.Objective/cold.Objective - 1); rel > 1e-6 {
-			t.Fatalf("update %d objective %.12g vs cold %.12g (rel %.3g)", i, u.Result.Objective, cold.Objective, rel)
-		}
+		coretest.RequireCold(t, states[k], balanced(), u.Result.Objective)
 	}
 	if !strings.Contains(updates[3].Error, "stale") {
 		t.Fatalf("stale update error = %q", updates[3].Error)
@@ -178,7 +173,7 @@ func TestHTTPStreamLifecycle(t *testing.T) {
 	}
 	defer mt.Body.Close()
 	mb, _ := io.ReadAll(mt.Body)
-	for _, series := range []string{"flserve_requests_total", "flstream_active_sessions 1", "flstream_deltas_total 4", `flstream_solves_total{source="warm"} 4`} {
+	for _, series := range []string{"flserve_requests_total", "flstream_active_sessions 1", "flstream_deltas_total 4", `flstream_solves_total{source="cold"} 5`} {
 		if !strings.Contains(string(mb), series) {
 			t.Fatalf("metrics missing %q:\n%s", series, mb)
 		}
@@ -247,8 +242,8 @@ func TestHTTPDeltasLiveInterleaved(t *testing.T) {
 		if !u.OK || u.Seq != seq {
 			t.Fatalf("delta %d update = %+v", seq, u)
 		}
-		if u.Result.Source != string(serve.SourceWarm) {
-			t.Fatalf("delta %d not warm: %+v", seq, u.Result)
+		if u.Result.Source != string(serve.SourceCold) {
+			t.Fatalf("delta %d not cold: %+v", seq, u.Result)
 		}
 	}
 	pw.Close()

@@ -18,19 +18,15 @@ type Stats struct {
 	deltasCoalesced  atomic.Int64
 	deltaErrors      atomic.Int64
 	solveCache       atomic.Int64
-	solveWarm        atomic.Int64
 	solveCold        atomic.Int64
 }
 
 // countSolve attributes one session solve (opening solve or delta re-solve)
 // to its serving path.
 func (st *Stats) countSolve(resp serve.Response) {
-	switch resp.Source {
-	case serve.SourceCache:
+	if resp.Source == serve.SourceCache {
 		st.solveCache.Add(1)
-	case serve.SourceWarm:
-		st.solveWarm.Add(1)
-	default:
+	} else {
 		st.solveCold.Add(1)
 	}
 }
@@ -60,8 +56,9 @@ type Snapshot struct {
 	Deltas          int64 `json:"deltas_applied"`
 	DeltasCoalesced int64 `json:"deltas_coalesced"`
 	DeltaErrors     int64 `json:"delta_errors"`
-	// SolveCache/Warm/Cold split session solves (open + delta) by serving
-	// path.
+	// SolveCache/Cold split session solves (open + delta) by serving
+	// path. SolveWarm is always zero — every cache miss solves cold — and
+	// stays for callers that read it.
 	SolveCache int64 `json:"solve_cache_hits"`
 	SolveWarm  int64 `json:"solve_warm_starts"`
 	SolveCold  int64 `json:"solve_cold_solves"`
@@ -78,7 +75,6 @@ func (st *Stats) snapshot() Snapshot {
 		DeltasCoalesced:  st.deltasCoalesced.Load(),
 		DeltaErrors:      st.deltaErrors.Load(),
 		SolveCache:       st.solveCache.Load(),
-		SolveWarm:        st.solveWarm.Load(),
 		SolveCold:        st.solveCold.Load(),
 	}
 }
@@ -105,7 +101,7 @@ func (s Snapshot) WritePrometheus(p *serve.PromWriter, prefix, labels string) {
 	for _, sv := range []struct {
 		source string
 		v      int64
-	}{{"cache", s.SolveCache}, {"warm", s.SolveWarm}, {"cold", s.SolveCold}} {
+	}{{"cache", s.SolveCache}, {"cold", s.SolveCold}} {
 		sl := `source="` + sv.source + `"`
 		if labels != "" {
 			sl = labels + "," + sl

@@ -16,16 +16,15 @@
 //   - the session applies the delta to its pinned system in place,
 //     re-fingerprints incrementally (gains-only deltas reuse the cached
 //     topology-bucket hash and re-hash just the gains), and re-solves
-//     through the backend — where the topology bucket's warm-start
-//     allocation seeds the drifted re-solve;
+//     through the backend — a cache hit when the drift stays inside the
+//     gain buckets, a cold solve otherwise;
 //   - every update is answered with the new allocation plus solve metadata:
-//     the path taken (cache/warm/cold), iteration counts and latency.
+//     the path taken (cache/cold), iteration counts and latency.
 //
 // Sessions are bounded (max sessions, idle TTL) and survive cross-cell
 // handoff: session state lives above the cells, deltas route by device ID
 // (following the handoff pin), and the existing cluster Handoff machinery
-// migrates the cached warm allocation, so the first post-move re-solve is
-// still warm.
+// migrates the session's cached solutions with the device.
 package stream
 
 import (
@@ -127,7 +126,7 @@ type Update struct {
 	// Cell is the cell that served the re-solve (0 on a single server).
 	Cell int
 	// Response is the serving-layer outcome: allocation, metrics, source
-	// (cache/warm/cold), fingerprint and solve time.
+	// (cache/cold), fingerprint and solve time.
 	Response serve.Response
 	// Elapsed is the wall time of the whole apply (validation, in-place
 	// application, fingerprint, queueing and solve).

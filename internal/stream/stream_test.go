@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/experiments"
 	"repro/internal/fl"
 	"repro/internal/serve"
@@ -26,22 +27,6 @@ func testSystem(t testing.TB, n int, seed int64) *fl.System {
 }
 
 func balanced() fl.Weights { return fl.Weights{W1: 0.5, W2: 0.5} }
-
-// requireWarmNearCold fails unless resp came off the warm-start path with
-// an objective within 1e-6 (relative) of a cold solve of sys.
-func requireWarmNearCold(t testing.TB, sys *fl.System, w fl.Weights, resp serve.Response) {
-	t.Helper()
-	if resp.Source != serve.SourceWarm {
-		t.Fatalf("source %q, want warm", resp.Source)
-	}
-	cold, err := core.Optimize(sys, w, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(resp.Result.Objective/cold.Objective - 1); rel > 1e-6 {
-		t.Fatalf("warm objective %.12g vs cold %.12g (rel %.3g)", resp.Result.Objective, cold.Objective, rel)
-	}
-}
 
 // testManager builds a manager over a single 2-worker server; the cleanup
 // closes both.
@@ -79,7 +64,9 @@ func sparseDrift(s *fl.System, seq uint64, k int, sigma float64, rng *rand.Rand)
 	return Delta{Seq: seq, Gains: gains}
 }
 
-func TestSessionDeltaHitsWarmPath(t *testing.T) {
+// TestSessionDeltaSolvesCold drives gain deltas that leave the exact
+// bucket: each one re-solves cold, with the cold solve's objective.
+func TestSessionDeltaSolvesCold(t *testing.T) {
 	m := testManager(t, Config{})
 	base := testSystem(t, 10, 1)
 	sess, upd := openSession(t, m, base)
@@ -101,7 +88,10 @@ func TestSessionDeltaHitsWarmPath(t *testing.T) {
 		if upd.Seq != seq {
 			t.Fatalf("update seq = %d, want %d", upd.Seq, seq)
 		}
-		requireWarmNearCold(t, sess.SystemSnapshot(), balanced(), upd.Response)
+		if upd.Response.Source != serve.SourceCold {
+			t.Fatalf("delta %d source %q, want cold", seq, upd.Response.Source)
+		}
+		coretest.RequireCold(t, sess.SystemSnapshot(), balanced(), upd.Response.Result.Objective)
 	}
 
 	// The authoritative state tracked every applied gain.
@@ -115,8 +105,8 @@ func TestSessionDeltaHitsWarmPath(t *testing.T) {
 		t.Fatalf("session seq = %d, want 8", sess.Seq())
 	}
 	st := m.Stats()
-	if st.SolveWarm != 8 || st.Deltas != 8 {
-		t.Fatalf("stats = %+v, want 8 warm / 8 deltas", st)
+	if st.SolveCold != 9 || st.SolveWarm != 0 || st.Deltas != 8 {
+		t.Fatalf("stats = %+v, want 9 cold (open + 8 deltas) / 8 deltas", st)
 	}
 }
 

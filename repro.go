@@ -204,7 +204,7 @@ func Replay(s *System, a Allocation, nakagamiM float64, rounds int, roundDeadlin
 type ReplaySummary = sim.Summary
 
 // Serving types (see internal/serve): the concurrent allocation service
-// with a fingerprint-keyed solution cache, warm starts, and an HTTP API.
+// with a fingerprint-keyed solution cache and an HTTP API.
 type (
 	// Server is the worker-pool allocation service.
 	Server = serve.Server
@@ -254,9 +254,10 @@ const (
 const (
 	// ServeSourceCache marks responses answered from the solution cache.
 	ServeSourceCache = serve.SourceCache
-	// ServeSourceWarm marks solves seeded from a topology neighbour.
-	ServeSourceWarm = serve.SourceWarm
-	// ServeSourceCold marks solves from the default start.
+	// ServeSourceWarm is never served: every cache miss solves cold. It
+	// stays for callers that still match on it.
+	ServeSourceWarm serve.Source = "warm"
+	// ServeSourceCold marks responses the solver produced on a cache miss.
 	ServeSourceCold = serve.SourceCold
 )
 
@@ -720,12 +721,12 @@ func HealthServerSource(s *Server) HealthSource { return health.ServerSource(s) 
 // (AutoscaleAddCell / AutoscaleDrainCell) to the health layer's Actuator.
 func NewCtrlActuator(p *ControlPlane) HealthActuator { return ctrl.Actuator{Plane: p} }
 
-// Replication & crash-recovery types (see internal/replica): periodic
-// snapshot/restore of a serving process and ring-successor replication of
-// hot cell state.
+// Snapshot & crash types (see internal/replica and internal/ctrl):
+// periodic snapshot/restore of a serving process and drain-less cell
+// removal.
 type (
 	// ReplicaSnapshot is the full durable state of one serving process
-	// (every cell's cache/warm state plus open stream sessions).
+	// (every cell's solution cache plus open stream sessions).
 	ReplicaSnapshot = replica.Snapshot
 	// ReplicaSnapshotter persists periodic snapshots; Close flushes one
 	// final snapshot on graceful shutdown.
@@ -733,20 +734,13 @@ type (
 	// ReplicaSnapshotterConfig tunes the snapshotter (path, interval,
 	// capture hook).
 	ReplicaSnapshotterConfig = replica.SnapshotterConfig
-	// Replicator ships each cell's hot state to its ring successor and
-	// promotes it after a crash removal.
-	Replicator = replica.Replicator
-	// ReplicatorConfig tunes the replicator (flush interval, dirty bound).
-	ReplicatorConfig = replica.ReplicatorConfig
 	// ReplicaRestoreReport summarizes what a boot restore landed.
 	ReplicaRestoreReport = replica.RestoreReport
-	// ReplicaPromoteReport summarizes one crash promotion.
-	ReplicaPromoteReport = replica.PromoteReport
 	// CrashReport reports one drain-less cell removal (ctrl.CrashCell).
 	CrashReport = ctrl.CrashReport
 	// StreamSessionSnapshot is one serialized stream session.
 	StreamSessionSnapshot = stream.SessionSnapshot
-	// ServerState is one server's serializable cache/warm state.
+	// ServerState is one server's serializable solution cache.
 	ServerState = serve.ServerState
 )
 
@@ -794,7 +788,3 @@ func ReplicaRestoreCluster(c *Cluster, mgr *StreamManager, snap ReplicaSnapshot)
 func ReplicaBootRestore(path string, log *slog.Logger, restore func(ReplicaSnapshot) ReplicaRestoreReport) (ReplicaRestoreReport, bool) {
 	return replica.BootRestore(path, log, restore)
 }
-
-// NewReplicator builds the ring-successor replicator over a cluster and
-// installs its solve hook; call Start for the flush loop, Close to stop.
-func NewReplicator(cfg ReplicatorConfig) *Replicator { return replica.NewReplicator(cfg) }

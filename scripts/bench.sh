@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkOptimizeWeighted|BenchmarkOptimizeDeadline|BenchmarkServeCold|BenchmarkServeCached|BenchmarkServeWarmStart|BenchmarkServeTraced|BenchmarkServeBatch|BenchmarkClusterRoutedCached|BenchmarkStreamDelta|BenchmarkStreamRepostCold|BenchmarkMassHandoff|BenchmarkHandoffPerDevice)$'
+BENCHES='^(BenchmarkOptimizeWeighted|BenchmarkOptimizeDeadline|BenchmarkServeCold|BenchmarkServeCached|BenchmarkServeDrift|BenchmarkServeTraced|BenchmarkServeBatch|BenchmarkClusterRoutedCached|BenchmarkStreamDelta|BenchmarkStreamRepostCold|BenchmarkMassHandoff|BenchmarkHandoffPerDevice)$'
 BENCHTIME="${BENCHTIME:-2s}"
 
 # Churn smoke: the elastic-cluster loadgen with cells added and drained
@@ -23,8 +23,8 @@ BENCHTIME="${BENCHTIME:-2s}"
 go run ./cmd/flcluster -loadgen 600 -cells 3 -devices 12 -n 8 -conc 4 -churn 3 >&2
 
 # Crash smoke: the same loadgen with drain-less cell removals instead —
-# replicated warm state is promoted onto the survivors while the replay
-# races the membership change.
+# the dead cells' devices reroute to the survivors while the replay races
+# the membership change.
 go run ./cmd/flcluster -loadgen 600 -cells 3 -devices 12 -n 8 -conc 4 -crash 2 >&2
 
 out="$(go test -run '^$' -bench "$BENCHES" -benchmem -benchtime "$BENCHTIME" -count 1 .)"
