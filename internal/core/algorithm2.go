@@ -60,24 +60,23 @@ func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 	var roundDeadline float64
 	if opts.Mode == ModeDeadline {
 		roundDeadline = opts.TotalDeadline / s.GlobalRounds
-		// Screen feasibility once, and repair the start point when it cannot
-		// meet the deadline even at full frequency. For tracing, the probe
-		// plays SP1's role (it fixes the deadline side) and the joint solve
-		// below plays SP2's.
+		// Screen feasibility once: the deadline is reachable iff the band
+		// that lets every device finish at full frequency and full power
+		// fits. That is the test SolveMinTime bisects on, made once at the
+		// requested deadline with 1e-9 relative slack. For tracing,
+		// the screen plays SP1's role (it fixes the deadline side) and the
+		// joint solve below plays SP2's.
 		var t0 time.Time
 		if opts.Trace != nil {
 			t0 = time.Now()
 		}
-		mt, err := SolveMinTime(s)
+		need := bandNeeded(s, roundDeadline*(1+1e-9), nil)
 		if opts.Trace != nil {
 			opts.Trace.SP1Time += time.Since(t0)
 		}
-		if err != nil {
-			return Result{}, err
-		}
-		if mt.RoundDeadline > roundDeadline*(1+1e-9) {
-			return Result{}, fmt.Errorf("core: deadline %gs/round below the physical minimum %gs/round: %w",
-				roundDeadline, mt.RoundDeadline, ErrInfeasible)
+		if !(need <= s.Bandwidth) {
+			return Result{}, fmt.Errorf("core: deadline %gs/round below the physical minimum (needs %g Hz > %g Hz at full power): %w",
+				roundDeadline, need, s.Bandwidth, ErrInfeasible)
 		}
 		// Fixed-deadline energy minimization is solved in one shot by dual
 		// decomposition on the bandwidth budget: alternating f/(p,B) updates

@@ -14,8 +14,8 @@
 //     price). By default it is solved to global optimality by a direct
 //     reduction to a convex waterfilling over bandwidths
 //     (SolveSubproblem2Direct);
-//   - a min-time solver used for feasibility probing, the w1 = 0 corner, and
-//     baseline initialization.
+//   - a min-time solver used for the w1 = 0 corner and baseline
+//     initialization; its feasibility test, made once, screens ModeDeadline.
 package core
 
 import (
@@ -125,8 +125,9 @@ type Options struct {
 type SolveTrace struct {
 	// SP1Time and SP2Time are cumulative wall time spent in Subproblem 1
 	// (frequencies/deadline) and Subproblem 2 (powers/bandwidths). In
-	// ModeDeadline, SP1Time covers the min-time feasibility probe and
-	// SP2Time the joint dual-decomposition solve.
+	// ModeDeadline, SP1Time covers the feasibility screen (one pass of N
+	// full-power band floors at the requested deadline) and SP2Time the
+	// joint dual-decomposition solve.
 	SP1Time time.Duration
 	SP2Time time.Duration
 	// NewtonIters totals Algorithm 1 Newton iterations (0 unless

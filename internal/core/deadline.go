@@ -45,7 +45,16 @@ import (
 // if their floors fit. Each candidate is polished by alternating an exact
 // bandwidth waterfill at fixed splits with per-device re-splits at fixed
 // bands (every half-step is an exact block minimization, so energy never
-// rises), and the lower energy wins.
+// rises), and the lower energy wins. A re-split is taken only when it is
+// strictly cheaper, and the polish stops after a pass that moves no split:
+// the waterfill it just ran is already exact for those splits.
+//
+// A split evaluation costs one water-level inversion (bandAt) and little
+// else. Its device is built with the band floor unknown (newSplitDevice):
+// the floor is a Lambert W solve, and bandAt computes it only when the
+// water-level band would need power pmax or more, which is rare. The
+// free-branch band (power at pmin) does not depend on the split, so each
+// device's search computes it at most once per price.
 //
 // Unlike alternating f/(p,B) updates — which ratchet every device's rate
 // floor at its incoming upload time — the price decomposition explores the
@@ -91,13 +100,17 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 	bestSplit := func(i int, lambda, lo, hi float64) (t, b, cost float64) {
 		d := s.Devices[i]
 		cost = math.Inf(1)
+		var free float64 // the free-branch band at lambda, shared by every split
 		eval := func(x float64) float64 {
 			tr.SplitEvals++
-			rd, err := newReducedDevice(d, s.N0, d.UploadBits/x)
-			if err != nil {
+			rd, ok := newSplitDevice(d, s.N0, d.UploadBits/x)
+			if !ok {
 				return math.Inf(1)
 			}
-			bx := rd.bandAt(s.N0, lambda)
+			bx := rd.bandAtFree(s.N0, lambda, &free)
+			if math.IsInf(bx, 1) {
+				return math.Inf(1)
+			}
 			c := compEnergy(i, x) + rd.energy(s.N0, bx) + lambda*bx
 			if c < cost {
 				t, b, cost = x, bx, c
@@ -194,7 +207,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 		if err := rebuild(); err != nil {
 			return fl.Allocation{}, 0, err
 		}
-		for pass := 0; pass < 4; pass++ {
+		for pass := 0; ; pass++ {
 			if _, _, err := waterfillReducedInto(reduced, s.N0, s.Bandwidth, bands); err != nil {
 				return fl.Allocation{}, 0, err
 			}
@@ -202,6 +215,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 				break
 			}
 			// Re-split each device at its fixed bandwidth.
+			moved := false
 			for i, d := range s.Devices {
 				b := bands[i]
 				cost := func(t float64) float64 {
@@ -214,9 +228,12 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 					return compEnergy(i, t) + p*d.UploadBits/g
 				}
 				if t, gerr := numeric.GridRefineMin(cost, plans[i].tLo, plans[i].tHi, 24, 1e-9*roundDeadline); gerr == nil &&
-					cost(t) <= cost(splits[i]) {
-					splits[i] = t
+					cost(t) < cost(splits[i]) {
+					splits[i], moved = t, true
 				}
+			}
+			if !moved {
+				break // the waterfill above is already exact for these splits
 			}
 			if err := rebuild(); err != nil {
 				return fl.Allocation{}, 0, err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -304,4 +305,91 @@ func TestDeadlineStress(t *testing.T) {
 		}
 	}
 	t.Logf("primal-dual gaps in [%.3g, %.3g]", bestGap, worstGap)
+}
+
+// TestSplitDeviceMatchesEager checks the split search's device against
+// the eager reduction over TestBandAtInvertsMarginal's grid. A device whose
+// floor is unknown, with the free-branch band shared across its splits at
+// one price, must return the eager bandAt exactly off the floor and within
+// 1e-12 on it. The energy's pinned shortcut p*d/rmin must agree with
+// p*d/Rate(p, b) to 1e-12: the reference loses digits to the round trip
+// through 2^(rmin/b) at high spectral efficiency.
+func TestSplitDeviceMatchesEager(t *testing.T) {
+	s := newTestSystem(40, 7)
+	var onFloor, offFloor int
+	for i, d := range s.Devices {
+		for e := -16.0; e <= -4; e += 0.25 {
+			lambda := math.Pow(10, e)
+			var free float64
+			for _, tUp := range []float64{0.003, 0.03, 0.3} {
+				rmin := d.UploadBits / tUp
+				eager, err := newReducedDevice(d, s.N0, rmin)
+				lazy, ok := newSplitDevice(d, s.N0, rmin)
+				if ok != (err == nil) {
+					t.Fatalf("device %d rmin %g: split device ok=%v, eager error %v", i, rmin, ok, err)
+				}
+				if !ok {
+					continue
+				}
+				want := eager.bandAt(s.N0, lambda)
+				got := lazy.bandAtFree(s.N0, lambda, &free)
+				if want == eager.bForced {
+					onFloor++
+					if math.Abs(got-want) > 1e-12*want {
+						t.Errorf("device %d rmin %g λ=%g: floor %.17g, lazy %.17g", i, rmin, lambda, want, got)
+					}
+				} else {
+					offFloor++
+					if got != want {
+						t.Errorf("device %d rmin %g λ=%g: band %.17g, lazy %.17g", i, rmin, lambda, want, got)
+					}
+				}
+				p := eager.power(s.N0, want)
+				ref := p * d.UploadBits / wireless.Rate(p, want, d.Gain, s.N0)
+				if en := eager.energy(s.N0, want); math.Abs(en-ref) > 1e-12*ref {
+					t.Errorf("device %d rmin %g λ=%g: energy %.17g, p*d/Rate %.17g", i, rmin, lambda, en, ref)
+				}
+			}
+		}
+	}
+	if onFloor == 0 || offFloor == 0 {
+		t.Errorf("on floor %d, off floor %d: both must be exercised", onFloor, offFloor)
+	}
+}
+
+// TestDeadlineScreenMatchesMinTime checks Optimize's one-pass feasibility
+// screen against SolveMinTime's bisection on seeded systems, with and
+// without a fixed transmit power: a round deadline 1e-6 above the minimum
+// passes the screen and solves, one 1e-6 below fails with ErrInfeasible.
+func TestDeadlineScreenMatchesMinTime(t *testing.T) {
+	for _, n := range []int{5, 20, 50} {
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, fixedPower := range []bool{false, true} {
+				s := newTestSystem(n, seed)
+				if fixedPower {
+					for i := range s.Devices {
+						s.Devices[i].PMin = s.Devices[i].PMax
+					}
+				}
+				mt, err := SolveMinTime(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []float64{1 + 1e-6, 1 - 1e-6} {
+					round := mt.RoundDeadline * k
+					pass := bandNeeded(s, round*(1+1e-9), nil) <= s.Bandwidth
+					if pass != (k > 1) {
+						t.Errorf("n=%d seed %d fixed=%v: screen passes %v at %g x the minimum", n, seed, fixedPower, pass, k)
+					}
+					_, err := Optimize(s, fl.Weights{W1: 1}, Options{Mode: ModeDeadline, TotalDeadline: round * s.GlobalRounds})
+					if k > 1 && err != nil {
+						t.Errorf("n=%d seed %d fixed=%v: %v", n, seed, fixedPower, err)
+					}
+					if k < 1 && !errors.Is(err, ErrInfeasible) {
+						t.Errorf("n=%d seed %d fixed=%v: below the minimum got %v, want ErrInfeasible", n, seed, fixedPower, err)
+					}
+				}
+			}
+		}
+	}
 }

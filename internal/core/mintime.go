@@ -23,48 +23,24 @@ type MinTimeResult struct {
 //
 // by bisecting the deadline: a candidate T is feasible iff the total
 // bandwidth needed to give every device rate d_n/(T - T_cmp_n) at full power
-// fits in B. It serves three purposes: the w1 = 0 corner of the weighted
-// problem, feasibility screening for ModeDeadline, and baseline setup.
+// fits in B (bandNeeded). It serves the w1 = 0 corner of the weighted
+// problem, the lower end of SolveWeightedJoint's deadline search, and
+// baseline setup. ModeDeadline does not call it: its feasibility screen is
+// one bandNeeded pass at the requested deadline.
 func SolveMinTime(s *fl.System) (MinTimeResult, error) {
 	if err := s.Check(); err != nil {
 		return MinTimeResult{}, err
 	}
 	n := s.N()
-	cmp := make([]float64, n)
 	maxCmp := 0.0
-	for i, d := range s.Devices {
-		cmp[i] = s.LocalIters * d.CyclesPerIteration() / d.FMax
-		if cmp[i] > maxCmp {
-			maxCmp = cmp[i]
-		}
-	}
-
-	// bandNeeded returns the total bandwidth required to hit deadline t, or
-	// +Inf when some device cannot reach its required rate at full power.
-	bandNeeded := func(t float64, out []float64) float64 {
-		var sum float64
-		for i, d := range s.Devices {
-			residual := t - cmp[i]
-			if residual <= 0 {
-				return math.Inf(1)
-			}
-			need := d.UploadBits / residual
-			b, err := wireless.BandwidthForRate(need, d.PMax, d.Gain, s.N0)
-			if err != nil {
-				return math.Inf(1)
-			}
-			if out != nil {
-				out[i] = b
-			}
-			sum += b
-		}
-		return sum
+	for _, d := range s.Devices {
+		maxCmp = max(maxCmp, s.LocalIters*d.CyclesPerIteration()/d.FMax)
 	}
 
 	// Bracket: grow t from just above the computation bound until feasible.
 	lo := maxCmp
 	hi := maxCmp + 1e-6
-	for iter := 0; bandNeeded(hi, nil) > s.Bandwidth; iter++ {
+	for iter := 0; bandNeeded(s, hi, nil) > s.Bandwidth; iter++ {
 		hi = maxCmp + (hi-maxCmp)*4
 		if iter > 400 {
 			return MinTimeResult{}, fmt.Errorf("core: SolveMinTime cannot find a feasible deadline: %w", ErrInfeasible)
@@ -72,7 +48,7 @@ func SolveMinTime(s *fl.System) (MinTimeResult, error) {
 	}
 	for iter := 0; iter < 200 && hi-lo > 1e-12*hi; iter++ {
 		mid := lo + 0.5*(hi-lo)
-		if bandNeeded(mid, nil) <= s.Bandwidth {
+		if bandNeeded(s, mid, nil) <= s.Bandwidth {
 			hi = mid
 		} else {
 			lo = mid
@@ -81,7 +57,7 @@ func SolveMinTime(s *fl.System) (MinTimeResult, error) {
 
 	alloc := fl.NewAllocation(n)
 	bands := make([]float64, n)
-	sum := bandNeeded(hi, bands)
+	sum := bandNeeded(s, hi, bands)
 	if math.IsInf(sum, 1) {
 		return MinTimeResult{}, fmt.Errorf("core: SolveMinTime final evaluation infeasible: %w", ErrInfeasible)
 	}
@@ -99,4 +75,27 @@ func SolveMinTime(s *fl.System) (MinTimeResult, error) {
 	}
 	m := s.Evaluate(alloc)
 	return MinTimeResult{Allocation: alloc, RoundDeadline: m.RoundTime}, nil
+}
+
+// bandNeeded returns the total bandwidth that lets every device finish a
+// round in time t at full frequency and full power, or +Inf when some
+// device cannot: its computation alone takes t, or its required rate is
+// out of reach at PMax. A non-nil out receives the per-device bands.
+func bandNeeded(s *fl.System, t float64, out []float64) float64 {
+	var sum float64
+	for i, d := range s.Devices {
+		residual := t - s.LocalIters*d.CyclesPerIteration()/d.FMax
+		if residual <= 0 {
+			return math.Inf(1)
+		}
+		b, err := wireless.BandwidthForRate(d.UploadBits/residual, d.PMax, d.Gain, s.N0)
+		if err != nil {
+			return math.Inf(1)
+		}
+		if out != nil {
+			out[i] = b
+		}
+		sum += b
+	}
+	return sum
 }

@@ -17,7 +17,10 @@ type reducedDevice struct {
 	d, g       float64
 	pmin, pmax float64
 	rmin       float64
-	bForced    float64 // bandwidth where p(B) = pmax: the feasibility floor
+	// bForced is the bandwidth where p(B) = pmax: the feasibility floor.
+	// Zero means not yet computed (see newSplitDevice); bandAt then
+	// computes it only when the water level would need pmax or more.
+	bForced float64
 }
 
 // newReducedDevice validates and precomputes the reduction for one device.
@@ -34,15 +37,29 @@ func newReducedDevice(dev fl.Device, n0, rmin float64) (reducedDevice, error) {
 	return rd, nil
 }
 
+// newSplitDevice is newReducedDevice with the floor left unknown, for the
+// deadline solver's split search: each split evaluation asks bandAt once,
+// and only there does the floor (a Lambert W solve) matter, and only when
+// it binds. It reports false when rmin is out of reach at pmax.
+func newSplitDevice(dev fl.Device, n0, rmin float64) (reducedDevice, bool) {
+	rd := reducedDevice{d: dev.UploadBits, g: dev.Gain, pmin: dev.PMin, pmax: dev.PMax, rmin: rmin}
+	return rd, rmin > 0 && rmin < wireless.RateLimit(dev.PMax, dev.Gain, n0)
+}
+
 // power returns the reduced optimal power at bandwidth b.
 func (rd reducedDevice) power(n0, b float64) float64 {
 	return numeric.Clamp(wireless.PowerForRate(rd.rmin, b, rd.g, n0), rd.pmin, rd.pmax)
 }
 
 // energy returns the per-round transmission energy at bandwidth b under the
-// reduced power rule.
+// reduced power rule. While the power for rmin lies inside [pmin, pmax] the
+// rate is rmin exactly, and the energy is p*d/rmin.
 func (rd reducedDevice) energy(n0, b float64) float64 {
-	p := rd.power(n0, b)
+	p := wireless.PowerForRate(rd.rmin, b, rd.g, n0)
+	if p >= rd.pmin && p <= rd.pmax {
+		return p * rd.d / rd.rmin
+	}
+	p = numeric.Clamp(p, rd.pmin, rd.pmax)
 	g := wireless.Rate(p, b, rd.g, n0)
 	if g <= 0 {
 		return math.Inf(1)
@@ -71,24 +88,39 @@ func (rd reducedDevice) marginal(n0, b float64) float64 {
 
 // bandAt returns the bandwidth at water level lambda: the b >= bForced with
 // marginal(b) = lambda, or bForced when even there the marginal is below
-// lambda. Both branches of the marginal are inverted directly.
+// lambda. Both branches of the marginal are inverted directly. A device
+// whose floor is unknown computes it only when the pinned-branch root needs
+// power pmax or more; below pmax the root lies above the floor.
 //
 // Rate-pinned branch: with x = rmin*ln2/b the marginal is
 // (d*N0/(rmin*g))*phi(x), phi(x) = 1 + (x-1)*e^x, and phi(x) = c reads
-// (x-1)*e^(x-1) = (c-1)/e, so x = 1 + W0((c-1)/e). One Newton step
-// (phi'(x) = x*e^x) restores the digits W0 loses next to its branch point
-// (c -> 0).
+// (x-1)*e^(x-1) = (c-1)/e, so x = 1 + W0((c-1)/e). From (c-1)/e = -1/4 up,
+// W0 is Winitzki's guess plus two Halley steps (numeric.LambertW0Winitzki);
+// nearer the branch point it is LambertW0. One Newton step
+// (phi'(x) = x*e^x) then restores the digits either loses, W0 next to its
+// branch point (c -> 0) and the two-step form everywhere.
 //
-// Free branch, past the junction where p(B) reaches pmin: with y = K/b,
-// K = pmin*g/N0 and L = ln(1+y), the marginal is
-// (pmin*d*ln2/K^2)*h(y), h(y) = y^2*(L - y/(1+y))/L^2. The slope of ln h
-// in ln y stays between 1.7 and 2, so Newton's method in ln y converges in
-// a few steps from the small-y root sqrt(2*c). The marginal
-// drops at the junction itself, so levels inside that drop return the
-// junction bandwidth.
+// Free branch, past the junction where p(B) reaches pmin: see freeBand. The
+// marginal drops at the junction itself, so levels inside that drop return
+// the junction bandwidth.
 func (rd reducedDevice) bandAt(n0, lambda float64) float64 {
+	return rd.bandAtFree(n0, lambda, new(float64))
+}
+
+// bandAtFree is bandAt with the free-branch band kept in *free (zero until
+// first needed). That band does not depend on rmin, so the deadline
+// solver's split search, which asks one level of devices that differ only
+// in rmin, computes it once per device and price.
+func (rd reducedDevice) bandAtFree(n0, lambda float64, free *float64) float64 {
 	c := lambda * rd.rmin * rd.g / (rd.d * n0)
-	w, err := numeric.LambertW0((c - 1) / math.E)
+	z := (c - 1) / math.E
+	var w float64
+	var err error
+	if z >= -0.25 && z < math.MaxFloat64 {
+		w = numeric.LambertW0Winitzki(z)
+	} else {
+		w, err = numeric.LambertW0(z)
+	}
 	x := 1 + w
 	if err != nil || !(x > 0) {
 		x = math.Sqrt(2 * c) // phi(x) ~ x^2/2 near 0
@@ -96,15 +128,41 @@ func (rd reducedDevice) bandAt(n0, lambda float64) float64 {
 	em1 := math.Expm1(x)
 	x -= (x - em1*(1-x) - c) / (x * (em1 + 1))
 	b := rd.rmin * math.Ln2 / x
+	p := wireless.PowerForRate(rd.rmin, b, rd.g, n0)
+	if rd.bForced == 0 && !(p < rd.pmax) {
+		bf, err := wireless.BandwidthForRate(rd.rmin, rd.pmax, rd.g, n0)
+		if err != nil {
+			return math.Inf(1) // rmin/RateLimit(pmax) rounded to 1
+		}
+		rd.bForced = bf
+	}
 	if !(b > rd.bForced) {
 		return rd.bForced
 	}
-	if wireless.PowerForRate(rd.rmin, b, rd.g, n0) >= rd.pmin {
+	if p >= rd.pmin {
 		return b
 	}
 
+	if !(*free > 0) {
+		*free = rd.freeBand(n0, lambda)
+	}
+	if wireless.Rate(rd.pmin, *free, rd.g, n0) >= rd.rmin {
+		return *free
+	}
+	// The error is nil: the pinned level needing less than pmin shows that
+	// pmin reaches rmin.
+	bj, _ := wireless.BandwidthForRate(rd.rmin, rd.pmin, rd.g, n0)
+	return bj
+}
+
+// freeBand returns the bandwidth where the free branch's marginal, power
+// at pmin, equals lambda. With y = K/b, K = pmin*g/N0 and L = ln(1+y), that
+// marginal is (pmin*d*ln2/K^2)*h(y), h(y) = y^2*(L - y/(1+y))/L^2. The
+// slope of ln h in ln y stays between 1.7 and 2, so Newton's method in ln y
+// converges in a few steps from the small-y root sqrt(2*c).
+func (rd reducedDevice) freeBand(n0, lambda float64) float64 {
 	k := rd.pmin * rd.g / n0
-	c = lambda * k * k / (rd.pmin * rd.d * math.Ln2)
+	c := lambda * k * k / (rd.pmin * rd.d * math.Ln2)
 	y := math.Sqrt(2 * c)
 	for i := 0; i < 30; i++ {
 		l := math.Log1p(y)
@@ -116,11 +174,5 @@ func (rd reducedDevice) bandAt(n0, lambda float64) float64 {
 			break
 		}
 	}
-	if b = k / y; wireless.Rate(rd.pmin, b, rd.g, n0) >= rd.rmin {
-		return b
-	}
-	// The error is nil: the pinned level needing less than pmin shows that
-	// pmin reaches rmin.
-	bj, _ := wireless.BandwidthForRate(rd.rmin, rd.pmin, rd.g, n0)
-	return bj
+	return k / y
 }

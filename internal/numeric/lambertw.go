@@ -47,6 +47,25 @@ func LambertW0(x float64) (float64, error) {
 	return lambertW0Bisect(x)
 }
 
+// LambertW0Winitzki evaluates W0 for x >= -1/4 in a fixed number of
+// steps, with no convergence test: Winitzki's approximation
+// W0(x) ~ L*(1 - ln(1+L)/(2+L)), L = ln(1+x), is within 4% of W0 there,
+// and two Halley steps (cubic convergence) take it to within 2e-15
+// relative, a few ulps short of LambertW0. It suits callers that polish the
+// result with a Newton step of their own. Below -1/4 the approximation
+// degrades toward the branch point; use LambertW0 there.
+func LambertW0Winitzki(x float64) float64 {
+	l := math.Log1p(x)
+	w := l * (1 - math.Log1p(l)/(2+l))
+	for i := 0; i < 2; i++ {
+		ew := math.Exp(w)
+		f := w*ew - x
+		wp1 := w + 1
+		w -= f / (ew*wp1 - (w+2)*f/(2*wp1))
+	}
+	return w
+}
+
 // lambertHalley refines a starting point w for w*e^w = x by Halley
 // iteration: quadratically convergent with a cubic correction, a handful of
 // steps reaches machine precision from the initial guesses used here. It

@@ -154,3 +154,22 @@ func BenchmarkLambertW0(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestLambertW0Winitzki checks the two-step evaluation against LambertW0
+// from -1/4 to 1e12, to the 2e-15 relative that its doc comment promises.
+func TestLambertW0Winitzki(t *testing.T) {
+	for e := -6.0; e <= 12; e += 0.01 {
+		for _, x := range []float64{math.Pow(10, e), -0.25 * math.Pow(10, -e)} {
+			if x < -0.25 {
+				continue
+			}
+			want, err := LambertW0(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := LambertW0Winitzki(x); math.Abs(got-want) > 2e-15*math.Abs(want) {
+				t.Errorf("x=%g: %.17g, LambertW0 %.17g", x, got, want)
+			}
+		}
+	}
+}

@@ -6,7 +6,8 @@
 // It provides
 //
 //   - deterministic, quantization-bucketed instance fingerprinting
-//     (nearby channel realizations collide on purpose);
+//     (nearby channel realizations collide on purpose in weighted mode;
+//     deadline mode keys on the exact gains);
 //   - a sharded, TTL- and size-bounded LRU cache of solver results;
 //   - a worker-pool server with a bounded queue, per-request deadlines,
 //     singleflight deduplication of identical in-flight instances, and
@@ -30,6 +31,7 @@ type Quantization struct {
 	// GainResolutionDB is the channel-gain bucket width in dB for the exact
 	// fingerprint. Gains are bucketed in log-space so a multiplicative drift
 	// smaller than half a bucket still hits the cache. Default 0.25 dB.
+	// Weighted mode only: deadline mode keys on the exact gains.
 	GainResolutionDB float64
 	// ParamResolution is the relative bucket width for every other positive
 	// parameter (powers, frequencies, sizes, weights, deadlines), expressed
@@ -54,7 +56,8 @@ func (q Quantization) withDefaults() Quantization {
 // population, boxes, shared constants, weights and options); the stats
 // group per-bucket hit rates by it.
 type Fingerprint struct {
-	// Exact is the full instance hash, gains included (bucketed).
+	// Exact is the full instance hash, gains included (bucketed in
+	// weighted mode, bit for bit in deadline mode).
 	Exact uint64
 	// Topo is the topology-bucket hash, gains excluded.
 	Topo uint64
@@ -179,9 +182,7 @@ func FingerprintRequest(req Request, q Quantization) Fingerprint {
 
 	exact := newHasher()
 	exact.int64(int64(topo.h))
-	for _, d := range s.Devices {
-		exact.qlog(d.Gain, gainRes)
-	}
+	exact.gains(s, opts.Mode, gainRes)
 	return Fingerprint{Exact: exact.h, Topo: topo.h}
 }
 
@@ -194,15 +195,30 @@ func FingerprintRequest(req Request, q Quantization) Fingerprint {
 // instead. The topo argument must come from a FingerprintRequest (or
 // earlier FingerprintGains) of the same request under the same
 // quantization; a delta that touches anything besides gains invalidates it.
-func FingerprintGains(topo uint64, s *fl.System, q Quantization) Fingerprint {
+// The mode must be the request's Options.Mode.
+func FingerprintGains(topo uint64, s *fl.System, mode core.Mode, q Quantization) Fingerprint {
 	q = q.withDefaults()
-	gainRes := q.GainResolutionDB / 10 // dB -> decades
 	exact := newHasher()
 	exact.int64(int64(topo))
-	for i := range s.Devices {
-		exact.qlog(s.Devices[i].Gain, gainRes)
-	}
+	exact.gains(s, mode, q.GainResolutionDB/10) // dB -> decades
 	return Fingerprint{Exact: exact.h, Topo: topo}
+}
+
+// gains hashes the channel gains into the exact key: bucketed at res
+// decades in weighted mode, bit for bit in deadline mode. A deadline
+// answer is tight (every device finishes on the deadline), so one solved
+// for a neighbour in the same bucket overruns the request's deadline
+// wherever the request's gain sits lower. A weighted answer stays feasible
+// for every gain in the bucket: its boxes and band sum do not depend on
+// the gains.
+func (hs *hasher) gains(s *fl.System, mode core.Mode, res float64) {
+	for i := range s.Devices {
+		if g := s.Devices[i].Gain; mode == core.ModeDeadline {
+			hs.int64(int64(math.Float64bits(g)))
+		} else {
+			hs.qlog(g, res)
+		}
+	}
 }
 
 func boolBit(b bool) int64 {

@@ -79,7 +79,7 @@ func TestFingerprintGainsMatchesFull(t *testing.T) {
 	for _, i := range []int{0, 5, 11} {
 		s.Devices[i].Gain *= math.Exp(0.4 * rng.NormFloat64())
 	}
-	inc := FingerprintGains(full.Topo, s, q)
+	inc := FingerprintGains(full.Topo, s, core.ModeWeighted, q)
 	fresh := FingerprintRequest(Request{System: s, Weights: w}, q)
 	if inc != fresh {
 		t.Fatalf("incremental fingerprint %+v != full %+v", inc, fresh)
@@ -130,3 +130,44 @@ func TestFingerprintTopologySensitivity(t *testing.T) {
 }
 
 func pow10(x float64) float64 { return math.Pow(10, x) }
+
+// TestWeightedFingerprintPinned holds the weighted-mode fingerprint to a
+// recorded value: deadline mode keys on exact gains, and that must not
+// move a single weighted key (nor the caches and snapshots built on them).
+func TestWeightedFingerprintPinned(t *testing.T) {
+	s := testSystem(t, 10, 1)
+	w := fl.Weights{W1: 0.5, W2: 0.5}
+	want := Fingerprint{Exact: 0xf603ed3b7d6e2c3d, Topo: 0xbef223852c211e44}
+	full := FingerprintInstance(s, w, core.Options{}, Quantization{})
+	if full != want {
+		t.Errorf("weighted fingerprint %#x/%#x, pinned %#x/%#x", full.Exact, full.Topo, want.Exact, want.Topo)
+	}
+	if inc := FingerprintGains(full.Topo, s, core.ModeWeighted, Quantization{}); inc != want {
+		t.Errorf("incremental weighted fingerprint %#x, pinned %#x", inc.Exact, want.Exact)
+	}
+}
+
+// TestDeadlineFingerprintExactGains checks that deadline mode keys on the
+// gains' bits: a gain drift far inside one bucket is a different key, the
+// incremental form agrees with the full one, and the topology hash does
+// not see the gains.
+func TestDeadlineFingerprintExactGains(t *testing.T) {
+	s := testSystem(t, 12, 3)
+	w := fl.Weights{W1: 1}
+	opts := core.Options{Mode: core.ModeDeadline, TotalDeadline: 300}
+	q := Quantization{}
+	base := FingerprintInstance(s, w, opts, q)
+	drift := *s
+	drift.Devices = append([]fl.Device(nil), s.Devices...)
+	drift.Devices[4].Gain *= 1 + 1e-12
+	got := FingerprintInstance(&drift, w, opts, q)
+	if got.Exact == base.Exact {
+		t.Errorf("a 1e-12 gain drift kept the deadline-mode exact key")
+	}
+	if got.Topo != base.Topo {
+		t.Errorf("gain drift moved the topology hash")
+	}
+	if inc := FingerprintGains(base.Topo, &drift, core.ModeDeadline, q); inc != got {
+		t.Errorf("incremental deadline fingerprint %+v != full %+v", inc, got)
+	}
+}

@@ -299,3 +299,38 @@ func TestSolveRejectsNilSystem(t *testing.T) {
 		t.Fatalf("nil system returned %v, want ErrBadRequest", err)
 	}
 }
+
+// TestDeadlineHitMeetsRequestDeadline posts, after each deadline-mode
+// solve, copies of the instance with every gain drifted far inside its
+// fingerprint bucket, plus one identical repost. The deadline optimum is
+// tight (every device finishes on the deadline), so an answer solved for a
+// neighbouring instance would overrun it wherever the request's gain sits
+// lower. Every answer, cached or solved, must meet the request's own
+// deadline, and the identical repost must still hit the cache.
+func TestDeadlineHitMeetsRequestDeadline(t *testing.T) {
+	const total = 300.0
+	srv := New(Config{Workers: 2})
+	defer srv.Close()
+	opts := core.Options{Mode: core.ModeDeadline, TotalDeadline: total}
+	for seed := int64(1); seed <= 3; seed++ {
+		s := testSystem(t, 20, seed)
+		round := total / s.GlobalRounds
+		rng := rand.New(rand.NewSource(seed))
+		reqs := []*fl.System{s, s}
+		for k := 0; k < 6; k++ {
+			reqs = append(reqs, driftGains(s, 0.001, rng))
+		}
+		for k, sys := range reqs {
+			resp, err := srv.Solve(context.Background(), Request{System: sys, Weights: fl.Weights{W1: 1}, Options: opts})
+			if err != nil {
+				t.Fatalf("seed %d request %d: %v", seed, k, err)
+			}
+			if k == 1 && resp.Source != SourceCache {
+				t.Errorf("seed %d: identical repost answered %q, want cache", seed, resp.Source)
+			}
+			if err := sys.ValidateDeadline(resp.Result.Allocation, round, 1e-6); err != nil {
+				t.Errorf("seed %d request %d (%s): %v", seed, k, resp.Source, err)
+			}
+		}
+	}
+}

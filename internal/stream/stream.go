@@ -552,7 +552,7 @@ func (m *Manager) Apply(ctx context.Context, sessionID string, d Delta) (Update,
 	}
 	var fp serve.Fingerprint
 	if s.hasTopo && !s.topoDirty {
-		fp = serve.FingerprintGains(s.topo, req.System, m.be.Quantization())
+		fp = serve.FingerprintGains(s.topo, req.System, s.opts.Mode, m.be.Quantization())
 	} else {
 		fp = serve.FingerprintRequest(req, m.be.Quantization())
 	}
