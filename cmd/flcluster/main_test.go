@@ -95,38 +95,13 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunLoadgen runs the multi-cell load generator end to end.
-func TestRunLoadgen(t *testing.T) {
-	cfg := repro.ClusterConfig{Cells: 3}
-	if err := runLoadgen(cfg, 24, 6, 5, 0.05, 0.3, 0.2, 3, 1, 0, 0, 0); err != nil {
-		t.Fatal(err)
+func fetchStats(baseURL string) (repro.ClusterStats, error) {
+	var stats repro.ClusterStats
+	resp, err := http.Get(baseURL + "/v1/stats")
+	if err != nil {
+		return stats, err
 	}
-}
-
-// TestRunLoadgenBatch runs the batched replay mode through the routed
-// /v1/solve-batch endpoint.
-func TestRunLoadgenBatch(t *testing.T) {
-	cfg := repro.ClusterConfig{Cells: 3}
-	if err := runLoadgen(cfg, 24, 6, 5, 0.05, 0.3, 0.2, 3, 1, 4, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunLoadgenChurn replays under membership churn: cells are added and
-// drained by the control plane while the device-routed replay runs.
-func TestRunLoadgenChurn(t *testing.T) {
-	cfg := repro.ClusterConfig{Cells: 3}
-	if err := runLoadgen(cfg, 600, 8, 5, 0.05, 0.3, 0, 4, 1, 0, 3, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunLoadgenCrash replays under failure injection: cells are added and
-// then crashed WITHOUT draining while the device-routed replay runs, so
-// requests reroute off dead cells mid-traffic.
-func TestRunLoadgenCrash(t *testing.T) {
-	cfg := repro.ClusterConfig{Cells: 3}
-	if err := runLoadgen(cfg, 600, 8, 5, 0.05, 0.3, 0, 4, 1, 0, 0, 2); err != nil {
-		t.Fatal(err)
-	}
+	defer resp.Body.Close()
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	return stats, err
 }

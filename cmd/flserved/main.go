@@ -41,42 +41,20 @@
 // flcluster's: the one serve pool is observed as cell 0) — advise-only,
 // there is no membership to actuate here.
 //
-// Load-generator mode replays randomly-drifted copies of the default
-// scenario against an in-process instance of the same HTTP stack and prints
-// client-side throughput plus the server's own counters:
-//
-//	flserved -loadgen 200 [-n 15] [-drift 0.05] [-repeat 0.3] [-conc 8]
-//	         [-seed 1] [-batch 0] [-stream] [-deltadev 3]
-//
-// Each request is, with probability -repeat, an exact replay of an earlier
-// instance (exercising the cache), otherwise a fresh log-normal drift of
-// every channel gain by -drift nepers (a cold solve unless the drift stays
-// inside the gain buckets).
-// With -batch B the stream is replayed through POST /v1/solve-batch in
-// bulk-priority chunks of B instances, amortizing decode and dispatch.
-// With -stream each client opens one delta session and replays its share as
-// sparse NDJSON gain deltas (-deltadev gains drifted per update) over a
-// single live connection, exercising the streaming subsystem's incremental
-// re-solve path instead of whole-system re-POSTs.
+// Load is generated by the end-to-end benchmark (bash bench/run.sh), which
+// drives this same stack in-process.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
-	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -102,16 +80,6 @@ func main() {
 		traceN     = flag.Int("trace-sample", 16, "retain 1 in N traces in the debug ring (0 disables tracing)")
 		traceSlow  = flag.Duration("trace-slow", 0, "slow-solve promotion threshold (0 = 250ms default)")
 		spanExport = flag.String("span-export", "", "also POST span batches to this aggregator URL (a front router's /debug/spans); spans always assemble locally")
-
-		loadgen  = flag.Int("loadgen", 0, "replay this many drifted scenarios and exit")
-		n        = flag.Int("n", 15, "loadgen: devices per scenario")
-		drift    = flag.Float64("drift", 0.05, "loadgen: per-request log-normal gain drift (nepers)")
-		repeat   = flag.Float64("repeat", 0.3, "loadgen: probability of replaying an earlier instance")
-		conc     = flag.Int("conc", 8, "loadgen: concurrent clients")
-		seed     = flag.Int64("seed", 1, "loadgen: RNG seed")
-		batch    = flag.Int("batch", 0, "loadgen: replay through POST /v1/solve-batch in batches of this size (0 = per-request /v1/solve)")
-		stream   = flag.Bool("stream", false, "loadgen: replay through per-client NDJSON delta sessions (POST /v1/stream)")
-		deltadev = flag.Int("deltadev", 3, "loadgen -stream: devices drifted per delta")
 
 		healthTick   = flag.Duration("health-tick", 2*time.Second, "health evaluator polling interval")
 		snapshotDir  = flag.String("snapshot-dir", "", "persist periodic state snapshots in this directory and restore at boot (empty disables)")
@@ -144,16 +112,8 @@ func main() {
 	}
 	scfg := repro.StreamConfig{MaxSessions: *sessions, IdleTTL: *sessionTTL}
 
-	var err error
-	switch {
-	case *loadgen > 0 && *stream:
-		err = runStreamLoadgen(cfg, scfg, *loadgen, *n, *drift, *conc, *seed, *deltadev)
-	case *loadgen > 0:
-		err = runLoadgen(cfg, *loadgen, *n, *drift, *repeat, *conc, *seed, *batch)
-	default:
-		err = runServer(cfg, scfg, *healthTick, *addr, *debugAddr, *traceN, *traceSlow, *spanExport, *snapshotDir, *snapInterval,
-			forensicsOpts{Dir: *profileDir, CPUSeconds: *profileCPU, MinInterval: *profileMin})
-	}
+	err := runServer(cfg, scfg, *healthTick, *addr, *debugAddr, *traceN, *traceSlow, *spanExport, *snapshotDir, *snapInterval,
+		forensicsOpts{Dir: *profileDir, CPUSeconds: *profileCPU, MinInterval: *profileMin})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flserved:", err)
 		os.Exit(1)
@@ -371,285 +331,5 @@ func runServer(cfg repro.ServeConfig, scfg repro.StreamConfig, healthTick time.D
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		return err
 	}
-	return nil
-}
-
-// runLoadgen replays total drifted instances against an in-process server
-// through the full HTTP stack and reports throughput. batchSize > 0 routes
-// the stream through POST /v1/solve-batch in chunks of that size (the bulk
-// replay mode); 0 posts one instance per request.
-func runLoadgen(cfg repro.ServeConfig, total, n int, drift, repeat float64, conc int, seed int64, batchSize int) error {
-	srv := repro.NewServer(cfg)
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	rng := rand.New(rand.NewSource(seed))
-	sc := repro.DefaultScenario()
-	sc.N = n
-	base, err := sc.Build(rng)
-	if err != nil {
-		return err
-	}
-
-	// Pre-draw the request stream so client goroutines only do I/O.
-	reqs := make([]repro.SolveRequestJSON, total)
-	var history []repro.SolveRequestJSON
-	for i := range reqs {
-		if len(history) > 0 && rng.Float64() < repeat {
-			reqs[i] = history[rng.Intn(len(history))]
-		} else {
-			drifted := *base
-			drifted.Devices = append([]repro.Device(nil), base.Devices...)
-			for j := range drifted.Devices {
-				drifted.Devices[j].Gain *= math.Exp(drift * rng.NormFloat64())
-			}
-			req := repro.SolveRequestJSON{System: repro.SystemToJSON(&drifted)}
-			req.Weights.W1, req.Weights.W2 = 0.5, 0.5
-			reqs[i] = req
-			history = append(history, req)
-		}
-	}
-	// Pre-marshal: per-request bodies, or batch bodies of batchSize items.
-	var bodies [][]byte
-	path := "/v1/solve"
-	if batchSize > 0 {
-		path = "/v1/solve-batch"
-		for at := 0; at < total; at += batchSize {
-			end := at + batchSize
-			if end > total {
-				end = total
-			}
-			body, err := json.Marshal(repro.SolveBatchRequestJSON{Requests: reqs[at:end], Priority: "bulk"})
-			if err != nil {
-				return err
-			}
-			bodies = append(bodies, body)
-		}
-	} else {
-		for i := range reqs {
-			body, err := json.Marshal(reqs[i])
-			if err != nil {
-				return err
-			}
-			bodies = append(bodies, body)
-		}
-	}
-
-	var okCount, failCount atomic.Int64
-	var next atomic.Int64
-	began := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < conc; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(bodies) {
-					return
-				}
-				// A failed batch round trip fails every instance it
-				// carried, so ok+failed always sums to the instance total.
-				instances := int64(1)
-				if batchSize > 0 {
-					instances = int64(batchSize)
-					if rem := total - i*batchSize; rem < batchSize {
-						instances = int64(rem)
-					}
-				}
-				resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(bodies[i]))
-				if err != nil {
-					failCount.Add(instances)
-					continue
-				}
-				switch {
-				case resp.StatusCode != http.StatusOK:
-					failCount.Add(instances)
-				case batchSize > 0:
-					var out repro.SolveBatchResponseJSON
-					if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-						failCount.Add(instances)
-					} else {
-						for _, it := range out.Results {
-							if it.OK {
-								okCount.Add(1)
-							} else {
-								failCount.Add(1)
-							}
-						}
-					}
-				default:
-					okCount.Add(1)
-				}
-				resp.Body.Close()
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(began)
-
-	stats, err := fetchStats(ts.URL)
-	if err != nil {
-		return err
-	}
-	mode := "per-request"
-	if batchSize > 0 {
-		mode = fmt.Sprintf("batched x%d", batchSize)
-	}
-	fmt.Printf("loadgen (%s): %d instances (%d ok, %d failed) in %.3fs = %.1f inst/s over %d clients\n",
-		mode, total, okCount.Load(), failCount.Load(), elapsed.Seconds(),
-		float64(total)/elapsed.Seconds(), conc)
-	fmt.Printf("server:  hits %d, misses %d, cold solves %d, deduped %d, rejected %d, batches %d\n",
-		stats.Hits, stats.Misses, stats.ColdSolves, stats.Deduped, stats.Rejected, stats.BatchRequests)
-	fmt.Printf("solve latency: p50 %.1f ms, p99 %.1f ms; tracked buckets %d\n",
-		stats.SolveP50*1e3, stats.SolveP99*1e3, stats.TrackedBuckets)
-	for _, b := range stats.Buckets {
-		fmt.Printf("  bucket %s: hits %d, misses %d (hit rate %.0f%%), cold %d\n",
-			b.Bucket, b.Hits, b.Misses, 100*b.HitRate, b.ColdSolves)
-	}
-	return nil
-}
-
-func fetchStats(baseURL string) (repro.ServeStats, error) {
-	var stats repro.ServeStats
-	resp, err := http.Get(baseURL + "/v1/stats")
-	if err != nil {
-		return stats, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&stats)
-	return stats, err
-}
-
-// streamStats is the combined /v1/stats body of a stream-wrapped server.
-type streamStats struct {
-	repro.ServeStats
-	Stream repro.StreamSnapshot `json:"stream"`
-}
-
-// runStreamLoadgen replays total sparse gain deltas through per-client
-// NDJSON delta sessions over the full HTTP stack: each of the conc clients
-// opens one session with its own drifted copy of the default scenario, then
-// streams its share of deltas (deltaDevs gains drifted per update) down a
-// single live connection, reading each re-solve back before sending the
-// next. This is the replay mode of the streaming subsystem — compare its
-// inst/s against the plain per-request mode to see what delta re-solves
-// save.
-func runStreamLoadgen(cfg repro.ServeConfig, scfg repro.StreamConfig, total, n int, drift float64, conc int, seed int64, deltaDevs int) error {
-	srv := repro.NewServer(cfg)
-	defer srv.Close()
-	mgr := repro.NewStreamManager(repro.NewStreamServeBackend(srv), scfg)
-	defer mgr.Close()
-	ts := httptest.NewServer(repro.StreamHandler(mgr))
-	defer ts.Close()
-
-	if conc < 1 {
-		conc = 1
-	}
-	if deltaDevs < 1 {
-		deltaDevs = 1
-	}
-	type tally struct {
-		ok, fail    int64
-		cache, cold int64
-		err         error
-	}
-	tallies := make([]tally, conc)
-	var wg sync.WaitGroup
-	began := time.Now()
-	for wkr := 0; wkr < conc; wkr++ {
-		share := total / conc
-		if wkr < total%conc {
-			share++
-		}
-		wg.Add(1)
-		go func(wkr, share int) {
-			defer wg.Done()
-			t := &tallies[wkr]
-			rng := rand.New(rand.NewSource(seed + 1000*int64(wkr+1)))
-			sc := repro.DefaultScenario()
-			sc.N = n
-			sys, err := sc.Build(rand.New(rand.NewSource(seed + int64(wkr))))
-			if err != nil {
-				t.err = err
-				return
-			}
-			openReq := repro.SolveRequestJSON{System: repro.SystemToJSON(sys), DeviceID: fmt.Sprintf("stream-%d", wkr)}
-			openReq.Weights.W1, openReq.Weights.W2 = 0.5, 0.5
-			open, err := repro.StreamOpenSession(ts.URL, openReq)
-			if err != nil {
-				t.err = err
-				return
-			}
-			conn, err := repro.StreamOpenDeltas(ts.URL, open.SessionID)
-			if err != nil {
-				t.err = err
-				return
-			}
-			defer conn.Close()
-			for seq := uint64(1); seq <= uint64(share); seq++ {
-				d := repro.StreamDeltaJSON{Seq: seq, Gains: make(map[int]float64, deltaDevs)}
-				for len(d.Gains) < deltaDevs && len(d.Gains) < n {
-					i := rng.Intn(n)
-					if _, ok := d.Gains[i]; ok {
-						continue
-					}
-					g := sys.Devices[i].Gain * math.Exp(drift*rng.NormFloat64())
-					d.Gains[i] = g
-					sys.Devices[i].Gain = g
-				}
-				if err := conn.Send(d); err != nil {
-					t.err = err
-					return
-				}
-				u, err := conn.Recv()
-				if err != nil {
-					t.err = err
-					return
-				}
-				if !u.OK || u.Result == nil {
-					t.fail++
-					continue
-				}
-				t.ok++
-				if u.Result.Source == string(repro.ServeSourceCache) {
-					t.cache++
-				} else {
-					t.cold++
-				}
-			}
-		}(wkr, share)
-	}
-	wg.Wait()
-	elapsed := time.Since(began)
-	var agg tally
-	for i := range tallies {
-		if tallies[i].err != nil {
-			return tallies[i].err
-		}
-		agg.ok += tallies[i].ok
-		agg.fail += tallies[i].fail
-		agg.cache += tallies[i].cache
-		agg.cold += tallies[i].cold
-	}
-
-	var stats streamStats
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		return err
-	}
-	deltas := agg.ok + agg.fail
-	fmt.Printf("loadgen (stream): %d deltas over %d sessions (%d ok, %d failed) in %.3fs = %.1f upd/s\n",
-		deltas, conc, agg.ok, agg.fail, elapsed.Seconds(), float64(deltas)/elapsed.Seconds())
-	fmt.Printf("client sources: %d cache, %d cold\n", agg.cache, agg.cold)
-	fmt.Printf("server:  hits %d, misses %d, cold solves %d; solve p50 %.1f ms, p99 %.1f ms\n",
-		stats.Hits, stats.Misses, stats.ColdSolves, stats.SolveP50*1e3, stats.SolveP99*1e3)
-	fmt.Printf("stream:  sessions %d open / %d opened, deltas %d, errors %d\n",
-		stats.Stream.ActiveSessions, stats.Stream.SessionsOpened, stats.Stream.Deltas, stats.Stream.DeltaErrors)
 	return nil
 }

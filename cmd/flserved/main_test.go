@@ -73,16 +73,13 @@ func TestServedDefaultScenario(t *testing.T) {
 	}
 }
 
-// TestRunLoadgen runs the load generator end to end over the HTTP stack.
-func TestRunLoadgen(t *testing.T) {
-	if err := runLoadgen(repro.ServeConfig{}, 12, 6, 0.05, 0.3, 3, 1, 0); err != nil {
-		t.Fatal(err)
+func fetchStats(baseURL string) (repro.ServeStats, error) {
+	var stats repro.ServeStats
+	resp, err := http.Get(baseURL + "/v1/stats")
+	if err != nil {
+		return stats, err
 	}
-}
-
-// TestRunLoadgenBatch runs the batched replay mode through /v1/solve-batch.
-func TestRunLoadgenBatch(t *testing.T) {
-	if err := runLoadgen(repro.ServeConfig{}, 12, 6, 0.05, 0.3, 2, 1, 4); err != nil {
-		t.Fatal(err)
-	}
+	defer resp.Body.Close()
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	return stats, err
 }

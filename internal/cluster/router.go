@@ -793,7 +793,7 @@ func (r *Router) Misplaced(includePinned bool) ([]Move, map[int]CellFlow) {
 	defer r.mu.Unlock()
 	for dev, st := range r.devices {
 		owner := mem.ring.cell(dev)
-		if st.pinned {
+		if livePin(mem, st) {
 			if !includePinned {
 				continue
 			}
@@ -820,6 +820,18 @@ func (r *Router) Misplaced(includePinned bool) ([]Move, map[int]CellFlow) {
 	return moves, flows
 }
 
+// livePin reports whether the device is pinned to a live member. A pin to
+// a removed cell (a crash removes without repinning) counts as no pin, as
+// it does in routing, so DevicesOn and Misplaced agree with Route about
+// where such a device lives.
+func livePin(mem *membership, st *deviceState) bool {
+	if !st.pinned {
+		return false
+	}
+	_, ok := mem.server(st.cell)
+	return ok
+}
+
 func recordsAllOn(records []record, cell int) bool {
 	for i := range records {
 		if records[i].cell != cell {
@@ -830,14 +842,15 @@ func recordsAllOn(records []record, cell int) bool {
 }
 
 // DevicesOn lists the tracked devices whose current route resolves to the
-// given cell (pinned there, or unpinned and hash-owned by it).
+// given cell (pinned there, or hash-owned by it when unpinned or pinned to
+// a removed cell).
 func (r *Router) DevicesOn(cell int) []string {
 	mem := r.mem.Load()
 	var devs []string
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for dev, st := range r.devices {
-		if st.pinned {
+		if livePin(mem, st) {
 			if st.cell == cell {
 				devs = append(devs, dev)
 			}

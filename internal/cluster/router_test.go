@@ -294,3 +294,39 @@ func TestHandoffTwoHops(t *testing.T) {
 		t.Fatalf("after two hops: cell %d source %q, want 2/cache", cell, resp.Source)
 	}
 }
+
+// TestStalePinFollowsTheRing covers a cell removed without a drain: its
+// devices keep pins to the dead cell. Route ignores such a pin, and the
+// planning views behind drains and backfills (DevicesOn, Misplaced) must
+// ignore it the same way, or every later migration skips the device and
+// its cached state is lost.
+func TestStalePinFollowsTheRing(t *testing.T) {
+	r := testRouter(t, 3)
+	const dev = "ue-stale"
+	req := serve.Request{System: testSystem(t, 4, 1), Weights: balanced()}
+	if _, _, err := r.Solve(context.Background(), 0, dev, req); err != nil { // pins dev to cell 0
+		t.Fatal(err)
+	}
+	if err := r.RemoveCell(0); err != nil {
+		t.Fatal(err)
+	}
+	owner := r.Route(dev)
+	if owner == 0 {
+		t.Fatal("device still routes to the removed cell")
+	}
+	for _, c := range r.CellIDs() {
+		listed := false
+		for _, d := range r.DevicesOn(c) {
+			listed = listed || d == dev
+		}
+		if listed != (c == owner) {
+			t.Fatalf("DevicesOn(%d) lists the device: %v; it routes to %d", c, listed, owner)
+		}
+	}
+	// Its record still names the dead cell, so even a plan that leaves
+	// pinned devices alone must send it to its ring owner.
+	moves, _ := r.Misplaced(false)
+	if len(moves) != 1 || moves[0] != (Move{DeviceID: dev, To: owner}) {
+		t.Fatalf("Misplaced(false) = %+v, want the device moved to %d", moves, owner)
+	}
+}

@@ -34,8 +34,8 @@ func (rs routerSource) Sample() []CellSample {
 	ids := rs.r.CellIDs()
 	out := make([]CellSample, 0, len(ids))
 	for _, id := range ids {
-		c := rs.r.Cell(id)
-		if c == nil { // raced a removal
+		c, ok := rs.r.CellServer(id)
+		if !ok { // raced a removal
 			continue
 		}
 		out = append(out, sampleFrom(id, c.Stats()))

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -86,6 +88,74 @@ func FuzzRequestFromJSON(f *testing.F) {
 		}
 		if status != http.StatusBadRequest {
 			t.Fatalf("rejection %v maps to %d, want 400 (body %s)", err, status, strings.TrimSpace(string(data)))
+		}
+	})
+}
+
+// FuzzReadBatchRequest drives raw bodies through the /v1/solve-batch
+// decoder, then dispatches the items that decoded. Nothing may panic; an
+// envelope rejection answers 4xx; a per-item rejection or solve failure
+// maps to 400 (422 for a baseline solver's infeasibility verdict), as the
+// same item alone on /v1/solve would.
+func FuzzReadBatchRequest(f *testing.F) {
+	item := `{"system":` + readmeSystem + `,"weights":{"w1":0.5,"w2":0.5}}`
+	for _, seed := range []string{
+		`{"requests":[` + item + `]}`,
+		`{"requests":[` + item + `,` + item + `],"priority":"interactive"}`,
+		`{"requests":[{"device_id":"ue-7","system":` + readmeSystem + `,"weights":{"w1":0.5,"w2":0.5},"mode":"deadline","total_deadline_s":60}],"priority":"bulk"}`,
+		`{"requests":[` + item + `,{"system":` + readmeSystem + `,"weights":{"w1":0.6,"w2":0.6}}]}`,
+		`{"requests":[{"system":` + readmeSystem + `,"weights":{"w1":0.9,"w2":0.1},"solver":"scheme1"}]}`,
+		`{"requests":[` + item + `],"priority":"sideways"}`,
+		`{"requests":[{}]}`,
+		`{"requests":null}`,
+		`{}`,
+		`[]`,
+		`{"requests":[`,
+	} {
+		f.Add([]byte(seed))
+	}
+	srv := New(Config{Workers: 1, Solver: fuzzSolver, DefaultTimeout: 10 * time.Second})
+	f.Cleanup(srv.Close)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec := httptest.NewRecorder()
+		dec, ok := ReadBatchRequest(rec, httptest.NewRequest(http.MethodPost, "/v1/solve-batch", bytes.NewReader(data)))
+		if !ok {
+			if rec.Code < 400 || rec.Code >= 500 {
+				t.Fatalf("envelope rejection answered %d, want 4xx (body %s)", rec.Code, strings.TrimSpace(string(data)))
+			}
+			return
+		}
+		if rec.Body.Len() != 0 {
+			t.Fatalf("accepted batch wrote a response: %s", rec.Body.String())
+		}
+		n := len(dec.Requests)
+		if len(dec.DeviceIDs) != n || len(dec.Errs) != n {
+			t.Fatalf("misaligned decode: %d requests, %d device IDs, %d errors", n, len(dec.DeviceIDs), len(dec.Errs))
+		}
+		for i, err := range dec.Errs {
+			if err != nil && StatusFor(err) != http.StatusBadRequest {
+				t.Fatalf("item %d rejection %v maps to %d, want 400", i, err, StatusFor(err))
+			}
+			if err == nil && dec.Requests[i].System == nil {
+				t.Fatalf("item %d decoded without a system", i)
+			}
+		}
+		valid := dec.Valid()
+		sub := make([]Request, len(valid))
+		for k, i := range valid {
+			sub[k] = dec.Requests[i]
+		}
+		for k, it := range srv.SolveBatch(context.Background(), sub, dec.Priority) {
+			if it.Err == nil {
+				continue
+			}
+			status := StatusFor(it.Err)
+			if status == http.StatusUnprocessableEntity && sub[k].Solver.normalize() != SolverAlgorithm2 {
+				continue
+			}
+			if status != http.StatusBadRequest {
+				t.Fatalf("item %d failure %v maps to %d, want 400", valid[k], it.Err, status)
+			}
 		}
 	})
 }

@@ -126,6 +126,15 @@ type Response struct {
 	// A cache hit carries the totals of Result.Metrics but not its
 	// per-device slices (Rates, UploadTimes, CompTimes), which the cache
 	// does not keep; System.Evaluate(Result.Allocation) derives them.
+	//
+	// A weighted-mode hit answers with the cached instance's solution: the
+	// instance in the same 0.25 dB gain bucket that was solved first, whose
+	// gains need not be the request's own. The allocation is feasible for
+	// the request (the boxes and the band sum do not depend on gains), but
+	// Result.Objective and the Metrics totals are the cached instance's;
+	// System.Evaluate(Result.Allocation) scores it on the request's gains.
+	// A deadline-mode hit keys on the exact gains, so it is the request's
+	// own instance.
 	Result core.Result
 	// Source tells whether the result came from the cache or a solve.
 	Source Source

@@ -422,21 +422,6 @@ func StreamHandler(m *StreamManager) http.Handler { return stream.Handler(m) }
 // StreamNDJSONContentType is the media type of delta and update streams.
 const StreamNDJSONContentType = stream.NDJSONContentType
 
-// StreamDeltaConn is a live client connection to a session's deltas
-// endpoint (Send a delta line, Recv the re-solve update).
-type StreamDeltaConn = stream.DeltaStream
-
-// StreamOpenSession opens a delta session over HTTP (the client half of
-// POST /v1/stream).
-func StreamOpenSession(baseURL string, req SolveRequestJSON) (StreamOpenResponseJSON, error) {
-	return stream.OpenSession(baseURL, req)
-}
-
-// StreamOpenDeltas connects to an open session's NDJSON deltas endpoint.
-func StreamOpenDeltas(baseURL, sessionID string) (*StreamDeltaConn, error) {
-	return stream.OpenDeltaStream(baseURL, sessionID)
-}
-
 // FingerprintInstance hashes an instance at cache and topology granularity.
 func FingerprintInstance(s *System, w Weights, opts Options, q ServeQuantization) ServeFingerprint {
 	return serve.FingerprintInstance(s, w, opts, q)

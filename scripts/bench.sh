@@ -24,17 +24,6 @@ cd "$(dirname "$0")/.."
 BENCHES='^(BenchmarkOptimizeWeighted|BenchmarkOptimizeDeadline|BenchmarkServeCold|BenchmarkServeCached|BenchmarkServeDrift|BenchmarkServeTraced|BenchmarkServeBatch|BenchmarkClusterRoutedCached|BenchmarkStreamDelta|BenchmarkStreamRepostCold|BenchmarkMassHandoff|BenchmarkHandoffPerDevice)$'
 BENCHTIME="${BENCHTIME:-2s}"
 
-# Churn smoke: the elastic-cluster loadgen with cells added and drained
-# mid-replay — membership changes, mass migrations and epoch rerouting all
-# race live traffic. Failures (lost requests, ErrStaleSeq leaks) abort the
-# bench run; the stats line lands on stderr next to the benchmark output.
-go run ./cmd/flcluster -loadgen 600 -cells 3 -devices 12 -n 8 -conc 4 -churn 3 >&2
-
-# Crash smoke: the same loadgen with drain-less cell removals instead —
-# the dead cells' devices reroute to the survivors while the replay races
-# the membership change.
-go run ./cmd/flcluster -loadgen 600 -cells 3 -devices 12 -n 8 -conc 4 -crash 2 >&2
-
 out="$(go test -run '^$' -bench "$BENCHES" -benchmem -benchtime "$BENCHTIME" -count 1 .)"
 echo "$out" >&2
 
