@@ -120,6 +120,37 @@ func BenchmarkOptimizeDeadline(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeScale measures both solve modes on cells of 500 and
+// 5,000 devices, the paper's defaults otherwise. The deadline grows with
+// N (T = 120 s at N = 50) to keep the instances about as tight.
+func BenchmarkOptimizeScale(b *testing.B) {
+	for _, n := range []int{500, 5000} {
+		sc := repro.DefaultScenario()
+		sc.N = n
+		s, err := sc.Build(rand.New(rand.NewSource(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		modes := []struct {
+			name string
+			w    repro.Weights
+			opts repro.Options
+		}{
+			{"weighted", repro.Weights{W1: 0.5, W2: 0.5}, repro.Options{}},
+			{"deadline", repro.Weights{W1: 1}, repro.Options{Mode: repro.ModeDeadline, TotalDeadline: 120 * float64(n) / 50}},
+		}
+		for _, m := range modes {
+			b.Run("N="+strconv.Itoa(n)+"/"+m.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := repro.Optimize(s, m.w, m.opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkMinCompletionTime measures the min-max time waterfilling.
 func BenchmarkMinCompletionTime(b *testing.B) {
 	sc := repro.DefaultScenario()

@@ -136,10 +136,13 @@ type SolveTrace struct {
 	NewtonIters int
 	OuterIters  int
 	// ModeDeadline only: bandwidth prices tried, per-device split costs
-	// evaluated at them, and candidate splits polished (2 across a jump).
+	// evaluated at them, candidate splits polished (2 across a jump), and
+	// the polish waterfills' demand sweeps over all devices, each
+	// waterfill's final band sweep included.
 	PriceEvals int
 	SplitEvals int
 	Polishes   int
+	LevelEvals int
 }
 
 func (o Options) withDefaults() Options {

@@ -44,10 +44,15 @@ import (
 // (a basin jump) are the over-demand end's splits a second candidate, used
 // if their floors fit. Each candidate is polished by alternating an exact
 // bandwidth waterfill at fixed splits with per-device re-splits at fixed
-// bands (every half-step is an exact block minimization, so energy never
-// rises), and the lower energy wins. A re-split is taken only when it is
-// strictly cheaper, and the polish stops after a pass that moves no split:
-// the waterfill it just ran is already exact for those splits.
+// bands, and the lower energy wins. The first re-split scans each device's
+// full range for its basin on a 24-point grid; later ones search one cell
+// of that grid on each side of the current split. A re-split is taken only
+// when it is strictly cheaper, so energy never rises, and the polish stops
+// after a pass that moves no split: the waterfill it just ran is already
+// exact for those splits. Each waterfill starts its level search from a
+// level this solve already holds: the candidate's bracket-end price, which
+// the price search has pinned to 1e-7 in ln(lambda), then the previous
+// pass's level.
 //
 // A split evaluation costs one water-level inversion (bandAt) and little
 // else. Its device is built with the band floor unknown (newSplitDevice):
@@ -186,7 +191,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 	// polish turns splits into an allocation and its per-round energy.
 	reduced := make([]reducedDevice, n)
 	bands := make([]float64, n)
-	polish := func(start []float64) (fl.Allocation, float64, error) {
+	polish := func(start []float64, level float64) (fl.Allocation, float64, error) {
 		tr.Polishes++
 		splits := append([]float64(nil), start...)
 		rebuild := func() error {
@@ -208,7 +213,8 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 			return fl.Allocation{}, 0, err
 		}
 		for pass := 0; ; pass++ {
-			if _, _, err := waterfillReducedInto(reduced, s.N0, s.Bandwidth, bands); err != nil {
+			var err error
+			if level, _, err = waterfillReducedInto(reduced, s.N0, s.Bandwidth, level, bands, tr); err != nil {
 				return fl.Allocation{}, 0, err
 			}
 			if pass == 3 {
@@ -227,8 +233,17 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 					}
 					return compEnergy(i, t) + p*d.UploadBits/g
 				}
-				if t, gerr := numeric.GridRefineMin(cost, plans[i].tLo, plans[i].tHi, 24, 1e-9*roundDeadline); gerr == nil &&
-					cost(t) < cost(splits[i]) {
+				var t float64
+				var gerr error
+				if pass == 0 {
+					t, gerr = numeric.GridRefineMin(cost, plans[i].tLo, plans[i].tHi, 24, 1e-9*roundDeadline)
+				} else {
+					// Later passes stay in the basin pass 0 chose: one cell
+					// of its grid on each side of the current split.
+					h := (plans[i].tHi - plans[i].tLo) / 23
+					t, gerr = numeric.GridBrentMin(cost, max(plans[i].tLo, splits[i]-h), min(plans[i].tHi, splits[i]+h), 3, 1e-9*roundDeadline)
+				}
+				if gerr == nil && cost(t) < cost(splits[i]) {
 					splits[i], moved = t, true
 				}
 			}
@@ -251,7 +266,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 		return alloc, energy, nil
 	}
 
-	alloc, energy, err := polish(hi.t)
+	alloc, energy, err := polish(hi.t, math.Exp(hi.x))
 	if err != nil {
 		return fl.Allocation{}, 0, err
 	}
@@ -263,7 +278,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 			jump = jump || math.Abs(lo.t[i]-hi.t[i]) > 4*splitTol
 		}
 		if jump {
-			if a, e, err := polish(lo.t); err == nil && e < energy {
+			if a, e, err := polish(lo.t, math.Exp(lo.x)); err == nil && e < energy {
 				alloc = a
 			}
 		}

@@ -208,9 +208,12 @@ func TestDeadlineFixedPowerNearMinimum(t *testing.T) {
 	}
 }
 
-// TestDeadlineEvaluationCounts holds the price search and the per-device
-// split searches to their evaluation budgets on the corpus, read from the
-// ModeDeadline counters of SolveTrace.
+// TestDeadlineEvaluationCounts holds the price search, the per-device
+// split searches and the polish waterfills to their evaluation budgets on
+// the corpus, read from the ModeDeadline counters of SolveTrace. The
+// waterfills start from the level the price search or the previous pass
+// ended at; walking down from the largest floor marginal instead costs
+// about 66 demand sweeps per solve.
 func TestDeadlineEvaluationCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("48 N=50 deadline solves")
@@ -224,17 +227,19 @@ func TestDeadlineEvaluationCounts(t *testing.T) {
 	}
 	price := float64(tr.PriceEvals) / float64(len(corpus))
 	split := float64(tr.SplitEvals) / float64(len(corpus))
-	if price > 7.5 || split > 8000 {
-		t.Errorf("mean %.2f price and %.0f split evaluations per solve, budget 7.5 and 8000", price, split)
+	level := float64(tr.LevelEvals) / float64(len(corpus))
+	if price > 7.5 || split > 8000 || level > 30 {
+		t.Errorf("mean %.2f price, %.0f split and %.1f level evaluations per solve, budget 7.5, 8000 and 30", price, split, level)
 	}
-	t.Logf("mean %.2f price and %.0f split evaluations per solve", price, split)
+	t.Logf("mean %.2f price, %.0f split and %.1f level evaluations per solve", price, split, level)
 
 	var weighted SolveTrace
 	if _, err := Optimize(corpus[0], fl.Weights{W1: 0.5, W2: 0.5}, Options{Trace: &weighted}); err != nil {
 		t.Fatal(err)
 	}
-	if weighted.PriceEvals != 0 || weighted.SplitEvals != 0 {
-		t.Errorf("weighted solve counted %d price and %d split evaluations, want none", weighted.PriceEvals, weighted.SplitEvals)
+	if weighted.PriceEvals != 0 || weighted.SplitEvals != 0 || weighted.LevelEvals != 0 {
+		t.Errorf("weighted solve counted %d price, %d split and %d level evaluations, want none",
+			weighted.PriceEvals, weighted.SplitEvals, weighted.LevelEvals)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/fl"
 	"repro/internal/numeric"
@@ -70,7 +71,7 @@ func solveSubproblem2DirectInto(s *fl.System, w1Rg float64, rmin []float64, ws *
 		return SP2Result{}, fmt.Errorf("core: minimum bandwidths %g exceed B=%g: %w", sumForced, s.Bandwidth, ErrInfeasible)
 	}
 
-	_, bands, err := waterfillReducedInto(devs, s.N0, s.Bandwidth, outB)
+	_, bands, err := waterfillReducedInto(devs, s.N0, s.Bandwidth, 0, outB, nil)
 	if err != nil {
 		return SP2Result{}, err
 	}
@@ -92,8 +93,19 @@ func solveSubproblem2DirectInto(s *fl.System, w1Rg float64, rmin []float64, ws *
 // devices within the bandwidth budget and returns the clearing water level
 // and the bandwidths (rescaled onto the exact budget, floors re-applied),
 // written into bands when non-nil (workspace reuse).
-func waterfillReducedInto(devs []reducedDevice, n0, budget float64, bands []float64) (float64, []float64, error) {
+//
+// With hint = 0 the level search walks down x1/16 from the largest floor
+// marginal until demand exceeds the budget. A caller that already knows a
+// level near the answer passes it as hint: the walk then starts there,
+// capped at the largest floor marginal, and brackets outward in log steps
+// growing x16 from 1e-6, so a hint within 1e-7 in ln(level) costs one
+// extra sweep. Either way Brent's method closes the bracket from the end
+// values the walk computed. A non-nil tr counts every demand sweep,
+// the final band sweep included, in LevelEvals.
+func waterfillReducedInto(devs []reducedDevice, n0, budget, hint float64, bands []float64, tr *SolveTrace) (float64, []float64, error) {
+	sweeps := 1 // the final band sweep
 	demand := func(lambda float64) float64 {
+		sweeps++
 		var sum float64
 		for _, rd := range devs {
 			sum += rd.bandAt(n0, lambda)
@@ -110,19 +122,38 @@ func waterfillReducedInto(devs []reducedDevice, n0, budget float64, bands []floa
 		lamHi = 1
 	}
 	lambda := lamHi
-	lamLo := lamHi
 	target := budget * (1 + budgetSlack)
 	excess := func(l float64) float64 { return demand(l) - target }
-	dLo := excess(lamLo)
-	for dLo <= 0 && lamLo > 1e-300 {
-		lamLo /= 16
-		dLo = excess(lamLo)
+	// Bracket [lamLo, hi] with excess dLo > 0 at lamLo and dHi <= 0 at hi.
+	lamLo := lamHi
+	if hint > 0 {
+		lamLo = min(hint, lamHi)
+	}
+	hi, dLo := lamLo, excess(lamLo)
+	dHi := dLo
+	if hint > 0 {
+		for step := 1e-6; dLo <= 0 && lamLo > 1e-300 || dHi > 0 && hi < lamHi; step *= 16 {
+			if dLo <= 0 {
+				hi, dHi = lamLo, dLo
+				lamLo = max(lamLo*math.Exp(-step), 1e-300)
+				dLo = excess(lamLo)
+			} else {
+				lamLo, dLo = hi, dHi
+				hi = min(hi*math.Exp(step), lamHi)
+				dHi = excess(hi)
+			}
+		}
+	} else {
+		for dLo <= 0 && lamLo > 1e-300 {
+			lamLo /= 16
+			dLo = excess(lamLo)
+		}
 	}
 	if dLo > 0 {
 		// Demand is continuous and strictly decreasing in the level, so
 		// Brent's method finds it to full precision in a few sweeps.
 		var err error
-		lambda, err = numeric.Brent(excess, lamLo, lamHi, 0)
+		lambda, err = numeric.BrentBracketed(excess, lamLo, hi, dLo, dHi, 0)
 		if err != nil {
 			return 0, nil, fmt.Errorf("core: reduced waterfilling: %w", err)
 		}
@@ -136,6 +167,9 @@ func waterfillReducedInto(devs []reducedDevice, n0, budget float64, bands []floa
 	for i, rd := range devs {
 		bands[i] = rd.bandAt(n0, lambda)
 		sumB += bands[i]
+	}
+	if tr != nil {
+		tr.LevelEvals += sweeps
 	}
 	if sumB > 0 {
 		scale := budget / sumB

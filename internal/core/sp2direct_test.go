@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/wireless"
@@ -149,5 +150,76 @@ func TestSolveSubproblem2DirectErrors(t *testing.T) {
 	}
 	if _, err := SolveSubproblem2Direct(s, 1, huge); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("unreachable rates: want ErrInfeasible, got %v", err)
+	}
+}
+
+// TestSeededWaterfillMatchesCold runs the reduced waterfill over the
+// deadline corpus's polished devices (rate floors read off each served
+// allocation) from seeded levels: the cold level itself, 1e-7 and factors
+// 1e6 and 1e30 to either side, and above the largest floor marginal. Each
+// must return the cold walk's level and bands to 1e-12, with every floor
+// respected and the bands summing to the budget. Two more budgets take
+// the edge branches: one the floors fill to within the budget slack (the
+// level sits just under the largest floor marginal), and one no level
+// down to 1e-300 clears (the level stays at that marginal).
+func TestSeededWaterfillMatchesCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("48 N=50 deadline solves")
+	}
+	for k, s := range deadlineCorpus(t) {
+		alloc, _, err := solveDeadlineJoint(s, corpusDeadline/s.GlobalRounds, nil)
+		if err != nil {
+			t.Fatalf("instance %d: %v", k, err)
+		}
+		devs := make([]reducedDevice, s.N())
+		var floors, topMarginal float64
+		for i, d := range s.Devices {
+			rate := wireless.Rate(alloc.Power[i], alloc.Bandwidth[i], d.Gain, s.N0)
+			if devs[i], err = newReducedDevice(d, s.N0, rate); err != nil {
+				t.Fatalf("instance %d device %d: %v", k, i, err)
+			}
+			floors += devs[i].bForced
+			topMarginal = max(topMarginal, devs[i].marginal(s.N0, devs[i].bForced))
+		}
+		for _, budget := range []float64{s.Bandwidth, floors, 1e200} {
+			level, cold, err := waterfillReducedInto(devs, s.N0, budget, 0, nil, nil)
+			if err != nil {
+				t.Fatalf("instance %d budget %g: cold: %v", k, budget, err)
+			}
+			if budget == floors && !(level < topMarginal && level > topMarginal*(1-1e-4)) {
+				t.Errorf("instance %d: budget of the floors cleared at %g, not just under the largest floor marginal %g", k, level, topMarginal)
+			}
+			if budget == 1e200 && level != topMarginal {
+				t.Errorf("instance %d: unclearable budget kept level %g, want the largest floor marginal %g", k, level, topMarginal)
+			}
+			for _, hint := range []float64{level, level * (1 + 1e-7), level * (1 - 1e-7),
+				level * 1e6, level * 1e-6, level * 1e30, level * 1e-30, 16 * topMarginal} {
+				var tr SolveTrace
+				got, bands, err := waterfillReducedInto(devs, s.N0, budget, hint, nil, &tr)
+				if err != nil {
+					t.Errorf("instance %d budget %g hint %g: %v", k, budget, hint, err)
+					continue
+				}
+				if math.Abs(got-level) > 1e-12*level {
+					t.Errorf("instance %d budget %g hint %g: level %.17g, cold %.17g", k, budget, hint, got, level)
+				}
+				var sum float64
+				for i, b := range bands {
+					sum += b
+					if b < devs[i].bForced {
+						t.Errorf("instance %d budget %g hint %g: device %d band %g below its floor %g", k, budget, hint, i, b, devs[i].bForced)
+					}
+					if math.Abs(b-cold[i]) > 1e-12*cold[i] {
+						t.Errorf("instance %d budget %g hint %g: device %d band %.17g, cold %.17g", k, budget, hint, i, b, cold[i])
+					}
+				}
+				if math.Abs(sum-budget) > budgetSlack*budget {
+					t.Errorf("instance %d budget %g hint %g: bands sum to %.17g", k, budget, hint, sum)
+				}
+				if tr.LevelEvals < 2 {
+					t.Errorf("instance %d budget %g hint %g: %d level evaluations counted, want at least 2", k, budget, hint, tr.LevelEvals)
+				}
+			}
+		}
 	}
 }

@@ -163,9 +163,16 @@ func BracketUp(pred func(float64) bool, start float64, maxDoublings int) (float6
 // faster than plain bisection on smooth functions and used where the solver
 // sits on a hot path (per-device rate inversion).
 func Brent(f func(float64) float64, lo, hi, tol float64) (float64, error) {
+	return BrentBracketed(f, lo, hi, f(lo), f(hi), tol)
+}
+
+// BrentBracketed is Brent on a bracket whose end values flo = f(lo) and
+// fhi = f(hi) the caller has already computed; it evaluates neither end
+// again.
+func BrentBracketed(f func(float64) float64, lo, hi, flo, fhi, tol float64) (float64, error) {
 	const eps = 2.220446049250313e-16
 	a, b := lo, hi
-	fa, fb := f(a), f(b)
+	fa, fb := flo, fhi
 	if fa == 0 {
 		return a, nil
 	}

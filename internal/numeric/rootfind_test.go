@@ -105,6 +105,29 @@ func TestBrentMatchesBisect(t *testing.T) {
 	}
 }
 
+// TestBrentBracketedSkipsEnds checks that BrentBracketed, handed the end
+// values, returns Brent's root bit for bit with two evaluations fewer.
+func TestBrentBracketedSkipsEnds(t *testing.T) {
+	var calls int
+	f := func(x float64) float64 { calls++; return math.Exp(x) - 5 }
+	want, err := Brent(f, 0, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := calls
+	calls = 0
+	got, err := BrentBracketed(f, 0, 5, math.Exp(0)-5, math.Exp(5)-5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || calls != full-2 {
+		t.Errorf("BrentBracketed %.17g in %d evaluations, Brent %.17g in %d", got, calls, want, full)
+	}
+	if _, err := BrentBracketed(f, 0, 5, 1, 2, 0); !errors.Is(err, ErrNoBracket) {
+		t.Errorf("same-sign ends: want ErrNoBracket, got %v", err)
+	}
+}
+
 func TestBrentPropertyRandomPolynomials(t *testing.T) {
 	check := func(a, b, r float64) bool {
 		r = math.Mod(math.Abs(r), 10)
