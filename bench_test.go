@@ -385,9 +385,9 @@ func sparseDriftDelta(s *repro.System, seq uint64, k int, sigma float64, rng *ra
 // BenchmarkStreamDelta measures the streaming subsystem on its canonical
 // workload — a per-device gain-delta stream: each op posts ONE NDJSON delta
 // carrying one drifted gain of the N=50 system to an open session and reads
-// the re-solve back. The session re-fingerprints incrementally; a drift
-// that leaves its quantization bucket re-solves cold, and one that stays
-// inside is answered from the solution cache (cache/op). Its counterpart
+// the re-solve back. The session re-fingerprints incrementally; every
+// drift is a new exact instance and re-solves cold, and delta solves never
+// enter the shared cache, so cache/op reads 0. Its counterpart
 // BenchmarkStreamRepostCold pays the full client re-POST + cold solve for
 // the identical drift stream.
 func BenchmarkStreamDelta(b *testing.B) {
@@ -505,8 +505,8 @@ func BenchmarkMassHandoff(b *testing.B) {
 
 // BenchmarkHandoffPerDevice is the pre-control-plane equivalent of
 // BenchmarkMassHandoff: the same 1000-device population migrated by
-// calling Handoff once per device — per device, two full instance
-// re-fingerprints, a routing-lock round trip and per-entry cache
+// calling Handoff once per device — per device, one full instance
+// re-fingerprint, a routing-lock round trip and per-entry cache
 // operations. The gap to BenchmarkMassHandoff is what batching buys a
 // mass-mobility event (ns/op is per full 1000-device migration in both).
 func BenchmarkHandoffPerDevice(b *testing.B) {

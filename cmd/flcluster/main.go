@@ -6,7 +6,7 @@
 // Usage:
 //
 //	flcluster [-addr :8080] [-cells 4] [-workers 0] [-queue 0]
-//	          [-cache 4096] [-ttl 10m] [-timeout 30s] [-gainres 0.25]
+//	          [-cache 4096] [-ttl 10m] [-timeout 30s]
 //	          [-sessions 1024] [-session-ttl 5m]
 //	          [-snapshot-dir DIR] [-snapshot-interval 30s]
 //
@@ -84,7 +84,6 @@ func main() {
 		cache   = flag.Int("cache", 4096, "per-cell solution cache entries")
 		ttl     = flag.Duration("ttl", 10*time.Minute, "solution cache TTL")
 		timeout = flag.Duration("timeout", 30*time.Second, "per-request default deadline")
-		gainres = flag.Float64("gainres", 0.25, "channel-gain fingerprint bucket (dB)")
 
 		sessions   = flag.Int("sessions", 1024, "max concurrent stream sessions")
 		sessionTTL = flag.Duration("session-ttl", 5*time.Minute, "stream session idle TTL")
@@ -128,7 +127,6 @@ func main() {
 			CacheEntries:   *cache,
 			CacheTTL:       *ttl,
 			DefaultTimeout: *timeout,
-			Quantization:   repro.ServeQuantization{GainResolutionDB: *gainres},
 		},
 	}
 	scfg := repro.StreamConfig{MaxSessions: *sessions, IdleTTL: *sessionTTL}

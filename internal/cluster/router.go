@@ -72,9 +72,9 @@ type Config struct {
 	Cells int
 	// Cell is the per-cell serve.Config template; every cell (initial or
 	// added at runtime) gets an identical (but fully independent) server
-	// built from it. All cells therefore share one fingerprint
-	// quantization, which is what lets bulk migration reuse recorded
-	// fingerprints instead of re-hashing per cell.
+	// built from it. Fingerprints are exact and cell-independent, which is
+	// what lets bulk migration reuse recorded fingerprints instead of
+	// re-hashing per cell.
 	Cell serve.Config
 	// HistoryPerDevice bounds how many distinct recent instances the
 	// router remembers per device for handoff re-fingerprinting.
@@ -128,13 +128,11 @@ func (m *membership) server(id int) (*serve.Server, bool) {
 type record struct {
 	req  serve.Request
 	cell int
-	// fp is the instance's fingerprint under the serving cell's
-	// quantization at record time. Since every cell is built from the one
-	// Config.Cell template, the same fingerprint is valid in every other
-	// cell, which is what lets MassHandoff migrate without re-hashing;
-	// the per-device Handoff still re-fingerprints fresh (it documents the
-	// general contract and is the reference the bulk path is tested
-	// against).
+	// fp is the instance's fingerprint at record time. Fingerprints are
+	// exact and cell-independent, so the same fingerprint is valid in
+	// every cell, which is what lets MassHandoff migrate without
+	// re-hashing; the per-device Handoff still re-fingerprints fresh (it
+	// is the reference the bulk path is tested against).
 	fp serve.Fingerprint
 }
 
@@ -234,11 +232,6 @@ func (r *Router) HasCell(id int) bool {
 func (r *Router) CellServer(id int) (*serve.Server, bool) {
 	return r.mem.Load().server(id)
 }
-
-// Quantization returns the fingerprint quantization shared by every cell
-// (all cells are built from the one Config.Cell template). Streaming delta
-// sessions use it to precompute fingerprints incrementally.
-func (r *Router) Quantization() serve.Quantization { return r.cfg.Cell.Quantization }
 
 // AddCell spins up a fresh cell from the Config.Cell template, splices it
 // into the consistent-hash ring and installs the next ring generation. It
@@ -476,7 +469,14 @@ func (r *Router) pin(deviceID string, cell int) {
 
 // remember appends a served instance to the device's history, deduping on
 // the exact fingerprint and keeping the most recent HistoryPerDevice.
+// Session-private requests (a caller-supplied Request.Fingerprint) are not
+// recorded: their answers never enter a cell's cache, so a handoff would
+// have nothing to carry for them, and recording them would push out the
+// records that do.
 func (r *Router) remember(deviceID string, cell int, req serve.Request, fp serve.Fingerprint) {
+	if req.Fingerprint != nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.state(deviceID)
@@ -528,8 +528,8 @@ type HandoffReport struct {
 }
 
 // Handoff moves a device from one cell to another: every tracked instance
-// of the device is re-fingerprinted under the destination cell's
-// quantization, its cached solution is extracted from the source cell and
+// of the device is re-fingerprinted (once: the key is the same in every
+// cell), its cached solution is extracted from the source cell and
 // injected into the destination, and the device is pinned to the
 // destination so device-routed requests follow it. After a handoff an
 // exact replay of a carried instance in the destination is a cache hit,
@@ -577,23 +577,22 @@ func (r *Router) Handoff(ctx context.Context, deviceID string, from, to int) (Ha
 			continue
 		}
 		rep.Instances++
-		fpSrc := serve.FingerprintRequest(rec.req, src.Quantization())
+		fp := serve.FingerprintRequest(rec.req)
 		if tr != nil {
 			t0 = time.Now()
 		}
-		m := src.Extract(fpSrc)
+		m := src.Extract(fp)
 		if tr != nil {
 			extractDur += time.Since(t0)
 		}
-		fpDst := serve.FingerprintRequest(rec.req, dst.Quantization())
-		rec.cell, rec.fp = to, fpDst
+		rec.cell, rec.fp = to, fp
 		if m.Result == nil {
 			continue // expired or evicted at the source; nothing to carry
 		}
 		if tr != nil {
 			t0 = time.Now()
 		}
-		dst.Inject(fpDst, m)
+		dst.Inject(fp, m)
 		if tr != nil {
 			injectDur += time.Since(t0)
 		}
@@ -640,14 +639,13 @@ type MassHandoffReport struct {
 // MassHandoff migrates a whole set of devices in one batched pass — the
 // mass-mobility counterpart of Handoff, and the mechanism behind cell
 // drains and rebalances. Where a per-device Handoff loop pays, per device,
-// two full instance re-fingerprints plus a routing-lock acquisition and
+// one full instance re-fingerprint plus a routing-lock acquisition and
 // per-entry cache operations, MassHandoff pays once: the routing lock is
 // taken once for the whole batch, the fingerprints recorded when the
-// instances were served are reused verbatim (every cell shares the one
-// Config.Cell quantization template, so a recorded fingerprint is valid at
-// both ends), and the per-cell state transfer happens through the bulk
-// ExtractBatch/InjectBatch APIs, which take each cache shard lock once
-// per cell instead of once per device.
+// instances were served are reused verbatim (fingerprints are exact, so a
+// recorded fingerprint is valid at both ends), and the per-cell state
+// transfer happens through the bulk ExtractBatch/InjectBatch APIs, which
+// take each cache shard lock once per cell instead of once per device.
 //
 // pin controls the routing state after the move: true pins every device to
 // its destination (mass mobility — the devices demonstrably moved), false
@@ -677,8 +675,8 @@ func (r *Router) MassHandoff(ctx context.Context, moves []Move, pin bool) (MassH
 
 	// Phase 1 — ONE routing-lock acquisition for the whole batch, held
 	// only for the map walk: repin every device, snapshot each migrating
-	// record's fingerprint, and relabel the record to its
-	// destination (the fingerprint stays valid: shared quantization). The
+	// record's fingerprint, and relabel the record to its destination
+	// (the fingerprint stays valid: keys are cell-independent). The
 	// bulk state transfer below then runs without r.mu, so routing never
 	// stalls behind it — a request racing the transfer sees at worst a
 	// cold solve, the same best-effort contract every cache miss has.

@@ -33,8 +33,8 @@ func testRouter(t testing.TB, cells int) *Router {
 	return r
 }
 
-// driftGains drifts every gain far enough to leave the 0.25 dB exact
-// bucket (sigma in nepers).
+// driftGains drifts every gain by a log-normal factor (sigma in nepers): a
+// new exact fingerprint with the same topology hash.
 func driftGains(s *fl.System, sigma float64, rng *rand.Rand) *fl.System {
 	out := *s
 	out.Devices = append([]fl.Device(nil), s.Devices...)
@@ -261,12 +261,9 @@ func TestClusterStatsAggregateConsistent(t *testing.T) {
 	}
 }
 
-// TestHandoffRespectsPerCellQuantization hands off between cells and backs
-// the migrated entry's re-fingerprinting claim: the destination hit works
-// even though fingerprints were computed per cell (here with identical
-// quantization, the property the config template guarantees; the API
-// recomputes rather than copies, which this asserts indirectly via the
-// record's fingerprint update on a second handoff hop).
+// TestHandoffTwoHops hands a device off twice: the record follows the
+// device (its cell is updated on the first hop, so the second hop finds it
+// again), and the entry migrated twice is still a hit in the last cell.
 func TestHandoffTwoHops(t *testing.T) {
 	r := testRouter(t, 3)
 	s := testSystem(t, 6, 9)

@@ -20,9 +20,8 @@ import (
 // transmission energy while preserving every rate floor, hence the deadline.
 //
 // The hot loop is allocation-free: scratch memory comes from Options.Work,
-// or from a shared pool when the caller brings none. Options.Start, when
-// set, replaces the default start point for library callers; the serving
-// layer never sets it, so every served solve starts from the default.
+// or from a shared pool when the caller brings none. The alternation
+// starts from p = PMax, f = FMax, B = B/N (System.MaxResourceAllocation).
 func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.check(s, w); err != nil {
@@ -52,14 +51,8 @@ func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 		}, nil
 	}
 
-	alloc := s.MaxResourceAllocation()
-	if opts.Start != nil {
-		alloc = opts.Start.Clone()
-	}
-
-	var roundDeadline float64
 	if opts.Mode == ModeDeadline {
-		roundDeadline = opts.TotalDeadline / s.GlobalRounds
+		roundDeadline := opts.TotalDeadline / s.GlobalRounds
 		// Screen feasibility once: the deadline is reachable iff the band
 		// that lets every device finish at full frequency and full power
 		// fits. That is the test SolveMinTime bisects on, made once at the
@@ -104,7 +97,14 @@ func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 		res.Iterations = []IterationTrace{{Objective: res.Objective, RoundDeadline: roundDeadline}}
 		return res, nil
 	}
+	return alternate(s, w, opts, s.MaxResourceAllocation())
+}
 
+// alternate runs Algorithm 2's SP1/SP2 alternation in ModeWeighted from
+// alloc, which it updates in place and returns as the answer. opts must
+// carry its defaults. Optimize always starts it at the maximum-resource
+// allocation; the package's tests start it elsewhere.
+func alternate(s *fl.System, w fl.Weights, opts Options, alloc fl.Allocation) (Result, error) {
 	// Scratch memory: the pooled fallback is safe because everything the
 	// Result carries out of this function is copied off the workspace
 	// before it returns to the pool.
@@ -117,6 +117,7 @@ func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 	ws.grow(s.N())
 	ws.lastMu = 0
 
+	var roundDeadline float64
 	res := Result{Iterations: make([]IterationTrace, 0, opts.MaxOuter)}
 	ws.stashPrev(alloc)
 	for k := 0; k < opts.MaxOuter; k++ {

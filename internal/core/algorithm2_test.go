@@ -176,10 +176,6 @@ func TestOptimizeOptionValidation(t *testing.T) {
 	if _, err := Optimize(s, w, Options{Mode: ModeDeadline}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("missing deadline: want ErrBadInput, got %v", err)
 	}
-	bad := fl.NewAllocation(3) // all zeros: infeasible start
-	if _, err := Optimize(s, w, Options{Start: &bad}); err == nil {
-		t.Error("infeasible start accepted")
-	}
 }
 
 func TestOptimizeWithPaperPathways(t *testing.T) {
@@ -198,11 +194,13 @@ func TestOptimizeWithPaperPathways(t *testing.T) {
 	}
 }
 
+// TestOptimizeCustomStart starts Algorithm 2's alternation away from the
+// default point and checks that it settles near the default answer.
 func TestOptimizeCustomStart(t *testing.T) {
 	s := newTestSystem(5, 17)
 	w := fl.Weights{W1: 0.5, W2: 0.5}
 	start := s.EqualSplitAllocation(0.5/float64(s.N()), s.Devices[0].PMax, s.Devices[0].FMax)
-	res, err := Optimize(s, w, Options{Start: &start})
+	res, err := alternate(s, w, Options{}.withDefaults(), start)
 	if err != nil {
 		t.Fatal(err)
 	}

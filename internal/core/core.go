@@ -102,9 +102,6 @@ type Options struct {
 	// restores the compute/communicate tradeoff the alternation freezes.
 	// Slower (one deadline solve per search point) but strictly stronger.
 	JointWeighted bool
-	// Start optionally overrides the initial allocation; when nil the
-	// optimizer starts from p = PMax, f = FMax, B = B/N.
-	Start *fl.Allocation
 	// Work optionally supplies reusable scratch memory; when nil the
 	// optimizer borrows a pooled workspace. Callers that solve in a loop
 	// (serving workers) pass their own to keep the hot path allocation-free.
@@ -179,11 +176,6 @@ func (o Options) check(s *fl.System, w fl.Weights) error {
 	}
 	if o.Mode == ModeDeadline && !(o.TotalDeadline > 0) {
 		return fmt.Errorf("core: ModeDeadline needs TotalDeadline > 0: %w", ErrBadInput)
-	}
-	if o.Start != nil {
-		if err := s.Validate(*o.Start, 1e-9); err != nil {
-			return fmt.Errorf("core: Start allocation: %w", err)
-		}
 	}
 	return nil
 }

@@ -78,8 +78,7 @@ func TestDirectAnswersWhereverNewton(t *testing.T) {
 						t.Errorf("%s: drifted neighbour: %v", name, err)
 						continue
 					}
-					start := neighbour.Allocation
-					warm, err := Optimize(s, w, Options{Start: &start})
+					warm, err := alternate(s, w, Options{}.withDefaults(), neighbour.Allocation)
 					if err != nil {
 						t.Errorf("%s: warm solve: %v", name, err)
 						continue

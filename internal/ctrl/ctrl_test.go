@@ -215,7 +215,9 @@ func TestDrainWithLiveStreamSessions(t *testing.T) {
 		}
 		return m.Apply(context.Background(), ls.sess.ID(), stream.Delta{Seq: ls.seq, Gains: gains})
 	}
-	// Settle a few deltas so the drain has cache state to migrate.
+	// Settle a few deltas first. The drain carries each session's opening
+	// instance: delta solves are session-private (never cached, never
+	// recorded in the handoff history), so they cannot crowd it out.
 	for _, ls := range sessions {
 		for k := 0; k < 3; k++ {
 			if _, err := apply(ls, rng); err != nil {
@@ -282,8 +284,7 @@ func TestDrainWithLiveStreamSessions(t *testing.T) {
 		}
 	}
 
-	// Post-drain deltas: served by the surviving cell, cold (or a cache hit
-	// when the drift lands in a solved bucket).
+	// Post-drain deltas: served by the surviving cell, cold.
 	for si, ls := range sessions {
 		for k := 0; k < 3; k++ {
 			u, err := apply(ls, rng)

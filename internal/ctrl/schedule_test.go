@@ -245,8 +245,8 @@ func (s *schedule) step(op string) {
 	switch op {
 	case opSolve:
 		d := s.devs[s.rng.Intn(len(s.devs))]
-		// Mostly out-of-bucket drifts (cold solves); some stay close to
-		// the base, so weighted instances share gain buckets.
+		// Every drift is a new exact instance (a cold solve); a quarter
+		// stay close to the base.
 		sigma := 0.3
 		if s.rng.Intn(4) == 0 {
 			sigma = 0.01

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -44,6 +45,25 @@ type frame struct {
 	Sections map[string]any `json:"sections"`
 }
 
+// parseInterval validates the dashboard's ?interval= override: absent
+// selects def, anything else must be a duration within
+// [MinDashboardInterval, MaxDashboardInterval]. Errors are *obs.QueryError.
+func parseInterval(q url.Values, def time.Duration) (time.Duration, error) {
+	v := q.Get("interval")
+	if v == "" {
+		return def, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		return 0, &obs.QueryError{Param: "interval", Value: v, Reason: "not a duration (try 500ms)"}
+	}
+	if d < MinDashboardInterval || d > MaxDashboardInterval {
+		return 0, &obs.QueryError{Param: "interval", Value: v,
+			Reason: "must be between " + MinDashboardInterval.String() + " and " + MaxDashboardInterval.String()}
+	}
+	return d, nil
+}
+
 // DashboardHandler serves GET /debug/dashboard as a Server-Sent Events
 // stream: one `tick` event per interval whose data is a JSON object with
 // a section per configured source (health windows, alert ring, per-cell
@@ -58,19 +78,10 @@ func DashboardHandler(cfg DashboardConfig) http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		interval := cfg.Interval
-		if v := r.URL.Query().Get("interval"); v != "" {
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				_ = obs.WriteQueryError(w, &obs.QueryError{Param: "interval", Value: v, Reason: "not a duration (try 500ms)"})
-				return
-			}
-			if d < MinDashboardInterval || d > MaxDashboardInterval {
-				_ = obs.WriteQueryError(w, &obs.QueryError{Param: "interval", Value: v,
-					Reason: "must be between " + MinDashboardInterval.String() + " and " + MaxDashboardInterval.String()})
-				return
-			}
-			interval = d
+		interval, err := parseInterval(r.URL.Query(), cfg.Interval)
+		if err != nil {
+			_ = obs.WriteQueryError(w, err)
+			return
 		}
 		flusher, ok := w.(http.Flusher)
 		if !ok {

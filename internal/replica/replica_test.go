@@ -83,7 +83,10 @@ func TestSnapshotterSaveRestore(t *testing.T) {
 // TestRestoreSnapshotWithWarmSection restores an FLSNAP02 file written
 // while the serving layer still kept a warm-start index: its cells carry a
 // "warm" section next to the cache entries. Decoding ignores that key, so
-// the cache entries and the stream session come back as they were.
+// the cache entries and the stream session come back as they were. The
+// entries are keyed by the bucketed fingerprints of that build, which no
+// exact key matches: a replay of the session's instance solves cold (the
+// TTL and LRU retire the stale entries), and the replay after it hits.
 func TestRestoreSnapshotWithWarmSection(t *testing.T) {
 	path := filepath.Join("testdata", "flsnap02_warm.snap")
 	raw, err := os.ReadFile(path)
@@ -113,12 +116,17 @@ func TestRestoreSnapshotWithWarmSection(t *testing.T) {
 	}
 	ss := sessions[0]
 	sys := ss.System
-	replay, err := srv.Solve(context.Background(), serve.Request{System: sys, Weights: ss.Weights, Options: ss.Options, Solver: ss.Solver})
-	if err != nil {
-		t.Fatal(err)
+	for k, want := range []serve.Source{serve.SourceCold, serve.SourceCache} {
+		replay, err := srv.Solve(context.Background(), serve.Request{System: sys, Weights: ss.Weights, Options: ss.Options, Solver: ss.Solver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replay.Source != want {
+			t.Fatalf("replay %d of the session's instance: source %q, want %q", k, replay.Source, want)
+		}
 	}
-	if replay.Source != serve.SourceCache {
-		t.Fatalf("replay of the session's instance: source %q, want cache", replay.Source)
+	if got := srv.Stats().CacheEntries; got != 4 {
+		t.Fatalf("cache holds %d entries after the replays, want the 3 restored plus 1", got)
 	}
 	upd, err := mgr.Apply(context.Background(), ss.ID, stream.Delta{Seq: 3, Gains: map[int]float64{0: sys.Devices[0].Gain * 3}})
 	if err != nil || upd.Seq != 3 {

@@ -196,8 +196,8 @@ type RestoreReport struct {
 }
 
 // RestoreServer imports a snapshot into a single-server process: every
-// cell section lands in the one server (state is valid anywhere — all
-// cells share one fingerprint quantization), and sessions are recreated
+// cell section lands in the one server (state is valid anywhere —
+// fingerprints are exact and cell-independent), and sessions are recreated
 // in the manager (skipped when mgr is nil).
 func RestoreServer(srv *serve.Server, mgr *stream.Manager, snap Snapshot) RestoreReport {
 	var rep RestoreReport
@@ -214,8 +214,8 @@ func RestoreServer(srv *serve.Server, mgr *stream.Manager, snap Snapshot) Restor
 
 // RestoreCluster imports a snapshot into a cluster: each cell section
 // lands on its original cell when that ID is still a member, otherwise
-// it is spread round-robin over the live cells (valid anywhere — shared
-// quantization; a later rebalance or plain cache misses settle any
+// it is spread round-robin over the live cells (valid anywhere — exact
+// fingerprints; a later rebalance or plain cache misses settle any
 // misplacement). Sessions are recreated in the manager (skipped when mgr
 // is nil).
 func RestoreCluster(r *cluster.Router, mgr *stream.Manager, snap Snapshot) RestoreReport {

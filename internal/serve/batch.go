@@ -51,7 +51,7 @@ func (s *Server) SolveBatch(ctx context.Context, reqs []Request, pri Priority) [
 			out[i].Err = err
 			continue
 		}
-		fp := req.fingerprint(s.cfg.Quantization)
+		fp := req.fingerprint()
 		if !s.cfg.DisableCache {
 			if res, ok := s.cache.Get(fp.Exact); ok {
 				s.stats.hits.Add(1)

@@ -363,7 +363,7 @@ func TestHandoffCarriesCacheEntry(t *testing.T) {
 	if _, err := src.Solve(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	fp := FingerprintRequest(req, src.Quantization())
+	fp := FingerprintRequest(req)
 	m := src.Extract(fp)
 	if m.Result == nil {
 		t.Fatal("extract carried no cache entry")

@@ -19,7 +19,7 @@ func TestConvergenceObservatory(t *testing.T) {
 	if _, err := srv.Solve(context.Background(), Request{System: s, Weights: balanced()}); err != nil {
 		t.Fatal(err)
 	}
-	// Drifts that leave the exact bucket each miss the cache.
+	// Drifted requests each miss the cache.
 	cur := s
 	for i := 0; i < 4; i++ {
 		cur = driftGains(cur, 0.05, rng)

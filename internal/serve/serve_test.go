@@ -17,8 +17,7 @@ import (
 func balanced() fl.Weights { return fl.Weights{W1: 0.5, W2: 0.5} }
 
 // driftGains returns a copy of s with every gain multiplied by
-// exp(sigma * z_i), far enough to leave the exact fingerprint bucket when
-// sigma is large against the bucket width.
+// exp(sigma * z_i): a new exact fingerprint with the same topology hash.
 func driftGains(s *fl.System, sigma float64, rng *rand.Rand) *fl.System {
 	out := *s
 	out.Devices = append([]fl.Device(nil), s.Devices...)
@@ -65,6 +64,42 @@ func TestSolveColdThenCached(t *testing.T) {
 	}
 	if m := second.Result.Metrics; m.Rates != nil || m.UploadTimes != nil || m.CompTimes != nil {
 		t.Fatalf("cached result carries per-device metrics: %+v", m)
+	}
+}
+
+// TestSessionPrivateSolveNotCached pins the Request.Fingerprint rule: a
+// request carrying its own fingerprint may be answered from the cache, but
+// its solve is never stored, through Solve and SolveBatch alike.
+func TestSessionPrivateSolveNotCached(t *testing.T) {
+	s := testSystem(t, 8, 2)
+	srv := New(Config{Workers: 2})
+	defer srv.Close()
+	ctx := context.Background()
+	fp := FingerprintRequest(Request{System: s, Weights: balanced()})
+	private := Request{System: s, Weights: balanced(), Fingerprint: &fp}
+
+	for k := 0; k < 2; k++ {
+		resp, err := srv.Solve(ctx, private)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Source != SourceCold || resp.Fingerprint != fp {
+			t.Fatalf("private solve %d: source %q fingerprint %+v, want cold under %+v", k, resp.Source, resp.Fingerprint, fp)
+		}
+	}
+	if it := srv.SolveBatch(ctx, []Request{private}, PriorityInteractive)[0]; it.Err != nil || it.Response.Source != SourceCold {
+		t.Fatalf("private batch item: %+v", it)
+	}
+	if n := srv.Stats().CacheEntries; n != 0 {
+		t.Fatalf("session-private solves left %d cache entries", n)
+	}
+
+	// An ordinary request stores its answer, and the private one reads it.
+	if resp, err := srv.Solve(ctx, Request{System: s, Weights: balanced()}); err != nil || resp.Source != SourceCold {
+		t.Fatalf("ordinary solve: %q %v", resp.Source, err)
+	}
+	if resp, err := srv.Solve(ctx, private); err != nil || resp.Source != SourceCache {
+		t.Fatalf("private request after an ordinary solve: %q %v, want cache", resp.Source, err)
 	}
 }
 
@@ -301,8 +336,8 @@ func TestSolveRejectsNilSystem(t *testing.T) {
 }
 
 // TestDeadlineHitMeetsRequestDeadline posts, after each deadline-mode
-// solve, copies of the instance with every gain drifted far inside its
-// fingerprint bucket, plus one identical repost. The deadline optimum is
+// solve, copies of the instance with every gain drifted by about 0.004 dB,
+// plus one identical repost. The deadline optimum is
 // tight (every device finishes on the deadline), so an answer solved for a
 // neighbouring instance would overrun it wherever the request's gain sits
 // lower. Every answer, cached or solved, must meet the request's own

@@ -40,7 +40,8 @@ type Config struct {
 	// DefaultTimeout bounds a request that arrives without a context
 	// deadline. Default 30 seconds; negative disables the default.
 	DefaultTimeout time.Duration
-	// Quantization controls fingerprint bucketing.
+	// Quantization is ignored: fingerprints are exact; removed together
+	// with bench/'s warm vocabulary.
 	Quantization Quantization
 	// DisableCache turns off the exact-fingerprint solution cache.
 	DisableCache bool
@@ -78,14 +79,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Quantization is ignored: fingerprints are exact; removed together with
+// bench/'s warm vocabulary. It survives only so that Config.Quantization
+// and the repro facade's ServeQuantization still compile.
+type Quantization struct {
+	// GainResolutionDB is ignored.
+	GainResolutionDB float64
+}
+
 // Request is one allocation instance to solve.
 type Request struct {
 	// System is the FL deployment; it is read, never mutated.
 	System *fl.System
 	// Weights is the objective weight pair.
 	Weights fl.Weights
-	// Options configures the solver; a caller-provided Options.Start is
-	// passed through unchanged.
+	// Options configures the solver.
 	Options core.Options
 	// Solver selects the answering algorithm (default SolverAlgorithm2).
 	// The choice is part of the fingerprint, so the same instance under
@@ -94,19 +102,23 @@ type Request struct {
 	// Fingerprint, when non-nil, is used instead of fingerprinting the
 	// request from scratch. Streaming delta sessions precompute it
 	// incrementally (FingerprintGains) because only the gains moved; it
-	// must describe exactly this request under this server's quantization,
-	// or cache entries would cross-contaminate. Left nil by ordinary
-	// callers.
+	// must equal FingerprintRequest of exactly this request, or cache
+	// entries would cross-contaminate. Left nil by ordinary callers.
+	//
+	// A request that carries its own Fingerprint is session-private: it
+	// may be answered from the cache, but its solve is never stored there.
+	// A delta session's instance belongs to that session alone, so an
+	// entry for it would only be read again by an identical re-POST.
 	Fingerprint *Fingerprint
 }
 
 // fingerprint resolves the request's fingerprint: the caller-precomputed
 // one when present, a fresh FingerprintRequest otherwise.
-func (req Request) fingerprint(q Quantization) Fingerprint {
+func (req Request) fingerprint() Fingerprint {
 	if req.Fingerprint != nil {
 		return *req.Fingerprint
 	}
-	return FingerprintRequest(req, q)
+	return FingerprintRequest(req)
 }
 
 // Source records how a response was produced.
@@ -116,7 +128,7 @@ const (
 	// SourceCache means the exact fingerprint hit the solution cache.
 	SourceCache Source = "cache"
 	// SourceCold means the solver ran: every cache miss solves from the
-	// default start (or the caller's own Options.Start).
+	// default start.
 	SourceCold Source = "cold"
 )
 
@@ -126,15 +138,7 @@ type Response struct {
 	// A cache hit carries the totals of Result.Metrics but not its
 	// per-device slices (Rates, UploadTimes, CompTimes), which the cache
 	// does not keep; System.Evaluate(Result.Allocation) derives them.
-	//
-	// A weighted-mode hit answers with the cached instance's solution: the
-	// instance in the same 0.25 dB gain bucket that was solved first, whose
-	// gains need not be the request's own. The allocation is feasible for
-	// the request (the boxes and the band sum do not depend on gains), but
-	// Result.Objective and the Metrics totals are the cached instance's;
-	// System.Evaluate(Result.Allocation) scores it on the request's gains.
-	// A deadline-mode hit keys on the exact gains, so it is the request's
-	// own instance.
+	// Fingerprints are exact, so a hit is the request's own instance.
 	Result core.Result
 	// Source tells whether the result came from the cache or a solve.
 	Source Source
@@ -279,11 +283,6 @@ func (s *Server) CacheHitLatencies() []time.Duration { return s.stats.hitLatenci
 // SolveLatencies; the health layer windows them per cell.
 func (s *Server) QueueWaitLatencies() []time.Duration { return s.stats.queueWaitLatencies() }
 
-// Quantization returns the fingerprint quantization this server buckets
-// with. Handoff re-fingerprints migrating instances under the destination
-// server's quantization, which need not match the source's.
-func (s *Server) Quantization() Quantization { return s.cfg.Quantization }
-
 // Migration is the cacheable state one fingerprint identifies: its
 // exact-match solution-cache entry, nil if absent.
 type Migration struct {
@@ -314,7 +313,8 @@ func (s *Server) Inject(fp Fingerprint, m Migration) {
 // fingerprint hit, by joining an identical in-flight solve, or by queueing
 // a cold solve on the worker pool. ctx governs only
 // this caller's wait: a solve, once enqueued, always runs to completion
-// and lands in the cache, so a timed-out caller neither loses the work nor
+// and lands in the cache (unless the request is session-private, see
+// Request.Fingerprint), so a timed-out caller neither loses the work nor
 // fails the other callers deduplicated onto it.
 func (s *Server) Solve(ctx context.Context, req Request) (Response, error) {
 	s.stats.requests.Add(1)
@@ -329,7 +329,7 @@ func (s *Server) Solve(ctx context.Context, req Request) (Response, error) {
 	}
 	tr := obs.FromContext(ctx)
 	began := time.Now()
-	fp := req.fingerprint(s.cfg.Quantization)
+	fp := req.fingerprint()
 	if tr != nil {
 		tr.Record(obs.PhaseFingerprint, began)
 	}
@@ -563,7 +563,7 @@ func (s *Server) process(t *task, ws *core.Workspace) (Response, error) {
 	s.stats.recordLatency(elapsed)
 	s.stats.coldSolves.Add(1)
 	s.stats.bucketEvent(t.fp.Topo, bucketCold)
-	if !s.cfg.DisableCache {
+	if !s.cfg.DisableCache && req.Fingerprint == nil {
 		s.cache.Put(t.fp.Exact, res)
 	}
 	// Not cloned here: every waiter in Solve copies Result for itself.

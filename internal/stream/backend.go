@@ -18,10 +18,6 @@ type Backend interface {
 	// shards (a single server ignores it). The int names the serving cell
 	// (always 0 on a single server).
 	Solve(ctx context.Context, deviceID string, req serve.Request) (serve.Response, int, error)
-	// Quantization is the fingerprint quantization sessions precompute
-	// incremental fingerprints under; it must match what Solve buckets
-	// with.
-	Quantization() serve.Quantization
 	// StatsPayload returns the backend's JSON stats snapshot, embedded
 	// verbatim into the combined GET /v1/stats body.
 	StatsPayload() any
@@ -44,9 +40,8 @@ func (b serveBackend) Solve(ctx context.Context, _ string, req serve.Request) (s
 	return resp, 0, err
 }
 
-func (b serveBackend) Quantization() serve.Quantization { return b.s.Quantization() }
-func (b serveBackend) StatsPayload() any                { return b.s.Stats() }
-func (b serveBackend) Handler() http.Handler            { return b.s.Handler() }
+func (b serveBackend) StatsPayload() any     { return b.s.Stats() }
+func (b serveBackend) Handler() http.Handler { return b.s.Handler() }
 
 func (b serveBackend) WriteMetrics(w io.Writer) {
 	pw := serve.NewPromWriter(w)
@@ -65,9 +60,8 @@ func (b clusterBackend) Solve(ctx context.Context, deviceID string, req serve.Re
 	return b.r.Solve(ctx, cluster.CellAuto, deviceID, req)
 }
 
-func (b clusterBackend) Quantization() serve.Quantization { return b.r.Quantization() }
-func (b clusterBackend) StatsPayload() any                { return b.r.Stats() }
-func (b clusterBackend) Handler() http.Handler            { return b.r.Handler() }
+func (b clusterBackend) StatsPayload() any     { return b.r.Stats() }
+func (b clusterBackend) Handler() http.Handler { return b.r.Handler() }
 
 func (b clusterBackend) WriteMetrics(w io.Writer) {
 	_ = b.r.Stats().WritePrometheus(w)

@@ -15,7 +15,10 @@ import (
 // TestActiveSessionSurvivesHandoff drives deltas through a cluster-backed
 // session WHILE the device hands off between cells: no update may be lost
 // (every sequence number applies, in order, to the authoritative state) and
-// the post-move re-solves land on the new cell as cold solves.
+// the post-move re-solves land on the new cell as cold solves. Delta solves
+// are session-private (never cached, never recorded in the handoff
+// history), so the move carries exactly one answer: the opening
+// instance's, which leaves the source cell empty.
 func TestActiveSessionSurvivesHandoff(t *testing.T) {
 	r := cluster.New(cluster.Config{Cells: 2, Cell: serve.Config{Workers: 2}})
 	defer r.Close()
@@ -34,7 +37,7 @@ func TestActiveSessionSurvivesHandoff(t *testing.T) {
 		t.Fatalf("device routed to cell %d, opening solve served by %d", got, from)
 	}
 
-	// A few settled deltas so the source cell holds cache state to migrate.
+	// A few settled deltas before the move.
 	rng := rand.New(rand.NewSource(32))
 	expected := append([]fl.Device(nil), base.Devices...)
 	apply := func(seq uint64) Update {
@@ -94,8 +97,13 @@ func TestActiveSessionSurvivesHandoff(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	if rep.MigratedResults == 0 {
-		t.Fatalf("handoff migrated nothing: %+v", rep)
+	if rep.Instances != 1 || rep.MigratedResults != 1 {
+		t.Fatalf("handoff carried %d instances / %d results, want 1/1 (the opening instance only): %+v", rep.Instances, rep.MigratedResults, rep)
+	}
+	for cell, want := range map[int]int{from: 0, to: 1} {
+		if srv, _ := r.CellServer(cell); srv.Stats().CacheEntries != want {
+			t.Fatalf("cell %d holds %d cache entries, want %d (the opening instance, moved)", cell, srv.Stats().CacheEntries, want)
+		}
 	}
 
 	// No lost updates: every in-flight delta applied and the authoritative
@@ -140,11 +148,10 @@ func TestActiveSessionSurvivesHandoff(t *testing.T) {
 }
 
 // TestHandoffRefingerprintRacesDeltas hammers the narrowest window: the
-// router's handoff history re-fingerprints retained request systems while
-// the session applies deltas, so every system handed to the backend (the
-// opening solve included) must be a snapshot, never the live in-place-
-// mutated authoritative state. Run under -race this fails if either Open
-// or Apply leaks s.sys by reference.
+// router's handoff history re-fingerprints the retained opening request
+// while the session applies deltas, so the system handed to the backend
+// must be a snapshot, never the live in-place-mutated authoritative state.
+// Run under -race this fails if Open leaks s.sys by reference.
 func TestHandoffRefingerprintRacesDeltas(t *testing.T) {
 	r := cluster.New(cluster.Config{Cells: 2, Cell: serve.Config{Workers: 2}})
 	defer r.Close()
@@ -207,8 +214,10 @@ func TestHandoffRefingerprintRacesDeltas(t *testing.T) {
 // backend, later deltas would mutate the retained record and the handoff
 // would re-fingerprint the opening instance under the drifted gains —
 // extracting the wrong cache key and stranding the opening solution in the
-// source cell. A replay of the original system after the move must
-// therefore be a cache hit in the destination.
+// source cell. The delta's own solve is session-private (never cached,
+// never recorded), so the handoff sees one instance and moves one result,
+// and a replay of the original system after the move must be a cache hit
+// in the destination.
 func TestHandoffMigratesOpeningInstanceAfterDeltas(t *testing.T) {
 	r := cluster.New(cluster.Config{Cells: 2, Cell: serve.Config{Workers: 2}})
 	defer r.Close()
@@ -225,8 +234,7 @@ func TestHandoffMigratesOpeningInstanceAfterDeltas(t *testing.T) {
 	from := upd0.Cell
 	to := 1 - from
 
-	// Drift far enough that the session state leaves the opening
-	// instance's exact fingerprint bucket.
+	// Drift the session state away from the opening instance.
 	if _, err := m.Apply(context.Background(), sess.ID(), Delta{Seq: 1, Gains: map[int]float64{
 		0: base.Devices[0].Gain * 2,
 		3: base.Devices[3].Gain * 0.5,
@@ -237,11 +245,11 @@ func TestHandoffMigratesOpeningInstanceAfterDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Instances != 2 {
-		t.Fatalf("handoff saw %d instances, want 2 (opening + delta)", rep.Instances)
+	if rep.Instances != 1 {
+		t.Fatalf("handoff saw %d instances, want 1 (the opening; the delta is session-private)", rep.Instances)
 	}
-	if rep.MigratedResults != 2 {
-		t.Fatalf("handoff migrated %d results, want 2 — the opening instance was re-fingerprinted under the wrong gains", rep.MigratedResults)
+	if rep.MigratedResults != 1 {
+		t.Fatalf("handoff migrated %d results, want 1 — 0 means the opening instance was re-fingerprinted under the wrong gains", rep.MigratedResults)
 	}
 	resp, cell, err := r.Solve(context.Background(), cluster.CellAuto, dev, serve.Request{System: orig, Weights: balanced()})
 	if err != nil {

@@ -61,9 +61,9 @@ func (m *Manager) ExportSessions() []SessionSnapshot {
 			Deltas:   s.deltas,
 		}
 		s.mu.Unlock()
-		// Seeds and workspaces are the serving layer's job, and never
-		// serializable anyway.
-		snap.Options.Start, snap.Options.Work, snap.Options.Trace = nil, nil, nil
+		// Workspaces are the serving layer's job, and never serializable
+		// anyway.
+		snap.Options.Work, snap.Options.Trace = nil, nil
 		out = append(out, snap)
 	}
 	return out
@@ -98,7 +98,7 @@ func (m *Manager) RestoreSessions(snaps []SessionSnapshot) int {
 			deltas:     snap.Deltas,
 		}
 		s.cond = sync.NewCond(&s.mu)
-		s.opts.Start, s.opts.Work, s.opts.Trace = nil, nil, nil
+		s.opts.Work, s.opts.Trace = nil, nil
 		s.touch()
 		m.mu.Lock()
 		if m.closed {

@@ -16,15 +16,20 @@
 //   - the session applies the delta to its pinned system in place,
 //     re-fingerprints incrementally (gains-only deltas reuse the cached
 //     topology-bucket hash and re-hash just the gains), and re-solves
-//     through the backend — a cache hit when the drift stays inside the
-//     gain buckets, a cold solve otherwise;
+//     through the backend — a cache hit only when the exact instance is
+//     already cached, a cold solve otherwise. Delta solves are
+//     session-private (serve.Request.Fingerprint): they never enter the
+//     shared cache, because no other request carries the session's
+//     instance;
 //   - every update is answered with the new allocation plus solve metadata:
 //     the path taken (cache/cold), iteration counts and latency.
 //
 // Sessions are bounded (max sessions, idle TTL) and survive cross-cell
 // handoff: session state lives above the cells, deltas route by device ID
 // (following the handoff pin), and the existing cluster Handoff machinery
-// migrates the session's cached solutions with the device.
+// migrates the device's cached solutions (the session's opening instance
+// among them; delta solves are neither cached nor recorded in the handoff
+// history). A delta after a move re-solves cold on the new cell.
 package stream
 
 import (
@@ -334,7 +339,7 @@ func newSessionID() (string, error) {
 // Open creates a session from a full solve request, running the opening
 // solve through the backend (routed by deviceID on a cluster). The request's
 // system is copied — the caller keeps ownership of its own — and any
-// caller-provided Start/Work/Fingerprint are dropped: seeds are
+// caller-provided Work/Fingerprint are dropped: workspaces and keys are
 // the serving layer's job. On solver or validation failure no session is
 // created. The returned Update carries Seq 0.
 func (m *Manager) Open(ctx context.Context, deviceID string, req serve.Request) (*Session, Update, error) {
@@ -375,7 +380,7 @@ func (m *Manager) Open(ctx context.Context, deviceID string, req serve.Request) 
 		solver:   req.Solver,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.opts.Start, s.opts.Work = nil, nil
+	s.opts.Work = nil
 	s.touch()
 
 	began := time.Now()
@@ -541,9 +546,9 @@ func (m *Manager) Apply(ctx context.Context, sessionID string, d Delta) (Update,
 	}
 	target := s.pendingSeq
 	s.solving = true
-	// The backend keeps references to served systems (the cluster's handoff
-	// history re-fingerprints them later), so each solve gets an immutable
-	// snapshot rather than the live, in-place-mutated authoritative state.
+	// A queued solve outlives a caller whose context ends, so each solve
+	// gets an immutable snapshot rather than the live, in-place-mutated
+	// authoritative state.
 	req := serve.Request{
 		System:  cloneSystem(s.sys),
 		Weights: s.weights,
@@ -552,9 +557,9 @@ func (m *Manager) Apply(ctx context.Context, sessionID string, d Delta) (Update,
 	}
 	var fp serve.Fingerprint
 	if s.hasTopo && !s.topoDirty {
-		fp = serve.FingerprintGains(s.topo, req.System, s.opts.Mode, m.be.Quantization())
+		fp = serve.FingerprintGains(s.topo, req.System)
 	} else {
-		fp = serve.FingerprintRequest(req, m.be.Quantization())
+		fp = serve.FingerprintRequest(req)
 	}
 	s.topo, s.hasTopo, s.topoDirty = fp.Topo, true, false
 	req.Fingerprint = &fp

@@ -111,9 +111,10 @@ func TestSessionDeltaSolvesCold(t *testing.T) {
 }
 
 func TestIncrementalFingerprintMatchesServerBuckets(t *testing.T) {
-	// A delta-applied instance and the identical full re-POST must land on
-	// the same cache entry: replaying a delta's resulting system through
-	// the plain path has to be an exact-fingerprint cache hit.
+	// A delta-applied instance and the identical full re-POST must key the
+	// same cache entry. The delta's solve is session-private, so the first
+	// re-POST solves cold under the delta's fingerprint, and the second is
+	// a cache hit.
 	srv := serve.New(serve.Config{Workers: 2})
 	defer srv.Close()
 	m := NewManager(NewServeBackend(srv), Config{})
@@ -127,15 +128,17 @@ func TestIncrementalFingerprintMatchesServerBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := srv.Solve(context.Background(), serve.Request{System: sess.SystemSnapshot(), Weights: balanced()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Source != serve.SourceCache {
-		t.Fatalf("full re-POST of the delta state source = %q, want cache", resp.Source)
-	}
-	if resp.Fingerprint != upd.Response.Fingerprint {
-		t.Fatalf("fingerprints diverge: delta %+v vs full %+v", upd.Response.Fingerprint, resp.Fingerprint)
+	for k, want := range []serve.Source{serve.SourceCold, serve.SourceCache} {
+		resp, err := srv.Solve(context.Background(), serve.Request{System: sess.SystemSnapshot(), Weights: balanced()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Source != want {
+			t.Fatalf("full re-POST %d of the delta state source = %q, want %q", k, resp.Source, want)
+		}
+		if resp.Fingerprint != upd.Response.Fingerprint {
+			t.Fatalf("fingerprints diverge: delta %+v vs full %+v", upd.Response.Fingerprint, resp.Fingerprint)
+		}
 	}
 }
 
@@ -228,17 +231,22 @@ func TestWeightsDeltaChangesTopologyBucket(t *testing.T) {
 		t.Fatalf("weight change kept topology bucket %x", topo0)
 	}
 	// A follow-up gains-only delta reuses the NEW topo hash and must agree
-	// with a from-scratch fingerprint (checked by the cache hit below).
+	// with a from-scratch fingerprint. Its solve is session-private, so the
+	// first re-POST solves cold under the same key and the second hits.
 	rng := rand.New(rand.NewSource(8))
-	if _, err := m.Apply(context.Background(), sess.ID(), sparseDrift(sess.SystemSnapshot(), 2, 2, 0.3, rng)); err != nil {
-		t.Fatal(err)
-	}
-	resp, _, err := m.be.Solve(context.Background(), "", serve.Request{System: sess.SystemSnapshot(), Weights: fl.Weights{W1: 0.8, W2: 0.2}})
+	upd, err = m.Apply(context.Background(), sess.ID(), sparseDrift(sess.SystemSnapshot(), 2, 2, 0.3, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Source != serve.SourceCache {
-		t.Fatalf("re-POST after weights+gains deltas source = %q, want cache", resp.Source)
+	for k, want := range []serve.Source{serve.SourceCold, serve.SourceCache} {
+		resp, _, err := m.be.Solve(context.Background(), "", serve.Request{System: sess.SystemSnapshot(), Weights: fl.Weights{W1: 0.8, W2: 0.2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Source != want || resp.Fingerprint != upd.Response.Fingerprint {
+			t.Fatalf("re-POST %d after weights+gains deltas: source %q fingerprint %+v, want %q under the delta's %+v",
+				k, resp.Source, resp.Fingerprint, want, upd.Response.Fingerprint)
+		}
 	}
 }
 

@@ -210,7 +210,8 @@ type (
 	Server = serve.Server
 	// ServeConfig parameterizes the service (pool size, cache, timeouts).
 	ServeConfig = serve.Config
-	// ServeQuantization controls fingerprint bucketing.
+	// ServeQuantization is ignored: fingerprints are exact; removed
+	// together with bench/'s warm vocabulary.
 	ServeQuantization = serve.Quantization
 	// ServeRequest is one instance to solve.
 	ServeRequest = serve.Request
@@ -422,9 +423,11 @@ func StreamHandler(m *StreamManager) http.Handler { return stream.Handler(m) }
 // StreamNDJSONContentType is the media type of delta and update streams.
 const StreamNDJSONContentType = stream.NDJSONContentType
 
-// FingerprintInstance hashes an instance at cache and topology granularity.
-func FingerprintInstance(s *System, w Weights, opts Options, q ServeQuantization) ServeFingerprint {
-	return serve.FingerprintInstance(s, w, opts, q)
+// FingerprintInstance hashes an instance at cache and topology
+// granularity. The quantization argument is ignored: fingerprints are
+// exact; removed together with bench/'s warm vocabulary.
+func FingerprintInstance(s *System, w Weights, opts Options, _ ServeQuantization) ServeFingerprint {
+	return serve.FingerprintInstance(s, w, opts)
 }
 
 // SystemToJSON converts a system to the HTTP wire form.

@@ -14,15 +14,17 @@
 #
 # PAIRED_BASE adds a paired before/after measurement: the test binaries of
 # revision <rev> (unpacked with git archive, nothing downloaded) and of
-# this tree run BenchmarkOptimizeDeadline alternately, six pairs, and every
-# ns/op lands in the JSON under "paired" with the median after/before
-# ratio: two revisions timed back to back on one host, unlike a diff of
-# two baseline files recorded on different days.
+# this tree run each benchmark in PAIRED alternately, six pairs each, and
+# every ns/op lands in the JSON under "paired" with the median
+# after/before ratio per benchmark: two revisions timed back to back on
+# one host, unlike a diff of two baseline files recorded on different
+# days.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHES='^(BenchmarkOptimizeWeighted|BenchmarkOptimizeDeadline|BenchmarkOptimizeScale|BenchmarkServeCold|BenchmarkServeCached|BenchmarkServeDrift|BenchmarkServeTraced|BenchmarkServeBatch|BenchmarkClusterRoutedCached|BenchmarkStreamDelta|BenchmarkStreamRepostCold|BenchmarkMassHandoff|BenchmarkHandoffPerDevice)$'
 BENCHTIME="${BENCHTIME:-2s}"
+PAIRED='BenchmarkOptimizeDeadline BenchmarkServeCached BenchmarkClusterRoutedCached BenchmarkHandoffPerDevice BenchmarkStreamDelta'
 
 out="$(go test -run '^$' -bench "$BENCHES" -benchmem -benchtime "$BENCHTIME" -count 1 .)"
 echo "$out" >&2
@@ -35,30 +37,33 @@ if [ -n "${PAIRED_BASE:-}" ]; then
     git archive "$PAIRED_BASE" | tar -x -C "$tmp/base"
     (cd "$tmp/base" && go test -c -o "$tmp/base.test" .)
     go test -c -o "$tmp/change.test" .
-    pbench=BenchmarkOptimizeDeadline
     nsof() {
-        "$tmp/$1.test" -test.run '^$' -test.bench "^$pbench\$" -test.benchtime "$BENCHTIME" |
+        "$tmp/$1.test" -test.run '^$' -test.bench "^$2\$" -test.benchtime "$BENCHTIME" |
             awk '/^Benchmark/ { print $3 }'
     }
-    base_ns="" change_ns=""
-    for k in 1 2 3 4 5 6; do
-        if [ $((k % 2)) -eq 1 ]; then
-            b="$(nsof base)"; c="$(nsof change)"
-        else
-            c="$(nsof change)"; b="$(nsof base)"
-        fi
-        echo "paired $pbench: base $b ns/op, change $c ns/op" >&2
-        base_ns="$base_ns${base_ns:+, }$b"
-        change_ns="$change_ns${change_ns:+, }$c"
+    entries=""
+    for pbench in $PAIRED; do
+        base_ns="" change_ns=""
+        for k in 1 2 3 4 5 6; do
+            if [ $((k % 2)) -eq 1 ]; then
+                b="$(nsof base "$pbench")"; c="$(nsof change "$pbench")"
+            else
+                c="$(nsof change "$pbench")"; b="$(nsof base "$pbench")"
+            fi
+            echo "paired $pbench: base $b ns/op, change $c ns/op" >&2
+            base_ns="$base_ns${base_ns:+, }$b"
+            change_ns="$change_ns${change_ns:+, }$c"
+        done
+        ratio="$(echo "$base_ns;$change_ns" | awk -F';' '{
+            n = split($1, b, ", "); split($2, c, ", ")
+            for (i = 1; i <= n; i++) r[i] = c[i] / b[i]
+            for (i = 1; i <= n; i++) for (j = i + 1; j <= n; j++) if (r[j] < r[i]) { t = r[i]; r[i] = r[j]; r[j] = t }
+            printf "%.4f", (n % 2) ? r[(n + 1) / 2] : (r[n / 2] + r[n / 2 + 1]) / 2
+        }')"
+        echo "paired $pbench: median ratio $ratio" >&2
+        entries="$entries${entries:+,\n}    \"$pbench\": {\"base_ns\": [$base_ns], \"change_ns\": [$change_ns], \"median_ratio\": $ratio}"
     done
-    ratio="$(echo "$base_ns;$change_ns" | awk -F';' '{
-        n = split($1, b, ", "); split($2, c, ", ")
-        for (i = 1; i <= n; i++) r[i] = c[i] / b[i]
-        for (i = 1; i <= n; i++) for (j = i + 1; j <= n; j++) if (r[j] < r[i]) { t = r[i]; r[i] = r[j]; r[j] = t }
-        printf "%.4f", (n % 2) ? r[(n + 1) / 2] : (r[n / 2] + r[n / 2 + 1]) / 2
-    }')"
-    paired="$(printf '"paired": {"benchmark": "%s", "base": "%s", "base_ns": [%s], "change_ns": [%s], "median_ratio": %s}' \
-        "$pbench" "$(git rev-parse --short "$PAIRED_BASE")" "$base_ns" "$change_ns" "$ratio")"
+    paired="$(printf '"paired": {"base": "%s", "benchmarks": {\n%b\n  }}' "$(git rev-parse --short "$PAIRED_BASE")" "$entries")"
 fi
 
 json="$(echo "$out" | awk -v paired="$paired" '
