@@ -1,15 +1,9 @@
-// Package convex implements small-scale convex optimization routines:
-//
-//   - Minimize: a log-barrier interior-point method for smooth convex
-//     programs with inequality and box constraints. The reproduction uses it
-//     as an *independent oracle* to validate the closed-form KKT solvers
-//     derived from the paper's appendices; it is deliberately generic and
-//     derivative-light (finite-difference Hessians), trading speed for
-//     trustworthiness.
-//   - GreedyLP: exact solver for separable linear programs with box bounds
-//     and one coupling budget constraint — the structure of problem (A.6).
-//   - ProjectSimplex: Euclidean projection onto a scaled simplex, used by
-//     tests of the Subproblem 1 dual.
+// Package convex implements Minimize, a log-barrier interior-point method
+// for small smooth convex programs with inequality and box constraints.
+// The reproduction uses it only as an *independent oracle* in tests, to
+// validate the closed-form KKT solvers derived from the paper's
+// appendices; it is deliberately generic and derivative-light
+// (finite-difference Hessians), trading speed for trustworthiness.
 package convex
 
 import (
@@ -19,9 +13,6 @@ import (
 
 	"repro/internal/linalg"
 )
-
-// ErrInfeasible is returned when a solver can prove the instance infeasible.
-var ErrInfeasible = errors.New("convex: infeasible problem")
 
 // ErrNotStrictlyFeasible is returned when the starting point violates (or
 // touches) an inequality, which the barrier method cannot recover from.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool {
@@ -163,193 +162,5 @@ func TestMinimizeRandomQP(t *testing.T) {
 				t.Errorf("trial %d: x[%d] = %g, want %g", trial, i, x[i], want)
 			}
 		}
-	}
-}
-
-func TestGreedyLP(t *testing.T) {
-	tests := []struct {
-		name   string
-		c      []float64
-		lo, hi []float64
-		budget float64
-		want   []float64
-	}{
-		{
-			name: "all negative, budget binds cheapest first",
-			c:    []float64{-3, -1, -2},
-			lo:   []float64{0, 0, 0},
-			hi:   []float64{2, 2, 2},
-			// order: idx0 (-3) gets 2, idx2 (-2) gets 1, idx1 gets 0
-			budget: 3,
-			want:   []float64{2, 0, 1},
-		},
-		{
-			name:   "positive costs stay at lower bounds",
-			c:      []float64{1, 2},
-			lo:     []float64{0.5, 0.25},
-			hi:     []float64{5, 5},
-			budget: 10,
-			want:   []float64{0.5, 0.25},
-		},
-		{
-			name:   "budget slack, all negatives saturate",
-			c:      []float64{-1, -1},
-			lo:     []float64{0, 0},
-			hi:     []float64{1, 1},
-			budget: 10,
-			want:   []float64{1, 1},
-		},
-		{
-			name:   "zero cost not raised",
-			c:      []float64{0, -1},
-			lo:     []float64{0, 0},
-			hi:     []float64{4, 4},
-			budget: 5,
-			want:   []float64{0, 4},
-		},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := GreedyLP(tc.c, tc.lo, tc.hi, tc.budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range tc.want {
-				if !almostEq(got[i], tc.want[i], 1e-12) {
-					t.Errorf("x[%d] = %g, want %g", i, got[i], tc.want[i])
-				}
-			}
-		})
-	}
-}
-
-func TestGreedyLPInfeasible(t *testing.T) {
-	_, err := GreedyLP([]float64{1}, []float64{5}, []float64{6}, 1)
-	if !errors.Is(err, ErrInfeasible) {
-		t.Errorf("want ErrInfeasible, got %v", err)
-	}
-	_, err = GreedyLP([]float64{1}, []float64{5}, []float64{4}, 100)
-	if !errors.Is(err, ErrInfeasible) {
-		t.Errorf("reversed box: want ErrInfeasible, got %v", err)
-	}
-}
-
-// Property: GreedyLP output is feasible and no feasible single-coordinate
-// perturbation improves the objective (exchange argument).
-func TestGreedyLPOptimalityProperty(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(6)
-		c := make([]float64, n)
-		lo := make([]float64, n)
-		hi := make([]float64, n)
-		var loSum float64
-		for i := 0; i < n; i++ {
-			c[i] = rng.NormFloat64()
-			lo[i] = rng.Float64()
-			hi[i] = lo[i] + rng.Float64()*3
-			loSum += lo[i]
-		}
-		budget := loSum + rng.Float64()*4
-		x, err := GreedyLP(c, lo, hi, budget)
-		if err != nil {
-			return false
-		}
-		var sum float64
-		for i := range x {
-			if x[i] < lo[i]-1e-12 || x[i] > hi[i]+1e-12 {
-				return false
-			}
-			sum += x[i]
-		}
-		if sum > budget+1e-9 {
-			return false
-		}
-		// Exchange check: moving mass from a higher-cost raised variable to
-		// a lower-cost unsaturated one must not be possible.
-		slack := budget - sum
-		for i := 0; i < n; i++ {
-			// Could we raise x[i] profitably with remaining slack?
-			if c[i] < -1e-12 && x[i] < hi[i]-1e-9 && slack > 1e-9 {
-				return false
-			}
-			for j := 0; j < n; j++ {
-				if c[j] < c[i]-1e-9 && x[i] > lo[i]+1e-9 && x[j] < hi[j]-1e-9 && c[j] < 0 {
-					return false // swap would strictly improve
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestProjectSimplex(t *testing.T) {
-	tests := []struct {
-		name  string
-		v     []float64
-		total float64
-		want  []float64
-	}{
-		{"already on simplex", []float64{0.5, 0.5}, 1, []float64{0.5, 0.5}},
-		{"uniform shift", []float64{2, 2}, 1, []float64{0.5, 0.5}},
-		{"clip negative", []float64{1, -5}, 1, []float64{1, 0}},
-		{"scaled total", []float64{3, 1}, 8, []float64{5, 3}},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got := ProjectSimplex(tc.v, tc.total)
-			for i := range tc.want {
-				if !almostEq(got[i], tc.want[i], 1e-9) {
-					t.Errorf("x[%d] = %g, want %g", i, got[i], tc.want[i])
-				}
-			}
-		})
-	}
-}
-
-// Property: the projection lies on the simplex and is no farther from v than
-// any random simplex point (projection optimality spot-check).
-func TestProjectSimplexProperty(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(6)
-		total := 0.5 + rng.Float64()*5
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = rng.NormFloat64() * 3
-		}
-		x := ProjectSimplex(v, total)
-		var sum float64
-		for _, xi := range x {
-			if xi < -1e-12 {
-				return false
-			}
-			sum += xi
-		}
-		if !almostEq(sum, total, 1e-9) {
-			return false
-		}
-		// Random competitor on the simplex.
-		comp := make([]float64, n)
-		var cs float64
-		for i := range comp {
-			comp[i] = rng.Float64()
-			cs += comp[i]
-		}
-		for i := range comp {
-			comp[i] *= total / cs
-		}
-		dx, dc := 0.0, 0.0
-		for i := range v {
-			dx += (x[i] - v[i]) * (x[i] - v[i])
-			dc += (comp[i] - v[i]) * (comp[i] - v[i])
-		}
-		return dx <= dc+1e-9
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }

@@ -11,9 +11,9 @@ import (
 // a feasible allocation, it alternates Subproblem 1 (frequencies and round
 // deadline, given upload times) and Subproblem 2 (powers and bandwidths,
 // given minimum rates from the deadline) until the allocation stops moving
-// or MaxOuter iterations. Subproblem 2 is solved by the direct reduction
-// unless Options.SP2Solver selects the paper's Algorithm 1 (SP2NewtonOnly);
-// see SolveSubproblem2.
+// or MaxOuter iterations. It is the served solver: Subproblem 2 is always
+// solved by the direct reduction (SolveSubproblem2Direct). OptimizePaper
+// runs the paper's Algorithm 1 in its place.
 //
 // The weighted objective is non-increasing across both half-steps: SP1 is
 // solved exactly for (f, T) with transmission terms fixed, and SP2 minimizes
@@ -34,21 +34,8 @@ func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 		return SolveWeightedJoint(s, w, jw)
 	}
 
-	// Pure-delay corner: Subproblem 2's objective vanishes (nu_n = 0); the
-	// whole problem reduces to min-max time, solved directly.
 	if opts.Mode == ModeWeighted && w.W1 == 0 {
-		mt, err := SolveMinTime(s)
-		if err != nil {
-			return Result{}, err
-		}
-		m := s.Evaluate(mt.Allocation)
-		return Result{
-			Allocation:    mt.Allocation,
-			RoundDeadline: mt.RoundDeadline,
-			Metrics:       m,
-			Objective:     s.Objective(w, mt.Allocation),
-			Converged:     true,
-		}, nil
+		return minTimeCorner(s, w)
 	}
 
 	if opts.Mode == ModeDeadline {
@@ -97,14 +84,51 @@ func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 		res.Iterations = []IterationTrace{{Objective: res.Objective, RoundDeadline: roundDeadline}}
 		return res, nil
 	}
-	return alternate(s, w, opts, s.MaxResourceAllocation())
+	return alternate(s, w, opts, nil, s.MaxResourceAllocation())
+}
+
+// OptimizePaper runs Algorithm 2 in ModeWeighted along the paper's own
+// pathways (see Paper): the same alternation as Optimize from the same
+// start, with Subproblem 2 solved by Algorithm 1 and, under p.SP1Dual,
+// Subproblem 1 by its dual (17). The w1 = 0 corner is the same min-time
+// solve as Optimize's.
+func OptimizePaper(s *fl.System, w fl.Weights, p Paper) (Result, error) {
+	opts := Options{}.withDefaults()
+	if err := opts.check(s, w); err != nil {
+		return Result{}, err
+	}
+	if w.W1 == 0 {
+		return minTimeCorner(s, w)
+	}
+	p = p.withDefaults()
+	return alternate(s, w, opts, &p, s.MaxResourceAllocation())
+}
+
+// minTimeCorner answers the pure-delay corner w1 = 0: Subproblem 2's
+// objective vanishes (nu_n = 0) and the whole problem reduces to min-max
+// time, solved directly.
+func minTimeCorner(s *fl.System, w fl.Weights) (Result, error) {
+	mt, err := SolveMinTime(s)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Allocation:    mt.Allocation,
+		RoundDeadline: mt.RoundDeadline,
+		Metrics:       s.Evaluate(mt.Allocation),
+		Objective:     s.Objective(w, mt.Allocation),
+		Converged:     true,
+	}, nil
 }
 
 // alternate runs Algorithm 2's SP1/SP2 alternation in ModeWeighted from
 // alloc, which it updates in place and returns as the answer. opts must
-// carry its defaults. Optimize always starts it at the maximum-resource
-// allocation; the package's tests start it elsewhere.
-func alternate(s *fl.System, w fl.Weights, opts Options, alloc fl.Allocation) (Result, error) {
+// carry its defaults. A nil paper is the served path (direct SP1 and SP2
+// solves); otherwise Subproblem 2 runs Algorithm 1 with paper's settings,
+// which must carry their defaults. Optimize and OptimizePaper always start
+// it at the maximum-resource allocation; the package's tests start it
+// elsewhere.
+func alternate(s *fl.System, w fl.Weights, opts Options, paper *Paper, alloc fl.Allocation) (Result, error) {
 	// Scratch memory: the pooled fallback is safe because everything the
 	// Result carries out of this function is copied off the workspace
 	// before it returns to the pool.
@@ -115,7 +139,10 @@ func alternate(s *fl.System, w fl.Weights, opts Options, alloc fl.Allocation) (R
 		opts.Work = ws
 	}
 	ws.grow(s.N())
-	ws.lastMu = 0
+	if paper != nil {
+		ws.growPaper(s.N())
+		ws.lastMu = 0
+	}
 
 	var roundDeadline float64
 	res := Result{Iterations: make([]IterationTrace, 0, opts.MaxOuter)}
@@ -133,7 +160,7 @@ func alternate(s *fl.System, w fl.Weights, opts Options, alloc fl.Allocation) (R
 		if opts.Trace != nil {
 			t0 = time.Now()
 		}
-		if opts.UsePaperSP1Dual {
+		if paper != nil && paper.SP1Dual {
 			sp1, err = SolveSubproblem1Dual(s, w, upTimes)
 		} else {
 			sp1, err = solveSubproblem1Into(s, w, upTimes, ws.freq)
@@ -163,7 +190,12 @@ func alternate(s *fl.System, w fl.Weights, opts Options, alloc fl.Allocation) (R
 			if opts.Trace != nil {
 				t0 = time.Now()
 			}
-			sp2, err := SolveSubproblem2(s, w1Rg, rmin, alloc.Power, alloc.Bandwidth, opts)
+			var sp2 SP2Result
+			if paper == nil {
+				sp2, err = solveSubproblem2DirectInto(s, w1Rg, rmin, ws, ws.dirP, ws.dirB)
+			} else {
+				sp2, err = solveSubproblem2Paper(s, w1Rg, rmin, alloc.Power, alloc.Bandwidth, *paper, ws)
+			}
 			if opts.Trace != nil {
 				opts.Trace.SP2Time += time.Since(t0)
 			}
@@ -174,15 +206,12 @@ func alternate(s *fl.System, w fl.Weights, opts Options, alloc fl.Allocation) (R
 			copy(alloc.Bandwidth, sp2.Bandwidth)
 			trace.NewtonIters = sp2.Iterations
 			trace.PhiResidual = sp2.PhiResidual
-			if opts.Trace != nil {
-				opts.Trace.NewtonIters += sp2.Iterations
-			}
 		}
 
 		trace.Objective = objectiveFor(s, w, alloc, opts)
 		trace.Distance = ws.distPrev(alloc)
 		res.Iterations = append(res.Iterations, trace)
-		if trace.Distance <= opts.OuterTol {
+		if trace.Distance <= outerTol {
 			res.Converged = true
 			break
 		}

@@ -185,7 +185,7 @@ func TestOptimizeWithPaperPathways(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paper, err := Optimize(s, w, Options{SP2Solver: SP2NewtonOnly, UsePaperSP1Dual: true, UsePaperSP2Dual: true})
+	paper, err := OptimizePaper(s, w, Paper{SP1Dual: true, SP2Dual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestOptimizeCustomStart(t *testing.T) {
 	s := newTestSystem(5, 17)
 	w := fl.Weights{W1: 0.5, W2: 0.5}
 	start := s.EqualSplitAllocation(0.5/float64(s.N()), s.Devices[0].PMax, s.Devices[0].FMax)
-	res, err := alternate(s, w, Options{}.withDefaults(), start)
+	res, err := alternate(s, w, Options{}.withDefaults(), nil, start)
 	if err != nil {
 		t.Fatal(err)
 	}

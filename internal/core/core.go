@@ -3,19 +3,21 @@
 // FDMA (Algorithm 2), built from
 //
 //   - Subproblem 1 (eq. (10)): optimal CPU frequencies and round deadline
-//     given the current upload times — a convex program solved exactly both
-//     directly (1-D golden section over the deadline) and via the paper's
-//     Lagrangian dual (17);
+//     given the current upload times — a convex program solved exactly by
+//     a 1-D golden section over the deadline (SolveSubproblem1);
 //   - Subproblem 2 (eq. (11)): minimal transmission energy over powers and
-//     bandwidths — a sum-of-ratios program the paper handles with the
-//     Newton-like method of Jong (Algorithm 1, kept as SP2NewtonOnly),
-//     whose inner convex program SP2_v2 (eq. (21)) is solved in closed form
-//     per Theorem 2/Appendix B (Lambert-W waterfilling on the bandwidth
-//     price). By default it is solved to global optimality by a direct
-//     reduction to a convex waterfilling over bandwidths
-//     (SolveSubproblem2Direct);
+//     bandwidths, solved to global optimality by a direct reduction to a
+//     convex waterfilling over bandwidths (SolveSubproblem2Direct);
 //   - a min-time solver used for the w1 = 0 corner and baseline
 //     initialization; its feasibility test, made once, screens ModeDeadline.
+//
+// Optimize is the served solver, and Options holds only what it reads.
+// The paper's own pathways sit behind Paper and OptimizePaper, for the
+// ExtC ablation and the tests: Subproblem 2 by the Newton-like
+// sum-of-ratios method of Jong (Algorithm 1), whose inner convex program
+// SP2_v2 (eq. (21)) is solved in closed form per Theorem 2/Appendix B
+// (Lambert-W waterfilling on the bandwidth price), and optionally
+// Subproblem 1 by the paper's Lagrangian dual (17).
 package core
 
 import (
@@ -33,24 +35,6 @@ var ErrInfeasible = errors.New("core: infeasible instance")
 // ErrBadInput flags malformed arguments (wrong lengths, non-positive
 // weights where positive ones are required).
 var ErrBadInput = errors.New("core: bad input")
-
-// SP2Method selects how Subproblem 2 is solved.
-type SP2Method int
-
-const (
-	// SP2DirectOnly (default) solves Subproblem 2 with the direct
-	// reduction (SolveSubproblem2Direct): a waterfilling bisection over
-	// devices whose power is eliminated in closed form, globally optimal
-	// for the subproblem. It is the serving solver.
-	SP2DirectOnly SP2Method = iota
-	// SP2NewtonOnly runs the paper's Algorithm 1 (Jong's Newton-like
-	// sum-of-ratios method with Lambert-W inner waterfilling), the
-	// paper-fidelity mode. Its damped Newton iteration can stall when the
-	// inner SP2_v2 solution is bang-bang in the multipliers, and its price
-	// bisection fails on some PMin = PMax instances where the direct
-	// reduction still answers.
-	SP2NewtonOnly
-)
 
 // Mode selects the optimizer's operating regime.
 type Mode int
@@ -75,28 +59,6 @@ type Options struct {
 	TotalDeadline float64
 	// MaxOuter bounds Algorithm 2 iterations (paper: K). Default 30.
 	MaxOuter int
-	// MaxNewton bounds Algorithm 1 iterations (paper: i0; SP2NewtonOnly
-	// only). Default 50.
-	MaxNewton int
-	// OuterTol is the allocation-distance stopping tolerance (paper: eps0).
-	// Default 1e-6.
-	OuterTol float64
-	// PhiTol is the |phi| stopping tolerance of Algorithm 1 (SP2NewtonOnly
-	// only). Default 1e-9 relative to the initial residual.
-	PhiTol float64
-	// Xi and Epsilon are the line-search parameters of Algorithm 1
-	// (paper: xi, eps in (0,1)). Defaults 0.5 and 0.01.
-	Xi, Epsilon float64
-	// UsePaperSP1Dual switches Subproblem 1 to the paper's dual (17)
-	// pathway instead of the direct 1-D solve. Both give the same optimum;
-	// the direct solve additionally honours the frequency boxes exactly.
-	UsePaperSP1Dual bool
-	// UsePaperSP2Dual switches Algorithm 1's inner SP2_v2 solve to the
-	// literal Appendix-B dual (all-binding price root + greedy (A.6))
-	// instead of the clamp-aware waterfilling (SP2NewtonOnly only).
-	UsePaperSP2Dual bool
-	// SP2Solver selects the Subproblem 2 strategy (default SP2DirectOnly).
-	SP2Solver SP2Method
 	// JointWeighted replaces the paper's alternating loop in ModeWeighted
 	// with the joint 1-D-over-deadline solver (SolveWeightedJoint), which
 	// restores the compute/communicate tradeoff the alternation freezes.
@@ -127,9 +89,10 @@ type SolveTrace struct {
 	// joint dual-decomposition solve.
 	SP1Time time.Duration
 	SP2Time time.Duration
-	// NewtonIters totals Algorithm 1 Newton iterations (0 unless
-	// SP2NewtonOnly); OuterIters counts Algorithm 2 outer loops (1 for the
-	// one-shot deadline path).
+	// NewtonIters is always 0: Optimize never runs Algorithm 1 (the
+	// Newton counts of OptimizePaper are in Result.Iterations). It stays
+	// because bench/'s per-layer probe reads it. OuterIters counts
+	// Algorithm 2 outer loops (1 for the one-shot deadline path).
 	NewtonIters int
 	OuterIters  int
 	// ModeDeadline only: bandwidth prices tried, per-device split costs
@@ -142,27 +105,62 @@ type SolveTrace struct {
 	LevelEvals int
 }
 
+// Paper selects the paper's own pathways for Algorithm 2. Only
+// OptimizePaper reads one; the ExtC ablation and the tests build it, and
+// no served request can. The zero value runs Subproblem 2 by Algorithm 1
+// (Jong's Newton-like sum-of-ratios method) with the clamp-aware inner
+// SP2_v2 solve and Subproblem 1 by the direct 1-D solve.
+//
+// Algorithm 1 reaches the direct reduction's optimum when it converges.
+// It answers wherever the direct solve does on
+// TestDirectAnswersWhereverNewton's 400-instance grid, fixed-power
+// (PMin = PMax) systems included, and TestAlgorithm1FixedPowerBracket
+// holds it within 1e-6 of the direct objective on the fixed-power system
+// it once failed. Its damped Newton iteration can still stall short of the
+// optimum when the inner SP2_v2 solution is bang-bang in the multipliers,
+// and an inner price search that finds no bracket (possible only when
+// every device's multipliers are degenerate, so no demand grows as the
+// price falls) fails with an error wrapping numeric.ErrNoBracket.
+type Paper struct {
+	// SP1Dual solves Subproblem 1 through the paper's dual (17) instead of
+	// the direct 1-D solve. Both give the same optimum; the direct solve
+	// additionally honours the frequency boxes exactly.
+	SP1Dual bool
+	// SP2Dual switches Algorithm 1's inner SP2_v2 solve to the literal
+	// Appendix-B dual (all-binding price root + greedy (A.6)) instead of
+	// the clamp-aware waterfilling.
+	SP2Dual bool
+	// MaxNewton bounds Algorithm 1 iterations (paper: i0). Default 50.
+	MaxNewton int
+}
+
+// Algorithms 1 and 2's fixed tolerances.
+const (
+	// outerTol is the alternation's allocation-distance stopping
+	// tolerance (paper: eps0).
+	outerTol = 1e-6
+	// phiTol is Algorithm 1's |phi| stopping tolerance, relative to the
+	// initial residual.
+	phiTol = 1e-9
+	// newtonXi and newtonEpsilon are Algorithm 1's line-search parameters
+	// (paper: xi and eps in (0,1)).
+	newtonXi      = 0.5
+	newtonEpsilon = 0.01
+)
+
+func (p Paper) withDefaults() Paper {
+	if p.MaxNewton <= 0 {
+		p.MaxNewton = 50
+	}
+	return p
+}
+
 func (o Options) withDefaults() Options {
 	if o.Mode == 0 {
 		o.Mode = ModeWeighted
 	}
 	if o.MaxOuter <= 0 {
 		o.MaxOuter = 30
-	}
-	if o.MaxNewton <= 0 {
-		o.MaxNewton = 50
-	}
-	if o.OuterTol <= 0 {
-		o.OuterTol = 1e-6
-	}
-	if o.PhiTol <= 0 {
-		o.PhiTol = 1e-9
-	}
-	if o.Xi <= 0 || o.Xi >= 1 {
-		o.Xi = 0.5
-	}
-	if o.Epsilon <= 0 || o.Epsilon >= 1 {
-		o.Epsilon = 0.01
 	}
 	return o
 }
@@ -207,6 +205,7 @@ type Result struct {
 	Objective float64
 	// Iterations traces the outer loop.
 	Iterations []IterationTrace
-	// Converged reports whether the outer loop met OuterTol before MaxOuter.
+	// Converged reports whether the outer loop met its 1e-6 allocation
+	// distance tolerance before MaxOuter.
 	Converged bool
 }

@@ -171,7 +171,7 @@ func TestRateLimitGuardsPropagate(t *testing.T) {
 		t.Error("expected error for super-capacity rate floors")
 	}
 	a := s.MaxResourceAllocation()
-	if _, err := SolveSubproblem2(s, 1, rmin, a.Power, a.Bandwidth, Options{SP2Solver: SP2NewtonOnly}); err == nil {
+	if _, err := SolveSubproblem2Paper(s, 1, rmin, a.Power, a.Bandwidth, Paper{}); err == nil {
 		t.Error("expected error through Algorithm 1 as well")
 	}
 }

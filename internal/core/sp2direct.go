@@ -26,10 +26,11 @@ import (
 // waterfilling bisection on the common marginal value -E_n'(B_n) solves it
 // exactly.
 //
-// It is the default Subproblem 2 solver of Optimize. The paper's Algorithm 1
-// (SP2NewtonOnly) reaches the same optimum when it converges, but its damped
-// Newton iteration can stall on instances where the inner SP2_v2 solution
-// is bang-bang in the multipliers.
+// It is Optimize's Subproblem 2 solver. The paper's Algorithm 1
+// (SolveSubproblem2Paper, run by OptimizePaper) reaches the same optimum
+// when it converges, but its damped Newton iteration can stall on
+// instances where the inner SP2_v2 solution is bang-bang in the
+// multipliers.
 func SolveSubproblem2Direct(s *fl.System, w1Rg float64, rmin []float64) (SP2Result, error) {
 	n := s.N()
 	outP := make([]float64, n)

@@ -36,8 +36,7 @@ func TestDirectDominatesNewton(t *testing.T) {
 		for i := range s.Devices {
 			rmin[i] = s.Rate(i, a.Power[i], a.Bandwidth[i]) * 0.4
 		}
-		newton, err := SolveSubproblem2(s, w1Rg, rmin, a.Power, a.Bandwidth,
-			Options{SP2Solver: SP2NewtonOnly, MaxNewton: 100})
+		newton, err := SolveSubproblem2Paper(s, w1Rg, rmin, a.Power, a.Bandwidth, Paper{MaxNewton: 100})
 		if err != nil {
 			t.Fatalf("seed %d newton: %v", seed, err)
 		}

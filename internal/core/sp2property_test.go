@@ -13,16 +13,16 @@ import (
 // sizes, seeds, energy weights and fixed- versus boxed-power devices,
 //
 //   - the direct solve never fails where the paper's Algorithm 1
-//     (SP2NewtonOnly) answers;
+//     (OptimizePaper) answers;
 //   - every answer is feasible to 1e-9;
 //   - the direct objective is no worse than Algorithm 1's beyond the outer
-//     loop's tolerance (OuterTol, 1e-6);
+//     loop's tolerance (outerTol, 1e-6);
 //   - a direct solve warm-started from the answer of a sigma = 0.3 drifted
 //     neighbour is no worse than the cold direct solve beyond 1e-4.
 //
 // Instances where Algorithm 1 fails and the direct solve answers are
 // counted and logged, not bounded. So are warm solves above the cold one by
-// more than OuterTol: Algorithm 2's alternation has start-dependent fixed
+// more than outerTol: Algorithm 2's alternation has start-dependent fixed
 // points (SP1 fixes the deadline from the incoming upload times, and the
 // rate floors it sets can pin SP2's bandwidths there), so a warm start can
 // settle slightly above the cold solve whichever SP2 solver runs. On this
@@ -31,7 +31,7 @@ func TestDirectAnswersWhereverNewton(t *testing.T) {
 	if testing.Short() {
 		t.Skip("400-instance grid")
 	}
-	const tol = 1e-6 // OuterTol
+	const tol = outerTol
 	var cases, newtonFailed, warmAbove int
 	var worstRel, worstWarm float64
 	for _, n := range []int{1, 3, 15, 50} {
@@ -48,7 +48,7 @@ func TestDirectAnswersWhereverNewton(t *testing.T) {
 					w := fl.Weights{W1: w1, W2: 1 - w1}
 					cases++
 					direct, err := Optimize(s, w, Options{})
-					newton, nerr := Optimize(s, w, Options{SP2Solver: SP2NewtonOnly})
+					newton, nerr := OptimizePaper(s, w, Paper{})
 					if err != nil {
 						if nerr == nil {
 							t.Errorf("%s: direct failed where Algorithm 1 answers: %v", name, err)
@@ -78,7 +78,7 @@ func TestDirectAnswersWhereverNewton(t *testing.T) {
 						t.Errorf("%s: drifted neighbour: %v", name, err)
 						continue
 					}
-					warm, err := alternate(s, w, Options{}.withDefaults(), neighbour.Allocation)
+					warm, err := alternate(s, w, Options{}.withDefaults(), nil, neighbour.Allocation)
 					if err != nil {
 						t.Errorf("%s: warm solve: %v", name, err)
 						continue
@@ -102,5 +102,5 @@ func TestDirectAnswersWhereverNewton(t *testing.T) {
 	}
 	t.Logf("%d instances: Algorithm 1 failed on %d that the direct solve answered; worst direct/Algorithm 1 - 1 = %.3g",
 		cases, newtonFailed, worstRel)
-	t.Logf("warm above cold by more than OuterTol on %d instances; worst warm/cold - 1 = %.3g", warmAbove, worstWarm)
+	t.Logf("warm above cold by more than outerTol on %d instances; worst warm/cold - 1 = %.3g", warmAbove, worstWarm)
 }

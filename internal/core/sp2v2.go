@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 
-	"repro/internal/convex"
 	"repro/internal/fl"
 	"repro/internal/numeric"
 	"repro/internal/wireless"
@@ -112,7 +112,13 @@ const budgetSlack = 1e-9
 //	a * [log2(1+theta) - theta/((1+theta)*ln2)] = mu
 //
 // for the SNR theta in closed form via Lambert W: with x = 1+theta and
-// c = 1 + mu*ln2/a, the solution is x = -1/W0(-exp(-c)).
+// c = 1 + mu*ln2/a, the solution is x = -1/W0(-exp(-c)). When mu*ln2/a is
+// too small to move c off 1 in float64, W0 returns its branch point and
+// x rounds to 1; there the leading term of x - 1 - ln(x) = mu*ln2/a,
+// theta = sqrt(2*mu*ln2/a), keeps theta positive, so a device's demand
+// keeps growing as the price falls instead of dropping to its forced
+// floor, where the price search's downward walk would find no bracket
+// (TestAlgorithm1FixedPowerBracket).
 func snrForPrice(a, mu float64) float64 {
 	if mu <= 0 {
 		return 0
@@ -127,7 +133,7 @@ func snrForPrice(a, mu float64) float64 {
 	}
 	x := -1 / w
 	if x <= 1 {
-		return 0
+		return math.Sqrt(2 * mu * math.Ln2 / a)
 	}
 	return x - 1
 }
@@ -211,6 +217,7 @@ func SolveSP2v2(s *fl.System, nu, beta, rmin []float64) (SP2v2Result, error) {
 	ws := wsPool.Get().(*Workspace)
 	defer wsPool.Put(ws)
 	ws.grow(n)
+	ws.growPaper(n)
 	ws.lastMu = 0
 	mu, obj, err := solveSP2v2Into(s, nu, beta, rmin, ws, res.Power, res.Bandwidth)
 	if err != nil {
@@ -422,7 +429,7 @@ func SolveSP2v2PaperDual(s *fl.System, nu, beta, rmin []float64) (SP2v2Result, e
 			lo[k] = math.Max(sd.bFromPmin, bRate)
 			hi[k] = math.Max(sd.bFromPmax, lo[k])
 		}
-		bs, lpErr := convex.GreedyLP(cost, lo, hi, math.Max(bandLeft, 0))
+		bs, lpErr := greedyLP(cost, lo, hi, math.Max(bandLeft, 0))
 		if lpErr != nil {
 			// The all-binding price overcommitted the band; fall back to the
 			// clamp-aware solver, which cannot.
@@ -449,4 +456,55 @@ func SolveSP2v2PaperDual(s *fl.System, nu, beta, rmin []float64) (SP2v2Result, e
 		return SolveSP2v2(s, nu, beta, rmin)
 	}
 	return res, nil
+}
+
+// greedyLP solves the separable linear program
+//
+//	min  sum_i c_i x_i
+//	s.t. lo_i <= x_i <= hi_i,  sum_i x_i <= budget
+//
+// exactly: every variable starts at its lower bound; variables with negative
+// cost are raised toward their upper bound in order of increasing cost until
+// the budget is exhausted. This is the structure of the paper's problem
+// (A.6) (residual bandwidth allocation across devices whose rate constraint
+// is slack).
+//
+// It returns ErrInfeasible when sum lo_i > budget or a box is reversed.
+func greedyLP(c, lo, hi []float64, budget float64) ([]float64, error) {
+	n := len(c)
+	if len(lo) != n || len(hi) != n {
+		return nil, fmt.Errorf("core: greedyLP length mismatch (%d,%d,%d): %w", n, len(lo), len(hi), ErrBadInput)
+	}
+	x := make([]float64, n)
+	used := 0.0
+	for i := 0; i < n; i++ {
+		if lo[i] > hi[i] {
+			return nil, fmt.Errorf("core: greedyLP box %d reversed [%g,%g]: %w", i, lo[i], hi[i], ErrInfeasible)
+		}
+		x[i] = lo[i]
+		used += lo[i]
+	}
+	if used > budget*(1+1e-12)+1e-18 {
+		return nil, fmt.Errorf("core: greedyLP lower bounds %g exceed budget %g: %w", used, budget, ErrInfeasible)
+	}
+	remaining := budget - used
+
+	// Raise the cheapest (most negative cost) variables first.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return c[order[a]] < c[order[b]] })
+	for _, i := range order {
+		if c[i] >= 0 || remaining <= 0 {
+			break
+		}
+		room := hi[i] - x[i]
+		if room > remaining {
+			room = remaining
+		}
+		x[i] += room
+		remaining -= room
+	}
+	return x, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/convex"
 	"repro/internal/fl"
@@ -297,5 +298,129 @@ func TestSolveSP2v2KKTStationarity(t *testing.T) {
 					seed, i, nu[i]*beta[i]*gb, res.Mu)
 			}
 		}
+	}
+}
+
+func almostEq(a, b, tol float64) bool {
+	return math.Abs(a-b) <= tol*(1+math.Max(math.Abs(a), math.Abs(b)))
+}
+
+func TestGreedyLP(t *testing.T) {
+	tests := []struct {
+		name   string
+		c      []float64
+		lo, hi []float64
+		budget float64
+		want   []float64
+	}{
+		{
+			name: "all negative, budget binds cheapest first",
+			c:    []float64{-3, -1, -2},
+			lo:   []float64{0, 0, 0},
+			hi:   []float64{2, 2, 2},
+			// order: idx0 (-3) gets 2, idx2 (-2) gets 1, idx1 gets 0
+			budget: 3,
+			want:   []float64{2, 0, 1},
+		},
+		{
+			name:   "positive costs stay at lower bounds",
+			c:      []float64{1, 2},
+			lo:     []float64{0.5, 0.25},
+			hi:     []float64{5, 5},
+			budget: 10,
+			want:   []float64{0.5, 0.25},
+		},
+		{
+			name:   "budget slack, all negatives saturate",
+			c:      []float64{-1, -1},
+			lo:     []float64{0, 0},
+			hi:     []float64{1, 1},
+			budget: 10,
+			want:   []float64{1, 1},
+		},
+		{
+			name:   "zero cost not raised",
+			c:      []float64{0, -1},
+			lo:     []float64{0, 0},
+			hi:     []float64{4, 4},
+			budget: 5,
+			want:   []float64{0, 4},
+		},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := greedyLP(tc.c, tc.lo, tc.hi, tc.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range tc.want {
+				if !almostEq(got[i], tc.want[i], 1e-12) {
+					t.Errorf("x[%d] = %g, want %g", i, got[i], tc.want[i])
+				}
+			}
+		})
+	}
+}
+
+func TestGreedyLPInfeasible(t *testing.T) {
+	_, err := greedyLP([]float64{1}, []float64{5}, []float64{6}, 1)
+	if !errors.Is(err, ErrInfeasible) {
+		t.Errorf("want ErrInfeasible, got %v", err)
+	}
+	_, err = greedyLP([]float64{1}, []float64{5}, []float64{4}, 100)
+	if !errors.Is(err, ErrInfeasible) {
+		t.Errorf("reversed box: want ErrInfeasible, got %v", err)
+	}
+}
+
+// Property: greedyLP output is feasible and no feasible single-coordinate
+// perturbation improves the objective (exchange argument).
+func TestGreedyLPOptimalityProperty(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(6)
+		c := make([]float64, n)
+		lo := make([]float64, n)
+		hi := make([]float64, n)
+		var loSum float64
+		for i := 0; i < n; i++ {
+			c[i] = rng.NormFloat64()
+			lo[i] = rng.Float64()
+			hi[i] = lo[i] + rng.Float64()*3
+			loSum += lo[i]
+		}
+		budget := loSum + rng.Float64()*4
+		x, err := greedyLP(c, lo, hi, budget)
+		if err != nil {
+			return false
+		}
+		var sum float64
+		for i := range x {
+			if x[i] < lo[i]-1e-12 || x[i] > hi[i]+1e-12 {
+				return false
+			}
+			sum += x[i]
+		}
+		if sum > budget+1e-9 {
+			return false
+		}
+		// Exchange check: moving mass from a higher-cost raised variable to
+		// a lower-cost unsaturated one must not be possible.
+		slack := budget - sum
+		for i := 0; i < n; i++ {
+			// Could we raise x[i] profitably with remaining slack?
+			if c[i] < -1e-12 && x[i] < hi[i]-1e-9 && slack > 1e-9 {
+				return false
+			}
+			for j := 0; j < n; j++ {
+				if c[j] < c[i]-1e-9 && x[i] > lo[i]+1e-9 && x[j] < hi[j]-1e-9 && c[j] < 0 {
+					return false // swap would strictly improve
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

@@ -33,56 +33,46 @@ func phiResidual(w1Rg float64, d, p, g, beta, nu []float64) float64 {
 	return math.Sqrt(sum)
 }
 
-// SolveSubproblem2 solves Subproblem 2 (eq. (11)) at the rate floors rmin
-// with the method Options.SP2Solver selects: by default the direct
-// reduction (SolveSubproblem2Direct), which ignores the start point; under
-// SP2NewtonOnly the paper's Algorithm 1, the Newton-like iteration of Jong
-// for the sum-of-ratios program. Starting from a feasible (p, B) with rates
-// at least rmin, Algorithm 1 alternates
+// SolveSubproblem2Paper solves Subproblem 2 (eq. (11)) at the rate floors
+// rmin by the paper's Algorithm 1, the Newton-like iteration of Jong for
+// the sum-of-ratios program (the served solver is SolveSubproblem2Direct).
+// Starting from a feasible (p, B) with rates at least rmin, it alternates
 //
 //	nu_n = w1*Rg / G_n,  beta_n = p_n*d_n / G_n          (step 3, eq. (22)-(23))
 //	(p, B) <- argmin SP2_v2(nu, beta)                    (step 4, Theorem 2)
 //	damped Newton update of (beta, nu) per (29)-(31)     (steps 5-6)
 //
 // until phi = 0 (the fixed point where the SP2_v2 solution is optimal for
-// the original fractional program) or MaxNewton iterations.
-//
-// When Options.Work is provided the returned slices alias it and are
-// overwritten by the next solve on the same workspace.
-func SolveSubproblem2(s *fl.System, w1Rg float64, rmin []float64, startP, startB []float64, opts Options) (SP2Result, error) {
-	opts = opts.withDefaults()
+// the original fractional program) or p.MaxNewton iterations. p.SP2Dual
+// selects the literal Appendix-B inner solve; p.SP1Dual does not apply.
+func SolveSubproblem2Paper(s *fl.System, w1Rg float64, rmin []float64, startP, startB []float64, p Paper) (SP2Result, error) {
+	// A private workspace, not a pooled one: the returned slices alias it.
+	ws := NewWorkspace()
+	ws.grow(s.N())
+	ws.growPaper(s.N())
+	return solveSubproblem2Paper(s, w1Rg, rmin, startP, startB, p.withDefaults(), ws)
+}
+
+// solveSubproblem2Paper is SolveSubproblem2Paper drawing every slice,
+// those it returns included, from ws, which must be sized by grow and
+// growPaper; p must carry its defaults.
+func solveSubproblem2Paper(s *fl.System, w1Rg float64, rmin []float64, startP, startB []float64, p Paper, ws *Workspace) (SP2Result, error) {
 	n := s.N()
 	if len(rmin) != n || len(startP) != n || len(startB) != n {
-		return SP2Result{}, fmt.Errorf("core: SolveSubproblem2 slice lengths: %w", ErrBadInput)
+		return SP2Result{}, fmt.Errorf("core: Algorithm 1 slice lengths: %w", ErrBadInput)
 	}
 	if !(w1Rg > 0) {
-		return SP2Result{}, fmt.Errorf("core: SolveSubproblem2 needs w1*Rg > 0 (w1=0 is handled by SolveMinTime): %w", ErrBadInput)
+		return SP2Result{}, fmt.Errorf("core: Algorithm 1 needs w1*Rg > 0 (w1=0 is handled by SolveMinTime): %w", ErrBadInput)
 	}
-	ws := opts.Work
-	if opts.SP2Solver != SP2NewtonOnly {
-		if ws == nil {
-			return SolveSubproblem2Direct(s, w1Rg, rmin)
-		}
-		ws.grow(n)
-		return solveSubproblem2DirectInto(s, w1Rg, rmin, ws, ws.dirP, ws.dirB)
-	}
-
-	// The workspace owns every slice below. A caller-provided one is reused
-	// as documented; otherwise a private one is allocated (not pooled: the
-	// returned slices alias it).
-	if ws == nil {
-		ws = NewWorkspace()
-	}
-	ws.grow(n)
 
 	d := ws.d
 	for i, dev := range s.Devices {
 		d[i] = dev.UploadBits
 	}
 
-	ratesInto := func(p, b, g []float64) {
+	ratesInto := func(pw, bw, g []float64) {
 		for i := range g {
-			g[i] = s.Rate(i, p[i], b[i])
+			g[i] = s.Rate(i, pw[i], bw[i])
 			if !(g[i] > 0) {
 				g[i] = math.SmallestNonzeroFloat64
 			}
@@ -95,7 +85,7 @@ func SolveSubproblem2(s *fl.System, w1Rg float64, rmin []float64, startP, startB
 	// search (29) must re-solve per trial, not reuse a stale point. The
 	// inner solution lands in (outP, outB, outG).
 	evalPhi := func(beta, nu, outP, outB, outG []float64) (float64, error) {
-		if err := solveInner(s, nu, beta, rmin, opts.UsePaperSP2Dual, ws, outP, outB); err != nil {
+		if err := solveInner(s, nu, beta, rmin, p.SP2Dual, ws, outP, outB); err != nil {
 			return 0, err
 		}
 		ratesInto(outP, outB, outG)
@@ -119,8 +109,8 @@ func SolveSubproblem2(s *fl.System, w1Rg float64, rmin []float64, startP, startB
 	phi0 := residual
 
 	var iters int
-	for iters = 0; iters < opts.MaxNewton; iters++ {
-		if residual <= opts.PhiTol*(1+phi0) {
+	for iters = 0; iters < p.MaxNewton; iters++ {
+		if residual <= phiTol*(1+phi0) {
 			break
 		}
 		// Newton direction (30) with the diagonal Jacobian diag(G_n):
@@ -145,7 +135,7 @@ func SolveSubproblem2(s *fl.System, w1Rg float64, rmin []float64, startP, startB
 			}
 			if ok {
 				trial, errT := evalPhi(nb, nn, triP, triB, triG)
-				if errT == nil && trial <= (1-opts.Epsilon*xi)*residual {
+				if errT == nil && trial <= (1-newtonEpsilon*xi)*residual {
 					// Accept by swapping buffers: the rejected iterate's
 					// storage becomes the next trial's scratch.
 					ws.beta, ws.nb = ws.nb, ws.beta
@@ -161,7 +151,7 @@ func SolveSubproblem2(s *fl.System, w1Rg float64, rmin []float64, startP, startB
 					break
 				}
 			}
-			xi *= opts.Xi
+			xi *= newtonXi
 		}
 		if !stepTaken {
 			// Even heavily damped steps no longer reduce phi: numerical

@@ -17,17 +17,22 @@ func TestSolveSubproblem2ReducesEnergy(t *testing.T) {
 			rmin[i] = s.Rate(i, a.Power[i], a.Bandwidth[i]) * 0.5
 		}
 		startEnergy := CommEnergyWeighted(s, w1Rg, a.Power, a.Bandwidth)
-		for _, method := range []SP2Method{SP2DirectOnly, SP2NewtonOnly} {
-			res, err := SolveSubproblem2(s, w1Rg, rmin, a.Power, a.Bandwidth, Options{SP2Solver: method})
-			if err != nil {
-				t.Fatalf("seed %d method %d: %v", seed, method, err)
+		direct, derr := SolveSubproblem2Direct(s, w1Rg, rmin)
+		newton, nerr := SolveSubproblem2Paper(s, w1Rg, rmin, a.Power, a.Bandwidth, Paper{})
+		for _, m := range []struct {
+			name string
+			res  SP2Result
+			err  error
+		}{{"direct", direct, derr}, {"Algorithm 1", newton, nerr}} {
+			if m.err != nil {
+				t.Fatalf("seed %d %s: %v", seed, m.name, m.err)
 			}
-			checkSP2Feasible(t, s, rmin, res.Power, res.Bandwidth)
-			if res.CommEnergy > startEnergy*(1+1e-9) {
-				t.Errorf("seed %d method %d: energy rose from %g to %g", seed, method, startEnergy, res.CommEnergy)
+			checkSP2Feasible(t, s, rmin, m.res.Power, m.res.Bandwidth)
+			if m.res.CommEnergy > startEnergy*(1+1e-9) {
+				t.Errorf("seed %d %s: energy rose from %g to %g", seed, m.name, startEnergy, m.res.CommEnergy)
 			}
-			if res.CommEnergy <= 0 {
-				t.Errorf("seed %d method %d: non-positive energy %g", seed, method, res.CommEnergy)
+			if m.res.CommEnergy <= 0 {
+				t.Errorf("seed %d %s: non-positive energy %g", seed, m.name, m.res.CommEnergy)
 			}
 		}
 	}
@@ -43,7 +48,7 @@ func TestSolveSubproblem2FixedPoint(t *testing.T) {
 	for i := range s.Devices {
 		rmin[i] = s.Rate(i, a.Power[i], a.Bandwidth[i]) * 0.4
 	}
-	res, err := SolveSubproblem2(s, w1Rg, rmin, a.Power, a.Bandwidth, Options{SP2Solver: SP2NewtonOnly, MaxNewton: 100})
+	res, err := SolveSubproblem2Paper(s, w1Rg, rmin, a.Power, a.Bandwidth, Paper{MaxNewton: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +60,8 @@ func TestSolveSubproblem2FixedPoint(t *testing.T) {
 	}
 }
 
-// Subproblem 2 answers do not depend on the feasible start they are handed
-// (the default direct solver reaches the global optimum of the fractional
+// Subproblem 2's optimum does not depend on a feasible start (the direct
+// solver, which takes none, reaches the global optimum of the fractional
 // program), and Algorithm 1 from either start never beats that optimum: its
 // damped Newton iteration can stall short of it, which is why it is not the
 // serving solver.
@@ -81,12 +86,12 @@ func TestSolveSubproblem2StartInvariance(t *testing.T) {
 	}
 	var direct [2]float64
 	for k, a := range []fl.Allocation{a1, a2} {
-		r, err := SolveSubproblem2(s, w1Rg, rmin, a.Power, a.Bandwidth, Options{})
+		r, err := SolveSubproblem2Direct(s, w1Rg, rmin)
 		if err != nil {
 			t.Fatal(err)
 		}
 		direct[k] = r.CommEnergy
-		newton, err := SolveSubproblem2(s, w1Rg, rmin, a.Power, a.Bandwidth, Options{SP2Solver: SP2NewtonOnly, MaxNewton: 100})
+		newton, err := SolveSubproblem2Paper(s, w1Rg, rmin, a.Power, a.Bandwidth, Paper{MaxNewton: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,10 +108,10 @@ func TestSolveSubproblem2BadInput(t *testing.T) {
 	s := newTestSystem(3, 1)
 	a := s.MaxResourceAllocation()
 	rmin := []float64{1, 1, 1}
-	if _, err := SolveSubproblem2(s, 0, rmin, a.Power, a.Bandwidth, Options{}); !errors.Is(err, ErrBadInput) {
+	if _, err := SolveSubproblem2Paper(s, 0, rmin, a.Power, a.Bandwidth, Paper{}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("w1Rg=0: want ErrBadInput, got %v", err)
 	}
-	if _, err := SolveSubproblem2(s, 1, rmin[:2], a.Power, a.Bandwidth, Options{}); !errors.Is(err, ErrBadInput) {
+	if _, err := SolveSubproblem2Paper(s, 1, rmin[:2], a.Power, a.Bandwidth, Paper{}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("short rmin: want ErrBadInput, got %v", err)
 	}
 }
@@ -119,15 +124,53 @@ func TestSolveSubproblem2PaperDualPath(t *testing.T) {
 	for i := range s.Devices {
 		rmin[i] = s.Rate(i, a.Power[i], a.Bandwidth[i]) * 0.5
 	}
-	wf, err := SolveSubproblem2(s, w1Rg, rmin, a.Power, a.Bandwidth, Options{SP2Solver: SP2NewtonOnly})
+	wf, err := SolveSubproblem2Paper(s, w1Rg, rmin, a.Power, a.Bandwidth, Paper{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd, err := SolveSubproblem2(s, w1Rg, rmin, a.Power, a.Bandwidth, Options{SP2Solver: SP2NewtonOnly, UsePaperSP2Dual: true})
+	pd, err := SolveSubproblem2Paper(s, w1Rg, rmin, a.Power, a.Bandwidth, Paper{SP2Dual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if relDiff(wf.CommEnergy, pd.CommEnergy) > 1e-3 {
 		t.Errorf("inner-solver disagreement: %g vs %g", wf.CommEnergy, pd.CommEnergy)
+	}
+}
+
+// TestAlgorithm1FixedPowerBracket pins the instance on which Algorithm 1
+// used to find no SP2_v2 price bracket: newTestSystem(50, 1) with
+// PMin = PMax, at every weight of TestDirectAnswersWhereverNewton. The
+// price walk started where mu*ln2/a rounds away against 1, so snrForPrice
+// read SNR 0 and every device's demand sat at its forced floor. Algorithm 1
+// must now answer, with at least one Newton step over the five weights,
+// within 1e-6 of the direct objective.
+func TestAlgorithm1FixedPowerBracket(t *testing.T) {
+	s := newTestSystem(50, 1)
+	for i := range s.Devices {
+		s.Devices[i].PMin = s.Devices[i].PMax
+	}
+	var newton int
+	for _, w1 := range []float64{1e-4, 0.1, 0.5, 0.9, 1 - 1e-4} {
+		w := fl.Weights{W1: w1, W2: 1 - w1}
+		direct, err := Optimize(s, w, Options{})
+		if err != nil {
+			t.Fatalf("w1=%g direct: %v", w1, err)
+		}
+		paper, err := OptimizePaper(s, w, Paper{})
+		if err != nil {
+			t.Fatalf("w1=%g Algorithm 1: %v", w1, err)
+		}
+		if verr := s.Validate(paper.Allocation, 1e-9); verr != nil {
+			t.Errorf("w1=%g: Algorithm 1 answer infeasible: %v", w1, verr)
+		}
+		if rel := relDiff(paper.Objective, direct.Objective); rel > 1e-6 {
+			t.Errorf("w1=%g: Algorithm 1 objective %.12g, direct %.12g (rel %.3g)", w1, paper.Objective, direct.Objective, rel)
+		}
+		for _, it := range paper.Iterations {
+			newton += it.NewtonIters
+		}
+	}
+	if newton == 0 {
+		t.Error("Algorithm 1 took no Newton step on any weight")
 	}
 }

@@ -13,9 +13,7 @@ import (
 // grow on first use and are retained across solves.
 //
 // Results returned by the exported solver entry points never alias a
-// caller-provided Workspace except where documented (SolveSubproblem2 with
-// Options.Work set returns slices that the next solve on the same Workspace
-// overwrites).
+// caller-provided Workspace.
 type Workspace struct {
 	n int
 
@@ -25,32 +23,32 @@ type Workspace struct {
 	freq                []float64
 	metrics             fl.Metrics
 
-	// Subproblem 2 Newton iteration.
+	// Direct (reduction) solver.
+	rdevs      []reducedDevice
+	dirP, dirB []float64
+
+	// Algorithm 1 (OptimizePaper only; sized by growPaper): the Newton
+	// iteration and its inner SP2_v2 solver.
 	d                []float64
 	nu, beta, nb, nn []float64
 	sigma1, sigma2   []float64
 	curP, curB, curG []float64
 	triP, triB, triG []float64
+	devs             []sp2Device
+	allocs           []sp2Alloc
 
-	// Inner SP2_v2 solver.
-	devs   []sp2Device
-	allocs []sp2Alloc
-
-	// Direct (reduction) solver.
-	rdevs      []reducedDevice
-	dirP, dirB []float64
-
-	// lastMu carries the most recent inner clearing price within a solve;
-	// it seeds the next price bisection's bracket. Reset by grow.
+	// lastMu carries the most recent inner SP2_v2 clearing price within a
+	// solve; it seeds the next price bisection's bracket. Reset by grow
+	// when the device count changes.
 	lastMu float64
 }
 
 // NewWorkspace returns an empty workspace (buffers grow on first use).
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// grow sizes every buffer for n devices and resets the price seed when the
-// device count changes (a price from another instance family would only
-// waste the bracket probes).
+// grow sizes the served solver's buffers for n devices and resets the
+// price seed when the device count changes (a price from another instance
+// family would only waste the bracket probes).
 func (ws *Workspace) grow(n int) {
 	if ws.n != n {
 		ws.lastMu = 0
@@ -62,6 +60,17 @@ func (ws *Workspace) grow(n int) {
 	ws.prevB = growF(ws.prevB, n)
 	ws.prevF = growF(ws.prevF, n)
 	ws.freq = growF(ws.freq, n)
+	ws.dirP = growF(ws.dirP, n)
+	ws.dirB = growF(ws.dirB, n)
+	if cap(ws.rdevs) < n {
+		ws.rdevs = make([]reducedDevice, n)
+	} else {
+		ws.rdevs = ws.rdevs[:n]
+	}
+}
+
+// growPaper sizes Algorithm 1's buffers for n devices; call it after grow.
+func (ws *Workspace) growPaper(n int) {
 	ws.d = growF(ws.d, n)
 	ws.nu = growF(ws.nu, n)
 	ws.beta = growF(ws.beta, n)
@@ -75,8 +84,6 @@ func (ws *Workspace) grow(n int) {
 	ws.triP = growF(ws.triP, n)
 	ws.triB = growF(ws.triB, n)
 	ws.triG = growF(ws.triG, n)
-	ws.dirP = growF(ws.dirP, n)
-	ws.dirB = growF(ws.dirB, n)
 	if cap(ws.devs) < n {
 		ws.devs = make([]sp2Device, n)
 	} else {
@@ -86,11 +93,6 @@ func (ws *Workspace) grow(n int) {
 		ws.allocs = make([]sp2Alloc, n)
 	} else {
 		ws.allocs = ws.allocs[:n]
-	}
-	if cap(ws.rdevs) < n {
-		ws.rdevs = make([]reducedDevice, n)
-	} else {
-		ws.rdevs = ws.rdevs[:n]
 	}
 }
 

@@ -90,85 +90,3 @@ func SolveSPD(a *Dense, b []float64) ([]float64, error) {
 	}
 	return nil, fmt.Errorf("linalg: SolveSPD failed at all damping levels: %w", lastErr)
 }
-
-// LU computes a partially pivoted LU factorization in place on a copy and
-// returns the combined factors plus the permutation. Used for general
-// (non-symmetric) systems, e.g. Jacobians in tests.
-func LU(a *Dense) (*Dense, []int, error) {
-	n, c := a.Dims()
-	if n != c {
-		return nil, nil, fmt.Errorf("linalg: LU of %dx%d: %w", n, c, ErrDimension)
-	}
-	lu := a.Clone()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for k := 0; k < n; k++ {
-		// Partial pivot.
-		p, mx := k, math.Abs(lu.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu.At(i, k)); a > mx {
-				p, mx = i, a
-			}
-		}
-		if mx == 0 || math.IsNaN(mx) {
-			return nil, nil, fmt.Errorf("linalg: LU pivot %d: %w", k, ErrSingular)
-		}
-		if p != k {
-			for j := 0; j < n; j++ {
-				v := lu.At(k, j)
-				lu.Set(k, j, lu.At(p, j))
-				lu.Set(p, j, v)
-			}
-			perm[k], perm[p] = perm[p], perm[k]
-		}
-		pivot := lu.At(k, k)
-		for i := k + 1; i < n; i++ {
-			m := lu.At(i, k) / pivot
-			lu.Set(i, k, m)
-			for j := k + 1; j < n; j++ {
-				lu.Add(i, j, -m*lu.At(k, j))
-			}
-		}
-	}
-	return lu, perm, nil
-}
-
-// SolveLU solves A x = b given LU factors and permutation from LU.
-func SolveLU(lu *Dense, perm []int, b []float64) ([]float64, error) {
-	n, _ := lu.Dims()
-	if len(b) != n || len(perm) != n {
-		return nil, fmt.Errorf("linalg: SolveLU shapes: %w", ErrDimension)
-	}
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[perm[i]]
-	}
-	// Forward substitution with unit lower factor.
-	for i := 1; i < n; i++ {
-		s := x[i]
-		for k := 0; k < i; k++ {
-			s -= lu.At(i, k) * x[k]
-		}
-		x[i] = s
-	}
-	// Back substitution with upper factor.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for k := i + 1; k < n; k++ {
-			s -= lu.At(i, k) * x[k]
-		}
-		x[i] = s / lu.At(i, i)
-	}
-	return x, nil
-}
-
-// SolveGeneral solves A x = b via LU with partial pivoting.
-func SolveGeneral(a *Dense, b []float64) ([]float64, error) {
-	lu, perm, err := LU(a)
-	if err != nil {
-		return nil, err
-	}
-	return SolveLU(lu, perm, b)
-}

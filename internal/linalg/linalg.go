@@ -1,6 +1,6 @@
 // Package linalg implements the small dense linear-algebra kernel used by
-// the generic convex solver: vectors, row-major dense matrices, Cholesky and
-// LU factorizations. Problem sizes in this repository are tiny (at most a
+// the generic convex solver: vectors, row-major dense matrices and the
+// Cholesky factorization. Problem sizes in this repository are tiny (at most a
 // few hundred variables), so the implementations favour clarity and
 // numerical safety over blocking or vectorization.
 package linalg
@@ -32,23 +32,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// NewDenseFromRows builds a matrix from row slices, which must be non-empty
-// and uniform in length.
-func NewDenseFromRows(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("linalg: NewDenseFromRows: empty input: %w", ErrDimension)
-	}
-	c := len(rows[0])
-	m := NewDense(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("linalg: NewDenseFromRows: ragged row %d: %w", i, ErrDimension)
-		}
-		copy(m.data[i*c:(i+1)*c], row)
-	}
-	return m, nil
-}
-
 // Dims returns the matrix shape.
 func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
 
@@ -58,38 +41,11 @@ func (m *Dense) At(i, j int) float64 { return m.data[i*m.cols+j] }
 // Set assigns element (i, j).
 func (m *Dense) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
-// Add adds v to element (i, j).
-func (m *Dense) Add(i, j int, v float64) { m.data[i*m.cols+j] += v }
-
 // Clone returns a deep copy.
 func (m *Dense) Clone() *Dense {
 	out := NewDense(m.rows, m.cols)
 	copy(out.data, m.data)
 	return out
-}
-
-// Zero resets all entries to zero, retaining the allocation.
-func (m *Dense) Zero() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
-}
-
-// MulVec computes y = M x. It returns an error when len(x) != cols.
-func (m *Dense) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.cols {
-		return nil, fmt.Errorf("linalg: MulVec %dx%d by vec %d: %w", m.rows, m.cols, len(x), ErrDimension)
-	}
-	y := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y, nil
 }
 
 // Symmetrize replaces M by (M + M^T)/2; it panics on non-square input. The

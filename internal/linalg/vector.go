@@ -39,27 +39,3 @@ func CopyOf(x []float64) []float64 {
 	copy(out, x)
 	return out
 }
-
-// Sub returns a - b as a new slice.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: Sub length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// AddVec returns a + b as a new slice.
-func AddVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: AddVec length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}

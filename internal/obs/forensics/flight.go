@@ -38,9 +38,6 @@ type Event struct {
 	// "bulk"); QueueWaitUS the total time it spent there.
 	Queue       string `json:"queue,omitempty"`
 	QueueWaitUS int64  `json:"queue_wait_us,omitempty"`
-	// NewtonIters is the solve's Algorithm 1 Newton iteration count (0
-	// unless the solve selected the paper's Algorithm 1).
-	NewtonIters int64 `json:"newton_iters,omitempty"`
 	// Error is the failure string for requests that ended in an error
 	// (solver errors, queue-full sheds, malformed bodies).
 	Error string `json:"error,omitempty"`
@@ -67,7 +64,6 @@ func EventFromTrace(t obs.TraceJSON) Event {
 				continue
 			}
 			e.Path = s.Detail
-			e.NewtonIters = s.Value
 		case obs.PhaseError:
 			e.Error = s.Detail
 		}

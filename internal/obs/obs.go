@@ -35,12 +35,11 @@ const (
 	// PhaseDedupWait is a follower waiting on an identical in-flight solve.
 	PhaseDedupWait = "dedup_wait"
 	// PhaseSolve is the full Algorithm 2 run; Detail carries the serving
-	// path ("cold") and Value the Algorithm 1 Newton iterations
-	// (0 under the default direct Subproblem 2 solver).
+	// path ("cold").
 	PhaseSolve = "solve"
 	// PhaseSP1 / PhaseSP2 split the solve into Subproblem 1 (frequencies
 	// and deadline) and Subproblem 2 (powers and bandwidths) time; PhaseSP1's
-	// Value is the outer iteration count, PhaseSP2's the Newton count.
+	// Value is the outer iteration count.
 	PhaseSP1 = "sp1"
 	PhaseSP2 = "sp2"
 	// PhaseRoute is one per-cell solve attempt inside the cluster router;
@@ -96,7 +95,7 @@ type Attr struct {
 	// Detail is a short human-readable qualifier (hit kind, serving path,
 	// drain stage notes).
 	Detail string
-	// Value is a phase-specific integer fact (Newton iters, devices
+	// Value is a phase-specific integer fact (outer iterations, devices
 	// moved, coalesced seq).
 	Value int64
 }

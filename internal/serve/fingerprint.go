@@ -109,20 +109,14 @@ func FingerprintRequest(req Request) Fingerprint {
 	}
 	topo.f64(w.W1)
 	topo.f64(w.W2)
+	// Every Options field that changes the answer keys the cache; Work and
+	// Trace do not. MaxOuter is hashed raw: a request spelling the default
+	// explicitly (30 vs 0) misses spuriously, which costs one solve, never
+	// a wrong answer.
 	topo.int64(int64(opts.Mode))
 	topo.f64(opts.TotalDeadline)
-	topo.int64(int64(opts.SP2Solver))
-	topo.int64(boolBit(opts.UsePaperSP1Dual)<<2 | boolBit(opts.UsePaperSP2Dual)<<1 | boolBit(opts.JointWeighted))
-	// Accuracy knobs change what "the" solution is, so they key the cache
-	// too. Raw values are hashed: a request spelling a default explicitly
-	// (e.g. MaxOuter=30 vs 0) misses spuriously, which costs one solve,
-	// never a wrong answer.
+	topo.int64(boolBit(opts.JointWeighted))
 	topo.int64(int64(opts.MaxOuter))
-	topo.int64(int64(opts.MaxNewton))
-	topo.f64(opts.OuterTol)
-	topo.f64(opts.PhiTol)
-	topo.f64(opts.Xi)
-	topo.f64(opts.Epsilon)
 	return FingerprintGains(topo.h, s)
 }
 

@@ -83,25 +83,21 @@ type SolveBatchResponseJSON struct {
 
 // SolveResponseJSON is the body of a successful POST /v1/solve.
 type SolveResponseJSON struct {
-	PowerW       []float64 `json:"power_w"`
-	BandwidthHz  []float64 `json:"bandwidth_hz"`
-	FreqHz       []float64 `json:"freq_hz"`
-	RoundTimeS   float64   `json:"round_time_s"`
-	TotalTimeS   float64   `json:"total_time_s"`
-	TotalEnergyJ float64   `json:"total_energy_j"`
-	TransEnergyJ float64   `json:"trans_energy_j"`
-	CompEnergyJ  float64   `json:"comp_energy_j"`
-	Objective    float64   `json:"objective"`
-	Converged    bool      `json:"converged"`
-	Iterations   int       `json:"iterations"`
-	// NewtonIters is the total Algorithm 1 (Subproblem 2) iteration count
-	// over all outer iterations — 0 unless the request selected the
-	// paper's Algorithm 1 (the default direct solver runs none).
-	NewtonIters   int     `json:"newton_iters"`
-	Source        string  `json:"source"`
-	Solver        string  `json:"solver"`
-	SolveSeconds  float64 `json:"solve_seconds"`
-	FingerprintHx string  `json:"fingerprint"`
+	PowerW        []float64 `json:"power_w"`
+	BandwidthHz   []float64 `json:"bandwidth_hz"`
+	FreqHz        []float64 `json:"freq_hz"`
+	RoundTimeS    float64   `json:"round_time_s"`
+	TotalTimeS    float64   `json:"total_time_s"`
+	TotalEnergyJ  float64   `json:"total_energy_j"`
+	TransEnergyJ  float64   `json:"trans_energy_j"`
+	CompEnergyJ   float64   `json:"comp_energy_j"`
+	Objective     float64   `json:"objective"`
+	Converged     bool      `json:"converged"`
+	Iterations    int       `json:"iterations"`
+	Source        string    `json:"source"`
+	Solver        string    `json:"solver"`
+	SolveSeconds  float64   `json:"solve_seconds"`
+	FingerprintHx string    `json:"fingerprint"`
 	// TraceID names the lifecycle trace this solve was recorded under
 	// (also echoed in the X-Trace-Id header; "" when untraced).
 	TraceID string `json:"trace_id,omitempty"`
@@ -192,10 +188,6 @@ func RequestFromJSON(in SolveRequestJSON) (Request, error) {
 // the cluster front end, which adds the serving cell).
 func ResponseToJSON(resp Response) SolveResponseJSON {
 	m := resp.Result.Metrics
-	newton := 0
-	for _, it := range resp.Result.Iterations {
-		newton += it.NewtonIters
-	}
 	return SolveResponseJSON{
 		PowerW:        resp.Result.Allocation.Power,
 		BandwidthHz:   resp.Result.Allocation.Bandwidth,
@@ -208,7 +200,6 @@ func ResponseToJSON(resp Response) SolveResponseJSON {
 		Objective:     resp.Result.Objective,
 		Converged:     resp.Result.Converged,
 		Iterations:    len(resp.Result.Iterations),
-		NewtonIters:   newton,
 		Source:        string(resp.Source),
 		Solver:        string(resp.Solver),
 		SolveSeconds:  resp.SolveTime.Seconds(),

@@ -549,14 +549,14 @@ func (s *Server) process(t *task, ws *core.Workspace) (Response, error) {
 		return Response{}, err
 	}
 	if t.tr != nil {
-		t.tr.RecordDur(obs.PhaseSolve, began, elapsed, obs.Attr{Cell: obs.CellNone, Detail: string(SourceCold), Value: int64(stp.NewtonIters)})
+		t.tr.RecordDur(obs.PhaseSolve, began, elapsed, obs.Attr{Cell: obs.CellNone, Detail: string(SourceCold)})
 		// SP1/SP2 sub-spans are drawn from the solver's own clocks; they
 		// share the solve's start offset since only the split matters.
 		if stp.SP1Time > 0 {
 			t.tr.RecordDur(obs.PhaseSP1, began, stp.SP1Time, obs.Attr{Cell: obs.CellNone, Value: int64(stp.OuterIters)})
 		}
 		if stp.SP2Time > 0 {
-			t.tr.RecordDur(obs.PhaseSP2, began, stp.SP2Time, obs.Attr{Cell: obs.CellNone, Value: int64(stp.NewtonIters)})
+			t.tr.RecordDur(obs.PhaseSP2, began, stp.SP2Time, obs.Attr{Cell: obs.CellNone})
 		}
 	}
 	s.stats.conv.recordSolve(string(SourceCold), *stp)

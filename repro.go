@@ -70,8 +70,6 @@ type (
 	Result = core.Result
 	// Mode selects weighted or deadline-constrained operation.
 	Mode = core.Mode
-	// SP2Method selects the Subproblem 2 strategy.
-	SP2Method = core.SP2Method
 	// Workspace is reusable solver scratch memory (Options.Work); one per
 	// goroutine keeps repeated solves allocation-free.
 	Workspace = core.Workspace
@@ -80,17 +78,12 @@ type (
 // NewWorkspace returns an empty solver workspace; see Options.Work.
 func NewWorkspace() *Workspace { return core.NewWorkspace() }
 
-// Re-exported operating modes and solver selectors.
+// Re-exported operating modes.
 const (
 	// ModeWeighted minimizes w1*E + w2*T (problem (8)).
 	ModeWeighted = core.ModeWeighted
 	// ModeDeadline minimizes E under a fixed completion time (Figs. 7-8).
 	ModeDeadline = core.ModeDeadline
-	// SP2DirectOnly (default) solves Subproblem 2 by the globally optimal
-	// direct reduction.
-	SP2DirectOnly = core.SP2DirectOnly
-	// SP2NewtonOnly runs the paper's Algorithm 1 (paper-fidelity mode).
-	SP2NewtonOnly = core.SP2NewtonOnly
 )
 
 // Experiment types (see internal/experiments).

@@ -24,7 +24,7 @@ cd "$(dirname "$0")/.."
 
 BENCHES='^(BenchmarkOptimizeWeighted|BenchmarkOptimizeDeadline|BenchmarkOptimizeScale|BenchmarkServeCold|BenchmarkServeCached|BenchmarkServeDrift|BenchmarkServeTraced|BenchmarkServeBatch|BenchmarkClusterRoutedCached|BenchmarkStreamDelta|BenchmarkStreamRepostCold|BenchmarkMassHandoff|BenchmarkHandoffPerDevice)$'
 BENCHTIME="${BENCHTIME:-2s}"
-PAIRED='BenchmarkOptimizeDeadline BenchmarkServeCached BenchmarkClusterRoutedCached BenchmarkHandoffPerDevice BenchmarkStreamDelta'
+PAIRED='BenchmarkOptimizeWeighted BenchmarkOptimizeDeadline BenchmarkServeCold BenchmarkServeCached BenchmarkServeDrift BenchmarkClusterRoutedCached BenchmarkHandoffPerDevice BenchmarkStreamDelta'
 
 out="$(go test -run '^$' -bench "$BENCHES" -benchmem -benchtime "$BENCHTIME" -count 1 .)"
 echo "$out" >&2
