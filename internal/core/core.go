@@ -208,4 +208,10 @@ type Result struct {
 	// Converged reports whether the outer loop met its 1e-6 allocation
 	// distance tolerance before MaxOuter.
 	Converged bool
+	// DualBound, in ModeDeadline, is a lower bound on the optimal total
+	// energy over all rounds (J): the dual function at the deadline
+	// solve's final price bracket, times Rg. Objective - DualBound is then
+	// a certificate of the answer's optimality gap. It is 0 for weighted
+	// solves and never leaves the process on the wire.
+	DualBound float64
 }

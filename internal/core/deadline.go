@@ -58,8 +58,22 @@ import (
 // else. Its device is built with the band floor unknown (newSplitDevice):
 // the floor is a Lambert W solve, and bandAt computes it only when the
 // water-level band would need power pmax or more, which is rare. The
-// free-branch band (power at pmin) does not depend on the split, so each
-// device's search computes it at most once per price.
+// free-branch band (power at pmin) and its rate do not depend on the
+// split, so each device's search computes them at most once per price; on
+// the rate-pinned branch the energy reuses the power bandAt found.
+//
+// The split scans are pruned by a free lower bound. The Shannon rate never
+// exceeds its wideband limit p*g/(N0*ln2), so the transmission energy is at
+// least d*N0*ln2/g at any power and band, and lambda*B >= 0: a split's cost
+// is at least its compute energy plus that floor (costFloor), which needs
+// no transcendental function. The grid scans of bestSplit and of the
+// polish's re-splits skip every grid point whose floor is already at or
+// above the best cost found, evaluating a skipped point only if it ends
+// the best cell (numeric.GridBrentMin's lb). Compute energy rises with the
+// split, so at the first, low prices nearly every point after the first
+// is skipped. A skipped point cannot beat or tie the point the full scan
+// keeps, so every answer is bit-identical to the unpruned scan's; on the
+// corpus the split evaluations fall from 6,190 to 4,091 per solve.
 //
 // Unlike alternating f/(p,B) updates — which ratchet every device's rate
 // floor at its incoming upload time — the price decomposition explores the
@@ -70,53 +84,22 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 		tr = new(SolveTrace)
 	}
 	n := s.N()
-	type devPlan struct {
-		tLo, tHi float64
-		cycles   float64 // Rl * c_n * D_n
+	ds, err := newDeadlineSolve(s, roundDeadline)
+	if err != nil {
+		return fl.Allocation{}, 0, err
 	}
-	plans := make([]devPlan, n)
-	for i, d := range s.Devices {
-		cycles := s.LocalIters * d.CyclesPerIteration()
-		tHi := roundDeadline - cycles/d.FMax
-		if tHi <= 0 {
-			return fl.Allocation{}, 0, fmt.Errorf("core: device %d compute floor %g exceeds round deadline %g: %w",
-				i, cycles/d.FMax, roundDeadline, ErrInfeasible)
-		}
-		// Fastest conceivable upload: full power over the whole band.
-		rTop := wireless.Rate(d.PMax, s.Bandwidth, d.Gain, s.N0)
-		if rTop <= 0 {
-			return fl.Allocation{}, 0, fmt.Errorf("core: device %d has zero rate: %w", i, ErrInfeasible)
-		}
-		tLo := d.UploadBits / rTop * (1 + 1e-9)
-		if tLo >= tHi {
-			return fl.Allocation{}, 0, fmt.Errorf("core: device %d cannot fit upload %gs before deadline: %w", i, tLo, ErrInfeasible)
-		}
-		plans[i] = devPlan{tLo: tLo, tHi: tHi, cycles: cycles}
-	}
-	compEnergy := func(i int, t float64) float64 {
-		f := numeric.Clamp(plans[i].cycles/(roundDeadline-t), s.Devices[i].FMin, s.Devices[i].FMax)
-		return s.Kappa * plans[i].cycles * f * f
-	}
+	plans := ds.plans
 
 	// bestSplit returns device i's cheapest split t in [lo, hi] at price
 	// lambda, with its bandwidth and cost. The grid keeps the spacing of a
 	// 24-point scan of the device's full range.
 	splitTol := 1e-8 * roundDeadline
 	bestSplit := func(i int, lambda, lo, hi float64) (t, b, cost float64) {
-		d := s.Devices[i]
 		cost = math.Inf(1)
-		var free float64 // the free-branch band at lambda, shared by every split
+		var free freeBranch // shared by every split at lambda
 		eval := func(x float64) float64 {
 			tr.SplitEvals++
-			rd, ok := newSplitDevice(d, s.N0, d.UploadBits/x)
-			if !ok {
-				return math.Inf(1)
-			}
-			bx := rd.bandAtFree(s.N0, lambda, &free)
-			if math.IsInf(bx, 1) {
-				return math.Inf(1)
-			}
-			c := compEnergy(i, x) + rd.energy(s.N0, bx) + lambda*bx
+			c, bx := ds.splitCost(i, lambda, x, &free)
 			if c < cost {
 				t, b, cost = x, bx, c
 			}
@@ -126,7 +109,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 			eval(0.5 * (lo + hi))
 		} else {
 			grid := 1 + int(math.Ceil(23*(hi-lo)/(plans[i].tHi-plans[i].tLo)))
-			_, _ = numeric.GridBrentMin(eval, lo, hi, grid, splitTol)
+			_, _ = numeric.GridBrentMin(eval, func(x float64) float64 { return ds.costFloor(i, x) }, lo, hi, grid, splitTol)
 		}
 		return t, b, cost
 	}
@@ -222,26 +205,18 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 			}
 			// Re-split each device at its fixed bandwidth.
 			moved := false
-			for i, d := range s.Devices {
-				b := bands[i]
-				cost := func(t float64) float64 {
-					r := d.UploadBits / t
-					p := numeric.Clamp(wireless.PowerForRate(r, b, d.Gain, s.N0), d.PMin, d.PMax)
-					g := wireless.Rate(p, b, d.Gain, s.N0)
-					if g < r*(1-1e-12) {
-						return math.Inf(1) // cannot reach this rate at pmax on band b
-					}
-					return compEnergy(i, t) + p*d.UploadBits/g
-				}
+			for i := range s.Devices {
+				cost := func(t float64) float64 { return ds.resplitCost(i, bands[i], t) }
+				lb := func(t float64) float64 { return ds.costFloor(i, t) }
 				var t float64
 				var gerr error
 				if pass == 0 {
-					t, gerr = numeric.GridRefineMin(cost, plans[i].tLo, plans[i].tHi, 24, 1e-9*roundDeadline)
+					t, gerr = numeric.GridRefineMin(cost, lb, plans[i].tLo, plans[i].tHi, 24, 1e-9*roundDeadline)
 				} else {
 					// Later passes stay in the basin pass 0 chose: one cell
 					// of its grid on each side of the current split.
 					h := (plans[i].tHi - plans[i].tLo) / 23
-					t, gerr = numeric.GridBrentMin(cost, max(plans[i].tLo, splits[i]-h), min(plans[i].tHi, splits[i]+h), 3, 1e-9*roundDeadline)
+					t, gerr = numeric.GridBrentMin(cost, lb, max(plans[i].tLo, splits[i]-h), min(plans[i].tHi, splits[i]+h), 3, 1e-9*roundDeadline)
 				}
 				if gerr == nil && cost(t) < cost(splits[i]) {
 					splits[i], moved = t, true
@@ -261,7 +236,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 			alloc.Bandwidth[i] = math.Max(bands[i], rd.bForced)
 			alloc.Power[i] = rd.power(s.N0, alloc.Bandwidth[i])
 			alloc.Freq[i] = numeric.Clamp(plans[i].cycles/(roundDeadline-splits[i]), d.FMin, d.FMax)
-			energy += compEnergy(i, splits[i]) + rd.energy(s.N0, alloc.Bandwidth[i])
+			energy += ds.compEnergy(i, splits[i]) + rd.energy(s.N0, alloc.Bandwidth[i])
 		}
 		return alloc, energy, nil
 	}
@@ -284,4 +259,105 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 		}
 	}
 	return alloc, bound, nil
+}
+
+// deadlineSolve is what every split evaluation of one fixed-deadline solve
+// reads: the system, the round deadline and each device's plan.
+type deadlineSolve struct {
+	s             *fl.System
+	roundDeadline float64
+	plans         []devPlan
+}
+
+// devPlan is one device's split range [tLo, tHi] and what its split costs
+// share.
+type devPlan struct {
+	tLo, tHi float64
+	cycles   float64 // Rl * c_n * D_n
+	limit    float64 // RateLimit(PMax): a split's rate floor must stay below it
+	eFloor   float64 // lower bound on the reduced transmission energy
+}
+
+// newDeadlineSolve plans every device's split range at roundDeadline, or
+// reports the instance infeasible.
+//
+// eFloor is d*N0*ln2/g, shaded by 1e-6 relative. The Shannon rate never
+// exceeds the wideband limit p*g/(N0*ln2), so p*d/G(p, B) is at least
+// d*N0*ln2/g at every power and band; with lambda*B >= 0, compute energy
+// plus eFloor bounds every split and re-split cost from below (costFloor).
+// The shade covers rounding in the computed energies: Rate loses a few
+// ulps, and PowerForRate's 2^(r/B)-1 loses about ulp/(r/B) relative, under
+// 1e-6 while r/B stays above 1e-10. The searches' bands keep r/B orders of
+// magnitude above that (TestSplitCostBound sweeps prices and gains far
+// past the served ones).
+func newDeadlineSolve(s *fl.System, roundDeadline float64) (deadlineSolve, error) {
+	plans := make([]devPlan, s.N())
+	for i, d := range s.Devices {
+		cycles := s.LocalIters * d.CyclesPerIteration()
+		tHi := roundDeadline - cycles/d.FMax
+		if tHi <= 0 {
+			return deadlineSolve{}, fmt.Errorf("core: device %d compute floor %g exceeds round deadline %g: %w",
+				i, cycles/d.FMax, roundDeadline, ErrInfeasible)
+		}
+		// Fastest conceivable upload: full power over the whole band.
+		rTop := wireless.Rate(d.PMax, s.Bandwidth, d.Gain, s.N0)
+		if rTop <= 0 {
+			return deadlineSolve{}, fmt.Errorf("core: device %d has zero rate: %w", i, ErrInfeasible)
+		}
+		tLo := d.UploadBits / rTop * (1 + 1e-9)
+		if tLo >= tHi {
+			return deadlineSolve{}, fmt.Errorf("core: device %d cannot fit upload %gs before deadline: %w", i, tLo, ErrInfeasible)
+		}
+		plans[i] = devPlan{
+			tLo: tLo, tHi: tHi, cycles: cycles,
+			limit:  wireless.RateLimit(d.PMax, d.Gain, s.N0),
+			eFloor: (1 - 1e-6) * d.UploadBits * s.N0 * math.Ln2 / d.Gain,
+		}
+	}
+	return deadlineSolve{s: s, roundDeadline: roundDeadline, plans: plans}, nil
+}
+
+// compEnergy is device i's per-round compute energy at upload time t: the
+// frequency that finishes its cycles in the rest of the round, clamped to
+// its box.
+func (ds *deadlineSolve) compEnergy(i int, t float64) float64 {
+	pl, d := &ds.plans[i], &ds.s.Devices[i]
+	f := numeric.Clamp(pl.cycles/(ds.roundDeadline-t), d.FMin, d.FMax)
+	return ds.s.Kappa * pl.cycles * f * f
+}
+
+// costFloor bounds splitCost and resplitCost at split t from below without
+// a transcendental function (see newDeadlineSolve).
+func (ds *deadlineSolve) costFloor(i int, t float64) float64 {
+	return ds.compEnergy(i, t) + ds.plans[i].eFloor
+}
+
+// splitCost returns device i's cost at split t and price lambda, compute
+// energy plus reduced transmission energy plus lambda*B, and its band B.
+// free holds the free-branch band at lambda across the device's splits.
+func (ds *deadlineSolve) splitCost(i int, lambda, t float64, free *freeBranch) (cost, b float64) {
+	d, n0 := ds.s.Devices[i], ds.s.N0
+	rd, ok := newSplitDevice(d, d.UploadBits/t, ds.plans[i].limit)
+	if !ok {
+		return math.Inf(1), 0
+	}
+	b, p := rd.bandAtFree(n0, lambda, free)
+	if math.IsInf(b, 1) {
+		return b, b
+	}
+	return ds.compEnergy(i, t) + rd.energyAt(n0, b, p) + lambda*b, b
+}
+
+// resplitCost is the polish's cost of split t at device i's fixed band b:
+// compute energy plus transmission energy at the least power in the box
+// that reaches the split's rate, +Inf when pmax cannot.
+func (ds *deadlineSolve) resplitCost(i int, b, t float64) float64 {
+	d, n0 := ds.s.Devices[i], ds.s.N0
+	r := d.UploadBits / t
+	p := numeric.Clamp(wireless.PowerForRate(r, b, d.Gain, n0), d.PMin, d.PMax)
+	g := wireless.Rate(p, b, d.Gain, n0)
+	if g < r*(1-1e-12) {
+		return math.Inf(1) // cannot reach this rate at pmax on band b
+	}
+	return ds.compEnergy(i, t) + p*d.UploadBits/g
 }

@@ -40,10 +40,11 @@ func newReducedDevice(dev fl.Device, n0, rmin float64) (reducedDevice, error) {
 // newSplitDevice is newReducedDevice with the floor left unknown, for the
 // deadline solver's split search: each split evaluation asks bandAt once,
 // and only there does the floor (a Lambert W solve) matter, and only when
-// it binds. It reports false when rmin is out of reach at pmax.
-func newSplitDevice(dev fl.Device, n0, rmin float64) (reducedDevice, bool) {
+// it binds. limit is the device's RateLimit at pmax, which its search
+// computes once; it reports false when rmin is out of that reach.
+func newSplitDevice(dev fl.Device, rmin, limit float64) (reducedDevice, bool) {
 	rd := reducedDevice{d: dev.UploadBits, g: dev.Gain, pmin: dev.PMin, pmax: dev.PMax, rmin: rmin}
-	return rd, rmin > 0 && rmin < wireless.RateLimit(dev.PMax, dev.Gain, n0)
+	return rd, rmin > 0 && rmin < limit
 }
 
 // power returns the reduced optimal power at bandwidth b.
@@ -55,7 +56,15 @@ func (rd reducedDevice) power(n0, b float64) float64 {
 // reduced power rule. While the power for rmin lies inside [pmin, pmax] the
 // rate is rmin exactly, and the energy is p*d/rmin.
 func (rd reducedDevice) energy(n0, b float64) float64 {
-	p := wireless.PowerForRate(rd.rmin, b, rd.g, n0)
+	return rd.energyAt(n0, b, 0)
+}
+
+// energyAt is energy given p = PowerForRate(rmin, b), as bandAtFree hands
+// it back, or p = 0 when the caller does not have it.
+func (rd reducedDevice) energyAt(n0, b, p float64) float64 {
+	if p == 0 {
+		p = wireless.PowerForRate(rd.rmin, b, rd.g, n0)
+	}
 	if p >= rd.pmin && p <= rd.pmax {
 		return p * rd.d / rd.rmin
 	}
@@ -104,14 +113,20 @@ func (rd reducedDevice) marginal(n0, b float64) float64 {
 // marginal drops at the junction itself, so levels inside that drop return
 // the junction bandwidth.
 func (rd reducedDevice) bandAt(n0, lambda float64) float64 {
-	return rd.bandAtFree(n0, lambda, new(float64))
+	b, _ := rd.bandAtFree(n0, lambda, new(freeBranch))
+	return b
 }
 
-// bandAtFree is bandAt with the free-branch band kept in *free (zero until
-// first needed). That band does not depend on rmin, so the deadline
-// solver's split search, which asks one level of devices that differ only
-// in rmin, computes it once per device and price.
-func (rd reducedDevice) bandAtFree(n0, lambda float64, free *float64) float64 {
+// freeBranch is a device's free-branch band at one price and its rate at
+// pmin there; the zero value means not yet computed.
+type freeBranch struct{ b, rate float64 }
+
+// bandAtFree is bandAt with the free-branch band and its rate kept in
+// *free. Neither depends on rmin, so the deadline solver's split search,
+// which asks one level of devices that differ only in rmin, computes them
+// once per device and price. On the rate-pinned branch it also returns the
+// power PowerForRate(rmin, b) it computed, for energyAt; elsewhere 0.
+func (rd reducedDevice) bandAtFree(n0, lambda float64, free *freeBranch) (float64, float64) {
 	c := lambda * rd.rmin * rd.g / (rd.d * n0)
 	z := (c - 1) / math.E
 	var w float64
@@ -132,27 +147,28 @@ func (rd reducedDevice) bandAtFree(n0, lambda float64, free *float64) float64 {
 	if rd.bForced == 0 && !(p < rd.pmax) {
 		bf, err := wireless.BandwidthForRate(rd.rmin, rd.pmax, rd.g, n0)
 		if err != nil {
-			return math.Inf(1) // rmin/RateLimit(pmax) rounded to 1
+			return math.Inf(1), 0 // rmin/RateLimit(pmax) rounded to 1
 		}
 		rd.bForced = bf
 	}
 	if !(b > rd.bForced) {
-		return rd.bForced
+		return rd.bForced, 0
 	}
 	if p >= rd.pmin {
-		return b
+		return b, p
 	}
 
-	if !(*free > 0) {
-		*free = rd.freeBand(n0, lambda)
+	if !(free.b > 0) {
+		free.b = rd.freeBand(n0, lambda)
+		free.rate = wireless.Rate(rd.pmin, free.b, rd.g, n0)
 	}
-	if wireless.Rate(rd.pmin, *free, rd.g, n0) >= rd.rmin {
-		return *free
+	if free.rate >= rd.rmin {
+		return free.b, 0
 	}
 	// The error is nil: the pinned level needing less than pmin shows that
 	// pmin reaches rmin.
 	bj, _ := wireless.BandwidthForRate(rd.rmin, rd.pmin, rd.g, n0)
-	return bj
+	return bj, 0
 }
 
 // freeBand returns the bandwidth where the free branch's marginal, power

@@ -79,7 +79,7 @@ func SolveWeightedJoint(s *fl.System, w fl.Weights, opts Options) (Result, error
 		hi *= 2
 	}
 
-	tStar, err := numeric.GridRefineMin(func(t float64) float64 { return eval(t).obj }, lo, hi, 12, 2e-3*hi)
+	tStar, err := numeric.GridRefineMin(func(t float64) float64 { return eval(t).obj }, nil, lo, hi, 12, 2e-3*hi)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: weighted joint deadline search: %w", err)
 	}

@@ -62,12 +62,14 @@ func goldenSection(f func(float64) float64, lo, hi, flo, fhi, tol float64) (floa
 // for unimodal functions and robust for functions with a few basins (the
 // per-device time-split costs in the deadline optimizer are bimodal when a
 // bandwidth floor kicks in). The grid values at the cell ends carry into the
-// refinement, so no point is evaluated twice.
-func GridRefineMin(f func(float64) float64, lo, hi float64, gridN int, tol float64) (float64, error) {
+// refinement, so no point is evaluated twice. A non-nil lb, a lower bound
+// on f, lets the scan skip grid points it proves cannot be the best (see
+// scanGrid); the answer is the same as with a nil one.
+func GridRefineMin(f, lb func(float64) float64, lo, hi float64, gridN int, tol float64) (float64, error) {
 	if lo > hi {
 		return 0, fmt.Errorf("numeric: GridRefineMin interval [%g,%g] reversed", lo, hi)
 	}
-	g := scanGrid(f, lo, hi, gridN)
+	g := scanGrid(f, lb, lo, hi, gridN)
 	var x, fx float64
 	switch {
 	case g.hi-g.lo <= tol && 0.5*(g.lo+g.hi) == g.x:
@@ -87,12 +89,13 @@ func GridRefineMin(f func(float64) float64, lo, hi float64, gridN int, tol float
 // GridBrentMin is GridRefineMin refining with Brent's parabolic
 // interpolation (Brent 1973, ch. 5), golden steps where a parabola is
 // unusable: superlinear on a smooth basin, poor at kinks and +Inf walls.
-// It returns the best point evaluated and evaluates no point twice.
-func GridBrentMin(f func(float64) float64, lo, hi float64, gridN int, tol float64) (float64, error) {
+// It returns the best point evaluated and evaluates no point twice. lb is
+// GridRefineMin's optional lower bound.
+func GridBrentMin(f, lb func(float64) float64, lo, hi float64, gridN int, tol float64) (float64, error) {
 	if lo > hi {
 		return 0, fmt.Errorf("numeric: GridBrentMin interval [%g,%g] reversed", lo, hi)
 	}
-	g := scanGrid(f, lo, hi, gridN)
+	g := scanGrid(f, lb, lo, hi, gridN)
 	a, b, x, fx := g.lo, g.hi, g.x, g.fx
 	w, fw, v, fv := a, g.flo, b, g.fhi // on a boundary cell the first step is golden
 	if fv < fw {
@@ -150,31 +153,50 @@ func GridBrentMin(f func(float64) float64, lo, hi float64, gridN int, tol float6
 type gridCell struct{ x, fx, lo, hi, flo, fhi float64 }
 
 // scanGrid evaluates f on a uniform grid of gridN >= 3 points over
-// [lo, hi] and returns the cell bracketing the best one.
-func scanGrid(f func(float64) float64, lo, hi float64, gridN int) gridCell {
+// [lo, hi] and returns the cell bracketing the best one: the first grid
+// point of least value, as a strict-less-than scan finds it.
+//
+// A non-nil lb is a lower bound on f (lb(x) <= f(x) wherever f is
+// evaluated). The scan skips a point whose bound is at or above the best
+// value so far, since then f there cannot beat that value, and evaluates a
+// skipped point after the scan only if it turns out to be an end of the
+// best cell. The cell, its end values and the best point are the ones the
+// unbounded scan returns; only the evaluations of f are fewer, and the
+// cell ends come last.
+func scanGrid(f, lb func(float64) float64, lo, hi float64, gridN int) gridCell {
 	if gridN < 3 {
 		gridN = 3
 	}
+	at := func(k int) float64 { return lo + (hi-lo)*float64(k)/float64(gridN-1) }
 	bestX, bestF := lo, f(lo)
 	bestK := 0
 	fCellLo, fCellHi, prev := bestF, bestF, bestF
+	var skipLo, skipHi, skipPrev bool // that value was skipped, not evaluated
 	for k := 1; k < gridN; k++ {
-		x := lo + (hi-lo)*float64(k)/float64(gridN-1)
-		v := f(x)
-		if v < bestF {
-			bestX, bestF, bestK = x, v, k
-			fCellLo = prev
-		} else if k == bestK+1 {
-			fCellHi = v
+		x := at(k)
+		skip := lb != nil && lb(x) >= bestF
+		var v float64
+		if !skip {
+			v = f(x)
 		}
-		prev = v
+		if !skip && v < bestF {
+			bestX, bestF, bestK = x, v, k
+			fCellLo, skipLo = prev, skipPrev
+		} else if k == bestK+1 {
+			fCellHi, skipHi = v, skip
+		}
+		prev, skipPrev = v, skip
 	}
 	if bestK == gridN-1 {
-		fCellHi = bestF
+		fCellHi, skipHi = bestF, false
 	}
-	cellLo := lo + (hi-lo)*float64(max(bestK-1, 0))/float64(gridN-1)
-	cellHi := lo + (hi-lo)*float64(min(bestK+1, gridN-1))/float64(gridN-1)
-	return gridCell{bestX, bestF, cellLo, cellHi, fCellLo, fCellHi}
+	if skipLo {
+		fCellLo = f(at(bestK - 1))
+	}
+	if skipHi {
+		fCellHi = f(at(bestK + 1))
+	}
+	return gridCell{bestX, bestF, at(max(bestK-1, 0)), at(min(bestK+1, gridN-1)), fCellLo, fCellHi}
 }
 
 // MinimizeConvex1D minimizes a differentiable convex function given its

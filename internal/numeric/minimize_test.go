@@ -2,6 +2,7 @@ package numeric
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -96,7 +97,7 @@ func TestGridRefineMin(t *testing.T) {
 		b := (x-4)*(x-4) - 2
 		return math.Min(a, b)
 	}
-	got, err := GridRefineMin(f, -10, 10, 30, 1e-9)
+	got, err := GridRefineMin(f, nil, -10, 10, 30, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestGridRefineMin(t *testing.T) {
 	}
 	// Unimodal: agrees with golden section.
 	g := func(x float64) float64 { return (x - 1.5) * (x - 1.5) }
-	got, err = GridRefineMin(g, -5, 5, 10, 1e-10)
+	got, err = GridRefineMin(g, nil, -5, 5, 10, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +114,11 @@ func TestGridRefineMin(t *testing.T) {
 		t.Errorf("unimodal: got %g", got)
 	}
 	// Reversed interval errors.
-	if _, err := GridRefineMin(g, 5, -5, 10, 1e-9); err == nil {
+	if _, err := GridRefineMin(g, nil, 5, -5, 10, 1e-9); err == nil {
 		t.Error("want error on reversed interval")
 	}
 	// Boundary minimum.
-	got, _ = GridRefineMin(func(x float64) float64 { return x }, 2, 9, 8, 1e-9)
+	got, _ = GridRefineMin(func(x float64) float64 { return x }, nil, 2, 9, 8, 1e-9)
 	if got != 2 {
 		t.Errorf("boundary: got %g", got)
 	}
@@ -168,7 +169,7 @@ func TestGridRefineMinEvaluatesEachPointOnce(t *testing.T) {
 			for _, tol := range []float64{1e-3, 1e-9, 100} {
 				seen := map[float64]int{}
 				counted := func(x float64) float64 { seen[x]++; return sh.f(x) }
-				got, err := GridRefineMin(counted, sh.lo, sh.hi, gridN, tol)
+				got, err := GridRefineMin(counted, nil, sh.lo, sh.hi, gridN, tol)
 				if err != nil {
 					t.Fatalf("%s: %v", sh.name, err)
 				}
@@ -211,7 +212,7 @@ func TestGridBrentMin(t *testing.T) {
 	for _, sh := range brentShapes {
 		for _, gridN := range []int{8, 24} {
 			for _, tol := range []float64{1e-3, 1e-6} {
-				got, err := GridBrentMin(sh.f, sh.lo, sh.hi, gridN, tol)
+				got, err := GridBrentMin(sh.f, nil, sh.lo, sh.hi, gridN, tol)
 				if err != nil {
 					t.Fatalf("%s: %v", sh.name, err)
 				}
@@ -219,14 +220,14 @@ func TestGridBrentMin(t *testing.T) {
 					t.Errorf("%s gridN=%d tol=%g: argmin %.12g outside [%g, %g] by more than tol",
 						sh.name, gridN, tol, got, sh.wantLo, sh.wantHi)
 				}
-				golden, _ := GridRefineMin(sh.f, sh.lo, sh.hi, gridN, tol)
+				golden, _ := GridRefineMin(sh.f, nil, sh.lo, sh.hi, gridN, tol)
 				if cell := (sh.hi - sh.lo) / float64(gridN-1); math.Abs(got-golden) > cell {
 					t.Errorf("%s gridN=%d tol=%g: argmin %g, GridRefineMin's %g in another basin", sh.name, gridN, tol, got, golden)
 				}
 			}
 		}
 	}
-	if _, err := GridBrentMin(math.Abs, 5, -5, 10, 1e-9); err == nil {
+	if _, err := GridBrentMin(math.Abs, nil, 5, -5, 10, 1e-9); err == nil {
 		t.Error("want error on reversed interval")
 	}
 }
@@ -242,7 +243,7 @@ func TestGridBrentMinEvaluations(t *testing.T) {
 			for _, tol := range []float64{1e-3, 1e-9, 100} {
 				seen := map[float64]int{}
 				counted := func(x float64) float64 { seen[x]++; return sh.f(x) }
-				if _, err := GridBrentMin(counted, sh.lo, sh.hi, gridN, tol); err != nil {
+				if _, err := GridBrentMin(counted, nil, sh.lo, sh.hi, gridN, tol); err != nil {
 					t.Fatalf("%s: %v", sh.name, err)
 				}
 				for x, c := range seen {
@@ -254,11 +255,180 @@ func TestGridBrentMinEvaluations(t *testing.T) {
 					continue
 				}
 				golden := 0
-				_, _ = GridRefineMin(func(x float64) float64 { golden++; return sh.f(x) }, sh.lo, sh.hi, gridN, tol)
+				_, _ = GridRefineMin(func(x float64) float64 { golden++; return sh.f(x) }, nil, sh.lo, sh.hi, gridN, tol)
 				if 2*len(seen) > golden {
 					t.Errorf("%s gridN=%d: %d evaluations, golden section %d", sh.name, gridN, len(seen), golden)
 				}
 			}
 		}
 	}
+}
+
+// boundedCase builds, from seed, a multimodal f on [lo, hi] and a lower
+// bound lb <= f whose shape kind picks: lb = f (every tie skipped), f less
+// a nonnegative slack, f less its amplitude (a cheap floor, like the
+// deadline split cost's), -Inf, or NaN. f may carry +Inf walls (where
+// every bound is +Inf or below), NaN points, plateaus of tied values, and
+// a tilt that puts its minimum at either end.
+func boundedCase(seed int64, kind int, lo, hi float64) (f, lb func(float64) float64) {
+	rng := rand.New(rand.NewSource(seed))
+	var amp, freq, phase [3]float64
+	var ampSum float64
+	for j := range amp {
+		amp[j], freq[j], phase[j] = rng.Float64(), 1+40*rng.Float64(), 2*math.Pi*rng.Float64()
+		ampSum += amp[j]
+	}
+	tilt, curve := rng.NormFloat64(), rng.NormFloat64()
+	if rng.Intn(3) == 0 {
+		tilt *= 20 // the minimum sits at an end
+	}
+	step := 0.0
+	if rng.Intn(2) == 0 {
+		step = 0.05 + rng.Float64() // plateaus: many grid points tie
+	}
+	wallLo, wallHi := 2.0, 2.0
+	if rng.Intn(2) == 0 {
+		wallLo = rng.Float64()
+		wallHi = wallLo + 0.5*rng.Float64()
+	}
+	nanAt := -1.0
+	if rng.Intn(4) == 0 {
+		nanAt = rng.Float64()
+	}
+	unit := func(x float64) float64 {
+		if hi == lo {
+			return 0
+		}
+		return (x - lo) / (hi - lo)
+	}
+	f = func(x float64) float64 {
+		u := unit(x)
+		switch {
+		case u >= wallLo && u <= wallHi:
+			return math.Inf(1)
+		case math.Abs(u-nanAt) < 0.05:
+			return math.NaN()
+		}
+		v := tilt*u + curve*u*u
+		for j := range amp {
+			v += amp[j] * math.Sin(freq[j]*u+phase[j])
+		}
+		if step > 0 {
+			v = step * math.Floor(v/step)
+		}
+		return v
+	}
+	switch kind % 5 {
+	case 0:
+		lb = f
+	case 1:
+		lb = func(x float64) float64 { return f(x) - math.Abs(math.Sin(7*unit(x)+phase[0])) }
+	case 2:
+		lb = func(x float64) float64 {
+			u := unit(x)
+			if u >= wallLo && u <= wallHi {
+				return math.Inf(1)
+			}
+			return tilt*u + curve*u*u - ampSum - step
+		}
+	case 3:
+		lb = func(float64) float64 { return math.Inf(-1) }
+	default:
+		lb = func(float64) float64 { return math.NaN() }
+	}
+	return f, lb
+}
+
+// sameBits reports whether a and b hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkBoundedScan holds the bounded scan and both refiners to their
+// unbounded selves on f: the same gridCell and argmins bit for bit, and
+// only points the unbounded run evaluates, no more often.
+func checkBoundedScan(t testing.TB, f, lb func(float64) float64, lo, hi float64, gridN int) {
+	t.Helper()
+	counted := func(seen map[float64]int) func(float64) float64 {
+		return func(x float64) float64 { seen[x]++; return f(x) }
+	}
+	subset := func(name string, plain, bounded map[float64]int) {
+		for x, c := range bounded {
+			if c > plain[x] {
+				t.Errorf("%s: f(%g) evaluated %d times bounded, %d unbounded", name, x, c, plain[x])
+			}
+		}
+	}
+	plain, bounded := map[float64]int{}, map[float64]int{}
+	want := scanGrid(counted(plain), nil, lo, hi, gridN)
+	got := scanGrid(counted(bounded), lb, lo, hi, gridN)
+	if !sameBits([]float64{got.x, got.fx, got.lo, got.hi, got.flo, got.fhi},
+		[]float64{want.x, want.fx, want.lo, want.hi, want.flo, want.fhi}) {
+		t.Errorf("scanGrid [%g, %g] gridN=%d: bounded %+v, unbounded %+v", lo, hi, gridN, got, want)
+	}
+	subset("scanGrid", plain, bounded)
+	for _, tol := range []float64{1e-9 * (hi - lo), 1e-3 * (hi - lo)} {
+		for _, m := range []struct {
+			name string
+			min  func(f, lb func(float64) float64, lo, hi float64, gridN int, tol float64) (float64, error)
+		}{{"GridRefineMin", GridRefineMin}, {"GridBrentMin", GridBrentMin}} {
+			plain, bounded := map[float64]int{}, map[float64]int{}
+			want, _ := m.min(counted(plain), nil, lo, hi, gridN, tol)
+			got, _ := m.min(counted(bounded), lb, lo, hi, gridN, tol)
+			if !sameBits([]float64{got}, []float64{want}) {
+				t.Errorf("%s [%g, %g] gridN=%d tol=%g: bounded argmin %g, unbounded %g", m.name, lo, hi, gridN, tol, got, want)
+			}
+			subset(m.name, plain, bounded)
+		}
+	}
+}
+
+// TestScanGridBound property-tests the bounded scan on 2,000 seeded
+// multimodal functions under every bound shape, on grids of 3 to 40
+// points: same cells and argmins as unbounded, fewer evaluations. The
+// exact bound skips most of a scan's points on these shapes.
+func TestScanGridBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var plainEvals, exactEvals int
+	for k := 0; k < 2000; k++ {
+		lo := 100 * rng.NormFloat64()
+		hi := lo + math.Abs(10*rng.NormFloat64())
+		gridN := 3 + rng.Intn(38)
+		seed := rng.Int63()
+		for kind := 0; kind < 5; kind++ {
+			f, lb := boundedCase(seed, kind, lo, hi)
+			checkBoundedScan(t, f, lb, lo, hi, gridN)
+		}
+		f, lb := boundedCase(seed, 0, lo, hi)
+		scanGrid(func(x float64) float64 { plainEvals++; return f(x) }, nil, lo, hi, gridN)
+		scanGrid(func(x float64) float64 { exactEvals++; return f(x) }, lb, lo, hi, gridN)
+	}
+	if 2*exactEvals > plainEvals {
+		t.Errorf("the exact bound kept %d of %d scan evaluations, want at most half", exactEvals, plainEvals)
+	}
+	t.Logf("the exact bound kept %d of %d scan evaluations", exactEvals, plainEvals)
+	// A degenerate interval: every grid point is lo.
+	f, lb := boundedCase(7, 0, 3, 3)
+	checkBoundedScan(t, f, lb, 3, 3, 5)
+}
+
+// FuzzScanGridBound runs checkBoundedScan on fuzzed intervals, grids,
+// functions and bound shapes.
+func FuzzScanGridBound(f *testing.F) {
+	f.Add(int64(1), uint8(24), 0.0, 1.0, uint8(0))
+	f.Add(int64(2), uint8(3), -5.0, 10.0, uint8(1))
+	f.Add(int64(3), uint8(8), 1e-3, 1e-9, uint8(2))
+	f.Add(int64(4), uint8(40), 1e6, 0.0, uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, grid uint8, lo, width float64, kind uint8) {
+		if math.IsNaN(lo) || math.IsNaN(width) || math.Abs(lo) > 1e12 || !(math.Abs(width) <= 1e12) {
+			t.Skip()
+		}
+		fn, lb := boundedCase(seed, int(kind), lo, lo+math.Abs(width))
+		checkBoundedScan(t, fn, lb, lo, lo+math.Abs(width), 3+int(grid)%48)
+	})
 }

@@ -14,17 +14,19 @@
 #
 # PAIRED_BASE adds a paired before/after measurement: the test binaries of
 # revision <rev> (unpacked with git archive, nothing downloaded) and of
-# this tree run each benchmark in PAIRED alternately, six pairs each, and
+# this tree run each benchmark in PAIRED alternately, ten pairs each, and
 # every ns/op lands in the JSON under "paired" with the median
 # after/before ratio per benchmark: two revisions timed back to back on
 # one host, unlike a diff of two baseline files recorded on different
-# days.
+# days. A sub-benchmark is named in full (Name/sub/sub); each level of
+# its -bench pattern is anchored, since N=500 alone would also match
+# N=5000.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHES='^(BenchmarkOptimizeWeighted|BenchmarkOptimizeDeadline|BenchmarkOptimizeScale|BenchmarkServeCold|BenchmarkServeCached|BenchmarkServeDrift|BenchmarkServeTraced|BenchmarkServeBatch|BenchmarkClusterRoutedCached|BenchmarkStreamDelta|BenchmarkStreamRepostCold|BenchmarkMassHandoff|BenchmarkHandoffPerDevice)$'
 BENCHTIME="${BENCHTIME:-2s}"
-PAIRED='BenchmarkOptimizeWeighted BenchmarkOptimizeDeadline BenchmarkServeCold BenchmarkServeCached BenchmarkServeDrift BenchmarkClusterRoutedCached BenchmarkHandoffPerDevice BenchmarkStreamDelta'
+PAIRED='BenchmarkOptimizeWeighted BenchmarkOptimizeDeadline BenchmarkOptimizeScale/N=500/deadline BenchmarkOptimizeScale/N=5000/deadline BenchmarkServeCold BenchmarkServeCached BenchmarkServeDrift BenchmarkClusterRoutedCached BenchmarkHandoffPerDevice BenchmarkStreamDelta'
 
 out="$(go test -run '^$' -bench "$BENCHES" -benchmem -benchtime "$BENCHTIME" -count 1 .)"
 echo "$out" >&2
@@ -38,13 +40,13 @@ if [ -n "${PAIRED_BASE:-}" ]; then
     (cd "$tmp/base" && go test -c -o "$tmp/base.test" .)
     go test -c -o "$tmp/change.test" .
     nsof() {
-        "$tmp/$1.test" -test.run '^$' -test.bench "^$2\$" -test.benchtime "$BENCHTIME" |
+        "$tmp/$1.test" -test.run '^$' -test.bench "^${2//\//\$/^}\$" -test.benchtime "$BENCHTIME" |
             awk '/^Benchmark/ { print $3 }'
     }
     entries=""
     for pbench in $PAIRED; do
         base_ns="" change_ns=""
-        for k in 1 2 3 4 5 6; do
+        for k in 1 2 3 4 5 6 7 8 9 10; do
             if [ $((k % 2)) -eq 1 ]; then
                 b="$(nsof base "$pbench")"; c="$(nsof change "$pbench")"
             else
