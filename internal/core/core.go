@@ -96,13 +96,15 @@ type SolveTrace struct {
 	NewtonIters int
 	OuterIters  int
 	// ModeDeadline only: bandwidth prices tried, per-device split costs
-	// evaluated at them, candidate splits polished (2 across a jump), and
-	// the polish waterfills' demand sweeps over all devices, each
-	// waterfill's final band sweep included.
-	PriceEvals int
-	SplitEvals int
-	Polishes   int
-	LevelEvals int
+	// evaluated at them, candidate splits polished (2 across a jump), the
+	// polish waterfills' demand sweeps over all devices, each waterfill's
+	// final band sweep included, and the polish re-splits' cost and slope
+	// evaluations at fixed bands.
+	PriceEvals   int
+	SplitEvals   int
+	Polishes     int
+	LevelEvals   int
+	ResplitEvals int
 }
 
 // Paper selects the paper's own pathways for Algorithm 2. Only

@@ -44,15 +44,27 @@ import (
 // (a basin jump) are the over-demand end's splits a second candidate, used
 // if their floors fit. Each candidate is polished by alternating an exact
 // bandwidth waterfill at fixed splits with per-device re-splits at fixed
-// bands, and the lower energy wins. The first re-split scans each device's
-// full range for its basin on a 24-point grid; later ones search one cell
-// of that grid on each side of the current split. A re-split is taken only
-// when it is strictly cheaper, so energy never rises, and the polish stops
-// after a pass that moves no split: the waterfill it just ran is already
-// exact for those splits. Each waterfill starts its level search from a
-// level this solve already holds: the candidate's bracket-end price, which
-// the price search has pinned to 1e-7 in ln(lambda), then the previous
-// pass's level.
+// bands, and the lower energy wins. At a fixed band b a re-split has one
+// basin. Its cost, compEnergy(t) + max(t*P(d/t, b), pmin*d/Rate(pmin, b))
+// on t >= d/Rate(pmax, b) and +Inf below, is convex: t*P(d/t, b) =
+// (N0*b/g)*t*(2^(d/(t*b)) - 1) is the perspective of a convex function
+// (Boyd & Vandenberghe, Convex Optimization, 3.2.6), and a max of convex
+// functions is convex; kappa*cycles*max(FMin, cycles/(T-t))^2 is convex
+// too, FMax never binding on [tLo, tHi]. So each re-split is one root find
+// on the cost's closed-form slope (bestResplit), started from the
+// device's current split, which the price search's split at the
+// candidate's price nearly always leaves within the tolerance of the
+// answer. A re-split is taken only when it is strictly cheaper, so energy
+// never rises. A re-split at fixed bands needs no new waterfill to stay
+// feasible: it still reaches its rate at pmax on its band. So the polish
+// keeps every cheaper re-split, but runs another waterfill only after a
+// pass that moved some split by more than the 1e-9*T split tolerance, and
+// at most three more; each waterfill is exact for the splits it is given,
+// and a move within the tolerance would not change the bands beyond
+// rounding. Each waterfill starts its level search from a level this
+// solve already holds: the candidate's bracket-end price, which the price
+// search has pinned to 1e-7 in ln(lambda), then the previous pass's
+// level.
 //
 // A split evaluation costs one water-level inversion (bandAt) and little
 // else. Its device is built with the band floor unknown (newSplitDevice):
@@ -66,14 +78,14 @@ import (
 // exceeds its wideband limit p*g/(N0*ln2), so the transmission energy is at
 // least d*N0*ln2/g at any power and band, and lambda*B >= 0: a split's cost
 // is at least its compute energy plus that floor (costFloor), which needs
-// no transcendental function. The grid scans of bestSplit and of the
-// polish's re-splits skip every grid point whose floor is already at or
-// above the best cost found, evaluating a skipped point only if it ends
-// the best cell (numeric.GridBrentMin's lb). Compute energy rises with the
-// split, so at the first, low prices nearly every point after the first
-// is skipped. A skipped point cannot beat or tie the point the full scan
-// keeps, so every answer is bit-identical to the unpruned scan's; on the
-// corpus the split evaluations fall from 6,190 to 4,091 per solve.
+// no transcendental function. The grid scans of bestSplit skip every grid
+// point whose floor is already at or above the best cost found, evaluating
+// a skipped point only if it ends the best cell (numeric.GridBrentMin's
+// lb). Compute energy rises with the split, so at the first, low prices
+// nearly every point after the first is skipped. A skipped point cannot
+// beat or tie the point the full scan keeps, so every answer is
+// bit-identical to the unpruned scan's; on the corpus the split
+// evaluations fall from 6,190 to 4,091 per solve.
 //
 // Unlike alternating f/(p,B) updates — which ratchet every device's rate
 // floor at its incoming upload time — the price decomposition explores the
@@ -177,14 +189,15 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 	polish := func(start []float64, level float64) (fl.Allocation, float64, error) {
 		tr.Polishes++
 		splits := append([]float64(nil), start...)
-		rebuild := func() error {
+		// derive re-derives device i's reduction at its split; the band
+		// floors of all devices must then still fit the budget.
+		derive := func(i int) (err error) {
+			reduced[i], err = newReducedDevice(s.Devices[i], s.N0, s.Devices[i].UploadBits/splits[i])
+			return err
+		}
+		floorsFit := func() error {
 			var floors float64
-			for i, d := range s.Devices {
-				rd, err := newReducedDevice(d, s.N0, d.UploadBits/splits[i])
-				if err != nil {
-					return err
-				}
-				reduced[i] = rd
+			for _, rd := range reduced {
 				floors += rd.bForced
 			}
 			if floors > s.Bandwidth*(1+budgetSlack) {
@@ -192,7 +205,12 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 			}
 			return nil
 		}
-		if err := rebuild(); err != nil {
+		for i := range s.Devices {
+			if err := derive(i); err != nil {
+				return fl.Allocation{}, 0, err
+			}
+		}
+		if err := floorsFit(); err != nil {
 			return fl.Allocation{}, 0, err
 		}
 		for pass := 0; ; pass++ {
@@ -200,32 +218,28 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 			if level, _, err = waterfillReducedInto(reduced, s.N0, s.Bandwidth, level, bands, tr); err != nil {
 				return fl.Allocation{}, 0, err
 			}
-			if pass == 3 {
-				break
-			}
-			// Re-split each device at its fixed bandwidth.
+			// Re-split each device at its fixed bandwidth; only a device
+			// that moves needs its reduction re-derived. Only a move by
+			// more than the split tolerance earns another waterfill.
 			moved := false
 			for i := range s.Devices {
-				cost := func(t float64) float64 { return ds.resplitCost(i, bands[i], t) }
-				lb := func(t float64) float64 { return ds.costFloor(i, t) }
-				var t float64
-				var gerr error
-				if pass == 0 {
-					t, gerr = numeric.GridRefineMin(cost, lb, plans[i].tLo, plans[i].tHi, 24, 1e-9*roundDeadline)
-				} else {
-					// Later passes stay in the basin pass 0 chose: one cell
-					// of its grid on each side of the current split.
-					h := (plans[i].tHi - plans[i].tLo) / 23
-					t, gerr = numeric.GridBrentMin(cost, lb, max(plans[i].tLo, splits[i]-h), min(plans[i].tHi, splits[i]+h), 3, 1e-9*roundDeadline)
+				t, ok := ds.bestResplit(i, bands[i], splits[i], tr)
+				if !ok {
+					continue
 				}
-				if gerr == nil && cost(t) < cost(splits[i]) {
-					splits[i], moved = t, true
+				tr.ResplitEvals += 2
+				if ds.resplitCost(i, bands[i], t) < ds.resplitCost(i, bands[i], splits[i]) {
+					moved = moved || math.Abs(t-splits[i]) > 1e-9*roundDeadline
+					splits[i] = t
+					if err := derive(i); err != nil {
+						return fl.Allocation{}, 0, err
+					}
 				}
 			}
-			if !moved {
-				break // the waterfill above is already exact for these splits
+			if !moved || pass == 3 {
+				break
 			}
-			if err := rebuild(); err != nil {
+			if err := floorsFit(); err != nil {
 				return fl.Allocation{}, 0, err
 			}
 		}
@@ -276,6 +290,7 @@ type devPlan struct {
 	cycles   float64 // Rl * c_n * D_n
 	limit    float64 // RateLimit(PMax): a split's rate floor must stay below it
 	eFloor   float64 // lower bound on the reduced transmission energy
+	tFloor   float64 // T - cycles/FMin: below it the frequency sits at FMin
 }
 
 // newDeadlineSolve plans every device's split range at roundDeadline, or
@@ -312,6 +327,7 @@ func newDeadlineSolve(s *fl.System, roundDeadline float64) (deadlineSolve, error
 			tLo: tLo, tHi: tHi, cycles: cycles,
 			limit:  wireless.RateLimit(d.PMax, d.Gain, s.N0),
 			eFloor: (1 - 1e-6) * d.UploadBits * s.N0 * math.Ln2 / d.Gain,
+			tFloor: roundDeadline - cycles/d.FMin,
 		}
 	}
 	return deadlineSolve{s: s, roundDeadline: roundDeadline, plans: plans}, nil
@@ -360,4 +376,97 @@ func (ds *deadlineSolve) resplitCost(i int, b, t float64) float64 {
 		return math.Inf(1) // cannot reach this rate at pmax on band b
 	}
 	return ds.compEnergy(i, t) + p*d.UploadBits/g
+}
+
+// junction is device i's split where the power that reaches its rate on
+// band b falls to pmin, d/Rate(pmin, b); past it the power stays at pmin
+// and the transmission energy no longer changes. +Inf when pmin is 0.
+func (ds *deadlineSolve) junction(i int, b float64) float64 {
+	d := &ds.s.Devices[i]
+	return d.UploadBits / wireless.Rate(d.PMin, b, d.Gain, ds.s.N0)
+}
+
+// resplitSlope is the derivative of resplitCost in t at band b, where
+// tJ = junction(i, b): the compute term 2*kappa*cycles*f^2/(T-t) from the
+// FMin floor split on (0 below it, where f stays at FMin), plus the
+// rate-pinned transmission term p - r*ln2*(N0/g + p/b), r = d/t and
+// p = PowerForRate(r, b), up to the junction (0 past it). At the two kinks
+// it is the one-sided derivative from inside the smooth stretch. With
+// x = r*ln2/b the transmission term is (N0*b/g)*(expm1(x)*(1-x) - x), the
+// form reducedDevice.marginal uses against cancellation at small x.
+func (ds *deadlineSolve) resplitSlope(i int, b, tJ, t float64) float64 {
+	pl, d, n0 := &ds.plans[i], &ds.s.Devices[i], ds.s.N0
+	var slope float64
+	if t >= pl.tFloor {
+		rest := ds.roundDeadline - t
+		f := pl.cycles / rest
+		slope = 2 * ds.s.Kappa * pl.cycles * f * f / rest
+	}
+	if t <= tJ {
+		x := d.UploadBits / t * math.Ln2 / b
+		slope += n0 * b / d.Gain * (math.Expm1(x)*(1-x) - x)
+	}
+	return slope
+}
+
+// bestResplit returns the split in device i's range that minimizes
+// resplitCost at band b, to 1e-9*T, or false when no split in the range
+// reaches its rate at pmax on b. The cost is convex where it is finite
+// (see solveDeadlineJoint), so its minimum is where the slope changes
+// sign. The range is clipped to where the cost is finite, at the pmax
+// wall d/Rate(pmax, b) shaded by 1e-9 as tLo is, then to the smooth
+// stretch between the FMin floor split (below it the cost never rises)
+// and the junction (past it the cost never falls). Where the floor split
+// lies past the junction the cost is flat between the two, and the split
+// from, clamped there, is returned as it is. From the split from, clamped
+// into the stretch, steps growing x16 from the tolerance walk toward the
+// root until the slope changes sign, or return the end they reach, whose
+// slope then already shows the minimum; the Illinois secant on the
+// negated slope (numeric.IllinoisDecreasing) closes the bracket they
+// leave. A start within the tolerance of the root is returned as it is,
+// so a split that needs no move gets none. tr counts the slope
+// evaluations.
+func (ds *deadlineSolve) bestResplit(i int, b, from float64, tr *SolveTrace) (float64, bool) {
+	pl, d := &ds.plans[i], &ds.s.Devices[i]
+	wall := max(pl.tLo, d.UploadBits/wireless.Rate(d.PMax, b, d.Gain, ds.s.N0)*(1+1e-9))
+	if !(wall < pl.tHi) {
+		return 0, false
+	}
+	tJ := ds.junction(i, b)
+	hi := numeric.Clamp(tJ, wall, pl.tHi)
+	lo := max(wall, pl.tFloor)
+	if lo >= hi {
+		return numeric.Clamp(from, hi, min(lo, pl.tHi)), true // flat from the junction to the floor split
+	}
+	slope := func(t float64) float64 {
+		tr.ResplitEvals++
+		return ds.resplitSlope(i, b, tJ, t)
+	}
+	tol := 1e-9 * ds.roundDeadline
+	x := numeric.Clamp(from, lo, hi)
+	a, c := x, x // slope(a) < 0 <= slope(c) once the walk has bracketed the root
+	sa := slope(x)
+	sc := sa
+	for step := tol; !(sa < 0 && sc >= 0); step *= 16 {
+		if sa >= 0 { // the root lies at or left of a
+			if a == lo {
+				return lo, true
+			}
+			c, sc = a, sa
+			a = max(a-step, lo)
+			sa = slope(a)
+		} else { // the root lies right of c
+			if c == hi {
+				return hi, true
+			}
+			a, sa = c, sc
+			c = min(c+step, hi)
+			sc = slope(c)
+		}
+	}
+	a, c, err := numeric.IllinoisDecreasing(func(t float64) float64 { return -slope(t) }, a, c, -sa, -sc, tol)
+	if a <= x && x <= c {
+		return x, err == nil // the start is already within the tolerance
+	}
+	return 0.5 * (a + c), err == nil
 }

@@ -208,13 +208,18 @@ func TestDeadlineFixedPowerNearMinimum(t *testing.T) {
 }
 
 // TestDeadlineEvaluationCounts holds the price search, the per-device
-// split searches and the polish waterfills to their evaluation budgets on
-// the corpus, read from the ModeDeadline counters of SolveTrace. The
-// waterfills start from the level the price search or the previous pass
-// ended at; walking down from the largest floor marginal instead costs
-// about 66 demand sweeps per solve. The split scans skip grid points their
-// cost floor rules out; without it a solve costs about 6,190 split
-// evaluations.
+// split searches, the polish waterfills and the polish re-splits to their
+// evaluation budgets on the corpus, read from the ModeDeadline counters of
+// SolveTrace. The waterfills start from the level the price search or the
+// previous pass ended at; walking down from the largest floor marginal
+// instead costs about 66 demand sweeps per solve. The split scans skip
+// grid points their cost floor rules out; without it a solve costs about
+// 6,190 split evaluations. The re-splits root-find their convex cost's
+// slope from the current split, about 420 cost and slope evaluations per
+// solve against about 4,686 for the grid-and-golden-section re-splits
+// they replaced, and a re-split within the split tolerance earns no
+// further waterfill (about 11.8 sweeps per solve; 24.5 when every cheaper
+// re-split did).
 func TestDeadlineEvaluationCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("48 N=50 deadline solves")
@@ -229,18 +234,20 @@ func TestDeadlineEvaluationCounts(t *testing.T) {
 	price := float64(tr.PriceEvals) / float64(len(corpus))
 	split := float64(tr.SplitEvals) / float64(len(corpus))
 	level := float64(tr.LevelEvals) / float64(len(corpus))
-	if price > 7.5 || split > 4500 || level > 30 {
-		t.Errorf("mean %.2f price, %.0f split and %.1f level evaluations per solve, budget 7.5, 4500 and 30", price, split, level)
+	resplit := float64(tr.ResplitEvals) / float64(len(corpus))
+	if price > 7.5 || split > 4500 || level > 13 || resplit > 460 {
+		t.Errorf("mean %.2f price, %.0f split, %.1f level and %.0f re-split evaluations per solve, budget 7.5, 4500, 13 and 460",
+			price, split, level, resplit)
 	}
-	t.Logf("mean %.2f price, %.0f split and %.1f level evaluations per solve", price, split, level)
+	t.Logf("mean %.2f price, %.0f split, %.1f level and %.0f re-split evaluations per solve", price, split, level, resplit)
 
 	var weighted SolveTrace
 	if _, err := Optimize(corpus[0], fl.Weights{W1: 0.5, W2: 0.5}, Options{Trace: &weighted}); err != nil {
 		t.Fatal(err)
 	}
-	if weighted.PriceEvals != 0 || weighted.SplitEvals != 0 || weighted.LevelEvals != 0 {
-		t.Errorf("weighted solve counted %d price, %d split and %d level evaluations, want none",
-			weighted.PriceEvals, weighted.SplitEvals, weighted.LevelEvals)
+	if weighted.PriceEvals != 0 || weighted.SplitEvals != 0 || weighted.LevelEvals != 0 || weighted.ResplitEvals != 0 {
+		t.Errorf("weighted solve counted %d price, %d split, %d level and %d re-split evaluations, want none",
+			weighted.PriceEvals, weighted.SplitEvals, weighted.LevelEvals, weighted.ResplitEvals)
 	}
 }
 
@@ -498,4 +505,174 @@ func TestSplitCostBound(t *testing.T) {
 		t.Errorf("the closest of %d finite costs lies %.3g x its floor's transmission term above it, want under 1e-3", checked, closest)
 	}
 	t.Logf("%d finite costs checked; the closest lies %.3g x its floor's transmission term above it", checked, closest)
+}
+
+// checkResplitConvex checks device i's polish re-split at band b on a grid
+// of grid+1 splits across its finite range: resplitSlope never decreases
+// (the cost is convex), it matches a central difference of resplitCost
+// away from the cost's kinks (the FMin floor split and the pmin junction),
+// and bestResplit's split, from either end or the middle of the range,
+// costs at most the grid's least cost*(1+1e-12). It reports which
+// features lie inside the range; all false when no split reaches the rate
+// at pmax on b, where bestResplit must decline.
+func checkResplitConvex(t testing.TB, ds *deadlineSolve, i int, b float64, grid int) (floor, junction, wall bool) {
+	t.Helper()
+	pl, d := ds.plans[i], ds.s.Devices[i]
+	wallT := d.UploadBits / wireless.Rate(d.PMax, b, d.Gain, ds.s.N0)
+	lo := max(pl.tLo, wallT*(1+1e-9))
+	if !(lo < pl.tHi) {
+		if _, ok := ds.bestResplit(i, b, pl.tLo, new(SolveTrace)); ok {
+			t.Errorf("device %d band %g: a re-split past its range [%g, %g]", i, b, lo, pl.tHi)
+		}
+		return false, false, false
+	}
+	tJ := ds.junction(i, b)
+	width := pl.tHi - lo
+	h := 1e-6 * width
+	kink := func(x float64) bool { return math.Abs(x-pl.tFloor) < 2*h || math.Abs(x-tJ) < 2*h }
+	best, prev := math.Inf(1), math.Inf(-1)
+	for k := 0; k <= grid; k++ {
+		x := lo + width*float64(k)/float64(grid)
+		c := ds.resplitCost(i, b, x)
+		best = min(best, c)
+		s := ds.resplitSlope(i, b, tJ, x)
+		if s < prev-1e-10*(math.Abs(s)+math.Abs(prev)) {
+			t.Errorf("device %d band %g: slope falls from %.17g to %.17g at t=%g", i, b, prev, s, x)
+		}
+		prev = s
+		if k == 0 || k == grid || kink(x) {
+			continue
+		}
+		cd := (ds.resplitCost(i, b, x+h) - ds.resplitCost(i, b, x-h)) / (2 * h)
+		if math.Abs(cd-s) > 1e-4*math.Abs(s)+1e-7*c/width {
+			t.Errorf("device %d band %g t=%g: slope %.9g, central difference %.9g", i, b, x, s, cd)
+		}
+	}
+	for _, from := range []float64{pl.tLo, 0.5 * (pl.tLo + pl.tHi), pl.tHi} {
+		x, ok := ds.bestResplit(i, b, from, new(SolveTrace))
+		if !ok || x < lo || x > pl.tHi {
+			t.Errorf("device %d band %g from %g: re-split %g (ok %v) outside [%g, %g]", i, b, from, x, ok, lo, pl.tHi)
+			continue
+		}
+		if c := ds.resplitCost(i, b, x); c > best*(1+1e-12) {
+			t.Errorf("device %d band %g from %g: re-split cost %.17g above the %d-point scan's %.17g", i, b, from, c, grid+1, best)
+		}
+	}
+	return lo < pl.tFloor && pl.tFloor < pl.tHi, lo < tJ && tJ < pl.tHi, wallT > pl.tLo
+}
+
+// TestResplitConvex checks the convexity the polish's exact re-splits rest
+// on (checkResplitConvex, 2,001-point grids): corpus devices at their
+// polished bands x0.5, x1 and x2, and seeded devices whose range holds the
+// FMin floor split (a high frequency floor at loose deadlines), the pmin
+// junction and the pmax wall, and devices at fixed power (PMin = PMax),
+// where the cost past the wall is flat in transmission.
+func TestResplitConvex(t *testing.T) {
+	if testing.Short() {
+		t.Skip("about 2,000 re-split scans")
+	}
+	var floors, junctions, walls, fixed, checked int
+	check := func(ds *deadlineSolve, bands []float64, scales []float64, fixedPower bool) {
+		for i, b := range bands {
+			for _, k := range scales {
+				f, j, w := checkResplitConvex(t, ds, i, k*b, 2000)
+				checked++
+				floors, junctions, walls = floors+b2i(f), junctions+b2i(j), walls+b2i(w)
+				if fixedPower {
+					fixed++
+				}
+			}
+		}
+	}
+	for k, s := range deadlineCorpus(t) {
+		if k%12 != 0 {
+			continue
+		}
+		res, err := Optimize(s, fl.Weights{W1: 1}, Options{Mode: ModeDeadline, TotalDeadline: corpusDeadline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := newDeadlineSolve(s, res.RoundDeadline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(&ds, res.Allocation.Bandwidth, []float64{0.5, 1, 2}, false)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, variant := range []string{"fixed power", "frequency floor"} {
+			s := newTestSystem(10, seed)
+			for i := range s.Devices {
+				d := &s.Devices[i]
+				if variant == "fixed power" {
+					d.PMin = d.PMax
+				} else {
+					d.FMin, d.PMin = 0.5*d.FMax, 0.5*d.PMax
+				}
+			}
+			mt, err := SolveMinTime(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, slack := range []float64{1.01, 3, 10} {
+				round := mt.RoundDeadline * slack
+				alloc, _, err := solveDeadlineJoint(s, round, nil)
+				if err != nil {
+					t.Fatalf("%s seed %d slack %g: %v", variant, seed, slack, err)
+				}
+				ds, err := newDeadlineSolve(s, round)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(&ds, alloc.Bandwidth, []float64{0.5, 1}, variant == "fixed power")
+			}
+		}
+	}
+	if floors == 0 || junctions == 0 || walls == 0 || fixed == 0 {
+		t.Errorf("ranges holding the FMin floor %d, the junction %d, the wall %d, fixed power %d: all must be exercised",
+			floors, junctions, walls, fixed)
+	}
+	t.Logf("%d re-splits checked; ranges holding the FMin floor %d, the junction %d, the wall %d; %d at fixed power",
+		checked, floors, junctions, walls, fixed)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// FuzzResplitConvex runs checkResplitConvex on fuzzed three-device
+// systems: seed, band share, deadline slack over the full-band minimum,
+// frequency floor share and fixed power.
+func FuzzResplitConvex(f *testing.F) {
+	f.Add(int64(1), 0.3, 1.5, 0.0, false)
+	f.Add(int64(2), 0.05, 10.0, 0.5, false)
+	f.Add(int64(3), 1.0, 1.01, 0.0, true)
+	f.Add(int64(4), 0.01, 3.0, 0.75, false)
+	f.Fuzz(func(t *testing.T, seed int64, share, slack, fMinShare float64, fixedPower bool) {
+		if !(share >= 1e-4 && share <= 1) || !(slack >= 1.0001 && slack <= 100) || !(fMinShare >= 0 && fMinShare < 1) {
+			t.Skip()
+		}
+		s := newTestSystem(3, seed)
+		var minRound float64 // every device at full frequency over the whole band
+		for i := range s.Devices {
+			d := &s.Devices[i]
+			if fMinShare > 0 {
+				d.FMin = fMinShare * d.FMax
+			}
+			if fixedPower {
+				d.PMin = d.PMax
+			}
+			up := d.UploadBits / wireless.Rate(d.PMax, s.Bandwidth, d.Gain, s.N0)
+			minRound = max(minRound, s.LocalIters*d.CyclesPerIteration()/d.FMax+up)
+		}
+		ds, err := newDeadlineSolve(s, minRound*slack)
+		if err != nil {
+			t.Skip()
+		}
+		for i := range s.Devices {
+			checkResplitConvex(t, &ds, i, share*s.Bandwidth, 400)
+		}
+	})
 }

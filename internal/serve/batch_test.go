@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,10 +20,21 @@ import (
 // TestSolveBatchMixed drives one batch through every item outcome: a fresh
 // solve, an exact duplicate (deduplicated onto the same solve), a cache hit
 // planted by an earlier Solve, and a malformed item. Order must be
-// preserved and the bad item must not fail the batch.
+// preserved and the bad item must not fail the batch. The duplicate joins
+// item 0's solve only while that solve is in flight, so the solver holds
+// every solve after the planting one until the duplicate has joined.
 func TestSolveBatchMixed(t *testing.T) {
 	s := testSystem(t, 8, 1)
-	srv := New(Config{Workers: 2})
+	var srv *Server
+	var solves atomic.Int64
+	srv = New(Config{Workers: 2, Solver: func(sys *fl.System, w fl.Weights, o core.Options) (core.Result, error) {
+		if solves.Add(1) > 1 {
+			for wait := time.Now().Add(10 * time.Second); srv.Stats().Deduped == 0 && time.Now().Before(wait); {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		return core.Optimize(sys, w, o)
+	}})
 	defer srv.Close()
 
 	cached, err := srv.Solve(context.Background(), Request{System: s, Weights: balanced()})
