@@ -24,11 +24,27 @@ import (
 //
 // where E_tr is the reduced transmission energy (power eliminated, see
 // reducedDevice). The inner bandwidth choice is the reduced waterfilling
-// condition; the outer time split is a grid scan refined by parabolic
-// interpolation (numeric.GridBrentMin), the cost being smooth within a
-// basin. A dearer band buys a longer upload, so the best split is
-// nondecreasing in lambda: once a price bracket is known, each device
-// searches only between its splits at the two bracket ends.
+// condition (bandAtFree). The outer time split is one convex search.
+// With s = t*B the rate-pinned transmission energy t*P(d/t, B) is
+// (N0/g)*h(t*B), h(s) = s*(2^(d/s) - 1), convex and decreasing in s, and
+// h(t*B) is jointly convex in (t, B): its Hessian has determinant
+// -h'*(2*s*h” + h') >= 0, since with x = d*ln2/s, 2*s*h” + h' =
+// e^x*(2x^2 - x + 1) - 1, which is 0 at x = 0 and rises with x. The pmin
+// floor makes the energy max(that, pmin*d/Rate(pmin, B)), and d/Rate is
+// convex in B because Rate is concave; the pmax wall t >= d/Rate(pmax, B)
+// is a convex set for the same reason; lambda*B is linear; and the compute
+// energy kappa*cycles*max(FMin, cycles/(T-t))^2 is convex in t, FMax never
+// binding on [tLo, tHi]. Minimizing a jointly convex function over B
+// leaves a convex function of t (Boyd & Vandenberghe, Convex Optimization,
+// 3.2.5), so each device's cost at a price, splitCost, is convex in its
+// split, and so is the polish's cost at a fixed band, resplitCost. Both
+// searches find the root of the cost's closed-form slope
+// (numeric.MinimizeConvex); TestResplitConvex checks the convexity and the
+// slopes numerically. A dearer band buys a longer upload, so the best
+// split is nondecreasing in lambda: once a price bracket is known, each
+// device searches only between its splits at the two bracket ends,
+// starting at the point of that window that lies where the price lies
+// between the ends.
 //
 // From lambda = 1e-12, where demand exceeds the budget by
 // e0 = ln(demand/B) > 0, the first step raises ln(lambda) by 2.1*e0: demand
@@ -37,34 +53,27 @@ import (
 // demand (band floors) leaves the step short and the x16 walk goes on. A
 // safeguarded Illinois secant on ln(demand/B) in ln(lambda)
 // (numeric.IllinoisDecreasing) then closes the bracket to 1e-7 in
-// ln(lambda), possibly on a jump in demand where a device's best split
-// switches basins. At the under-demand end hi the band floors sum to at
-// most demand(hi) <= B, so the hi splits are always feasible; only where
-// some split differs between the ends by more than a few split tolerances
-// (a basin jump) are the over-demand end's splits a second candidate, used
-// if their floors fit. Each candidate is polished by alternating an exact
-// bandwidth waterfill at fixed splits with per-device re-splits at fixed
-// bands, and the lower energy wins. At a fixed band b a re-split has one
-// basin. Its cost, compEnergy(t) + max(t*P(d/t, b), pmin*d/Rate(pmin, b))
-// on t >= d/Rate(pmax, b) and +Inf below, is convex: t*P(d/t, b) =
-// (N0*b/g)*t*(2^(d/(t*b)) - 1) is the perspective of a convex function
-// (Boyd & Vandenberghe, Convex Optimization, 3.2.6), and a max of convex
-// functions is convex; kappa*cycles*max(FMin, cycles/(T-t))^2 is convex
-// too, FMax never binding on [tLo, tHi]. So each re-split is one root find
-// on the cost's closed-form slope (bestResplit), started from the
-// device's current split, which the price search's split at the
-// candidate's price nearly always leaves within the tolerance of the
-// answer. A re-split is taken only when it is strictly cheaper, so energy
-// never rises. A re-split at fixed bands needs no new waterfill to stay
-// feasible: it still reaches its rate at pmax on its band. So the polish
-// keeps every cheaper re-split, but runs another waterfill only after a
-// pass that moved some split by more than the 1e-9*T split tolerance, and
-// at most three more; each waterfill is exact for the splits it is given,
-// and a move within the tolerance would not change the bands beyond
-// rounding. Each waterfill starts its level search from a level this
-// solve already holds: the candidate's bracket-end price, which the price
-// search has pinned to 1e-7 in ln(lambda), then the previous pass's
-// level.
+// ln(lambda). At the under-demand end hi the band floors sum to at most
+// demand(hi) <= B, so the hi splits are always feasible. Where some split
+// differs between the ends by more than 40 split tolerances, as on a flat
+// bottom, where the ends keep different best splits, the over-demand end's
+// splits are a second candidate, used if their floors fit. Each
+// candidate is polished by alternating an exact bandwidth waterfill at
+// fixed splits with per-device re-splits at fixed bands, and the lower
+// energy wins. A re-split is one root find on resplitCost's slope
+// (bestResplit), started from the device's current split, which the price
+// search's split at the candidate's price nearly always leaves within the
+// tolerance of the answer. A re-split is taken only when it is strictly
+// cheaper, so energy never rises. A re-split at fixed bands needs no new
+// waterfill to stay feasible: it still reaches its rate at pmax on its
+// band. So the polish keeps every cheaper re-split, but runs another
+// waterfill only after a pass that moved some split by more than the
+// 1e-9*T split tolerance, and at most three more; each waterfill is exact
+// for the splits it is given, and a move within the tolerance would not
+// change the bands beyond rounding. Each waterfill starts its level search
+// from a level this solve already holds: the candidate's bracket-end
+// price, which the price search has pinned to 1e-7 in ln(lambda), then the
+// previous pass's level.
 //
 // A split evaluation costs one water-level inversion (bandAt) and little
 // else. Its device is built with the band floor unknown (newSplitDevice):
@@ -73,19 +82,6 @@ import (
 // free-branch band (power at pmin) and its rate do not depend on the
 // split, so each device's search computes them at most once per price; on
 // the rate-pinned branch the energy reuses the power bandAt found.
-//
-// The split scans are pruned by a free lower bound. The Shannon rate never
-// exceeds its wideband limit p*g/(N0*ln2), so the transmission energy is at
-// least d*N0*ln2/g at any power and band, and lambda*B >= 0: a split's cost
-// is at least its compute energy plus that floor (costFloor), which needs
-// no transcendental function. The grid scans of bestSplit skip every grid
-// point whose floor is already at or above the best cost found, evaluating
-// a skipped point only if it ends the best cell (numeric.GridBrentMin's
-// lb). Compute energy rises with the split, so at the first, low prices
-// nearly every point after the first is skipped. A skipped point cannot
-// beat or tie the point the full scan keeps, so every answer is
-// bit-identical to the unpruned scan's; on the corpus the split
-// evaluations fall from 6,190 to 4,091 per solve.
 //
 // Unlike alternating f/(p,B) updates — which ratchet every device's rate
 // floor at its incoming upload time — the price decomposition explores the
@@ -102,30 +98,6 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 	}
 	plans := ds.plans
 
-	// bestSplit returns device i's cheapest split t in [lo, hi] at price
-	// lambda, with its bandwidth and cost. The grid keeps the spacing of a
-	// 24-point scan of the device's full range.
-	splitTol := 1e-8 * roundDeadline
-	bestSplit := func(i int, lambda, lo, hi float64) (t, b, cost float64) {
-		cost = math.Inf(1)
-		var free freeBranch // shared by every split at lambda
-		eval := func(x float64) float64 {
-			tr.SplitEvals++
-			c, bx := ds.splitCost(i, lambda, x, &free)
-			if c < cost {
-				t, b, cost = x, bx, c
-			}
-			return c
-		}
-		if hi-lo <= splitTol {
-			eval(0.5 * (lo + hi))
-		} else {
-			grid := 1 + int(math.Ceil(23*(hi-lo)/(plans[i].tHi-plans[i].tLo)))
-			_, _ = numeric.GridBrentMin(eval, func(x float64) float64 { return ds.costFloor(i, x) }, lo, hi, grid, splitTol)
-		}
-		return t, b, cost
-	}
-
 	// A bracket end of the price search: log price, log excess demand
 	// ln(demand/B), dual function value and every device's split there.
 	type priceEnd struct {
@@ -138,23 +110,36 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 	for i, pl := range plans {
 		lo.t[i], hi.t[i] = pl.tLo, pl.tHi
 	}
-	cur := make([]float64, n)
+	reached, long := make([]float64, n), make([]float64, n)
 	excess := func(x float64) float64 {
 		tr.PriceEvals++
 		lambda := math.Exp(x)
+		// Each search starts at the point of the window that lies where x
+		// lies between the bracket ends, at the one end known so far, or at
+		// tLo before the first.
+		w := 0.0
+		if hi.ok && lo.ok {
+			w = (x - lo.x) / (hi.x - lo.x)
+		} else if hi.ok {
+			w = 1
+		}
 		demand, dual := 0.0, -lambda*s.Bandwidth*(1+budgetSlack)
 		for i := range plans {
-			t, b, c := bestSplit(i, lambda, lo.t[i], hi.t[i])
-			cur[i] = t
+			var b, c float64
+			reached[i], long[i], b, c = ds.bestSplit(i, lambda, lo.t[i]+w*(hi.t[i]-lo.t[i]), lo.t[i], hi.t[i], tr)
 			demand += b
 			dual += c
 		}
-		end := &hi
+		// On a flat bottom the under-demand end keeps the longest best
+		// split, whose rate floor is the lowest, and the over-demand end the
+		// one its search reached; the window between them still holds a
+		// best split of every price in between.
+		end, splits := &hi, long
 		if demand > s.Bandwidth {
-			end = &lo
+			end, splits = &lo, reached
 		}
 		end.x, end.excess, end.dual, end.ok = x, math.Log(demand/s.Bandwidth), dual, true
-		copy(end.t, cur)
+		copy(end.t, splits)
 		return end.excess
 	}
 
@@ -229,7 +214,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 				}
 				tr.ResplitEvals += 2
 				if ds.resplitCost(i, bands[i], t) < ds.resplitCost(i, bands[i], splits[i]) {
-					moved = moved || math.Abs(t-splits[i]) > 1e-9*roundDeadline
+					moved = moved || math.Abs(t-splits[i]) > ds.tol
 					splits[i] = t
 					if err := derive(i); err != nil {
 						return fl.Allocation{}, 0, err
@@ -262,9 +247,12 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 	bound := hi.dual
 	if lo.ok {
 		bound = math.Max(bound, lo.dual)
-		jump := false // some split differs between the ends: a basin jump
+		// A split's own move across the final bracket, 1e-7 wide in
+		// ln(lambda), is a few tolerances (at most 5.5 on the test corpus
+		// and seeded systems); a gap of over 40 is a flat bottom.
+		jump := false
 		for i := range lo.t {
-			jump = jump || math.Abs(lo.t[i]-hi.t[i]) > 4*splitTol
+			jump = jump || math.Abs(lo.t[i]-hi.t[i]) > 40*ds.tol
 		}
 		if jump {
 			if a, e, err := polish(lo.t, math.Exp(lo.x)); err == nil && e < energy {
@@ -276,12 +264,18 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 }
 
 // deadlineSolve is what every split evaluation of one fixed-deadline solve
-// reads: the system, the round deadline and each device's plan.
+// reads: the system, the round deadline and each device's plan, with the
+// split tolerance of both searches and the price search's scratch.
 type deadlineSolve struct {
 	s             *fl.System
 	roundDeadline float64
 	plans         []devPlan
+	tol           float64     // 1e-9*T
+	seen          []splitEval // the current bestSplit's evaluations
 }
+
+// splitEval is one evaluation of splitCost.
+type splitEval struct{ t, b, cost, slope float64 }
 
 // devPlan is one device's split range [tLo, tHi] and what its split costs
 // share.
@@ -289,22 +283,11 @@ type devPlan struct {
 	tLo, tHi float64
 	cycles   float64 // Rl * c_n * D_n
 	limit    float64 // RateLimit(PMax): a split's rate floor must stay below it
-	eFloor   float64 // lower bound on the reduced transmission energy
 	tFloor   float64 // T - cycles/FMin: below it the frequency sits at FMin
 }
 
 // newDeadlineSolve plans every device's split range at roundDeadline, or
 // reports the instance infeasible.
-//
-// eFloor is d*N0*ln2/g, shaded by 1e-6 relative. The Shannon rate never
-// exceeds the wideband limit p*g/(N0*ln2), so p*d/G(p, B) is at least
-// d*N0*ln2/g at every power and band; with lambda*B >= 0, compute energy
-// plus eFloor bounds every split and re-split cost from below (costFloor).
-// The shade covers rounding in the computed energies: Rate loses a few
-// ulps, and PowerForRate's 2^(r/B)-1 loses about ulp/(r/B) relative, under
-// 1e-6 while r/B stays above 1e-10. The searches' bands keep r/B orders of
-// magnitude above that (TestSplitCostBound sweeps prices and gains far
-// past the served ones).
 func newDeadlineSolve(s *fl.System, roundDeadline float64) (deadlineSolve, error) {
 	plans := make([]devPlan, s.N())
 	for i, d := range s.Devices {
@@ -326,11 +309,10 @@ func newDeadlineSolve(s *fl.System, roundDeadline float64) (deadlineSolve, error
 		plans[i] = devPlan{
 			tLo: tLo, tHi: tHi, cycles: cycles,
 			limit:  wireless.RateLimit(d.PMax, d.Gain, s.N0),
-			eFloor: (1 - 1e-6) * d.UploadBits * s.N0 * math.Ln2 / d.Gain,
 			tFloor: roundDeadline - cycles/d.FMin,
 		}
 	}
-	return deadlineSolve{s: s, roundDeadline: roundDeadline, plans: plans}, nil
+	return deadlineSolve{s: s, roundDeadline: roundDeadline, plans: plans, tol: 1e-9 * roundDeadline}, nil
 }
 
 // compEnergy is device i's per-round compute energy at upload time t: the
@@ -342,26 +324,106 @@ func (ds *deadlineSolve) compEnergy(i int, t float64) float64 {
 	return ds.s.Kappa * pl.cycles * f * f
 }
 
-// costFloor bounds splitCost and resplitCost at split t from below without
-// a transcendental function (see newDeadlineSolve).
-func (ds *deadlineSolve) costFloor(i int, t float64) float64 {
-	return ds.compEnergy(i, t) + ds.plans[i].eFloor
+// compSlope is the derivative of compEnergy in t: 2*kappa*cycles*f^2/(T-t)
+// from the FMin floor split on, 0 below it, where f stays at FMin. At the
+// floor split itself it is the derivative from the right.
+func (ds *deadlineSolve) compSlope(i int, t float64) float64 {
+	pl := &ds.plans[i]
+	if t < pl.tFloor {
+		return 0
+	}
+	rest := ds.roundDeadline - t
+	f := pl.cycles / rest
+	return 2 * ds.s.Kappa * pl.cycles * f * f / rest
+}
+
+// pinnedSlope is the derivative in t of device i's transmission energy
+// t*p at fixed band b while its rate is pinned at r = d/t:
+// p - r*ln2*(N0/g + p/b), p = PowerForRate(r, b). With x = r*ln2/b it is
+// (N0*b/g)*(expm1(x)*(1-x) - x), the form reducedDevice.marginal uses
+// against cancellation at small x.
+func (ds *deadlineSolve) pinnedSlope(i int, b, t float64) float64 {
+	d := &ds.s.Devices[i]
+	x := d.UploadBits / t * math.Ln2 / b
+	return ds.s.N0 * b / d.Gain * (math.Expm1(x)*(1-x) - x)
 }
 
 // splitCost returns device i's cost at split t and price lambda, compute
-// energy plus reduced transmission energy plus lambda*B, and its band B.
-// free holds the free-branch band at lambda across the device's splits.
-func (ds *deadlineSolve) splitCost(i int, lambda, t float64, free *freeBranch) (cost, b float64) {
+// energy plus reduced transmission energy plus lambda*B, its slope in t
+// and its band B. free holds the free-branch band at lambda across the
+// device's splits. A split whose rate pmax cannot reach costs +Inf with
+// slope -Inf.
+//
+// The cost is the least over bands of a cost jointly convex in split and
+// band (see solveDeadlineJoint), and its slope follows the band that
+// bandAtFree picks. At a water-level band the envelope theorem gives the
+// fixed-band slope, compSlope plus pinnedSlope. On the free branch the
+// band and the transmission energy do not depend on t: compSlope alone.
+// On the pmax floor bForced(t), and at the pmin junction band, the power
+// p sits at a bound and the rate at exactly r = d/t, so the band moves
+// with t along that curve: the transmission energy is p*t and
+// dB/dt = -r/(t*dRate/dB), which gives compSlope + p - lambda*r/(t*G_B)
+// with G_B = log2(1+theta) - theta/((1+theta)*ln2), theta = p*g/(N0*B).
+// At the water level, lambda equals the marginal and this is the fixed-band
+// slope again, so the slope is continuous where the floor starts to bind.
+func (ds *deadlineSolve) splitCost(i int, lambda, t float64, free *freeBranch) (cost, slope, b float64) {
 	d, n0 := ds.s.Devices[i], ds.s.N0
 	rd, ok := newSplitDevice(d, d.UploadBits/t, ds.plans[i].limit)
 	if !ok {
-		return math.Inf(1), 0
+		return math.Inf(1), math.Inf(-1), 0
 	}
 	b, p := rd.bandAtFree(n0, lambda, free)
 	if math.IsInf(b, 1) {
-		return b, b
+		return b, math.Inf(-1), b
 	}
-	return ds.compEnergy(i, t) + rd.energyAt(n0, b, p) + lambda*b, b
+	cost = ds.compEnergy(i, t) + rd.energyAt(n0, b, p) + lambda*b
+	slope = ds.compSlope(i, t)
+	switch {
+	case p != 0: // a water-level band
+		slope += ds.pinnedSlope(i, b, t)
+	case b != free.b: // the pmax floor or the pmin junction
+		p = numeric.Clamp(wireless.PowerForRate(rd.rmin, b, d.Gain, n0), d.PMin, d.PMax)
+		theta := p * d.Gain / (n0 * b)
+		gb := numeric.Log2p1(theta) - theta/((1+theta)*math.Ln2)
+		slope += p - lambda*rd.rmin/(t*gb)
+	}
+	return cost, slope, b
+}
+
+// bestSplit returns device i's best split t at price lambda in the window
+// between lo and hi, to the split tolerance, searching from the split
+// from, with its band and cost, and the longest best split long. That is
+// t unless the cost is flat at t: below the FMin floor split tFloor the
+// compute energy stays put, and on the free branch so does the
+// transmission energy, so every split from t up to tFloor is best, at the
+// same band and cost. The search returns a split it evaluated, whose band,
+// cost and slope it then already has, except in a window within the
+// tolerance. tr counts the split evaluations.
+func (ds *deadlineSolve) bestSplit(i int, lambda, from, lo, hi float64, tr *SolveTrace) (t, long, b, cost float64) {
+	var free freeBranch // shared by every split at lambda
+	ds.seen = ds.seen[:0]
+	slope := func(t float64) float64 {
+		tr.SplitEvals++
+		c, sl, b := ds.splitCost(i, lambda, t, &free)
+		ds.seen = append(ds.seen, splitEval{t, b, c, sl})
+		return sl
+	}
+	lo, hi = min(lo, hi), max(lo, hi)
+	t, _ = numeric.MinimizeConvex(slope, from, lo, hi, ds.tol)
+	var e splitEval
+	for _, ev := range ds.seen {
+		if ev.t == t {
+			e = ev
+		}
+	}
+	if e.t != t {
+		slope(t)
+		e = ds.seen[len(ds.seen)-1]
+	}
+	if e.slope == 0 && e.b == free.b {
+		return t, min(hi, ds.plans[i].tFloor), e.b, e.cost
+	}
+	return t, t, e.b, e.cost
 }
 
 // resplitCost is the polish's cost of split t at device i's fixed band b:
@@ -387,24 +449,13 @@ func (ds *deadlineSolve) junction(i int, b float64) float64 {
 }
 
 // resplitSlope is the derivative of resplitCost in t at band b, where
-// tJ = junction(i, b): the compute term 2*kappa*cycles*f^2/(T-t) from the
-// FMin floor split on (0 below it, where f stays at FMin), plus the
-// rate-pinned transmission term p - r*ln2*(N0/g + p/b), r = d/t and
-// p = PowerForRate(r, b), up to the junction (0 past it). At the two kinks
-// it is the one-sided derivative from inside the smooth stretch. With
-// x = r*ln2/b the transmission term is (N0*b/g)*(expm1(x)*(1-x) - x), the
-// form reducedDevice.marginal uses against cancellation at small x.
+// tJ = junction(i, b): compSlope plus, up to the junction, pinnedSlope (0
+// past it). At the two kinks it is the one-sided derivative from inside
+// the smooth stretch.
 func (ds *deadlineSolve) resplitSlope(i int, b, tJ, t float64) float64 {
-	pl, d, n0 := &ds.plans[i], &ds.s.Devices[i], ds.s.N0
-	var slope float64
-	if t >= pl.tFloor {
-		rest := ds.roundDeadline - t
-		f := pl.cycles / rest
-		slope = 2 * ds.s.Kappa * pl.cycles * f * f / rest
-	}
+	slope := ds.compSlope(i, t)
 	if t <= tJ {
-		x := d.UploadBits / t * math.Ln2 / b
-		slope += n0 * b / d.Gain * (math.Expm1(x)*(1-x) - x)
+		slope += ds.pinnedSlope(i, b, t)
 	}
 	return slope
 }
@@ -418,14 +469,9 @@ func (ds *deadlineSolve) resplitSlope(i int, b, tJ, t float64) float64 {
 // stretch between the FMin floor split (below it the cost never rises)
 // and the junction (past it the cost never falls). Where the floor split
 // lies past the junction the cost is flat between the two, and the split
-// from, clamped there, is returned as it is. From the split from, clamped
-// into the stretch, steps growing x16 from the tolerance walk toward the
-// root until the slope changes sign, or return the end they reach, whose
-// slope then already shows the minimum; the Illinois secant on the
-// negated slope (numeric.IllinoisDecreasing) closes the bracket they
-// leave. A start within the tolerance of the root is returned as it is,
-// so a split that needs no move gets none. tr counts the slope
-// evaluations.
+// from, clamped there, is returned as it is. Otherwise the slope's root
+// is found from the split from (numeric.MinimizeConvex), so a split that
+// needs no move gets none. tr counts the slope evaluations.
 func (ds *deadlineSolve) bestResplit(i int, b, from float64, tr *SolveTrace) (float64, bool) {
 	pl, d := &ds.plans[i], &ds.s.Devices[i]
 	wall := max(pl.tLo, d.UploadBits/wireless.Rate(d.PMax, b, d.Gain, ds.s.N0)*(1+1e-9))
@@ -438,35 +484,9 @@ func (ds *deadlineSolve) bestResplit(i int, b, from float64, tr *SolveTrace) (fl
 	if lo >= hi {
 		return numeric.Clamp(from, hi, min(lo, pl.tHi)), true // flat from the junction to the floor split
 	}
-	slope := func(t float64) float64 {
+	t, _ := numeric.MinimizeConvex(func(t float64) float64 {
 		tr.ResplitEvals++
 		return ds.resplitSlope(i, b, tJ, t)
-	}
-	tol := 1e-9 * ds.roundDeadline
-	x := numeric.Clamp(from, lo, hi)
-	a, c := x, x // slope(a) < 0 <= slope(c) once the walk has bracketed the root
-	sa := slope(x)
-	sc := sa
-	for step := tol; !(sa < 0 && sc >= 0); step *= 16 {
-		if sa >= 0 { // the root lies at or left of a
-			if a == lo {
-				return lo, true
-			}
-			c, sc = a, sa
-			a = max(a-step, lo)
-			sa = slope(a)
-		} else { // the root lies right of c
-			if c == hi {
-				return hi, true
-			}
-			a, sa = c, sc
-			c = min(c+step, hi)
-			sc = slope(c)
-		}
-	}
-	a, c, err := numeric.IllinoisDecreasing(func(t float64) float64 { return -slope(t) }, a, c, -sa, -sc, tol)
-	if a <= x && x <= c {
-		return x, err == nil // the start is already within the tolerance
-	}
-	return 0.5 * (a + c), err == nil
+	}, from, lo, hi, ds.tol)
+	return t, true
 }

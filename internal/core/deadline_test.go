@@ -212,14 +212,19 @@ func TestDeadlineFixedPowerNearMinimum(t *testing.T) {
 // evaluation budgets on the corpus, read from the ModeDeadline counters of
 // SolveTrace. The waterfills start from the level the price search or the
 // previous pass ended at; walking down from the largest floor marginal
-// instead costs about 66 demand sweeps per solve. The split scans skip
-// grid points their cost floor rules out; without it a solve costs about
-// 6,190 split evaluations. The re-splits root-find their convex cost's
-// slope from the current split, about 420 cost and slope evaluations per
-// solve against about 4,686 for the grid-and-golden-section re-splits
-// they replaced, and a re-split within the split tolerance earns no
-// further waterfill (about 11.8 sweeps per solve; 24.5 when every cheaper
-// re-split did).
+// instead costs about 66 demand sweeps per solve. The split searches
+// root-find their convex cost's slope (numeric.MinimizeConvex), about
+// 2,523 split evaluations per solve, against 6,190 for the 24-point grid
+// scans refined by parabolic interpolation they replaced and 4,091 for
+// those scans pruned by a cost floor; more than half of them go to the
+// first three prices, whose brackets are wide, where a split moves far
+// from any split already known. The re-splits root-find their convex
+// cost's slope from the current split, about 423 cost and slope
+// evaluations per solve against about 4,686 for the grid-and-golden-
+// section re-splits they replaced, and a re-split within the split
+// tolerance earns no further waterfill (about 13.0 sweeps per solve, 11.8
+// when the price search scanned a grid; 24.5 when every cheaper re-split
+// earned one).
 func TestDeadlineEvaluationCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("48 N=50 deadline solves")
@@ -235,8 +240,8 @@ func TestDeadlineEvaluationCounts(t *testing.T) {
 	split := float64(tr.SplitEvals) / float64(len(corpus))
 	level := float64(tr.LevelEvals) / float64(len(corpus))
 	resplit := float64(tr.ResplitEvals) / float64(len(corpus))
-	if price > 7.5 || split > 4500 || level > 13 || resplit > 460 {
-		t.Errorf("mean %.2f price, %.0f split, %.1f level and %.0f re-split evaluations per solve, budget 7.5, 4500, 13 and 460",
+	if price > 7.5 || split > 2700 || level > 13 || resplit > 460 {
+		t.Errorf("mean %.2f price, %.0f split, %.1f level and %.0f re-split evaluations per solve, budget 7.5, 2700, 13 and 460",
 			price, split, level, resplit)
 	}
 	t.Logf("mean %.2f price, %.0f split, %.1f level and %.0f re-split evaluations per solve", price, split, level, resplit)
@@ -255,9 +260,11 @@ func TestDeadlineEvaluationCounts(t *testing.T) {
 // physical minimum deadline to three times it, with and without a fixed
 // transmit power, and checks each answer for feasibility and against the
 // dual bound. Two more instances, found by a seeded search, have a high
-// frequency floor (FMin a large share of FMax) that makes some device's
-// split cost bimodal; there the final price bracket straddles a basin jump,
-// and the over-demand end's splits must be polished as a second candidate.
+// frequency floor (FMin a large share of FMax) that gives some device's
+// split cost a flat bottom at the final price bracket: compute at FMin and
+// transmission at pmin over a range of splits. There the bracket ends keep
+// different best splits, and the over-demand end's splits must be polished
+// as a second candidate.
 func TestDeadlineStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("202 deadline solves")
@@ -411,102 +418,6 @@ func TestDeadlineScreenMatchesMinTime(t *testing.T) {
 	}
 }
 
-// TestSplitCostBound checks the bound the split scans prune with: every
-// split cost and polish re-split cost, as computed, is at or above
-// costFloor. It sweeps prices 1e-12 to 1e6 and splits across each
-// device's [tLo, tHi] on corpus devices, the stress variants (fixed power,
-// high frequency floor) and adversarial gains from 1e-16 to 1e-4, each at
-// a tight and a loose deadline. A bound above a computed cost would let a
-// scan skip the point it would otherwise pick.
-func TestSplitCostBound(t *testing.T) {
-	type instance struct {
-		name  string
-		s     *fl.System
-		slack []float64
-	}
-	var cases []instance
-	for k, s := range deadlineCorpus(t) {
-		if k%6 == 0 {
-			cases = append(cases, instance{"corpus", s, []float64{1.0001, 3}})
-		}
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		for _, variant := range []string{"fixed power", "frequency floor"} {
-			s := newTestSystem(10, seed)
-			for i := range s.Devices {
-				d := &s.Devices[i]
-				if variant == "fixed power" {
-					d.PMin = d.PMax
-				} else {
-					d.FMin, d.PMin = 0.75*d.FMax, 0.5*d.PMax
-				}
-			}
-			cases = append(cases, instance{variant, s, []float64{1.0001, 3}})
-		}
-	}
-	adv := newTestSystem(25, 9)
-	for i := range adv.Devices {
-		adv.Devices[i].Gain = math.Pow(10, -16+12*float64(i)/float64(len(adv.Devices)-1))
-	}
-	cases = append(cases, instance{"adversarial gains", adv, []float64{1.01, 10}})
-
-	checked, closest := 0, math.Inf(1) // finite costs, least (cost-floor)/eFloor
-	for _, c := range cases {
-		var minRound float64 // every device at full frequency over the whole band
-		for _, d := range c.s.Devices {
-			up := d.UploadBits / wireless.Rate(d.PMax, c.s.Bandwidth, d.Gain, c.s.N0)
-			minRound = max(minRound, c.s.LocalIters*d.CyclesPerIteration()/d.FMax+up)
-		}
-		for _, slack := range c.slack {
-			ds, err := newDeadlineSolve(c.s, minRound*slack)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			for i, pl := range ds.plans {
-				for e := -12.0; e <= 6; e++ {
-					lambda := math.Pow(10, e)
-					var free freeBranch
-					for k := 0; k <= 32; k++ {
-						split := pl.tLo + (pl.tHi-pl.tLo)*float64(k)/32
-						floor := ds.costFloor(i, split)
-						cost, b := ds.splitCost(i, lambda, split, &free)
-						if cost < floor {
-							t.Errorf("%s device %d λ=%g t=%g: split cost %.17g below its floor %.17g", c.name, i, lambda, split, cost, floor)
-						}
-						bands := []float64{b}
-						for j := -6; j <= 0; j++ {
-							bands = append(bands, c.s.Bandwidth*math.Pow(10, float64(j)))
-						}
-						for _, band := range bands {
-							if !(band > 0) || math.IsInf(band, 1) {
-								continue
-							}
-							re := ds.resplitCost(i, band, split)
-							if re < floor {
-								t.Errorf("%s device %d t=%g band %g: re-split cost %.17g below its floor %.17g", c.name, i, split, band, re, floor)
-							}
-							if !math.IsInf(re, 1) {
-								checked++
-								closest = min(closest, (re-floor)/pl.eFloor)
-							}
-						}
-						if !math.IsInf(cost, 1) {
-							checked++
-							closest = min(closest, (cost-floor)/pl.eFloor)
-						}
-					}
-				}
-			}
-		}
-	}
-	// The floor is nearly tight only where the SNR at pmin is small: weak
-	// gains over wide bands. The sweep must reach there.
-	if !(closest < 1e-3) {
-		t.Errorf("the closest of %d finite costs lies %.3g x its floor's transmission term above it, want under 1e-3", checked, closest)
-	}
-	t.Logf("%d finite costs checked; the closest lies %.3g x its floor's transmission term above it", checked, closest)
-}
-
 // checkResplitConvex checks device i's polish re-split at band b on a grid
 // of grid+1 splits across its finite range: resplitSlope never decreases
 // (the cost is convex), it matches a central difference of resplitCost
@@ -561,17 +472,95 @@ func checkResplitConvex(t testing.TB, ds *deadlineSolve, i int, b float64, grid 
 	return lo < pl.tFloor && pl.tFloor < pl.tHi, lo < tJ && tJ < pl.tHi, wallT > pl.tLo
 }
 
-// TestResplitConvex checks the convexity the polish's exact re-splits rest
-// on (checkResplitConvex, 2,001-point grids): corpus devices at their
-// polished bands x0.5, x1 and x2, and seeded devices whose range holds the
-// FMin floor split (a high frequency floor at loose deadlines), the pmin
-// junction and the pmax wall, and devices at fixed power (PMin = PMax),
-// where the cost past the wall is flat in transmission.
+// checkSplitConvex checks device i's split cost at price lambda on a grid
+// of grid+1 splits across its range [tLo, tHi]. Its second differences are
+// at least -1e-12 of the cost (it is convex). Its central difference over
+// [t-h, t+h], the mean of the slope there, lies between splitCost's slopes
+// at t-h, t and t+h, widened by 1e-4 of the slope and by the cost's
+// rounding, which at low prices, where the band is wide, PowerForRate's
+// 2^(r/B) - 1 brings to about 1e-12 of the cost; bracketing by the slopes
+// rather than matching one of them holds across the FMin floor split,
+// where the slope jumps, and across the band's switches of branch, where
+// the curvature does. And bestSplit's best splits, from either end or the
+// middle of the range, cost at most the grid's least cost*(1+1e-12), with
+// split <= long and both costing what bestSplit reports. It reports
+// whether bestSplit found a flat bottom, split < long.
+func checkSplitConvex(t testing.TB, ds *deadlineSolve, i int, lambda float64, grid int) (flat bool) {
+	t.Helper()
+	pl := ds.plans[i]
+	width := pl.tHi - pl.tLo
+	h := 1e-5 * width
+	var free freeBranch
+	cost := func(x float64) float64 { c, _, _ := ds.splitCost(i, lambda, x, &free); return c }
+	costs := make([]float64, grid+1)
+	best := math.Inf(1)
+	for k := range costs {
+		x := pl.tLo + width*float64(k)/float64(grid)
+		c, sl, _ := ds.splitCost(i, lambda, x, &free)
+		costs[k], best = c, min(best, c)
+		if k >= 2 && costs[k-2]-2*costs[k-1]+c < -1e-12*costs[k-1] {
+			t.Errorf("device %d λ=%g: second difference %.3g of cost %.17g at t=%g", i, lambda, costs[k-2]-2*costs[k-1]+c, costs[k-1], x)
+		}
+		if k == 0 || k == grid {
+			continue
+		}
+		cm, sm, _ := ds.splitCost(i, lambda, x-h, &free)
+		cp, sp, _ := ds.splitCost(i, lambda, x+h, &free)
+		cd, slack := (cp-cm)/(2*h), 1e-4*math.Abs(sl)+1e-6*c/width
+		if cd < min(sm, sl, sp)-slack || cd > max(sm, sl, sp)+slack {
+			t.Errorf("device %d λ=%g t=%g: slopes %.9g, %.9g, %.9g at t-h, t, t+h, central difference %.9g", i, lambda, x, sm, sl, sp, cd)
+		}
+	}
+	for _, from := range []float64{pl.tLo, 0.5 * (pl.tLo + pl.tHi), pl.tHi} {
+		split, long, _, c := ds.bestSplit(i, lambda, from, pl.tLo, pl.tHi, new(SolveTrace))
+		if !(split >= pl.tLo && split <= long && long <= pl.tHi) {
+			t.Errorf("device %d λ=%g from %g: best splits [%g, %g] outside [%g, %g]", i, lambda, from, split, long, pl.tLo, pl.tHi)
+			continue
+		}
+		if c > best*(1+1e-12) {
+			t.Errorf("device %d λ=%g from %g: best split cost %.17g above the %d-point scan's %.17g", i, lambda, from, c, grid+1, best)
+		}
+		for _, x := range []float64{split, long} {
+			if cx := cost(x); math.Abs(cx-c) > 1e-12*c {
+				t.Errorf("device %d λ=%g from %g: split %g costs %.17g, bestSplit reports %.17g", i, lambda, from, x, cx, c)
+			}
+		}
+		flat = flat || split < long
+	}
+	return flat
+}
+
+// TestResplitConvex checks the convexity both split searches rest on, on
+// 2,001-point grids. The polish's re-splits (checkResplitConvex): corpus
+// devices at their polished bands x0.5, x1 and x2, and seeded devices
+// whose range holds the FMin floor split (a high frequency floor at loose
+// deadlines), the pmin junction and the pmax wall, and devices at fixed
+// power (PMin = PMax), where the cost past the wall is flat in
+// transmission. The price search's splits (checkSplitConvex): every tenth
+// corpus device at prices 1e-12 to 1e2, and every device of
+// TestDeadlineStress's two high-frequency-floor instances at prices
+// 1e-12 to 1e2 and at their final price, where some split costs are flat.
 func TestResplitConvex(t *testing.T) {
 	if testing.Short() {
 		t.Skip("about 2,000 re-split scans")
 	}
-	var floors, junctions, walls, fixed, checked int
+	var floors, junctions, walls, fixed, checked, splits, flats int
+	checkSplits := func(s *fl.System, round float64, devices int, prices []float64) {
+		ds, err := newDeadlineSolve(s, round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < s.N(); i += devices {
+			for _, lambda := range prices {
+				flats += b2i(checkSplitConvex(t, &ds, i, lambda, 2000))
+				splits++
+			}
+		}
+	}
+	var decades []float64
+	for e := -12; e <= 2; e++ {
+		decades = append(decades, math.Pow(10, float64(e)))
+	}
 	check := func(ds *deadlineSolve, bands []float64, scales []float64, fixedPower bool) {
 		for i, b := range bands {
 			for _, k := range scales {
@@ -597,6 +586,23 @@ func TestResplitConvex(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(&ds, res.Allocation.Bandwidth, []float64{0.5, 1, 2}, false)
+		checkSplits(s, res.RoundDeadline, 10, decades)
+	}
+	for _, c := range []struct {
+		seed         int64
+		fMinShare, k float64
+		lambda       float64 // the final price bracket, read off the solve
+	}{{4, 0.5, 1.01, 2.0e-10}, {8, 0.75, 1.001, 5.5e-11}} {
+		s := newTestSystem(5, c.seed)
+		for i := range s.Devices {
+			d := &s.Devices[i]
+			d.FMin, d.PMin = c.fMinShare*d.FMax, 0.5*d.PMax
+		}
+		mt, err := SolveMinTime(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSplits(s, mt.RoundDeadline*c.k, 1, append(decades, c.lambda))
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, variant := range []string{"fixed power", "frequency floor"} {
@@ -627,12 +633,12 @@ func TestResplitConvex(t *testing.T) {
 			}
 		}
 	}
-	if floors == 0 || junctions == 0 || walls == 0 || fixed == 0 {
-		t.Errorf("ranges holding the FMin floor %d, the junction %d, the wall %d, fixed power %d: all must be exercised",
-			floors, junctions, walls, fixed)
+	if floors == 0 || junctions == 0 || walls == 0 || fixed == 0 || flats == 0 {
+		t.Errorf("ranges holding the FMin floor %d, the junction %d, the wall %d, fixed power %d, flat split costs %d: all must be exercised",
+			floors, junctions, walls, fixed, flats)
 	}
-	t.Logf("%d re-splits checked; ranges holding the FMin floor %d, the junction %d, the wall %d; %d at fixed power",
-		checked, floors, junctions, walls, fixed)
+	t.Logf("%d re-splits checked; ranges holding the FMin floor %d, the junction %d, the wall %d; %d at fixed power; %d split costs, %d of them flat at their best split",
+		checked, floors, junctions, walls, fixed, splits, flats)
 }
 
 func b2i(b bool) int {
@@ -642,16 +648,19 @@ func b2i(b bool) int {
 	return 0
 }
 
-// FuzzResplitConvex runs checkResplitConvex on fuzzed three-device
-// systems: seed, band share, deadline slack over the full-band minimum,
-// frequency floor share and fixed power.
+// FuzzResplitConvex runs checkResplitConvex and checkSplitConvex on fuzzed
+// three-device systems: seed, band share, deadline slack over the
+// full-band minimum, frequency floor share, fixed power, and the price's
+// log10, from -14 to 2.
 func FuzzResplitConvex(f *testing.F) {
-	f.Add(int64(1), 0.3, 1.5, 0.0, false)
-	f.Add(int64(2), 0.05, 10.0, 0.5, false)
-	f.Add(int64(3), 1.0, 1.01, 0.0, true)
-	f.Add(int64(4), 0.01, 3.0, 0.75, false)
-	f.Fuzz(func(t *testing.T, seed int64, share, slack, fMinShare float64, fixedPower bool) {
-		if !(share >= 1e-4 && share <= 1) || !(slack >= 1.0001 && slack <= 100) || !(fMinShare >= 0 && fMinShare < 1) {
+	f.Add(int64(1), 0.3, 1.5, 0.0, false, -10.0)
+	f.Add(int64(2), 0.05, 10.0, 0.5, false, -12.0)
+	f.Add(int64(3), 1.0, 1.01, 0.0, true, -8.0)
+	f.Add(int64(4), 0.01, 3.0, 0.75, false, -10.5)
+	f.Add(int64(21), 1.0/60, 77.1, 1.0/720, false, -13.8)
+	f.Add(int64(92), 0.05, 10.0/3, 0.5, true, -12.0)
+	f.Fuzz(func(t *testing.T, seed int64, share, slack, fMinShare float64, fixedPower bool, logPrice float64) {
+		if !(share >= 1e-4 && share <= 1) || !(slack >= 1.0001 && slack <= 100) || !(fMinShare >= 0 && fMinShare < 1) || !(logPrice >= -14 && logPrice <= 2) {
 			t.Skip()
 		}
 		s := newTestSystem(3, seed)
@@ -673,6 +682,7 @@ func FuzzResplitConvex(f *testing.F) {
 		}
 		for i := range s.Devices {
 			checkResplitConvex(t, &ds, i, share*s.Bandwidth, 400)
+			checkSplitConvex(t, &ds, i, math.Pow(10, logPrice), 400)
 		}
 	})
 }

@@ -16,16 +16,17 @@ import (
 //
 // where E*(T) is the minimum total energy at per-round deadline T. E* is
 // non-increasing in T, so the objective is the sum of a decreasing and a
-// linear term — unimodal in practice — and a bracketed golden section finds
-// the optimum.
+// linear term — unimodal in practice. T is bracketed by doubling from the
+// physical floor until the objective turns upward, and a 12-point grid scan
+// refined by golden section (numeric.GridRefineMin) finds the optimum.
 //
-// Rationale (see DESIGN.md): the paper's Algorithm 2 freezes the
-// transmission variables whenever Subproblem 1's deadline is tight — the
-// rate floors then equal the current rates and, from the full-power start,
-// the bandwidth floors exactly fill B, so Subproblem 2 must return its
-// input. The alternation therefore only ever tunes frequencies in the
-// tight-weight regime. This solver restores the full compute/communicate
-// tradeoff at the cost of one deadline solve per search point.
+// Rationale: the paper's Algorithm 2 freezes the transmission variables
+// whenever Subproblem 1's deadline is tight — the rate floors then equal
+// the current rates and, from the full-power start, the bandwidth floors
+// exactly fill B, so Subproblem 2 must return its input. The alternation
+// therefore only ever tunes frequencies in the tight-weight regime. This
+// solver restores the full compute/communicate tradeoff at the cost of one
+// deadline solve per search point.
 func SolveWeightedJoint(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.check(s, w); err != nil {
@@ -79,7 +80,7 @@ func SolveWeightedJoint(s *fl.System, w fl.Weights, opts Options) (Result, error
 		hi *= 2
 	}
 
-	tStar, err := numeric.GridRefineMin(func(t float64) float64 { return eval(t).obj }, nil, lo, hi, 12, 2e-3*hi)
+	tStar, err := numeric.GridRefineMin(func(t float64) float64 { return eval(t).obj }, lo, hi, 12, 2e-3*hi)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: weighted joint deadline search: %w", err)
 	}

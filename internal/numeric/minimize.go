@@ -10,9 +10,10 @@ var invPhi = (math.Sqrt(5) - 1) / 2
 
 // GoldenSection minimizes a unimodal function f on [lo, hi] and returns the
 // minimizer. tol is an absolute tolerance on the argument. The routine is
-// exact (to tol) for convex f, which covers every use in this codebase:
-// Subproblem 1's objective in the round deadline T, and the per-device
-// upload-time split in the Scheme 1 baseline.
+// exact (to tol) for convex f, which covers both uses in this codebase:
+// Subproblem 1's objective in the round deadline T (SolveSubproblem1) and
+// the TDMA baseline's objective in its common compute deadline
+// (internal/tdma).
 func GoldenSection(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 	if lo > hi {
 		return 0, fmt.Errorf("numeric: GoldenSection interval [%g,%g] reversed", lo, hi)
@@ -59,161 +60,112 @@ func goldenSection(f func(float64) float64, lo, hi, flo, fhi, tol float64) (floa
 // GridRefineMin minimizes a possibly multimodal 1-D function on [lo, hi] by
 // scanning a uniform grid of gridN points to locate the best basin, then
 // refining with golden section inside the bracketing grid cell. It is exact
-// for unimodal functions and robust for functions with a few basins (the
-// per-device time-split costs in the deadline optimizer are bimodal when a
-// bandwidth floor kicks in). The grid values at the cell ends carry into the
-// refinement, so no point is evaluated twice. A non-nil lb, a lower bound
-// on f, lets the scan skip grid points it proves cannot be the best (see
-// scanGrid); the answer is the same as with a nil one.
-func GridRefineMin(f, lb func(float64) float64, lo, hi float64, gridN int, tol float64) (float64, error) {
+// for unimodal functions and robust for functions with a few basins. The
+// grid values at the cell ends carry into the refinement, so no point is
+// evaluated twice.
+func GridRefineMin(f func(float64) float64, lo, hi float64, gridN int, tol float64) (float64, error) {
 	if lo > hi {
 		return 0, fmt.Errorf("numeric: GridRefineMin interval [%g,%g] reversed", lo, hi)
 	}
-	g := scanGrid(f, lb, lo, hi, gridN)
-	var x, fx float64
-	switch {
-	case g.hi-g.lo <= tol && 0.5*(g.lo+g.hi) == g.x:
-		x, fx = g.x, g.fx // an interior cell's midpoint is its grid point
-	case g.hi-g.lo <= tol:
-		x = 0.5 * (g.lo + g.hi)
-		fx = f(x)
-	default:
-		x, fx = goldenSection(f, g.lo, g.hi, g.flo, g.fhi, tol)
-	}
-	if fx <= g.fx {
-		return x, nil
-	}
-	return g.x, nil
-}
-
-// GridBrentMin is GridRefineMin refining with Brent's parabolic
-// interpolation (Brent 1973, ch. 5), golden steps where a parabola is
-// unusable: superlinear on a smooth basin, poor at kinks and +Inf walls.
-// It returns the best point evaluated and evaluates no point twice. lb is
-// GridRefineMin's optional lower bound.
-func GridBrentMin(f, lb func(float64) float64, lo, hi float64, gridN int, tol float64) (float64, error) {
-	if lo > hi {
-		return 0, fmt.Errorf("numeric: GridBrentMin interval [%g,%g] reversed", lo, hi)
-	}
-	g := scanGrid(f, lb, lo, hi, gridN)
-	a, b, x, fx := g.lo, g.hi, g.x, g.fx
-	w, fw, v, fv := a, g.flo, b, g.fhi // on a boundary cell the first step is golden
-	if fv < fw {
-		w, fw, v, fv = v, fv, w, fw
-	}
-	d, e := 0.0, b-a // the last step and the one before it
-	for i := 0; i < 100; i++ {
-		tol1 := 0.25*tol + 1e-15*math.Abs(x)
-		if max(x-a, b-x) <= 2*tol1 {
-			break
-		}
-		// Take the vertex when it lies inside [a, b] and the step is under
-		// half the step before last.
-		r, q := (x-w)*(fx-fv), (x-v)*(fx-fw)
-		p := (x-v)*q - (x-w)*r
-		if q = 2 * (q - r); q > 0 {
-			p = -p
-		}
-		if q = math.Abs(q); math.Abs(e) > tol1 && math.Abs(p) < math.Abs(0.5*q*e) && p > q*(a-x) && p < q*(b-x) {
-			e, d = d, p/q
-			if u := x + d; u-a < 2*tol1 || b-u < 2*tol1 {
-				d = math.Copysign(tol1, 0.5*(a+b)-x)
-			}
-		} else {
-			if e = b - x; x >= 0.5*(a+b) {
-				e = a - x
-			}
-			d = (1 - invPhi) * e
-		}
-		u := x + d
-		if math.Abs(d) < tol1 {
-			u = x + math.Copysign(tol1, d)
-		}
-		fu := f(u)
-		// The worse of u and x becomes the end on its side of the better.
-		if (u < x) == (fu <= fx) {
-			b = max(x, u)
-		} else {
-			a = min(x, u)
-		}
-		switch {
-		case fu <= fx:
-			v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-		case fu <= fw || w == x:
-			v, fv, w, fw = w, fw, u, fu
-		case fu <= fv || v == x || v == w:
-			v, fv = u, fu
-		}
-	}
-	return x, nil
-}
-
-// gridCell is the best point (x, fx) of a grid scan and the grid cell
-// [lo, hi] around it, with end values flo and fhi.
-type gridCell struct{ x, fx, lo, hi, flo, fhi float64 }
-
-// scanGrid evaluates f on a uniform grid of gridN >= 3 points over
-// [lo, hi] and returns the cell bracketing the best one: the first grid
-// point of least value, as a strict-less-than scan finds it.
-//
-// A non-nil lb is a lower bound on f (lb(x) <= f(x) wherever f is
-// evaluated). The scan skips a point whose bound is at or above the best
-// value so far, since then f there cannot beat that value, and evaluates a
-// skipped point after the scan only if it turns out to be an end of the
-// best cell. The cell, its end values and the best point are the ones the
-// unbounded scan returns; only the evaluations of f are fewer, and the
-// cell ends come last.
-func scanGrid(f, lb func(float64) float64, lo, hi float64, gridN int) gridCell {
-	if gridN < 3 {
-		gridN = 3
-	}
+	// Scan for the first grid point of least value and the cell around it.
+	gridN = max(gridN, 3)
 	at := func(k int) float64 { return lo + (hi-lo)*float64(k)/float64(gridN-1) }
 	bestX, bestF := lo, f(lo)
 	bestK := 0
 	fCellLo, fCellHi, prev := bestF, bestF, bestF
-	var skipLo, skipHi, skipPrev bool // that value was skipped, not evaluated
 	for k := 1; k < gridN; k++ {
 		x := at(k)
-		skip := lb != nil && lb(x) >= bestF
-		var v float64
-		if !skip {
-			v = f(x)
-		}
-		if !skip && v < bestF {
+		v := f(x)
+		if v < bestF {
 			bestX, bestF, bestK = x, v, k
-			fCellLo, skipLo = prev, skipPrev
+			fCellLo = prev
 		} else if k == bestK+1 {
-			fCellHi, skipHi = v, skip
+			fCellHi = v
 		}
-		prev, skipPrev = v, skip
+		prev = v
 	}
 	if bestK == gridN-1 {
-		fCellHi, skipHi = bestF, false
+		fCellHi = bestF
 	}
-	if skipLo {
-		fCellLo = f(at(bestK - 1))
+	cellLo, cellHi := at(max(bestK-1, 0)), at(min(bestK+1, gridN-1))
+
+	var x, fx float64
+	switch {
+	case cellHi-cellLo <= tol && 0.5*(cellLo+cellHi) == bestX:
+		x, fx = bestX, bestF // an interior cell's midpoint is its grid point
+	case cellHi-cellLo <= tol:
+		x = 0.5 * (cellLo + cellHi)
+		fx = f(x)
+	default:
+		x, fx = goldenSection(f, cellLo, cellHi, fCellLo, fCellHi, tol)
 	}
-	if skipHi {
-		fCellHi = f(at(bestK + 1))
+	if fx <= bestF {
+		return x, nil
 	}
-	return gridCell{bestX, bestF, at(max(bestK-1, 0)), at(min(bestK+1, gridN-1)), fCellLo, fCellHi}
+	return bestX, nil
 }
 
-// MinimizeConvex1D minimizes a differentiable convex function given its
-// derivative on [lo, hi] by bisecting the derivative; it falls back to
-// golden section when the derivative does not change sign (minimum at an
-// endpoint).
-func MinimizeConvex1D(df func(float64) float64, lo, hi, tol float64) float64 {
-	dlo, dhi := df(lo), df(hi)
-	switch {
-	case dlo >= 0:
-		return lo // derivative nonnegative throughout: minimum at lo
-	case dhi <= 0:
-		return hi // derivative nonpositive throughout: minimum at hi
+// MinimizeConvex returns a minimizer on [lo, hi], to tol > 0, of a convex
+// function given its slope, a nondecreasing function, searching from x0
+// clamped into [lo, hi]. A walk steps downhill from x0 until the slope
+// changes sign: first by tol, then by the secant's estimate of the
+// distance left to the slope's root from the walk's last two points,
+// doubled after every step that stops short of it, so that a far root is
+// reached in a few steps and a near one is not overshot by much; Brent's
+// method (BrentBracketed) then closes the bracket the walk leaves. An end
+// of [lo, hi] the walk reaches without a sign change is the minimum. The
+// answer is always a point whose slope was evaluated, except that an
+// interval within tol returns the clamped start unevaluated; a start
+// within tol of the minimum is returned as it is, so a point that needs no
+// move gets none; and the first point found with a slope of exactly 0 is
+// returned, so on a flat bottom the answer is the first point of it the
+// walk reaches from x0. The error reports a reversed interval or a tol
+// that is not positive.
+func MinimizeConvex(slope func(float64) float64, x0, lo, hi, tol float64) (float64, error) {
+	if lo > hi || !(tol > 0) {
+		return 0, fmt.Errorf("numeric: MinimizeConvex on [%g,%g] to tol %g", lo, hi, tol)
 	}
-	x, err := Bisect(df, lo, hi, tol)
-	if err != nil {
-		return 0.5 * (lo + hi)
+	x := Clamp(x0, lo, hi)
+	if hi-lo <= tol {
+		return x, nil
 	}
-	return x
+	sx := slope(x)
+	if sx == 0 {
+		return x, nil
+	}
+	end, dir := hi, 1.0 // the walk goes downhill, toward end
+	if sx > 0 {
+		end, dir = lo, -1
+	}
+	if x == end {
+		return x, nil
+	}
+	cur, scur, step, over := x, sx, tol, 1.0
+	for {
+		next := cur + dir*step
+		if (next-end)*dir >= 0 {
+			next = end
+		}
+		snext := slope(next)
+		switch {
+		case snext == 0:
+			return next, nil
+		case (snext > 0) != (scur > 0):
+			if math.Abs(next-cur) <= tol && cur == x {
+				return x, nil
+			}
+			root, _ := BrentBracketed(slope, cur, next, scur, snext, tol) // a bracket, so no error
+			return root, nil
+		case next == end:
+			return end, nil
+		}
+		last := math.Abs(next - cur)
+		r := last * snext / (scur - snext) // the secant's distance left
+		if !(r > 0) {
+			r = last // the slope did not shrink toward 0 (rounding)
+		}
+		step = over * max(r, tol/2)
+		over *= 2
+		cur, scur = next, snext
+	}
 }

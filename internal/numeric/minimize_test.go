@@ -76,19 +76,6 @@ func TestGoldenSectionRandomQuadratics(t *testing.T) {
 	}
 }
 
-func TestMinimizeConvex1D(t *testing.T) {
-	df := func(x float64) float64 { return 2 * (x - 3) }
-	if got := MinimizeConvex1D(df, -10, 10, 1e-12); !AlmostEqual(got, 3, 1e-8, 1e-8) {
-		t.Errorf("interior: got %g, want 3", got)
-	}
-	if got := MinimizeConvex1D(df, 5, 10, 1e-12); got != 5 {
-		t.Errorf("min at lo: got %g, want 5", got)
-	}
-	if got := MinimizeConvex1D(df, -10, 0, 1e-12); got != 0 {
-		t.Errorf("min at hi: got %g, want 0", got)
-	}
-}
-
 func TestGridRefineMin(t *testing.T) {
 	// Bimodal: basins at x=-3 (depth 1) and x=4 (depth 2). Plain golden from
 	// the full interval can land in the wrong basin; the grid must not.
@@ -97,7 +84,7 @@ func TestGridRefineMin(t *testing.T) {
 		b := (x-4)*(x-4) - 2
 		return math.Min(a, b)
 	}
-	got, err := GridRefineMin(f, nil, -10, 10, 30, 1e-9)
+	got, err := GridRefineMin(f, -10, 10, 30, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +93,7 @@ func TestGridRefineMin(t *testing.T) {
 	}
 	// Unimodal: agrees with golden section.
 	g := func(x float64) float64 { return (x - 1.5) * (x - 1.5) }
-	got, err = GridRefineMin(g, nil, -5, 5, 10, 1e-10)
+	got, err = GridRefineMin(g, -5, 5, 10, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +101,11 @@ func TestGridRefineMin(t *testing.T) {
 		t.Errorf("unimodal: got %g", got)
 	}
 	// Reversed interval errors.
-	if _, err := GridRefineMin(g, nil, 5, -5, 10, 1e-9); err == nil {
+	if _, err := GridRefineMin(g, 5, -5, 10, 1e-9); err == nil {
 		t.Error("want error on reversed interval")
 	}
 	// Boundary minimum.
-	got, _ = GridRefineMin(func(x float64) float64 { return x }, nil, 2, 9, 8, 1e-9)
+	got, _ = GridRefineMin(func(x float64) float64 { return x }, 2, 9, 8, 1e-9)
 	if got != 2 {
 		t.Errorf("boundary: got %g", got)
 	}
@@ -169,7 +156,7 @@ func TestGridRefineMinEvaluatesEachPointOnce(t *testing.T) {
 			for _, tol := range []float64{1e-3, 1e-9, 100} {
 				seen := map[float64]int{}
 				counted := func(x float64) float64 { seen[x]++; return sh.f(x) }
-				got, err := GridRefineMin(counted, nil, sh.lo, sh.hi, gridN, tol)
+				got, err := GridRefineMin(counted, sh.lo, sh.hi, gridN, tol)
 				if err != nil {
 					t.Fatalf("%s: %v", sh.name, err)
 				}
@@ -186,249 +173,190 @@ func TestGridRefineMinEvaluatesEachPointOnce(t *testing.T) {
 	}
 }
 
-// brentShapes are the minimise test shapes with their sets of minimizers
-// [wantLo, wantHi]; smooth marks the ones with a smooth basin.
-var brentShapes = []struct {
+// convexShapes are convex test shapes with their slopes (at a kink, a
+// value between the one-sided slopes) and their sets of minimizers
+// [wantLo, wantHi]: smooth basins, kinks, minima at either end, and flat
+// bottoms inside the interval and against either end. simple marks a
+// slope with a simple root, where the search converges superlinearly.
+var convexShapes = []struct {
 	name           string
-	f              func(float64) float64
+	f, slope       func(float64) float64
 	lo, hi         float64
 	wantLo, wantHi float64
-	smooth         bool
+	simple         bool
 }{
-	{"parabola", func(x float64) float64 { return (x - 2) * (x - 2) }, -10, 10, 2, 2, true},
-	{"quartic", func(x float64) float64 { return math.Pow(x-1, 4) }, -5, 5, 1, 1, true},
-	{"abs", func(x float64) float64 { return math.Abs(x + 3) }, -10, 10, -3, -3, false},
-	{"min at lo", func(x float64) float64 { return x }, 0, 5, 0, 0, false},
-	{"min at hi", func(x float64) float64 { return -x }, 0, 5, 5, 5, false},
-	{"exp plus linear", func(x float64) float64 { return math.Exp(x) - 2*x }, -2, 4, math.Ln2, math.Ln2, true},
-	{"bimodal", func(x float64) float64 { return math.Min((x+3)*(x+3)-1, (x-4)*(x-4)-2) }, -10, 10, 4, 4, false},
-	{"plateau", func(x float64) float64 { return math.Max(math.Abs(x)-1, 0) }, -4, 4, -1, 1, false},
+	{"parabola", func(x float64) float64 { return (x - 2) * (x - 2) }, func(x float64) float64 { return 2 * (x - 2) }, -10, 10, 2, 2, true},
+	{"quartic", func(x float64) float64 { return math.Pow(x-1, 4) }, func(x float64) float64 { return 4 * math.Pow(x-1, 3) }, -5, 5, 1, 1, false},
+	{"abs", func(x float64) float64 { return math.Abs(x + 3) }, sign(-3), -10, 10, -3, -3, false},
+	{"min at lo", func(x float64) float64 { return x }, func(float64) float64 { return 1 }, 0, 5, 0, 0, false},
+	{"min at hi", func(x float64) float64 { return -x }, func(float64) float64 { return -1 }, 0, 5, 5, 5, false},
+	{"steep toward lo", func(x float64) float64 { return 1/(x*x*x) + x }, func(x float64) float64 { return 1 - 3/(x*x*x*x) }, 1e-3, 100, math.Pow(3, 0.25), math.Pow(3, 0.25), true},
+	{"exp plus linear", func(x float64) float64 { return math.Exp(x) - 2*x }, func(x float64) float64 { return math.Exp(x) - 2 }, -2, 4, math.Ln2, math.Ln2, true},
+	{"plateau", func(x float64) float64 { return math.Max(math.Abs(x)-1, 0) }, plateauSlope(-1, 1), -4, 4, -1, 1, false},
+	{"flat at lo", func(x float64) float64 { return math.Max(x-1, 0) }, plateauSlope(-4, 1), -4, 4, -4, 1, false},
+	{"flat at hi", func(x float64) float64 { return math.Max(-2-x, 0) }, plateauSlope(-2, 4), -4, 4, -2, 4, false},
 }
 
-// TestGridBrentMin checks the parabolic refiner against each shape's
-// minimizers, and that it settles in the basin GridRefineMin picks: the
-// grid scan they share chooses the cell.
-func TestGridBrentMin(t *testing.T) {
-	for _, sh := range brentShapes {
-		for _, gridN := range []int{8, 24} {
-			for _, tol := range []float64{1e-3, 1e-6} {
-				got, err := GridBrentMin(sh.f, nil, sh.lo, sh.hi, gridN, tol)
+// sign is the slope of |x - at|: -1, 0 at the kink, +1.
+func sign(at float64) func(float64) float64 {
+	return func(x float64) float64 {
+		switch {
+		case x < at:
+			return -1
+		case x > at:
+			return 1
+		}
+		return 0
+	}
+}
+
+// plateauSlope is the slope of max(a - x, 0) + max(x - b, 0): -1 below a,
+// 0 on [a, b], +1 above b.
+func plateauSlope(a, b float64) func(float64) float64 {
+	return func(x float64) float64 {
+		switch {
+		case x < a:
+			return -1
+		case x > b:
+			return 1
+		}
+		return 0
+	}
+}
+
+// checkConvexAnswer reports whether x lies within tol (and rounding) of a
+// minimizer of the convex function with the given slope on [lo, hi]: the
+// slope is at most 0 just below it and at least 0 just above it, an end of
+// the interval counting as either.
+func checkConvexAnswer(slope func(float64) float64, x, lo, hi, tol float64) bool {
+	if !(x >= lo && x <= hi) {
+		return false
+	}
+	d := tol + 8e-16*math.Abs(x)
+	below, above := max(lo, x-d), min(hi, x+d)
+	return (below == lo || slope(below) <= 0) && (above == hi || slope(above) >= 0)
+}
+
+// TestMinimizeConvex checks the slope search on every convex shape from
+// either end, the middle and the minimum of its interval, at tolerances
+// 1e-3 and 1e-9: the answer lies within tol of the shape's minimizers, it
+// is a point whose slope the search evaluated, and a start on a flat
+// bottom or within tol of the minimum is returned as it is. Reversed
+// intervals and tolerances that are not positive are errors, and an
+// interval within tol returns the clamped start unevaluated.
+func TestMinimizeConvex(t *testing.T) {
+	for _, sh := range convexShapes {
+		for _, tol := range []float64{1e-3, 1e-9} {
+			for _, from := range []float64{sh.lo, 0.5 * (sh.lo + sh.hi), sh.hi, sh.wantLo, sh.wantHi, sh.hi + 1} {
+				seen := map[float64]bool{}
+				got, err := MinimizeConvex(func(x float64) float64 { seen[x] = true; return sh.slope(x) }, from, sh.lo, sh.hi, tol)
 				if err != nil {
 					t.Fatalf("%s: %v", sh.name, err)
 				}
-				if got < sh.wantLo-tol || got > sh.wantHi+tol {
-					t.Errorf("%s gridN=%d tol=%g: argmin %.12g outside [%g, %g] by more than tol",
-						sh.name, gridN, tol, got, sh.wantLo, sh.wantHi)
+				if got < sh.wantLo-tol || got > sh.wantHi+tol || !checkConvexAnswer(sh.slope, got, sh.lo, sh.hi, tol) {
+					t.Errorf("%s tol=%g from %g: argmin %.12g, minimizers [%g, %g]", sh.name, tol, from, got, sh.wantLo, sh.wantHi)
 				}
-				golden, _ := GridRefineMin(sh.f, nil, sh.lo, sh.hi, gridN, tol)
-				if cell := (sh.hi - sh.lo) / float64(gridN-1); math.Abs(got-golden) > cell {
-					t.Errorf("%s gridN=%d tol=%g: argmin %g, GridRefineMin's %g in another basin", sh.name, gridN, tol, got, golden)
+				if !seen[got] {
+					t.Errorf("%s tol=%g from %g: argmin %.12g was not evaluated", sh.name, tol, from, got)
+				}
+				if from >= sh.wantLo && from <= sh.wantHi && got != from {
+					t.Errorf("%s tol=%g from %g, a minimizer: moved to %.12g", sh.name, tol, from, got)
+				}
+				again, _ := MinimizeConvex(sh.slope, from, sh.lo, sh.hi, tol)
+				if math.Float64bits(again) != math.Float64bits(got) {
+					t.Errorf("%s tol=%g from %g: %.17g, then %.17g", sh.name, tol, from, got, again)
 				}
 			}
 		}
 	}
-	if _, err := GridBrentMin(math.Abs, nil, 5, -5, 10, 1e-9); err == nil {
-		t.Error("want error on reversed interval")
+	if _, err := MinimizeConvex(sign(0), 0, 5, -5, 1e-9); err == nil {
+		t.Error("want an error on a reversed interval")
+	}
+	if _, err := MinimizeConvex(sign(0), 0, -5, 5, 0); err == nil {
+		t.Error("want an error on a zero tolerance")
+	}
+	evals := 0
+	if got, err := MinimizeConvex(func(x float64) float64 { evals++; return x }, 7, 3, 3+1e-10, 1e-9); err != nil || got != 3+1e-10 || evals != 0 {
+		t.Errorf("interval within tol: got %g, %v after %d evaluations, want the clamped start unevaluated", got, err, evals)
 	}
 }
 
-// TestGridBrentMinEvaluations counts evaluations: no point is evaluated
-// twice, and on the smooth shapes at tol 1e-9 the parabolic refiner needs
-// at most half of golden section's evaluations. The count is compared on
-// grids of 3 and 8 points, where the refinement rather than the scan
-// dominates it.
-func TestGridBrentMinEvaluations(t *testing.T) {
-	for _, sh := range brentShapes {
-		for _, gridN := range []int{3, 8, 24} {
-			for _, tol := range []float64{1e-3, 1e-9, 100} {
+// TestMinimizeConvexEvaluations counts slope evaluations: no point is
+// evaluated twice; a start within tol of the minimum costs at most two;
+// and at tol 1e-9 a search from either end costs at most what a bisection
+// of the interval would (31 to 37) where the slope has a simple root, and
+// at most three times that on kinks, flat bottoms and the quartic's triple
+// root, where the search falls back to bisection steps or converges only
+// linearly.
+func TestMinimizeConvexEvaluations(t *testing.T) {
+	for _, sh := range convexShapes {
+		for _, tol := range []float64{1e-3, 1e-9} {
+			for _, from := range []float64{sh.lo, sh.hi, sh.wantLo + 0.4*tol, sh.wantHi - 0.4*tol} {
 				seen := map[float64]int{}
-				counted := func(x float64) float64 { seen[x]++; return sh.f(x) }
-				if _, err := GridBrentMin(counted, nil, sh.lo, sh.hi, gridN, tol); err != nil {
+				if _, err := MinimizeConvex(func(x float64) float64 { seen[x]++; return sh.slope(x) }, from, sh.lo, sh.hi, tol); err != nil {
 					t.Fatalf("%s: %v", sh.name, err)
 				}
+				n := 0
 				for x, c := range seen {
+					n += c
 					if c > 1 {
-						t.Errorf("%s gridN=%d tol=%g: f(%g) evaluated %d times", sh.name, gridN, tol, x, c)
+						t.Errorf("%s tol=%g from %g: slope(%g) evaluated %d times", sh.name, tol, from, x, c)
 					}
 				}
-				if !sh.smooth || tol != 1e-9 || gridN == 24 {
-					continue
+				near := math.Abs(from-sh.wantLo) <= tol || math.Abs(from-sh.wantHi) <= tol
+				if near && from > sh.lo && from < sh.hi && n > 2 {
+					t.Errorf("%s tol=%g from %g, within tol of the minimum: %d evaluations, want at most 2", sh.name, tol, from, n)
 				}
-				golden := 0
-				_, _ = GridRefineMin(func(x float64) float64 { golden++; return sh.f(x) }, nil, sh.lo, sh.hi, gridN, tol)
-				if 2*len(seen) > golden {
-					t.Errorf("%s gridN=%d: %d evaluations, golden section %d", sh.name, gridN, len(seen), golden)
+				bisect := int(math.Ceil(math.Log2((sh.hi - sh.lo) / tol)))
+				if !sh.simple {
+					bisect *= 3
+				}
+				if tol == 1e-9 && (from == sh.lo || from == sh.hi) && n > bisect {
+					t.Errorf("%s tol=%g from %g: %d evaluations, want at most %d", sh.name, tol, from, n, bisect)
 				}
 			}
 		}
 	}
 }
 
-// boundedCase builds, from seed, a multimodal f on [lo, hi] and a lower
-// bound lb <= f whose shape kind picks: lb = f (every tie skipped), f less
-// a nonnegative slack, f less its amplitude (a cheap floor, like the
-// deadline split cost's), -Inf, or NaN. f may carry +Inf walls (where
-// every bound is +Inf or below), NaN points, plateaus of tied values, and
-// a tilt that puts its minimum at either end.
-func boundedCase(seed int64, kind int, lo, hi float64) (f, lb func(float64) float64) {
-	rng := rand.New(rand.NewSource(seed))
-	var amp, freq, phase [3]float64
-	var ampSum float64
-	for j := range amp {
-		amp[j], freq[j], phase[j] = rng.Float64(), 1+40*rng.Float64(), 2*math.Pi*rng.Float64()
-		ampSum += amp[j]
-	}
-	tilt, curve := rng.NormFloat64(), rng.NormFloat64()
-	if rng.Intn(3) == 0 {
-		tilt *= 20 // the minimum sits at an end
-	}
-	step := 0.0
-	if rng.Intn(2) == 0 {
-		step = 0.05 + rng.Float64() // plateaus: many grid points tie
-	}
-	wallLo, wallHi := 2.0, 2.0
-	if rng.Intn(2) == 0 {
-		wallLo = rng.Float64()
-		wallHi = wallLo + 0.5*rng.Float64()
-	}
-	nanAt := -1.0
-	if rng.Intn(4) == 0 {
-		nanAt = rng.Float64()
-	}
-	unit := func(x float64) float64 {
-		if hi == lo {
-			return 0
-		}
-		return (x - lo) / (hi - lo)
-	}
-	f = func(x float64) float64 {
-		u := unit(x)
-		switch {
-		case u >= wallLo && u <= wallHi:
-			return math.Inf(1)
-		case math.Abs(u-nanAt) < 0.05:
-			return math.NaN()
-		}
-		v := tilt*u + curve*u*u
-		for j := range amp {
-			v += amp[j] * math.Sin(freq[j]*u+phase[j])
-		}
-		if step > 0 {
-			v = step * math.Floor(v/step)
-		}
-		return v
-	}
-	switch kind % 5 {
-	case 0:
-		lb = f
-	case 1:
-		lb = func(x float64) float64 { return f(x) - math.Abs(math.Sin(7*unit(x)+phase[0])) }
-	case 2:
-		lb = func(x float64) float64 {
-			u := unit(x)
-			if u >= wallLo && u <= wallHi {
-				return math.Inf(1)
-			}
-			return tilt*u + curve*u*u - ampSum - step
-		}
-	case 3:
-		lb = func(float64) float64 { return math.Inf(-1) }
-	default:
-		lb = func(float64) float64 { return math.NaN() }
-	}
-	return f, lb
-}
-
-// sameBits reports whether a and b hold the same float64 bits.
-func sameBits(a, b []float64) bool {
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// checkBoundedScan holds the bounded scan and both refiners to their
-// unbounded selves on f: the same gridCell and argmins bit for bit, and
-// only points the unbounded run evaluates, no more often.
-func checkBoundedScan(t testing.TB, f, lb func(float64) float64, lo, hi float64, gridN int) {
-	t.Helper()
-	counted := func(seen map[float64]int) func(float64) float64 {
-		return func(x float64) float64 { seen[x]++; return f(x) }
-	}
-	subset := func(name string, plain, bounded map[float64]int) {
-		for x, c := range bounded {
-			if c > plain[x] {
-				t.Errorf("%s: f(%g) evaluated %d times bounded, %d unbounded", name, x, c, plain[x])
-			}
-		}
-	}
-	plain, bounded := map[float64]int{}, map[float64]int{}
-	want := scanGrid(counted(plain), nil, lo, hi, gridN)
-	got := scanGrid(counted(bounded), lb, lo, hi, gridN)
-	if !sameBits([]float64{got.x, got.fx, got.lo, got.hi, got.flo, got.fhi},
-		[]float64{want.x, want.fx, want.lo, want.hi, want.flo, want.fhi}) {
-		t.Errorf("scanGrid [%g, %g] gridN=%d: bounded %+v, unbounded %+v", lo, hi, gridN, got, want)
-	}
-	subset("scanGrid", plain, bounded)
-	for _, tol := range []float64{1e-9 * (hi - lo), 1e-3 * (hi - lo)} {
-		for _, m := range []struct {
-			name string
-			min  func(f, lb func(float64) float64, lo, hi float64, gridN int, tol float64) (float64, error)
-		}{{"GridRefineMin", GridRefineMin}, {"GridBrentMin", GridBrentMin}} {
-			plain, bounded := map[float64]int{}, map[float64]int{}
-			want, _ := m.min(counted(plain), nil, lo, hi, gridN, tol)
-			got, _ := m.min(counted(bounded), lb, lo, hi, gridN, tol)
-			if !sameBits([]float64{got}, []float64{want}) {
-				t.Errorf("%s [%g, %g] gridN=%d tol=%g: bounded argmin %g, unbounded %g", m.name, lo, hi, gridN, tol, got, want)
-			}
-			subset(m.name, plain, bounded)
-		}
-	}
-}
-
-// TestScanGridBound property-tests the bounded scan on 2,000 seeded
-// multimodal functions under every bound shape, on grids of 3 to 40
-// points: same cells and argmins as unbounded, fewer evaluations. The
-// exact bound skips most of a scan's points on these shapes.
-func TestScanGridBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var plainEvals, exactEvals int
-	for k := 0; k < 2000; k++ {
-		lo := 100 * rng.NormFloat64()
-		hi := lo + math.Abs(10*rng.NormFloat64())
-		gridN := 3 + rng.Intn(38)
-		seed := rng.Int63()
-		for kind := 0; kind < 5; kind++ {
-			f, lb := boundedCase(seed, kind, lo, hi)
-			checkBoundedScan(t, f, lb, lo, hi, gridN)
-		}
-		f, lb := boundedCase(seed, 0, lo, hi)
-		scanGrid(func(x float64) float64 { plainEvals++; return f(x) }, nil, lo, hi, gridN)
-		scanGrid(func(x float64) float64 { exactEvals++; return f(x) }, lb, lo, hi, gridN)
-	}
-	if 2*exactEvals > plainEvals {
-		t.Errorf("the exact bound kept %d of %d scan evaluations, want at most half", exactEvals, plainEvals)
-	}
-	t.Logf("the exact bound kept %d of %d scan evaluations", exactEvals, plainEvals)
-	// A degenerate interval: every grid point is lo.
-	f, lb := boundedCase(7, 0, 3, 3)
-	checkBoundedScan(t, f, lb, 3, 3, 5)
-}
-
-// FuzzScanGridBound runs checkBoundedScan on fuzzed intervals, grids,
-// functions and bound shapes.
-func FuzzScanGridBound(f *testing.F) {
-	f.Add(int64(1), uint8(24), 0.0, 1.0, uint8(0))
-	f.Add(int64(2), uint8(3), -5.0, 10.0, uint8(1))
-	f.Add(int64(3), uint8(8), 1e-3, 1e-9, uint8(2))
-	f.Add(int64(4), uint8(40), 1e6, 0.0, uint8(4))
-	f.Fuzz(func(t *testing.T, seed int64, grid uint8, lo, width float64, kind uint8) {
-		if math.IsNaN(lo) || math.IsNaN(width) || math.Abs(lo) > 1e12 || !(math.Abs(width) <= 1e12) {
+// FuzzMinimizeConvex checks MinimizeConvex on fuzzed convex functions, a
+// sum of a parabola, a kink, a flat-bottomed trough, an exponential and a
+// tilt, from a fuzzed start: the answer lies within tol of a minimizer.
+func FuzzMinimizeConvex(f *testing.F) {
+	f.Add(int64(1), 0.3, 0.5, 1e-9)
+	f.Add(int64(2), -1.0, 0.0, 1e-6)
+	f.Add(int64(3), 0.9, 1.0, 1e-3)
+	f.Add(int64(4), 0.5, 0.25, 1e-12)
+	f.Fuzz(func(t *testing.T, seed int64, start, width, tol float64) {
+		if !(math.Abs(start) <= 10) || !(width >= 0 && width <= 1) || !(tol >= 1e-12 && tol <= 1) {
 			t.Skip()
 		}
-		fn, lb := boundedCase(seed, int(kind), lo, lo+math.Abs(width))
-		checkBoundedScan(t, fn, lb, lo, lo+math.Abs(width), 3+int(grid)%48)
+		rng := rand.New(rand.NewSource(seed))
+		weight := func() float64 { // 0 a third of the time
+			if rng.Intn(3) == 0 {
+				return 0
+			}
+			return rng.ExpFloat64()
+		}
+		a, kink, at, trough, e, k, tilt := weight(), weight(), rng.NormFloat64(), weight(), weight(), rng.NormFloat64(), 3*rng.NormFloat64()
+		m, lo, hi := rng.NormFloat64(), -1-5*rng.Float64(), 1+5*rng.Float64()
+		tLo, tHi := at-width, at+width
+		slope := func(x float64) float64 {
+			s := 2*a*(x-m) + kink*sign(at)(x) + e*k*math.Exp(k*x) + tilt
+			switch {
+			case x < tLo:
+				s -= trough
+			case x > tHi:
+				s += trough
+			}
+			return s
+		}
+		x, err := MinimizeConvex(slope, start, lo, hi, tol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !checkConvexAnswer(slope, x, lo, hi, tol) {
+			t.Errorf("argmin %.17g on [%g, %g] from %g to tol %g: slopes %g below, %g above", x, lo, hi, start, tol, slope(x-tol), slope(x+tol))
+		}
 	})
 }

@@ -118,7 +118,7 @@ func Optimize(s *fl.System, w fl.Weights) (Allocation, Metrics, error) {
 			tau := d.UploadBits / g
 			return w.W1*rg*p*tau + w.W2*rg*tau
 		}
-		p, err := numeric.GridRefineMin(cost, nil, d.PMin, d.PMax, 16, 1e-9*d.PMax)
+		p, err := numeric.GridRefineMin(cost, d.PMin, d.PMax, 16, 1e-9*d.PMax)
 		if err != nil {
 			return Allocation{}, Metrics{}, fmt.Errorf("tdma: device %d power search: %w", i, err)
 		}
