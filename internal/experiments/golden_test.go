@@ -13,7 +13,7 @@ var updateGolden = flag.Bool("update", false, "re-record testdata/figures_golden
 const goldenPath = "testdata/figures_golden.json"
 
 // goldenFigures regenerates every pinned figure at one trial: Figs. 2-8
-// and ExtA-ExtD. ExtC's runtime panel is wall time and is left out.
+// and ExtA-ExtE. ExtC's runtime panel is wall time and is left out.
 func goldenFigures(t *testing.T) []Figure {
 	t.Helper()
 	cfg := RunConfig{Trials: 1, Seed: 1}
@@ -37,7 +37,11 @@ func goldenFigures(t *testing.T) []Figure {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(figs, a1, a2, b, c, d1, d2)
+	e, err := ExtE(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(figs, a1, a2, b, c, d1, d2, e)
 }
 
 // TestFiguresGolden pins the reproduced series to the values recorded in
@@ -47,7 +51,7 @@ func goldenFigures(t *testing.T) []Figure {
 // TestFiguresGolden -update` and says why.
 func TestFiguresGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates 18 figure panels")
+		t.Skip("regenerates 19 figure panels")
 	}
 	got := goldenFigures(t)
 	if *updateGolden {
