@@ -103,6 +103,23 @@ func BenchmarkOptimizeWeighted(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeJointWeighted measures one joint weighted solve (the
+// search over the round deadline, one deadline solve per point) at the
+// paper's default N = 50 and balanced weights.
+func BenchmarkOptimizeJointWeighted(b *testing.B) {
+	sc := repro.DefaultScenario()
+	s, err := sc.Build(rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := repro.Optimize(s, repro.Weights{W1: 0.5, W2: 0.5}, repro.Options{JointWeighted: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkOptimizeDeadline measures the dual-decomposition deadline solve
 // (the Figs. 7-8 workhorse) at N = 50.
 func BenchmarkOptimizeDeadline(b *testing.B) {

@@ -96,7 +96,7 @@ type SolveTrace struct {
 	NewtonIters int
 	OuterIters  int
 	// ModeDeadline only: bandwidth prices tried, per-device split costs
-	// evaluated at them, candidate splits polished (2 across a jump), the
+	// evaluated at them, candidate splits polished (one per solve), the
 	// polish waterfills' demand sweeps over all devices, each waterfill's
 	// final band sweep included, and the polish re-splits' cost and slope
 	// evaluations at fixed bands.

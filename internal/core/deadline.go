@@ -11,10 +11,12 @@ import (
 
 // solveDeadlineJoint solves the fixed-deadline energy minimization (the
 // w1 = 1, w2 = 0, fixed-T setting of Figs. 7-8) by dual decomposition on the
-// single coupling constraint sum B_n <= B. It returns the allocation and a
-// lower bound on the optimal per-round energy: the dual function at the
+// single coupling constraint sum B_n <= B. It returns the allocation, a
+// lower bound on the optimal per-round energy (the dual function at the
 // final price bracket, for the budget B*(1+budgetSlack) the polish may
-// fill. A non-nil tr receives the ModeDeadline counters.
+// fill), and that energy's derivative in the round deadline (the dual
+// function's at the under-demand end's price; see deadlineSlope). A
+// non-nil tr receives the ModeDeadline counters.
 //
 // At a bandwidth price lambda, each device independently chooses its upload
 // time share t (hence frequency f = clamp(Rl*c*D/(T-t), FMin, FMax) and rate
@@ -54,26 +56,24 @@ import (
 // safeguarded Illinois secant on ln(demand/B) in ln(lambda)
 // (numeric.IllinoisDecreasing) then closes the bracket to 1e-7 in
 // ln(lambda). At the under-demand end hi the band floors sum to at most
-// demand(hi) <= B, so the hi splits are always feasible. Where some split
-// differs between the ends by more than 40 split tolerances, as on a flat
-// bottom, where the ends keep different best splits, the over-demand end's
-// splits are a second candidate, used if their floors fit. Each
-// candidate is polished by alternating an exact bandwidth waterfill at
-// fixed splits with per-device re-splits at fixed bands, and the lower
-// energy wins. A re-split is one root find on resplitCost's slope
-// (bestResplit), started from the device's current split, which the price
-// search's split at the candidate's price nearly always leaves within the
-// tolerance of the answer. A re-split is taken only when it is strictly
-// cheaper, so energy never rises. A re-split at fixed bands needs no new
-// waterfill to stay feasible: it still reaches its rate at pmax on its
-// band. So the polish keeps every cheaper re-split, but runs another
-// waterfill only after a pass that moved some split by more than the
-// 1e-9*T split tolerance, and at most three more; each waterfill is exact
-// for the splits it is given, and a move within the tolerance would not
-// change the bands beyond rounding. Each waterfill starts its level search
-// from a level this solve already holds: the candidate's bracket-end
-// price, which the price search has pinned to 1e-7 in ln(lambda), then the
-// previous pass's level.
+// demand(hi) <= B, so the hi splits are always feasible. On a flat bottom
+// the ends keep different best splits, but those cost the same, so the
+// over-demand end's splits would win only by rounding: the hi splits are
+// the one candidate. It is polished by alternating an exact bandwidth
+// waterfill at fixed splits with per-device re-splits at fixed bands. A
+// re-split is one root find on resplitCost's slope (bestResplit), started
+// from the device's current split, which the price search's split at the
+// hi price nearly always leaves within the tolerance of the answer. A
+// re-split is taken only when it is strictly cheaper, so energy never
+// rises. A re-split at fixed bands needs no new waterfill to stay
+// feasible: it still reaches its rate at pmax on its band. So the polish
+// keeps every cheaper re-split, but runs another waterfill only after a
+// pass that moved some split by more than the 1e-9*T split tolerance, and
+// at most three more; each waterfill is exact for the splits it is given,
+// and a move within the tolerance would not change the bands beyond
+// rounding. Each waterfill starts its level search
+// from a level this solve already holds: the hi price, which the price
+// search has pinned to 1e-7 in ln(lambda), then the previous pass's level.
 //
 // A split evaluation costs one water-level inversion (bandAt) and little
 // else. Its device is built with the band floor unknown (newSplitDevice):
@@ -87,14 +87,14 @@ import (
 // floor at its incoming upload time — the price decomposition explores the
 // full compute/communicate tradeoff and is what makes the proposed scheme
 // dominate the block-coordinate Scheme 1 baseline.
-func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl.Allocation, float64, error) {
+func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl.Allocation, float64, float64, error) {
 	if tr == nil {
 		tr = new(SolveTrace)
 	}
 	n := s.N()
 	ds, err := newDeadlineSolve(s, roundDeadline)
 	if err != nil {
-		return fl.Allocation{}, 0, err
+		return fl.Allocation{}, 0, 0, err
 	}
 	plans := ds.plans
 
@@ -110,7 +110,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 	for i, pl := range plans {
 		lo.t[i], hi.t[i] = pl.tLo, pl.tHi
 	}
-	reached, long := make([]float64, n), make([]float64, n)
+	reached := make([]float64, n)
 	excess := func(x float64) float64 {
 		tr.PriceEvals++
 		lambda := math.Exp(x)
@@ -126,20 +126,16 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 		demand, dual := 0.0, -lambda*s.Bandwidth*(1+budgetSlack)
 		for i := range plans {
 			var b, c float64
-			reached[i], long[i], b, c = ds.bestSplit(i, lambda, lo.t[i]+w*(hi.t[i]-lo.t[i]), lo.t[i], hi.t[i], tr)
+			reached[i], b, c = ds.bestSplit(i, lambda, lo.t[i]+w*(hi.t[i]-lo.t[i]), lo.t[i], hi.t[i], tr)
 			demand += b
 			dual += c
 		}
-		// On a flat bottom the under-demand end keeps the longest best
-		// split, whose rate floor is the lowest, and the over-demand end the
-		// one its search reached; the window between them still holds a
-		// best split of every price in between.
-		end, splits := &hi, long
+		end := &hi
 		if demand > s.Bandwidth {
-			end, splits = &lo, reached
+			end = &lo
 		}
 		end.x, end.excess, end.dual, end.ok = x, math.Log(demand/s.Bandwidth), dual, true
-		copy(end.t, splits)
+		copy(end.t, reached)
 		return end.excess
 	}
 
@@ -151,7 +147,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 		x += max(0, 2.1*e0-math.Log(16)) // first step: max(ln 16, 2.1*e0)
 		for k := 0; !hi.ok; k++ {
 			if k == 200 {
-				return fl.Allocation{}, 0, fmt.Errorf("core: no bandwidth price clears the deadline instance: %w", ErrInfeasible)
+				return fl.Allocation{}, 0, 0, fmt.Errorf("core: no bandwidth price clears the deadline instance: %w", ErrInfeasible)
 			}
 			x += math.Log(16)
 			excess(x)
@@ -164,103 +160,86 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 	}
 	if lo.ok {
 		if _, _, err := numeric.IllinoisDecreasing(excess, lo.x, hi.x, lo.excess, hi.excess, 1e-7); err != nil {
-			return fl.Allocation{}, 0, fmt.Errorf("core: deadline price search: %w", err)
+			return fl.Allocation{}, 0, 0, fmt.Errorf("core: deadline price search: %w", err)
 		}
 	}
 
-	// polish turns splits into an allocation and its per-round energy.
+	var slope float64
+	for i, t := range hi.t {
+		slope += ds.deadlineSlope(i, math.Exp(hi.x), t)
+	}
+
+	// Polish the under-demand end's splits into an allocation.
+	tr.Polishes++
+	splits, level := hi.t, math.Exp(hi.x)
 	reduced := make([]reducedDevice, n)
 	bands := make([]float64, n)
-	polish := func(start []float64, level float64) (fl.Allocation, float64, error) {
-		tr.Polishes++
-		splits := append([]float64(nil), start...)
-		// derive re-derives device i's reduction at its split; the band
-		// floors of all devices must then still fit the budget.
-		derive := func(i int) (err error) {
-			reduced[i], err = newReducedDevice(s.Devices[i], s.N0, s.Devices[i].UploadBits/splits[i])
-			return err
+	// derive re-derives device i's reduction at its split; the band floors
+	// of all devices must then still fit the budget.
+	derive := func(i int) (err error) {
+		reduced[i], err = newReducedDevice(s.Devices[i], s.N0, s.Devices[i].UploadBits/splits[i])
+		return err
+	}
+	floorsFit := func() error {
+		var floors float64
+		for _, rd := range reduced {
+			floors += rd.bForced
 		}
-		floorsFit := func() error {
-			var floors float64
-			for _, rd := range reduced {
-				floors += rd.bForced
-			}
-			if floors > s.Bandwidth*(1+budgetSlack) {
-				return fmt.Errorf("core: deadline splits need %g > %g Hz: %w", floors, s.Bandwidth, ErrInfeasible)
-			}
-			return nil
+		if floors > s.Bandwidth*(1+budgetSlack) {
+			return fmt.Errorf("core: deadline splits need %g > %g Hz: %w", floors, s.Bandwidth, ErrInfeasible)
 		}
+		return nil
+	}
+	for i := range s.Devices {
+		if err := derive(i); err != nil {
+			return fl.Allocation{}, 0, 0, err
+		}
+	}
+	if err := floorsFit(); err != nil {
+		return fl.Allocation{}, 0, 0, err
+	}
+	for pass := 0; ; pass++ {
+		var err error
+		if level, _, err = waterfillReducedInto(reduced, s.N0, s.Bandwidth, level, bands, tr); err != nil {
+			return fl.Allocation{}, 0, 0, err
+		}
+		// Re-split each device at its fixed bandwidth; only a device that
+		// moves needs its reduction re-derived. Only a move by more than
+		// the split tolerance earns another waterfill.
+		moved := false
 		for i := range s.Devices {
-			if err := derive(i); err != nil {
-				return fl.Allocation{}, 0, err
+			t, ok := ds.bestResplit(i, bands[i], splits[i], tr)
+			if !ok {
+				continue
 			}
+			tr.ResplitEvals += 2
+			if ds.resplitCost(i, bands[i], t) < ds.resplitCost(i, bands[i], splits[i]) {
+				moved = moved || math.Abs(t-splits[i]) > ds.tol
+				splits[i] = t
+				if err := derive(i); err != nil {
+					return fl.Allocation{}, 0, 0, err
+				}
+			}
+		}
+		if !moved || pass == 3 {
+			break
 		}
 		if err := floorsFit(); err != nil {
-			return fl.Allocation{}, 0, err
+			return fl.Allocation{}, 0, 0, err
 		}
-		for pass := 0; ; pass++ {
-			var err error
-			if level, _, err = waterfillReducedInto(reduced, s.N0, s.Bandwidth, level, bands, tr); err != nil {
-				return fl.Allocation{}, 0, err
-			}
-			// Re-split each device at its fixed bandwidth; only a device
-			// that moves needs its reduction re-derived. Only a move by
-			// more than the split tolerance earns another waterfill.
-			moved := false
-			for i := range s.Devices {
-				t, ok := ds.bestResplit(i, bands[i], splits[i], tr)
-				if !ok {
-					continue
-				}
-				tr.ResplitEvals += 2
-				if ds.resplitCost(i, bands[i], t) < ds.resplitCost(i, bands[i], splits[i]) {
-					moved = moved || math.Abs(t-splits[i]) > ds.tol
-					splits[i] = t
-					if err := derive(i); err != nil {
-						return fl.Allocation{}, 0, err
-					}
-				}
-			}
-			if !moved || pass == 3 {
-				break
-			}
-			if err := floorsFit(); err != nil {
-				return fl.Allocation{}, 0, err
-			}
-		}
-		alloc := fl.NewAllocation(n)
-		var energy float64
-		for i, d := range s.Devices {
-			rd := reduced[i]
-			alloc.Bandwidth[i] = math.Max(bands[i], rd.bForced)
-			alloc.Power[i] = rd.power(s.N0, alloc.Bandwidth[i])
-			alloc.Freq[i] = numeric.Clamp(plans[i].cycles/(roundDeadline-splits[i]), d.FMin, d.FMax)
-			energy += ds.compEnergy(i, splits[i]) + rd.energy(s.N0, alloc.Bandwidth[i])
-		}
-		return alloc, energy, nil
 	}
-
-	alloc, energy, err := polish(hi.t, math.Exp(hi.x))
-	if err != nil {
-		return fl.Allocation{}, 0, err
+	alloc := fl.NewAllocation(n)
+	for i, d := range s.Devices {
+		rd := reduced[i]
+		alloc.Bandwidth[i] = math.Max(bands[i], rd.bForced)
+		alloc.Power[i] = rd.power(s.N0, alloc.Bandwidth[i])
+		alloc.Freq[i] = numeric.Clamp(plans[i].cycles/(roundDeadline-splits[i]), d.FMin, d.FMax)
 	}
 	bound := hi.dual
 	if lo.ok {
 		bound = math.Max(bound, lo.dual)
-		// A split's own move across the final bracket, 1e-7 wide in
-		// ln(lambda), is a few tolerances (at most 5.5 on the test corpus
-		// and seeded systems); a gap of over 40 is a flat bottom.
-		jump := false
-		for i := range lo.t {
-			jump = jump || math.Abs(lo.t[i]-hi.t[i]) > 40*ds.tol
-		}
-		if jump {
-			if a, e, err := polish(lo.t, math.Exp(lo.x)); err == nil && e < energy {
-				alloc = a
-			}
-		}
 	}
-	return alloc, bound, nil
+	return alloc, bound, slope, nil
 }
 
 // deadlineSolve is what every split evaluation of one fixed-deadline solve
@@ -275,7 +254,7 @@ type deadlineSolve struct {
 }
 
 // splitEval is one evaluation of splitCost.
-type splitEval struct{ t, b, cost, slope float64 }
+type splitEval struct{ t, b, cost float64 }
 
 // devPlan is one device's split range [tLo, tHi] and what its split costs
 // share.
@@ -392,20 +371,16 @@ func (ds *deadlineSolve) splitCost(i int, lambda, t float64, free *freeBranch) (
 
 // bestSplit returns device i's best split t at price lambda in the window
 // between lo and hi, to the split tolerance, searching from the split
-// from, with its band and cost, and the longest best split long. That is
-// t unless the cost is flat at t: below the FMin floor split tFloor the
-// compute energy stays put, and on the free branch so does the
-// transmission energy, so every split from t up to tFloor is best, at the
-// same band and cost. The search returns a split it evaluated, whose band,
-// cost and slope it then already has, except in a window within the
+// from, with its band and cost. The search returns a split it evaluated,
+// whose band and cost it then already has, except in a window within the
 // tolerance. tr counts the split evaluations.
-func (ds *deadlineSolve) bestSplit(i int, lambda, from, lo, hi float64, tr *SolveTrace) (t, long, b, cost float64) {
+func (ds *deadlineSolve) bestSplit(i int, lambda, from, lo, hi float64, tr *SolveTrace) (t, b, cost float64) {
 	var free freeBranch // shared by every split at lambda
 	ds.seen = ds.seen[:0]
 	slope := func(t float64) float64 {
 		tr.SplitEvals++
 		c, sl, b := ds.splitCost(i, lambda, t, &free)
-		ds.seen = append(ds.seen, splitEval{t, b, c, sl})
+		ds.seen = append(ds.seen, splitEval{t, b, c})
 		return sl
 	}
 	lo, hi = min(lo, hi), max(lo, hi)
@@ -420,21 +395,41 @@ func (ds *deadlineSolve) bestSplit(i int, lambda, from, lo, hi float64, tr *Solv
 		slope(t)
 		e = ds.seen[len(ds.seen)-1]
 	}
-	if e.slope == 0 && e.b == free.b {
-		return t, min(hi, ds.plans[i].tFloor), e.b, e.cost
+	return t, e.b, e.cost
+}
+
+// deadlineSlope is device i's share of the derivative in the round
+// deadline T of the dual function at price lambda, where t is the
+// device's best split. By Danskin's theorem that is the derivative of its
+// least cost at the best split: kept at t, its frequency cycles/(T - t)
+// falls as T grows, so the compute energy changes at -compSlope; and a
+// split at its end tHi = T - cycles/FMax, whose cost still falls there,
+// moves with T and adds that slope. At the optimal price the dual function
+// equals the least energy E*(T), so the sum over devices is dE*/dT, the
+// envelope slope -2*kappa*sum f^3 over devices above FMin where no split
+// sits at its end.
+func (ds *deadlineSolve) deadlineSlope(i int, lambda, t float64) float64 {
+	slope := -ds.compSlope(i, t)
+	if t >= ds.plans[i].tHi {
+		var free freeBranch
+		_, sl, _ := ds.splitCost(i, lambda, t, &free)
+		slope += min(0, sl)
 	}
-	return t, t, e.b, e.cost
+	return slope
 }
 
 // resplitCost is the polish's cost of split t at device i's fixed band b:
 // compute energy plus transmission energy at the least power in the box
-// that reaches the split's rate, +Inf when pmax cannot.
+// that reaches the split's rate, +Inf when pmax cannot. Only a power
+// clamped to pmax is checked against the rate: below it PowerForRate
+// reaches the rate by construction, up to the rounding of its 2^(r/B) - 1,
+// which at low spectral efficiency exceeds 1e-12 of the rate.
 func (ds *deadlineSolve) resplitCost(i int, b, t float64) float64 {
 	d, n0 := ds.s.Devices[i], ds.s.N0
 	r := d.UploadBits / t
 	p := numeric.Clamp(wireless.PowerForRate(r, b, d.Gain, n0), d.PMin, d.PMax)
 	g := wireless.Rate(p, b, d.Gain, n0)
-	if g < r*(1-1e-12) {
+	if p == d.PMax && g < r*(1-1e-12) {
 		return math.Inf(1) // cannot reach this rate at pmax on band b
 	}
 	return ds.compEnergy(i, t) + p*d.UploadBits/g

@@ -166,7 +166,7 @@ func TestSeededWaterfillMatchesCold(t *testing.T) {
 		t.Skip("48 N=50 deadline solves")
 	}
 	for k, s := range deadlineCorpus(t) {
-		alloc, _, err := solveDeadlineJoint(s, corpusDeadline/s.GlobalRounds, nil)
+		alloc, _, _, err := solveDeadlineJoint(s, corpusDeadline/s.GlobalRounds, nil)
 		if err != nil {
 			t.Fatalf("instance %d: %v", k, err)
 		}

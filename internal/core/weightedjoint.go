@@ -14,11 +14,24 @@ import (
 //
 //	min_T  w1 * E*(T) + w2 * Rg * T,
 //
-// where E*(T) is the minimum total energy at per-round deadline T. E* is
-// non-increasing in T, so the objective is the sum of a decreasing and a
-// linear term — unimodal in practice. T is bracketed by doubling from the
-// physical floor until the objective turns upward, and a 12-point grid scan
-// refined by golden section (numeric.GridRefineMin) finds the optimum.
+// where E*(T) is the minimum total energy at per-round deadline T. The
+// fixed-deadline problem is jointly convex in the splits, the bands and T
+// (see solveDeadlineJoint), so E*(T), a partial minimum of it, is convex
+// and non-increasing, and the objective is convex in T. Its slope has a
+// closed form: the deadline solve returns dE*/dT per round, the envelope
+// slope -2*kappa*sum f^3 over the devices whose frequency f lies above
+// FMin, plus, for a device whose split is held at its end by FMax, the
+// rest of its cost's slope there (deadlineSlope). So the objective's slope
+// is Rg*(w2 + w1*dE*/dT), nondecreasing in T, and numeric.MinimizeConvex
+// finds its root to 1e-6 of the start.
+//
+// The search starts at the round time of the paper's alternation
+// (Optimize without JointWeighted), whose allocation is feasible at that
+// deadline, so the first deadline solve is already at least as good as the
+// alternation, whose answer is the first candidate. It is bounded below by
+// the physical floor (SolveMinTime) and above by alt/(w2*Rg), past which
+// w2*Rg*T alone exceeds the alternation's objective alt. The answer is the
+// best point evaluated, after about six deadline solves.
 //
 // Rationale: the paper's Algorithm 2 freezes the transmission variables
 // whenever Subproblem 1's deadline is tight — the rate floors then equal
@@ -38,73 +51,41 @@ func SolveWeightedJoint(s *fl.System, w fl.Weights, opts Options) (Result, error
 		return Optimize(s, w, opts)
 	}
 
+	alt, err := Optimize(s, w, Options{MaxOuter: opts.MaxOuter, Work: opts.Work})
+	if err != nil {
+		return Result{}, err
+	}
 	mt, err := SolveMinTime(s)
 	if err != nil {
 		return Result{}, err
 	}
-	tMin := mt.RoundDeadline * (1 + 1e-9)
+	rg := s.GlobalRounds
+	start := alt.Metrics.RoundTime
+	lo := mt.RoundDeadline * (1 + 1e-9)
+	hi := max(lo, alt.Objective/(w.W2*rg))
 
-	type point struct {
-		alloc fl.Allocation
-		obj   float64
-		ok    bool
-	}
-	cache := map[float64]point{}
-	eval := func(t float64) point {
-		if p, hit := cache[t]; hit {
-			return p
+	bestT, bestAlloc, bestObj := start, alt.Allocation, alt.Objective
+	slope := func(t float64) float64 {
+		alloc, _, dE, err := solveDeadlineJoint(s, t, nil)
+		if err != nil {
+			return math.Inf(-1) // below the least deadline the solve reaches
 		}
-		var p point
-		alloc, _, err := solveDeadlineJoint(s, t, nil)
-		if err == nil {
-			m := s.Evaluate(alloc)
-			p = point{alloc: alloc, obj: w.W1*m.TotalEnergy + w.W2*s.GlobalRounds*t, ok: true}
-		} else {
-			p.obj = math.Inf(1)
+		if obj := w.W1*s.Evaluate(alloc).TotalEnergy + w.W2*rg*t; obj < bestObj {
+			bestT, bestAlloc, bestObj = t, alloc, obj
 		}
-		cache[t] = p
-		return p
+		return rg * (w.W2 + w.W1*dE)
 	}
-
-	// Bracket: expand T geometrically from the physical floor until the
-	// objective turns upward (the linear w2 term eventually dominates).
-	lo := tMin
-	hi := tMin * 2
-	prev := eval(lo).obj
-	for iter := 0; iter < 60; iter++ {
-		cur := eval(hi).obj
-		if cur > prev && !math.IsInf(cur, 1) {
-			break
-		}
-		prev = cur
-		hi *= 2
-	}
-
-	tStar, err := numeric.GridRefineMin(func(t float64) float64 { return eval(t).obj }, lo, hi, 12, 2e-3*hi)
-	if err != nil {
+	if _, err := numeric.MinimizeConvex(slope, start, lo, hi, 1e-6*start); err != nil {
 		return Result{}, fmt.Errorf("core: weighted joint deadline search: %w", err)
-	}
-	best := eval(tStar)
-	if !best.ok {
-		// Fall back to the nearest cached feasible point.
-		for t, p := range cache {
-			if p.ok && (math.IsInf(best.obj, 1) || p.obj < best.obj) {
-				best = p
-				tStar = t
-			}
-		}
-		if !best.ok {
-			return Result{}, fmt.Errorf("core: no feasible deadline in [%g, %g]: %w", lo, hi, ErrInfeasible)
-		}
 	}
 
 	res := Result{
-		Allocation:    best.alloc,
-		RoundDeadline: tStar,
-		Metrics:       s.Evaluate(best.alloc),
+		Allocation:    bestAlloc,
+		RoundDeadline: bestT,
+		Metrics:       s.Evaluate(bestAlloc),
 		Converged:     true,
 	}
 	res.Objective = w.W1*res.Metrics.TotalEnergy + w.W2*res.Metrics.TotalTime
-	res.Iterations = []IterationTrace{{Objective: res.Objective, RoundDeadline: tStar}}
+	res.Iterations = []IterationTrace{{Objective: res.Objective, RoundDeadline: bestT}}
 	return res, nil
 }

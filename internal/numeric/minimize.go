@@ -21,14 +21,7 @@ func GoldenSection(f func(float64) float64, lo, hi, tol float64) (float64, error
 	if hi-lo <= tol {
 		return 0.5 * (lo + hi), nil
 	}
-	x, _ := goldenSection(f, lo, hi, f(lo), f(hi), tol)
-	return x, nil
-}
-
-// goldenSection is GoldenSection on an interval whose endpoint values
-// flo = f(lo), fhi = f(hi) are already known; it returns the minimizer and
-// its value without evaluating any point twice.
-func goldenSection(f func(float64) float64, lo, hi, flo, fhi, tol float64) (float64, float64) {
+	flo, fhi := f(lo), f(hi)
 	a, b := lo, hi
 	c := b - invPhi*(b-a)
 	d := a + invPhi*(b-a)
@@ -52,57 +45,9 @@ func goldenSection(f func(float64) float64, lo, hi, flo, fhi, tol float64) (floa
 		best, fBest = lo, flo
 	}
 	if fhi < fBest {
-		best, fBest = hi, fhi
+		best = hi
 	}
-	return best, fBest
-}
-
-// GridRefineMin minimizes a possibly multimodal 1-D function on [lo, hi] by
-// scanning a uniform grid of gridN points to locate the best basin, then
-// refining with golden section inside the bracketing grid cell. It is exact
-// for unimodal functions and robust for functions with a few basins. The
-// grid values at the cell ends carry into the refinement, so no point is
-// evaluated twice.
-func GridRefineMin(f func(float64) float64, lo, hi float64, gridN int, tol float64) (float64, error) {
-	if lo > hi {
-		return 0, fmt.Errorf("numeric: GridRefineMin interval [%g,%g] reversed", lo, hi)
-	}
-	// Scan for the first grid point of least value and the cell around it.
-	gridN = max(gridN, 3)
-	at := func(k int) float64 { return lo + (hi-lo)*float64(k)/float64(gridN-1) }
-	bestX, bestF := lo, f(lo)
-	bestK := 0
-	fCellLo, fCellHi, prev := bestF, bestF, bestF
-	for k := 1; k < gridN; k++ {
-		x := at(k)
-		v := f(x)
-		if v < bestF {
-			bestX, bestF, bestK = x, v, k
-			fCellLo = prev
-		} else if k == bestK+1 {
-			fCellHi = v
-		}
-		prev = v
-	}
-	if bestK == gridN-1 {
-		fCellHi = bestF
-	}
-	cellLo, cellHi := at(max(bestK-1, 0)), at(min(bestK+1, gridN-1))
-
-	var x, fx float64
-	switch {
-	case cellHi-cellLo <= tol && 0.5*(cellLo+cellHi) == bestX:
-		x, fx = bestX, bestF // an interior cell's midpoint is its grid point
-	case cellHi-cellLo <= tol:
-		x = 0.5 * (cellLo + cellHi)
-		fx = f(x)
-	default:
-		x, fx = goldenSection(f, cellLo, cellHi, fCellLo, fCellHi, tol)
-	}
-	if fx <= bestF {
-		return x, nil
-	}
-	return bestX, nil
+	return best, nil
 }
 
 // MinimizeConvex returns a minimizer on [lo, hi], to tol > 0, of a convex
@@ -119,8 +64,11 @@ func GridRefineMin(f func(float64) float64, lo, hi float64, gridN int, tol float
 // within tol of the minimum is returned as it is, so a point that needs no
 // move gets none; and the first point found with a slope of exactly 0 is
 // returned, so on a flat bottom the answer is the first point of it the
-// walk reaches from x0. The error reports a reversed interval or a tol
-// that is not positive.
+// walk reaches from x0. The search reads only where slope changes sign,
+// so slope may be any nondecreasing function with the derivative's sign,
+// such as the derivative times a positive factor, and the function
+// minimized any that falls, then rises, convex or not. The error reports
+// a reversed interval or a tol that is not positive.
 func MinimizeConvex(slope func(float64) float64, x0, lo, hi, tol float64) (float64, error) {
 	if lo > hi || !(tol > 0) {
 		return 0, fmt.Errorf("numeric: MinimizeConvex on [%g,%g] to tol %g", lo, hi, tol)

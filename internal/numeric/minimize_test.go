@@ -76,108 +76,14 @@ func TestGoldenSectionRandomQuadratics(t *testing.T) {
 	}
 }
 
-func TestGridRefineMin(t *testing.T) {
-	// Bimodal: basins at x=-3 (depth 1) and x=4 (depth 2). Plain golden from
-	// the full interval can land in the wrong basin; the grid must not.
-	f := func(x float64) float64 {
-		a := (x+3)*(x+3) - 1
-		b := (x-4)*(x-4) - 2
-		return math.Min(a, b)
-	}
-	got, err := GridRefineMin(f, -10, 10, 30, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !AlmostEqual(got, 4, 1e-4, 1e-4) {
-		t.Errorf("got %g, want 4", got)
-	}
-	// Unimodal: agrees with golden section.
-	g := func(x float64) float64 { return (x - 1.5) * (x - 1.5) }
-	got, err = GridRefineMin(g, -5, 5, 10, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !AlmostEqual(got, 1.5, 1e-6, 1e-6) {
-		t.Errorf("unimodal: got %g", got)
-	}
-	// Reversed interval errors.
-	if _, err := GridRefineMin(g, 5, -5, 10, 1e-9); err == nil {
-		t.Error("want error on reversed interval")
-	}
-	// Boundary minimum.
-	got, _ = GridRefineMin(func(x float64) float64 { return x }, 2, 9, 8, 1e-9)
-	if got != 2 {
-		t.Errorf("boundary: got %g", got)
-	}
-}
-
-// gridRefineMinReference is GridRefineMin as first written: a grid scan,
-// then the public GoldenSection on the best cell and one more evaluation of
-// its answer. It re-evaluates the cell ends, the golden endpoints and the
-// answer.
-func gridRefineMinReference(f func(float64) float64, lo, hi float64, gridN int, tol float64) float64 {
-	bestX, bestF := lo, f(lo)
-	bestK := 0
-	for k := 1; k < gridN; k++ {
-		x := lo + (hi-lo)*float64(k)/float64(gridN-1)
-		if v := f(x); v < bestF {
-			bestX, bestF, bestK = x, v, k
-		}
-	}
-	cellLo := lo + (hi-lo)*float64(max(bestK-1, 0))/float64(gridN-1)
-	cellHi := lo + (hi-lo)*float64(min(bestK+1, gridN-1))/float64(gridN-1)
-	x, _ := GoldenSection(f, cellLo, cellHi, tol)
-	if f(x) <= bestF {
-		return x
-	}
-	return bestX
-}
-
-// TestGridRefineMinEvaluatesEachPointOnce counts evaluations: no point is
-// evaluated twice, and the argmin is bit-identical to the re-evaluating
-// reference on every minimise test shape, grid size and tolerance.
-func TestGridRefineMinEvaluatesEachPointOnce(t *testing.T) {
-	shapes := []struct {
-		name   string
-		f      func(float64) float64
-		lo, hi float64
-	}{
-		{"parabola", func(x float64) float64 { return (x - 2) * (x - 2) }, -10, 10},
-		{"quartic", func(x float64) float64 { return math.Pow(x-1, 4) }, -5, 5},
-		{"abs", func(x float64) float64 { return math.Abs(x + 3) }, -10, 10},
-		{"min at lo", func(x float64) float64 { return x }, 0, 5},
-		{"min at hi", func(x float64) float64 { return -x }, 0, 5},
-		{"exp plus linear", func(x float64) float64 { return math.Exp(x) - 2*x }, -2, 4},
-		{"bimodal", func(x float64) float64 { return math.Min((x+3)*(x+3)-1, (x-4)*(x-4)-2) }, -10, 10},
-		{"plateau", func(x float64) float64 { return math.Max(math.Abs(x)-1, 0) }, -4, 4},
-	}
-	for _, sh := range shapes {
-		for _, gridN := range []int{3, 8, 24} {
-			for _, tol := range []float64{1e-3, 1e-9, 100} {
-				seen := map[float64]int{}
-				counted := func(x float64) float64 { seen[x]++; return sh.f(x) }
-				got, err := GridRefineMin(counted, sh.lo, sh.hi, gridN, tol)
-				if err != nil {
-					t.Fatalf("%s: %v", sh.name, err)
-				}
-				for x, c := range seen {
-					if c > 1 {
-						t.Errorf("%s gridN=%d tol=%g: f(%g) evaluated %d times", sh.name, gridN, tol, x, c)
-					}
-				}
-				if want := gridRefineMinReference(sh.f, sh.lo, sh.hi, gridN, tol); got != want {
-					t.Errorf("%s gridN=%d tol=%g: argmin %g, reference %g", sh.name, gridN, tol, got, want)
-				}
-			}
-		}
-	}
-}
-
 // convexShapes are convex test shapes with their slopes (at a kink, a
 // value between the one-sided slopes) and their sets of minimizers
 // [wantLo, wantHi]: smooth basins, kinks, minima at either end, and flat
-// bottoms inside the interval and against either end. simple marks a
-// slope with a simple root, where the search converges superlinearly.
+// bottoms inside the interval and against either end; and one ratio,
+// (x+1)/log1p(x), whose "slope" is only a nondecreasing function with the
+// derivative's sign, log1p(x) - 1 (the derivative times log1p(x)^2), as
+// the TDMA power search's is. simple marks a slope with a simple root,
+// where the search converges superlinearly.
 var convexShapes = []struct {
 	name           string
 	f, slope       func(float64) float64
@@ -192,6 +98,7 @@ var convexShapes = []struct {
 	{"min at hi", func(x float64) float64 { return -x }, func(float64) float64 { return -1 }, 0, 5, 5, 5, false},
 	{"steep toward lo", func(x float64) float64 { return 1/(x*x*x) + x }, func(x float64) float64 { return 1 - 3/(x*x*x*x) }, 1e-3, 100, math.Pow(3, 0.25), math.Pow(3, 0.25), true},
 	{"exp plus linear", func(x float64) float64 { return math.Exp(x) - 2*x }, func(x float64) float64 { return math.Exp(x) - 2 }, -2, 4, math.Ln2, math.Ln2, true},
+	{"ratio, sign only", func(x float64) float64 { return (x + 1) / math.Log1p(x) }, func(x float64) float64 { return math.Log1p(x) - 1 }, 1e-3, 20, math.E - 1, math.E - 1, true},
 	{"plateau", func(x float64) float64 { return math.Max(math.Abs(x)-1, 0) }, plateauSlope(-1, 1), -4, 4, -1, 1, false},
 	{"flat at lo", func(x float64) float64 { return math.Max(x-1, 0) }, plateauSlope(-4, 1), -4, 4, -4, 1, false},
 	{"flat at hi", func(x float64) float64 { return math.Max(-2-x, 0) }, plateauSlope(-2, 4), -4, 4, -2, 4, false},

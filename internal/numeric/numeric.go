@@ -1,8 +1,8 @@
 // Package numeric provides the scalar numerical routines used throughout the
 // reproduction: the Lambert W function, root finding (bisection, Brent,
-// Newton, Illinois), one-dimensional minimization (golden section, a grid
-// scan refined by golden section, and a convex search on the slope), and
-// small statistical helpers.
+// Newton, Illinois), one-dimensional minimization (golden section on
+// function values, and a search on the slope's sign for convex and other
+// falling-then-rising functions), and small statistical helpers.
 //
 // Everything is implemented from scratch on top of the standard library so
 // that the module has no external dependencies. The routines favour

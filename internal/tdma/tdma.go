@@ -105,20 +105,19 @@ func Optimize(s *fl.System, w fl.Weights) (Allocation, Metrics, error) {
 		Slots: make([]float64, n),
 	}
 
-	// Per-device power: minimize w1*p*tau(p) + w2*tau(p) with
-	// tau(p) = d/G(p, B). Both terms are smooth in p; the cost is unimodal
-	// (energy rises with p, slot time falls), so grid+golden is robust.
+	// Per-device power: minimize rg*d*(w1*p + w2)/G(p), the energy
+	// w1*p*tau(p) plus the slot time w2*tau(p) with tau(p) = d/G(p, B).
+	// Its slope has the sign of phi(p) = w1*G(p) - (w1*p + w2)*G'(p), with
+	// G' = g/(N0*ln2*(1 + p*g/(N0*B))), and G is concave, so
+	// phi' = -(w1*p + w2)*G'' >= 0: phi is nondecreasing, and the cost is
+	// least where phi changes sign (numeric.MinimizeConvex).
 	rg := s.GlobalRounds
 	for i, d := range s.Devices {
-		cost := func(p float64) float64 {
-			g := wireless.Rate(p, s.Bandwidth, d.Gain, s.N0)
-			if g <= 0 {
-				return math.Inf(1)
-			}
-			tau := d.UploadBits / g
-			return w.W1*rg*p*tau + w.W2*rg*tau
+		phi := func(p float64) float64 {
+			dg := d.Gain / (s.N0 * math.Ln2 * (1 + p*d.Gain/(s.N0*s.Bandwidth)))
+			return w.W1*wireless.Rate(p, s.Bandwidth, d.Gain, s.N0) - (w.W1*p+w.W2)*dg
 		}
-		p, err := numeric.GridRefineMin(cost, d.PMin, d.PMax, 16, 1e-9*d.PMax)
+		p, err := numeric.MinimizeConvex(phi, d.PMin, d.PMin, d.PMax, 1e-9*d.PMax)
 		if err != nil {
 			return Allocation{}, Metrics{}, fmt.Errorf("tdma: device %d power search: %w", i, err)
 		}
