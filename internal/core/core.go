@@ -96,15 +96,17 @@ type SolveTrace struct {
 	NewtonIters int
 	OuterIters  int
 	// ModeDeadline only: bandwidth prices tried, per-device split costs
-	// evaluated at them, candidate splits polished (one per solve), the
-	// polish waterfills' demand sweeps over all devices, each waterfill's
-	// final band sweep included, and the polish re-splits' cost and slope
-	// evaluations at fixed bands.
-	PriceEvals   int
-	SplitEvals   int
-	Polishes     int
-	LevelEvals   int
-	ResplitEvals int
+	// evaluated at them, the polish waterfills' demand sweeps over all
+	// devices, each waterfill's final band sweep included, the polish
+	// re-splits' cost and slope evaluations at fixed bands, and the split
+	// costs' band inversions (water level, pmax floor, pmin junction,
+	// free-branch band) that ran cold, with no start from the device's
+	// last answer that the Newton or Halley iteration could use.
+	PriceEvals     int
+	SplitEvals     int
+	LevelEvals     int
+	ResplitEvals   int
+	ColdInversions int
 }
 
 // Paper selects the paper's own pathways for Algorithm 2. Only

@@ -68,20 +68,29 @@ import (
 // rises. A re-split at fixed bands needs no new waterfill to stay
 // feasible: it still reaches its rate at pmax on its band. So the polish
 // keeps every cheaper re-split, but runs another waterfill only after a
-// pass that moved some split by more than the 1e-9*T split tolerance, and
-// at most three more; each waterfill is exact for the splits it is given,
-// and a move within the tolerance would not change the bands beyond
-// rounding. Each waterfill starts its level search
+// pass that moved some split by more than twice the 1e-9*T split
+// tolerance, and at most three more; each waterfill is exact for the
+// splits it is given. The price search's split and the re-split each lie
+// within the tolerance of their own minimum, so a move of up to twice it
+// does not show that the minimum moved; such moves, which rounding in
+// either search decides, would not change the bands beyond rounding
+// either. Each waterfill starts its level search
 // from a level this solve already holds: the hi price, which the price
 // search has pinned to 1e-7 in ln(lambda), then the previous pass's level.
 //
-// A split evaluation costs one water-level inversion (bandAt) and little
-// else. Its device is built with the band floor unknown (newSplitDevice):
-// the floor is a Lambert W solve, and bandAt computes it only when the
-// water-level band would need power pmax or more, which is rare. The
-// free-branch band (power at pmin) and its rate do not depend on the
-// split, so each device's search computes them at most once per price; on
-// the rate-pinned branch the energy reuses the power bandAt found.
+// A split evaluation costs one water-level inversion and, where the band
+// leaves the water level, one more: about 3,640 inversions per corpus
+// solve, of which 920 solve for the pmax floor or the pmin junction band
+// (the band where pmax or pmin reaches the rate floor; its device is
+// built with the floor unknown, newSplitDevice) and 197 for the
+// free-branch band (power at pmin), which does not depend on the split, so
+// each device's search computes it at most once per price. Two
+// evaluations in a row of one device differ by a small step in split or
+// price, so every inversion starts from the device's last answer, kept in
+// ds.starts across the whole solve, and takes a Newton or Halley step or
+// two there (bandFrom), where the cold path runs a Lambert W solve; about
+// 238 per solve have no usable start and run cold. On the water level the
+// power and the slope reuse the expm1(x) the inversion ends with.
 //
 // Unlike alternating f/(p,B) updates — which ratchet every device's rate
 // floor at its incoming upload time — the price decomposition explores the
@@ -169,8 +178,11 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 		slope += ds.deadlineSlope(i, math.Exp(hi.x), t)
 	}
 
+	for _, st := range ds.starts {
+		tr.ColdInversions += st.colds
+	}
+
 	// Polish the under-demand end's splits into an allocation.
-	tr.Polishes++
 	splits, level := hi.t, math.Exp(hi.x)
 	reduced := make([]reducedDevice, n)
 	bands := make([]float64, n)
@@ -205,7 +217,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 		}
 		// Re-split each device at its fixed bandwidth; only a device that
 		// moves needs its reduction re-derived. Only a move by more than
-		// the split tolerance earns another waterfill.
+		// twice the split tolerance earns another waterfill.
 		moved := false
 		for i := range s.Devices {
 			t, ok := ds.bestResplit(i, bands[i], splits[i], tr)
@@ -214,7 +226,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 			}
 			tr.ResplitEvals += 2
 			if ds.resplitCost(i, bands[i], t) < ds.resplitCost(i, bands[i], splits[i]) {
-				moved = moved || math.Abs(t-splits[i]) > ds.tol
+				moved = moved || math.Abs(t-splits[i]) > 2*ds.tol
 				splits[i] = t
 				if err := derive(i); err != nil {
 					return fl.Allocation{}, 0, 0, err
@@ -244,13 +256,16 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 
 // deadlineSolve is what every split evaluation of one fixed-deadline solve
 // reads: the system, the round deadline and each device's plan, with the
-// split tolerance of both searches and the price search's scratch.
+// split tolerance of both searches and the price search's scratch, and
+// each device's last band inversions, which start its next (bandFrom)
+// across every price of the solve.
 type deadlineSolve struct {
 	s             *fl.System
 	roundDeadline float64
 	plans         []devPlan
 	tol           float64     // 1e-9*T
 	seen          []splitEval // the current bestSplit's evaluations
+	starts        []bandStart // each device's last band inversions
 }
 
 // splitEval is one evaluation of splitCost.
@@ -291,7 +306,7 @@ func newDeadlineSolve(s *fl.System, roundDeadline float64) (deadlineSolve, error
 			tFloor: roundDeadline - cycles/d.FMin,
 		}
 	}
-	return deadlineSolve{s: s, roundDeadline: roundDeadline, plans: plans, tol: 1e-9 * roundDeadline}, nil
+	return deadlineSolve{s: s, roundDeadline: roundDeadline, plans: plans, tol: 1e-9 * roundDeadline, starts: make([]bandStart, len(plans))}, nil
 }
 
 // compEnergy is device i's per-round compute energy at upload time t: the
@@ -322,20 +337,25 @@ func (ds *deadlineSolve) compSlope(i int, t float64) float64 {
 // (N0*b/g)*(expm1(x)*(1-x) - x), the form reducedDevice.marginal uses
 // against cancellation at small x.
 func (ds *deadlineSolve) pinnedSlope(i int, b, t float64) float64 {
-	d := &ds.s.Devices[i]
-	x := d.UploadBits / t * math.Ln2 / b
-	return ds.s.N0 * b / d.Gain * (math.Expm1(x)*(1-x) - x)
+	x := ds.s.Devices[i].UploadBits / t * math.Ln2 / b
+	return ds.pinnedSlopeAt(i, b, x, math.Expm1(x))
+}
+
+// pinnedSlopeAt is pinnedSlope given x and em1 = expm1(x).
+func (ds *deadlineSolve) pinnedSlopeAt(i int, b, x, em1 float64) float64 {
+	return ds.s.N0 * b / ds.s.Devices[i].Gain * (em1*(1-x) - x)
 }
 
 // splitCost returns device i's cost at split t and price lambda, compute
 // energy plus reduced transmission energy plus lambda*B, its slope in t
 // and its band B. free holds the free-branch band at lambda across the
-// device's splits. A split whose rate pmax cannot reach costs +Inf with
-// slope -Inf.
+// device's splits; the band inversions start from the device's last ones
+// (bandFrom). A split whose rate pmax cannot reach costs +Inf with slope
+// -Inf.
 //
 // The cost is the least over bands of a cost jointly convex in split and
 // band (see solveDeadlineJoint), and its slope follows the band that
-// bandAtFree picks. At a water-level band the envelope theorem gives the
+// bandFrom picks. At a water-level band the envelope theorem gives the
 // fixed-band slope, compSlope plus pinnedSlope. On the free branch the
 // band and the transmission energy do not depend on t: compSlope alone.
 // On the pmax floor bForced(t), and at the pmin junction band, the power
@@ -351,22 +371,25 @@ func (ds *deadlineSolve) splitCost(i int, lambda, t float64, free *freeBranch) (
 	if !ok {
 		return math.Inf(1), math.Inf(-1), 0
 	}
-	b, p := rd.bandAtFree(n0, lambda, free)
+	b, p, x, em1 := rd.bandFrom(n0, lambda, free, &ds.starts[i])
 	if math.IsInf(b, 1) {
 		return b, math.Inf(-1), b
 	}
-	cost = ds.compEnergy(i, t) + rd.energyAt(n0, b, p) + lambda*b
 	slope = ds.compSlope(i, t)
+	var energy float64
 	switch {
-	case p != 0: // a water-level band
-		slope += ds.pinnedSlope(i, b, t)
-	case b != free.b: // the pmax floor or the pmin junction
-		p = numeric.Clamp(wireless.PowerForRate(rd.rmin, b, d.Gain, n0), d.PMin, d.PMax)
+	case em1 != 0: // a water-level band
+		energy = rd.energyAt(n0, b, p)
+		slope += ds.pinnedSlopeAt(i, b, x, em1)
+	case p == 0: // the free branch
+		energy = rd.pmin * rd.d / free.rate
+	default: // the pmax floor or the pmin junction: rate rmin at power p
+		energy = p * rd.d / rd.rmin
 		theta := p * d.Gain / (n0 * b)
 		gb := numeric.Log2p1(theta) - theta/((1+theta)*math.Ln2)
 		slope += p - lambda*rd.rmin/(t*gb)
 	}
-	return cost, slope, b
+	return ds.compEnergy(i, t) + energy + lambda*b, slope, b
 }
 
 // bestSplit returns device i's best split t at price lambda in the window

@@ -218,13 +218,18 @@ func TestDeadlineFixedPowerNearMinimum(t *testing.T) {
 // scans refined by parabolic interpolation they replaced and 4,091 for
 // those scans pruned by a cost floor; more than half of them go to the
 // first three prices, whose brackets are wide, where a split moves far
-// from any split already known. The re-splits root-find their convex
-// cost's slope from the current split, about 423 cost and slope
-// evaluations per solve against about 4,686 for the grid-and-golden-
-// section re-splits they replaced, and a re-split within the split
-// tolerance earns no further waterfill (about 13.0 sweeps per solve, 11.8
-// when the price search scanned a grid; 24.5 when every cheaper re-split
-// earned one).
+// from any split already known. Each split evaluation's band inversions
+// start from the device's last answers (bandFrom): of about 3,640 per
+// solve (2,523 water levels, 920 floor and junction bands, 197 free-branch
+// bands), about 238 run cold, the first of each kind per device and the
+// few that Newton's method cannot finish from their start. The re-splits root-find their convex cost's
+// slope from the current split, about 236 cost and slope evaluations per
+// solve against about 4,686 for the grid-and-golden-section re-splits they
+// replaced, and a re-split that moves by no more than twice the split
+// tolerance earns no further waterfill (about 7.4 sweeps per solve; 13.0
+// when a move by more than one tolerance earned one, which rounding in
+// the two searches' answers alone decided, between 5 and 24 sweeps per
+// solve; 24.5 when every cheaper re-split earned one).
 func TestDeadlineEvaluationCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("48 N=50 deadline solves")
@@ -240,19 +245,20 @@ func TestDeadlineEvaluationCounts(t *testing.T) {
 	split := float64(tr.SplitEvals) / float64(len(corpus))
 	level := float64(tr.LevelEvals) / float64(len(corpus))
 	resplit := float64(tr.ResplitEvals) / float64(len(corpus))
-	if price > 7.5 || split > 2700 || level > 13 || resplit > 460 {
-		t.Errorf("mean %.2f price, %.0f split, %.1f level and %.0f re-split evaluations per solve, budget 7.5, 2700, 13 and 460",
-			price, split, level, resplit)
+	cold := float64(tr.ColdInversions) / float64(len(corpus))
+	if price > 7.5 || split > 2700 || level > 13 || resplit > 460 || cold > 300 {
+		t.Errorf("mean %.2f price, %.0f split, %.1f level and %.0f re-split evaluations and %.0f cold inversions per solve, budget 7.5, 2700, 13, 460 and 300",
+			price, split, level, resplit, cold)
 	}
-	t.Logf("mean %.2f price, %.0f split, %.1f level and %.0f re-split evaluations per solve", price, split, level, resplit)
+	t.Logf("mean %.2f price, %.0f split, %.1f level and %.0f re-split evaluations and %.0f cold inversions per solve", price, split, level, resplit, cold)
 
 	var weighted SolveTrace
 	if _, err := Optimize(corpus[0], fl.Weights{W1: 0.5, W2: 0.5}, Options{Trace: &weighted}); err != nil {
 		t.Fatal(err)
 	}
-	if weighted.PriceEvals != 0 || weighted.SplitEvals != 0 || weighted.LevelEvals != 0 || weighted.ResplitEvals != 0 {
-		t.Errorf("weighted solve counted %d price, %d split, %d level and %d re-split evaluations, want none",
-			weighted.PriceEvals, weighted.SplitEvals, weighted.LevelEvals, weighted.ResplitEvals)
+	if weighted.PriceEvals != 0 || weighted.SplitEvals != 0 || weighted.LevelEvals != 0 || weighted.ResplitEvals != 0 || weighted.ColdInversions != 0 {
+		t.Errorf("weighted solve counted %d price, %d split, %d level and %d re-split evaluations and %d cold inversions, want none",
+			weighted.PriceEvals, weighted.SplitEvals, weighted.LevelEvals, weighted.ResplitEvals, weighted.ColdInversions)
 	}
 }
 
@@ -263,8 +269,8 @@ func TestDeadlineEvaluationCounts(t *testing.T) {
 // frequency floor (FMin a large share of FMax) that gives some device's
 // split cost a flat bottom at the final price bracket: compute at FMin and
 // transmission at pmin over a range of splits. There the bracket ends keep
-// different best splits, and the under-demand end's splits are still the
-// one candidate polished.
+// different best splits, and the under-demand end's splits, the one
+// candidate polished, must still meet the same checks.
 func TestDeadlineStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("202 deadline solves")
@@ -289,7 +295,7 @@ func TestDeadlineStress(t *testing.T) {
 	jumps := []stressCase{{5, 4, false, 0.5, 1.01}, {5, 8, false, 0.75, 1.001}}
 	cases = append(cases, jumps...)
 	bestGap, worstGap := math.Inf(1), math.Inf(-1)
-	for k, c := range cases {
+	for _, c := range cases {
 		s := newTestSystem(c.n, c.seed)
 		for i := range s.Devices {
 			d := &s.Devices[i]
@@ -305,8 +311,7 @@ func TestDeadlineStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		round := mt.RoundDeadline * c.slack
-		var tr SolveTrace
-		alloc, bound, _, err := solveDeadlineJoint(s, round, &tr)
+		alloc, bound, _, err := solveDeadlineJoint(s, round, nil)
 		if err != nil {
 			t.Errorf("%+v: %v", c, err)
 			continue
@@ -320,9 +325,6 @@ func TestDeadlineStress(t *testing.T) {
 			t.Errorf("%+v: primal-dual gap %.3g outside [-1e-9, 1e-5]", c, gap)
 		}
 		bestGap, worstGap = min(bestGap, gap), max(worstGap, gap)
-		if k >= len(cases)-len(jumps) && tr.Polishes != 1 {
-			t.Errorf("%+v: %d candidates polished on a flat bottom, want 1", c, tr.Polishes)
-		}
 	}
 	t.Logf("primal-dual gaps in [%.3g, %.3g]", bestGap, worstGap)
 }

@@ -118,30 +118,19 @@ func (rd reducedDevice) bandAt(n0, lambda float64) float64 {
 }
 
 // freeBranch is a device's free-branch band at one price and its rate at
-// pmin there; the zero value means not yet computed.
+// pmin there; the zero value means not yet computed. Neither depends on
+// rmin, so the deadline solver's split search, which asks one level of
+// devices that differ only in rmin, keeps one per device and price and
+// computes it at most once (bandFrom).
 type freeBranch struct{ b, rate float64 }
 
 // bandAtFree is bandAt with the free-branch band and its rate kept in
-// *free. Neither depends on rmin, so the deadline solver's split search,
-// which asks one level of devices that differ only in rmin, computes them
-// once per device and price. On the rate-pinned branch it also returns the
-// power PowerForRate(rmin, b) it computed, for energyAt; elsewhere 0.
+// *free, every inversion cold: the split search's bandFrom starts them
+// from the device's last answers instead, and equals this to rounding. On
+// the rate-pinned branch it also returns the power PowerForRate(rmin, b)
+// it computed, for energyAt; elsewhere 0.
 func (rd reducedDevice) bandAtFree(n0, lambda float64, free *freeBranch) (float64, float64) {
-	c := lambda * rd.rmin * rd.g / (rd.d * n0)
-	z := (c - 1) / math.E
-	var w float64
-	var err error
-	if z >= -0.25 && z < math.MaxFloat64 {
-		w = numeric.LambertW0Winitzki(z)
-	} else {
-		w, err = numeric.LambertW0(z)
-	}
-	x := 1 + w
-	if err != nil || !(x > 0) {
-		x = math.Sqrt(2 * c) // phi(x) ~ x^2/2 near 0
-	}
-	em1 := math.Expm1(x)
-	x -= (x - em1*(1-x) - c) / (x * (em1 + 1))
+	x := level(lambda * rd.rmin * rd.g / (rd.d * n0))
 	b := rd.rmin * math.Ln2 / x
 	p := wireless.PowerForRate(rd.rmin, b, rd.g, n0)
 	if rd.bForced == 0 && !(p < rd.pmax) {
@@ -159,7 +148,7 @@ func (rd reducedDevice) bandAtFree(n0, lambda float64, free *freeBranch) (float6
 	}
 
 	if !(free.b > 0) {
-		free.b = rd.freeBand(n0, lambda)
+		free.b, _ = rd.freeBand(n0, lambda, 0)
 		free.rate = wireless.Rate(rd.pmin, free.b, rd.g, n0)
 	}
 	if free.rate >= rd.rmin {
@@ -171,15 +160,174 @@ func (rd reducedDevice) bandAtFree(n0, lambda float64, free *freeBranch) (float6
 	return bj, 0
 }
 
+// level returns the water level x > 0 with phi(x) = 1 + (x-1)*e^x = c,
+// cold (see bandAt).
+func level(c float64) float64 {
+	z := (c - 1) / math.E
+	var w float64
+	var err error
+	if z >= -0.25 && z < math.MaxFloat64 {
+		w = numeric.LambertW0Winitzki(z)
+	} else {
+		w, err = numeric.LambertW0(z)
+	}
+	x := 1 + w
+	if err != nil || !(x > 0) {
+		x = math.Sqrt(2 * c) // phi(x) ~ x^2/2 near 0
+	}
+	em1 := math.Expm1(x)
+	return x - (x-em1*(1-x)-c)/(x*(em1+1))
+}
+
+// levelFrom solves phi(x) = c from x0 and returns x with expm1(x). Each
+// step is Halley's: Newton's step n = (phi(x)-c)/phi'(x) divided by
+// 1 - n*h, where h = (x+1)/(2x) is phi's second derivative (x+1)*e^x over
+// twice its first, so the curvature costs nothing beyond the exponential
+// Newton's step takes. The error after a step s is about C*|s|^3 with
+// C = (x^2+2x+3)/(12x^2) <= h^2, so once h^2*|s|^3 is below x's rounding,
+// x is done and expm1 moves by (expm1+1)*expm1(-s), where
+// expm1(-s) = -s*(1-s/2*(1-s/3)) to rounding at such s. From far below
+// the root a Newton step overshoots to where its descent back takes
+// hundreds of steps; Halley's step is bounded there by 1/h. It reports
+// false when x0 is no start (not positive), or when a step leaves x > 0
+// or fails to shrink, where the caller solves cold (level).
+func levelFrom(x0, c float64) (x, em1 float64, ok bool) {
+	x, last := x0, math.Inf(1)
+	for x > 0 {
+		em1 = math.Expm1(x)
+		h := (x + 1) / (2 * x)
+		n := (x - em1*(1-x) - c) / (x * (em1 + 1))
+		s := n / (1 - n*h)
+		if !(math.Abs(s) < last) {
+			break
+		}
+		x -= s
+		if h*h*s*s*math.Abs(s) <= 0x1p-53*x {
+			return x, em1 - (em1+1)*s*(1-s/2*(1-s/3)), x > 0
+		}
+		last = math.Abs(s)
+	}
+	return 0, 0, false
+}
+
+// bandStart is one device's last band inversions in one fixed-deadline
+// solve, the starts of its next: the water level x and the last pmax
+// floor, pmin junction and free-branch bands. A zero field has no start
+// yet. colds counts the inversions that ran the cold path.
+type bandStart struct {
+	x, floor, junction, free float64
+	colds                    int
+}
+
+// bandFrom is bandAtFree for the deadline solver's split search, whose
+// evaluations of one device move its split and price little from one to
+// the next. Each inversion (the water level, and the floor, junction and
+// free-branch bands where they are needed) runs Newton's method, or
+// Halley's for the water level, from the device's last answer in st,
+// which it updates (levelFrom, bandForRate, freeBand), and falls back to
+// bandAtFree's cold inversion when there is no start or the iteration
+// cannot use it. It returns the band and the power there:
+// PowerForRate(rmin, b) on the water level, taken from expm1(x) rather
+// than a second exponential, pmax on the floor, pmin at the junction and
+// 0 on the free branch; and on the water level x = rmin*ln2/b and
+// expm1(x), else 0. The floor band is +Inf when rmin/RateLimit(pmax)
+// rounds to 1.
+func (rd reducedDevice) bandFrom(n0, lambda float64, free *freeBranch, st *bandStart) (b, p, x, em1 float64) {
+	c := lambda * rd.rmin * rd.g / (rd.d * n0)
+	x, em1, ok := levelFrom(st.x, c)
+	if !ok {
+		st.colds++
+		x = level(c)
+		em1 = math.Expm1(x)
+	}
+	st.x = x
+	b = rd.rmin * math.Ln2 / x
+	p = em1 * n0 * b / rd.g
+	if !(p < rd.pmax) {
+		if bf := rd.bandForRate(n0, rd.pmax, &st.floor, &st.colds); !(b > bf) {
+			return bf, rd.pmax, 0, 0
+		}
+	}
+	if p >= rd.pmin {
+		return b, p, x, em1
+	}
+
+	if !(free.b > 0) {
+		var warm bool
+		if free.b, warm = rd.freeBand(n0, lambda, st.free); !warm {
+			st.colds++
+		}
+		free.rate = wireless.Rate(rd.pmin, free.b, rd.g, n0)
+		st.free = free.b
+	}
+	if free.rate >= rd.rmin {
+		return free.b, 0, 0, 0
+	}
+	return rd.bandForRate(n0, rd.pmin, &st.junction, &st.colds), rd.pmin, 0, 0
+}
+
+// bandForRate is wireless.BandwidthForRate(rmin, p, g, N0), the band where
+// power p reaches the rate rmin, solved by Newton's method (snrFrom) from
+// the band *b when it can and cold otherwise, counted in *colds. *b takes
+// the answer. It is +Inf when rmin/RateLimit(p) rounds to 1.
+func (rd reducedDevice) bandForRate(n0, p float64, b *float64, colds *int) float64 {
+	k := p * rd.g / n0
+	if e, ok := snrFrom(k / *b, rd.rmin*math.Ln2/k); ok {
+		*b = k / e
+		return *b
+	}
+	*colds++
+	bf, err := wireless.BandwidthForRate(rd.rmin, p, rd.g, n0)
+	if err != nil {
+		return math.Inf(1)
+	}
+	*b = bf
+	return bf
+}
+
+// snrFrom solves q(e) = log1p(e)/e = a for the SNR e = K/b of the band
+// where power p reaches rate r (K = p*g/N0, a = r*ln2/K), by Newton's
+// method from e0. q is convex and decreasing from 1 at e = 0, so a root
+// exists for 0 < a < 1 and the iterates rise to it after the first step.
+// q's second derivative is -2q'/e - 1/(e*(1+e)^2), at most -2q'/e, so
+// the error after a step s, about s^2 times that over 2|q'|, is at most
+// s^2/e, and once that is below e's rounding e is done. It reports false
+// when e0 is no start (not positive and finite), or when a step leaves
+// e > 0 or fails to shrink, as it does when a >= 1, where the caller
+// solves cold.
+func snrFrom(e0, a float64) (float64, bool) {
+	e, last := e0, math.Inf(1)
+	for e > 0 && e < math.Inf(1) {
+		l := math.Log1p(e)
+		s := (l/e - a) * e * e / (e/(1+e) - l)
+		if !(math.Abs(s) < last) {
+			break
+		}
+		e -= s
+		if s*s <= 0x1p-52*e*e {
+			return e, e > 0
+		}
+		last = math.Abs(s)
+	}
+	return 0, false
+}
+
 // freeBand returns the bandwidth where the free branch's marginal, power
 // at pmin, equals lambda. With y = K/b, K = pmin*g/N0 and L = ln(1+y), that
 // marginal is (pmin*d*ln2/K^2)*h(y), h(y) = y^2*(L - y/(1+y))/L^2. The
 // slope of ln h in ln y stays between 1.7 and 2, so Newton's method in ln y
-// converges in a few steps from the small-y root sqrt(2*c).
-func (rd reducedDevice) freeBand(n0, lambda float64) float64 {
+// converges in a few steps from anywhere: from the band b0, the answer at
+// a nearby price, when its y is positive and finite (it reports whether it
+// was), or else from the small-y root sqrt(2*c).
+func (rd reducedDevice) freeBand(n0, lambda, b0 float64) (float64, bool) {
 	k := rd.pmin * rd.g / n0
 	c := lambda * k * k / (rd.pmin * rd.d * math.Ln2)
 	y := math.Sqrt(2 * c)
+	y0 := k / b0
+	warm := y0 > 0 && y0 < math.Inf(1)
+	if warm {
+		y = y0
+	}
 	for i := 0; i < 30; i++ {
 		l := math.Log1p(y)
 		a := l - y/(1+y)
@@ -190,5 +338,5 @@ func (rd reducedDevice) freeBand(n0, lambda float64) float64 {
 			break
 		}
 	}
-	return k / y
+	return k / y, warm
 }

@@ -26,7 +26,7 @@ cd "$(dirname "$0")/.."
 
 BENCHES='^(BenchmarkOptimizeWeighted|BenchmarkOptimizeJointWeighted|BenchmarkOptimizeDeadline|BenchmarkOptimizeScale|BenchmarkServeCold|BenchmarkServeCached|BenchmarkServeDrift|BenchmarkServeTraced|BenchmarkServeBatch|BenchmarkClusterRoutedCached|BenchmarkStreamDelta|BenchmarkStreamRepostCold|BenchmarkMassHandoff|BenchmarkHandoffPerDevice)$'
 BENCHTIME="${BENCHTIME:-2s}"
-PAIRED='BenchmarkOptimizeWeighted BenchmarkOptimizeDeadline BenchmarkOptimizeScale/N=500/deadline BenchmarkOptimizeScale/N=5000/deadline BenchmarkServeCold BenchmarkServeCached BenchmarkServeDrift BenchmarkClusterRoutedCached BenchmarkHandoffPerDevice BenchmarkStreamDelta'
+PAIRED='BenchmarkOptimizeWeighted BenchmarkOptimizeJointWeighted BenchmarkOptimizeDeadline BenchmarkOptimizeScale/N=500/deadline BenchmarkOptimizeScale/N=5000/deadline BenchmarkServeCold BenchmarkServeCached BenchmarkServeDrift BenchmarkClusterRoutedCached BenchmarkHandoffPerDevice BenchmarkStreamDelta'
 
 out="$(go test -run '^$' -bench "$BENCHES" -benchmem -benchtime "$BENCHTIME" -count 1 .)"
 echo "$out" >&2
