@@ -17,10 +17,8 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -29,6 +27,8 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/node"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -52,10 +52,10 @@ func main() {
 	)
 	flag.Parse()
 	if *version {
-		fmt.Println(repro.ObsVersionString())
+		fmt.Println(obs.VersionString())
 		return
 	}
-	if _, err := repro.ObsSetupLogger(os.Stderr, *logLevel, *logJSON); err != nil {
+	if _, err := obs.SetupDefault(os.Stderr, *logLevel, *logJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
@@ -75,44 +75,9 @@ func main() {
 	// aggregator as a single-span trace, so long batch runs are visible on
 	// the ops dashboard next to live traffic. With -debug-addr the run
 	// mounts the same debug surface as the serving cmds (pprof,
-	// /debug/traces, /debug/dashboard, /debug/flight, /debug/incident) —
-	// handy for profiling a long figure sweep in flight.
-	var tr *repro.ObsTrace
-	var exp *repro.TelemetryExporter
-	var col *repro.ObsCollector
-	var flight *repro.FlightRecorder
-	if *spanExport != "" || *debugAddr != "" {
-		col = repro.NewObsCollector(repro.ObsConfig{SampleEvery: 1})
-		flight = repro.NewFlightRecorder(0)
-		if *spanExport != "" {
-			exp = repro.NewTelemetryExporter(repro.TelemetryExporterConfig{Origin: "experiments", Target: *spanExport})
-		}
-		col.SetSink(func(t repro.ObsTraceJSON) {
-			if exp != nil {
-				exp.Enqueue(t)
-			}
-			flight.Observe(t)
-		})
-		_, tr = col.StartTrace(context.Background())
-	}
-	if *debugAddr != "" {
-		dash := repro.TelemetryDashboardConfig{Sources: []repro.TelemetrySource{
-			{Name: "runtime", Fetch: func() any { return repro.ReadRuntimeVitals() }},
-			{Name: "flight", Fetch: func() any { return flight.StatsJSON() }},
-		}}
-		debugSrv := &http.Server{Addr: *debugAddr, Handler: repro.TelemetryDebugMux(repro.TelemetryDebugMuxConfig{
-			Collector: col,
-			Dashboard: &dash,
-			Flight:    flight,
-			Incident:  repro.IncidentHandler(repro.IncidentBundleConfig{Origin: "experiments", Flight: flight}),
-			Metrics:   repro.TelemetryMetricsHandler(repro.WriteRuntimePrometheus, flight.WritePrometheus),
-		})}
-		go func() {
-			if err := debugSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "experiments: debug listener failed:", err)
-			}
-		}()
-	}
+	// /debug/traces, /debug/dashboard, /debug/flight, /debug/incident,
+	// /metrics) — handy for profiling a long figure sweep in flight.
+	tr, flush := node.Batch("experiments", *spanExport, *debugAddr)
 	began := time.Now()
 
 	var err error
@@ -123,13 +88,9 @@ func main() {
 	} else {
 		err = run(*fig, *trials, *seed, *csvDir)
 	}
-	if tr != nil {
-		tr.RecordDur(phase, began, time.Since(began), repro.ObsAttr{Detail: *fig})
-		tr.Finish()
-		if exp != nil {
-			exp.Close()
-		}
-	}
+	tr.RecordDur(phase, began, time.Since(began), obs.Attr{Detail: *fig})
+	tr.Finish()
+	flush()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	"repro"
+	"repro/internal/serve"
 )
 
 // runSweep replays steps drifted instances (N = n devices, log-normal gain
@@ -46,7 +47,7 @@ func runSweep(steps, n int, sweepDrift, deadline, radius float64, seed int64) er
 	weighted := repro.Weights{W1: 0.5, W2: 0.5}
 	energyOnly := repro.Weights{W1: 1, W2: 0}
 
-	solve := func(s *repro.System, w repro.Weights, solver repro.ServeSolverName, opts repro.Options) (repro.ServeResponse, error) {
+	solve := func(s *repro.System, w repro.Weights, solver serve.SolverName, opts repro.Options) (repro.ServeResponse, error) {
 		return srv.Solve(context.Background(), repro.ServeRequest{
 			System:  s,
 			Weights: w,
@@ -81,20 +82,20 @@ func runSweep(steps, n int, sweepDrift, deadline, radius float64, seed int64) er
 		snap := *sys
 		snap.Devices = append([]repro.Device(nil), sys.Devices...)
 
-		a2w, err := solve(&snap, weighted, repro.ServeSolverAlgorithm2, repro.Options{})
+		a2w, err := solve(&snap, weighted, serve.SolverAlgorithm2, repro.Options{})
 		if err != nil {
 			return fmt.Errorf("step %d algorithm2 weighted: %w", step, err)
 		}
-		simp, err := solve(&snap, weighted, repro.ServeSolverSimplified, repro.Options{})
+		simp, err := solve(&snap, weighted, serve.SolverSimplified, repro.Options{})
 		if err != nil {
 			return fmt.Errorf("step %d simplified: %w", step, err)
 		}
 		dopts := repro.Options{Mode: repro.ModeDeadline, TotalDeadline: deadline}
-		a2d, err := solve(&snap, energyOnly, repro.ServeSolverAlgorithm2, dopts)
+		a2d, err := solve(&snap, energyOnly, serve.SolverAlgorithm2, dopts)
 		if err != nil {
 			return fmt.Errorf("step %d algorithm2 deadline: %w", step, err)
 		}
-		s1, err := solve(&snap, energyOnly, repro.ServeSolverScheme1, dopts)
+		s1, err := solve(&snap, energyOnly, serve.SolverScheme1, dopts)
 		if err != nil {
 			return fmt.Errorf("step %d scheme1: %w", step, err)
 		}

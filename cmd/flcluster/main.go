@@ -63,16 +63,20 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
-	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
-	"repro"
+	"repro/internal/cluster"
+	"repro/internal/ctrl"
+	"repro/internal/health"
+	"repro/internal/node"
+	"repro/internal/obs"
+	"repro/internal/obs/forensics"
+	"repro/internal/replica"
+	"repro/internal/serve"
+	"repro/internal/stream"
 )
 
 func main() {
@@ -112,268 +116,69 @@ func main() {
 	)
 	flag.Parse()
 	if *version {
-		fmt.Println(repro.ObsVersionString())
+		fmt.Println(obs.VersionString())
 		return
 	}
-	if _, err := repro.ObsSetupLogger(os.Stderr, *logLevel, *logJSON); err != nil {
+	if _, err := obs.SetupDefault(os.Stderr, *logLevel, *logJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "flcluster:", err)
 		os.Exit(1)
 	}
-	cfg := repro.ClusterConfig{
+
+	n := node.New(node.Config{
+		Origin:           "flcluster",
+		Addr:             *addr,
+		DebugAddr:        *debugAddr,
+		TraceSample:      *traceN,
+		TraceSlow:        *traceSlow,
+		SpanExport:       *spanExport,
+		Profile:          forensics.ProfileConfig{Dir: *profileDir, CPUSeconds: *profileCPU, MinInterval: *profileMin},
+		SnapshotDir:      *snapshotDir,
+		SnapshotInterval: *snapInterval,
+	})
+	cl := cluster.New(cluster.Config{
 		Cells: *cells,
-		Cell: repro.ServeConfig{
+		Cell: serve.Config{
 			Workers:        *workers,
 			QueueDepth:     *queue,
 			CacheEntries:   *cache,
 			CacheTTL:       *ttl,
 			DefaultTimeout: *timeout,
 		},
-	}
-	scfg := repro.StreamConfig{MaxSessions: *sessions, IdleTTL: *sessionTTL}
+	})
+	mgr := stream.NewManager(stream.NewClusterBackend(cl), stream.Config{MaxSessions: *sessions, IdleTTL: *sessionTTL, Trace: n.Collector()})
+	plane := ctrl.New(cl, mgr)
 
-	hcfg := repro.HealthConfig{
-		Tick: *healthTick,
-		Advisor: repro.HealthAdvisorConfig{
-			MinCells: *minCells,
-			MaxCells: *maxCells,
-			Cooldown: *scaleCooldown,
-		},
+	hcfg := health.Config{
+		Source:  health.RouterSource(cl),
+		Tick:    *healthTick,
+		Advisor: health.AdvisorConfig{MinCells: *minCells, MaxCells: *maxCells, Cooldown: *scaleCooldown},
+	}
+	mode := "advise-only"
+	if *autoscale {
+		hcfg.Actuator = ctrl.Actuator{Plane: plane}
+		mode = "enacting"
 	}
 
-	err := runServer(cfg, scfg, hcfg, *autoscale, *addr, *debugAddr, *traceN, *traceSlow, *spanExport, *snapshotDir, *snapInterval,
-		forensicsOpts{Dir: *profileDir, CPUSeconds: *profileCPU, MinInterval: *profileMin})
+	// Serve until SIGINT/SIGTERM: the listener stops accepting, one final
+	// snapshot flushes (when -snapshot-dir is set), and the process exits.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := n.Run(ctx, node.Backend{
+		Stream:       mgr,
+		Plane:        plane,
+		Health:       hcfg,
+		Stats:        func() any { return cl.Stats() },
+		SnapshotFile: "flcluster.snap",
+		Capture:      replica.CaptureCluster(cl, mgr),
+		Restore:      func(s replica.Snapshot) replica.RestoreReport { return replica.RestoreCluster(cl, mgr, s) },
+		Banner: fmt.Sprintf("flcluster: %d cells listening on %s (POST /v1/cells/{id}/solve, POST /v1/solve, POST /v1/stream, POST /v1/handoff, POST/DELETE /v1/cells, POST /v1/rebalance, GET /v1/health, GET /v1/autoscale/plan, GET /debug/alerts, GET /v1/version, GET /v1/stats, GET /metrics); autoscale %s\n",
+			cl.Cells(), *addr, mode),
+	})
+	stop()
+	mgr.Close()
+	cl.Close()
+	n.Close()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flcluster:", err)
 		os.Exit(1)
 	}
-}
-
-// forensicsOpts carries the -profile-* flags into runServer.
-type forensicsOpts struct {
-	Dir         string
-	CPUSeconds  float64
-	MinInterval time.Duration
-}
-
-// newProfileTrigger builds the SLO-triggered pprof capturer from the
-// -profile-* flags (nil when -profile-dir is unset — every ProfileTrigger
-// method is nil-safe, so wiring stays unconditional).
-func newProfileTrigger(opts forensicsOpts) *repro.ProfileTrigger {
-	if opts.Dir == "" {
-		return nil
-	}
-	trig, err := repro.NewProfileTrigger(repro.ProfileConfig{
-		Dir:         opts.Dir,
-		CPUSeconds:  opts.CPUSeconds,
-		MinInterval: opts.MinInterval,
-		Logger:      slog.Default(),
-	})
-	if err != nil {
-		slog.Warn("profile trigger disabled", "dir", opts.Dir, "err", err)
-		return nil
-	}
-	return trig
-}
-
-// runServer serves until SIGINT/SIGTERM: the listener stops accepting,
-// one final snapshot flushes (when -snapshot-dir is set), and the process
-// exits.
-func runServer(cfg repro.ClusterConfig, scfg repro.StreamConfig, hcfg repro.HealthConfig, autoscale bool, addr, debugAddr string, traceN int, traceSlow time.Duration, spanExport string, snapshotDir string, snapInterval time.Duration, fopts forensicsOpts) error {
-	var col *repro.ObsCollector
-	if traceN > 0 {
-		col = repro.NewObsCollector(repro.ObsConfig{SampleEvery: traceN, SlowThreshold: traceSlow})
-	}
-	scfg.Trace = col
-
-	// Telemetry plane: every finished trace feeds an exporter whose local
-	// sink is this process's own aggregator (so /debug/traces always shows
-	// assembled traces, including spans POSTed by remote cells); with
-	// -span-export the same batches also ship to an upstream aggregator.
-	// The flight recorder rides the same sink: every finished trace
-	// (sampled or not) derives one wide event.
-	var agg *repro.TelemetryAggregator
-	var exp *repro.TelemetryExporter
-	var flight *repro.FlightRecorder
-	if col != nil {
-		agg = repro.NewTelemetryAggregator(repro.TelemetryAggregatorConfig{SlowThreshold: traceSlow})
-		exp = repro.NewTelemetryExporter(repro.TelemetryExporterConfig{
-			Origin: "flcluster",
-			Target: spanExport,
-			Local:  agg,
-			Logger: slog.Default(),
-		})
-		flight = repro.NewFlightRecorder(0)
-		col.SetSink(func(t repro.ObsTraceJSON) {
-			exp.Enqueue(t)
-			flight.Observe(t)
-		})
-		defer exp.Close()
-	}
-	trig := newProfileTrigger(fopts)
-	defer trig.Close()
-
-	cl := repro.NewCluster(cfg)
-	defer cl.Close()
-	mgr := repro.NewStreamManager(repro.NewStreamClusterBackend(cl), scfg)
-	defer mgr.Close()
-	plane := repro.NewControlPlane(cl, mgr)
-	plane.SetLogger(slog.Default())
-	if snapshotDir != "" {
-		path := filepath.Join(snapshotDir, "flcluster.snap")
-		repro.ReplicaBootRestore(path, slog.Default(), func(s repro.ReplicaSnapshot) repro.ReplicaRestoreReport {
-			return repro.ReplicaRestoreCluster(cl, mgr, s)
-		})
-		snapper := repro.NewReplicaSnapshotter(repro.ReplicaSnapshotterConfig{
-			Path:     path,
-			Interval: snapInterval,
-			Capture:  repro.ReplicaCaptureCluster(cl, mgr),
-			Logger:   slog.Default(),
-		})
-		snapper.Start()
-		plane.SetSnapshotter(snapper)
-		defer func() { // runs before mgr/cl close: their state is still live
-			if err := snapper.Close(); err != nil {
-				slog.Warn("final snapshot flush failed", "path", path, "err", err)
-			} else {
-				slog.Info("final snapshot flushed", "path", path)
-			}
-		}()
-	}
-
-	hcfg.Source = repro.HealthRouterSource(cl)
-	hcfg.Logger = slog.Default()
-	if autoscale {
-		hcfg.Actuator = repro.NewCtrlActuator(plane)
-	}
-	// Runtime vitals are sampled each tick and judged by the runtime
-	// rules; the transition hook fires the profile trigger the moment any
-	// rule (cell or process) leaves ok, filing the capture as an alert.
-	hcfg.Runtime = func() repro.HealthRuntimeSample {
-		v := repro.ReadRuntimeVitals()
-		return repro.HealthRuntimeSample{
-			Goroutines:             float64(v.Goroutines),
-			HeapBytes:              float64(v.HeapBytes),
-			GCPauseP99Seconds:      v.GCPauseP99Seconds,
-			SchedLatencyP99Seconds: v.SchedLatencyP99Seconds,
-		}
-	}
-	var ev *repro.HealthEvaluator
-	hcfg.OnTransition = func(t repro.HealthTransition) {
-		if t.To == repro.HealthStateOK {
-			return
-		}
-		if rec, ok := trig.Capture(t.Rule + "-" + string(t.To)); ok {
-			ev.RecordEvent("profile", t.Cell,
-				fmt.Sprintf("profiles captured in %s (rule %s %s→%s)", rec.Dir, t.Rule, t.From, t.To))
-		}
-	}
-	ev = repro.NewHealthEvaluator(hcfg)
-	ev.Start()
-	defer ev.Close()
-	plane.SetEvents(ev)
-
-	sections := []repro.IncidentSection{
-		{Name: "alerts", Fetch: func() any { return ev.Alerts() }},
-		{Name: "health", Fetch: func() any { return ev.Health() }},
-		{Name: "autoscale_plan", Fetch: func() any { return ev.Plan() }},
-		{Name: "stats", Fetch: func() any { return cl.Stats() }},
-		{Name: "ctrl", Fetch: func() any { return plane.Stats() }},
-	}
-	if agg != nil {
-		sections = append(sections, repro.IncidentSection{Name: "traces", Fetch: func() any {
-			return agg.Assembled(repro.ObsTraceQuery{Limit: 32})
-		}})
-	}
-	incident := repro.IncidentHandler(repro.IncidentBundleConfig{
-		Origin:   "flcluster",
-		Flight:   flight,
-		Profiles: trig,
-		Sections: sections,
-	})
-
-	mc := repro.ObsMiddlewareConfig{
-		Flight:   flight.Handler(),
-		Incident: incident,
-		Metrics:  []func(io.Writer) error{repro.WriteRuntimePrometheus, flight.WritePrometheus, trig.WritePrometheus},
-	}
-	if agg != nil {
-		mc.Traces = repro.TelemetryTracesHandler(col, agg)
-		mc.Spans = agg.IngestHandler()
-		mc.StatsSections = map[string]func() any{
-			"telemetry": func() any {
-				return map[string]any{
-					"exporter":   exp.StatsJSON(),
-					"aggregator": agg.StatsJSON(),
-				}
-			},
-			"forensics": func() any {
-				return map[string]any{
-					"flight":   flight.StatsJSON(),
-					"profiles": trig.StatsJSON(),
-				}
-			},
-		}
-		mc.Metrics = append(mc.Metrics, exp.WritePrometheus, agg.WritePrometheus)
-	}
-	httpSrv := &http.Server{Addr: addr, Handler: repro.ObsMiddlewareWith(col, mc, ev.Handler(plane.Handler(repro.StreamHandler(mgr))))}
-	var debugSrv *http.Server
-	if debugAddr != "" {
-		dash := repro.TelemetryDashboardConfig{Sources: []repro.TelemetrySource{
-			{Name: "health", Fetch: func() any { return ev.Health() }},
-			{Name: "alerts", Fetch: func() any { return ev.Alerts() }},
-			{Name: "autoscale_plan", Fetch: func() any { return ev.Plan() }},
-			{Name: "cluster", Fetch: func() any { return cl.Stats() }},
-			{Name: "stream", Fetch: func() any { return mgr.Stats() }},
-			{Name: "ctrl", Fetch: func() any { return plane.Stats() }},
-			{Name: "runtime", Fetch: func() any { return repro.ReadRuntimeVitals() }},
-			{Name: "flight", Fetch: func() any { return flight.StatsJSON() }},
-		}}
-		if agg != nil {
-			dash.Sources = append(dash.Sources,
-				repro.TelemetrySource{Name: "traces", Fetch: func() any {
-					return agg.Assembled(repro.ObsTraceQuery{Limit: 8})
-				}},
-				repro.TelemetrySource{Name: "telemetry", Fetch: func() any {
-					return map[string]any{
-						"exporter":   exp.StatsJSON(),
-						"aggregator": agg.StatsJSON(),
-					}
-				}})
-		}
-		debugSrv = &http.Server{Addr: debugAddr, Handler: repro.TelemetryDebugMux(repro.TelemetryDebugMuxConfig{
-			Collector:  col,
-			Aggregator: agg,
-			Dashboard:  &dash,
-			Flight:     flight,
-			Incident:   incident,
-		})}
-		go func() {
-			if err := debugSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				slog.Warn("debug listener failed", "addr", debugAddr, "err", err)
-			}
-		}()
-		slog.Info("debug listener up", "addr", debugAddr)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shutdownCtx)
-		if debugSrv != nil {
-			_ = debugSrv.Shutdown(shutdownCtx)
-		}
-	}()
-
-	mode := "advise-only"
-	if autoscale {
-		mode = "enacting"
-	}
-	fmt.Printf("flcluster: %d cells listening on %s (POST /v1/cells/{id}/solve, POST /v1/solve, POST /v1/stream, POST /v1/handoff, POST/DELETE /v1/cells, POST /v1/rebalance, GET /v1/health, GET /v1/autoscale/plan, GET /debug/alerts, GET /v1/version, GET /v1/stats, GET /metrics); autoscale %s\n",
-		cl.Cells(), addr, mode)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		return err
-	}
-	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/cluster"
 )
 
 // TestClusterEndToEnd drives the acceptance path over the HTTP stack: an
@@ -95,8 +96,8 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 }
 
-func fetchStats(baseURL string) (repro.ClusterStats, error) {
-	var stats repro.ClusterStats
+func fetchStats(baseURL string) (cluster.Stats, error) {
+	var stats cluster.Stats
 	resp, err := http.Get(baseURL + "/v1/stats")
 	if err != nil {
 		return stats, err

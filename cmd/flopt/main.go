@@ -14,11 +14,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -26,6 +24,8 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/node"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -46,10 +46,10 @@ func main() {
 	)
 	flag.Parse()
 	if *version {
-		fmt.Println(repro.ObsVersionString())
+		fmt.Println(obs.VersionString())
 		return
 	}
-	if _, err := repro.ObsSetupLogger(os.Stderr, *logLevel, *logJSON); err != nil {
+	if _, err := obs.SetupDefault(os.Stderr, *logLevel, *logJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "flopt:", err)
 		os.Exit(1)
 	}
@@ -69,44 +69,9 @@ func main() {
 	// batch runs show up next to the serving traffic they compete with.
 	// With -debug-addr the run also mounts the same debug surface as the
 	// serving cmds (pprof, /debug/traces, /debug/dashboard, /debug/flight,
-	// /debug/incident) — no more 404s on the endpoints operators expect.
-	var tr *repro.ObsTrace
-	var col *repro.ObsCollector
-	var flight *repro.FlightRecorder
-	if *spanExport != "" || *debugAddr != "" {
-		col = repro.NewObsCollector(repro.ObsConfig{SampleEvery: 1})
-		flight = repro.NewFlightRecorder(0)
-		var exp *repro.TelemetryExporter
-		if *spanExport != "" {
-			exp = repro.NewTelemetryExporter(repro.TelemetryExporterConfig{Origin: "flopt", Target: *spanExport})
-			defer exp.Close()
-		}
-		col.SetSink(func(t repro.ObsTraceJSON) {
-			if exp != nil {
-				exp.Enqueue(t)
-			}
-			flight.Observe(t)
-		})
-		_, tr = col.StartTrace(context.Background())
-	}
-	if *debugAddr != "" {
-		dash := repro.TelemetryDashboardConfig{Sources: []repro.TelemetrySource{
-			{Name: "runtime", Fetch: func() any { return repro.ReadRuntimeVitals() }},
-			{Name: "flight", Fetch: func() any { return flight.StatsJSON() }},
-		}}
-		debugSrv := &http.Server{Addr: *debugAddr, Handler: repro.TelemetryDebugMux(repro.TelemetryDebugMuxConfig{
-			Collector: col,
-			Dashboard: &dash,
-			Flight:    flight,
-			Incident:  repro.IncidentHandler(repro.IncidentBundleConfig{Origin: "flopt", Flight: flight}),
-			Metrics:   repro.TelemetryMetricsHandler(repro.WriteRuntimePrometheus, flight.WritePrometheus),
-		})}
-		go func() {
-			if err := debugSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "flopt: debug listener failed:", err)
-			}
-		}()
-	}
+	// /debug/incident, /metrics).
+	tr, flush := node.Batch("flopt", *spanExport, *debugAddr)
+	defer flush()
 
 	if err := run(*n, *radius, *seed, *w1, *pmaxDBm, *fmaxHz, *deadline, *verbose, tr); err != nil {
 		fmt.Fprintln(os.Stderr, "flopt:", err)
@@ -114,7 +79,7 @@ func main() {
 	}
 }
 
-func run(n int, radius float64, seed int64, w1, pmaxDBm, fmaxHz, deadline float64, verbose bool, tr *repro.ObsTrace) error {
+func run(n int, radius float64, seed int64, w1, pmaxDBm, fmaxHz, deadline float64, verbose bool, tr *obs.Trace) error {
 	sc := repro.DefaultScenario()
 	sc.N = n
 	sc.RadiusKm = radius
@@ -137,7 +102,7 @@ func run(n int, radius float64, seed int64, w1, pmaxDBm, fmaxHz, deadline float6
 	if err != nil {
 		return err
 	}
-	tr.RecordDur("solve", began, time.Since(began), repro.ObsAttr{Detail: "flopt", Value: int64(n)})
+	tr.RecordDur("solve", began, time.Since(began), obs.Attr{Detail: "flopt", Value: int64(n)})
 	tr.Finish()
 
 	m := res.Metrics

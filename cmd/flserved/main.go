@@ -49,16 +49,18 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
-	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
-	"repro"
+	"repro/internal/health"
+	"repro/internal/node"
+	"repro/internal/obs"
+	"repro/internal/obs/forensics"
+	"repro/internal/replica"
+	"repro/internal/serve"
+	"repro/internal/stream"
 )
 
 func main() {
@@ -92,242 +94,52 @@ func main() {
 	)
 	flag.Parse()
 	if *version {
-		fmt.Println(repro.ObsVersionString())
+		fmt.Println(obs.VersionString())
 		return
 	}
-
-	if _, err := repro.ObsSetupLogger(os.Stderr, *logLevel, *logJSON); err != nil {
+	if _, err := obs.SetupDefault(os.Stderr, *logLevel, *logJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "flserved:", err)
 		os.Exit(1)
 	}
 
-	cfg := repro.ServeConfig{
+	n := node.New(node.Config{
+		Origin:           "flserved",
+		Addr:             *addr,
+		DebugAddr:        *debugAddr,
+		TraceSample:      *traceN,
+		TraceSlow:        *traceSlow,
+		SpanExport:       *spanExport,
+		Profile:          forensics.ProfileConfig{Dir: *profileDir, CPUSeconds: *profileCPU, MinInterval: *profileMin},
+		SnapshotDir:      *snapshotDir,
+		SnapshotInterval: *snapInterval,
+	})
+	srv := serve.New(serve.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		CacheEntries:   *cache,
 		CacheTTL:       *ttl,
 		DefaultTimeout: *timeout,
-	}
-	scfg := repro.StreamConfig{MaxSessions: *sessions, IdleTTL: *sessionTTL}
+	})
+	mgr := stream.NewManager(stream.NewServeBackend(srv), stream.Config{MaxSessions: *sessions, IdleTTL: *sessionTTL, Trace: n.Collector()})
 
-	err := runServer(cfg, scfg, *healthTick, *addr, *debugAddr, *traceN, *traceSlow, *spanExport, *snapshotDir, *snapInterval,
-		forensicsOpts{Dir: *profileDir, CPUSeconds: *profileCPU, MinInterval: *profileMin})
+	// Serve until SIGINT/SIGTERM: the listener stops accepting, one final
+	// snapshot flushes (when -snapshot-dir is set), and the process exits.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := n.Run(ctx, node.Backend{
+		Stream:       mgr,
+		Health:       health.Config{Source: health.ServerSource(srv), Tick: *healthTick},
+		Stats:        func() any { return srv.Stats() },
+		SnapshotFile: "flserved.snap",
+		Capture:      replica.CaptureServer(srv, mgr),
+		Restore:      func(s replica.Snapshot) replica.RestoreReport { return replica.RestoreServer(srv, mgr, s) },
+		Banner:       fmt.Sprintf("flserved: listening on %s (POST /v1/solve, POST /v1/stream, GET /v1/health, GET /v1/stats)\n", *addr),
+	})
+	stop()
+	mgr.Close()
+	srv.Close()
+	n.Close()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flserved:", err)
 		os.Exit(1)
 	}
-}
-
-// forensicsOpts carries the -profile-* flags into runServer.
-type forensicsOpts struct {
-	Dir         string
-	CPUSeconds  float64
-	MinInterval time.Duration
-}
-
-// newProfileTrigger builds the SLO-triggered pprof capturer from the
-// -profile-* flags (nil when -profile-dir is unset — every ProfileTrigger
-// method is nil-safe, so wiring stays unconditional).
-func newProfileTrigger(opts forensicsOpts) *repro.ProfileTrigger {
-	if opts.Dir == "" {
-		return nil
-	}
-	trig, err := repro.NewProfileTrigger(repro.ProfileConfig{
-		Dir:         opts.Dir,
-		CPUSeconds:  opts.CPUSeconds,
-		MinInterval: opts.MinInterval,
-		Logger:      slog.Default(),
-	})
-	if err != nil {
-		slog.Warn("profile trigger disabled", "dir", opts.Dir, "err", err)
-		return nil
-	}
-	return trig
-}
-
-// runServer serves until SIGINT/SIGTERM: the listener stops accepting,
-// one final snapshot flushes (when -snapshot-dir is set), and the process
-// exits.
-func runServer(cfg repro.ServeConfig, scfg repro.StreamConfig, healthTick time.Duration, addr, debugAddr string, traceN int, traceSlow time.Duration, spanExport string, snapshotDir string, snapInterval time.Duration, fopts forensicsOpts) error {
-	var col *repro.ObsCollector
-	if traceN > 0 {
-		col = repro.NewObsCollector(repro.ObsConfig{SampleEvery: traceN, SlowThreshold: traceSlow})
-	}
-	scfg.Trace = col
-
-	// Telemetry plane: finished traces buffer in an exporter that always
-	// feeds the local aggregator (own assembled view) and, with -span-export,
-	// ships the same batches to a front router's aggregator so this cell's
-	// spans land in the router's cross-process traces. The flight recorder
-	// rides the same sink: every finished trace (sampled or not) derives
-	// one wide event.
-	var agg *repro.TelemetryAggregator
-	var exp *repro.TelemetryExporter
-	var flight *repro.FlightRecorder
-	if col != nil {
-		agg = repro.NewTelemetryAggregator(repro.TelemetryAggregatorConfig{SlowThreshold: traceSlow})
-		exp = repro.NewTelemetryExporter(repro.TelemetryExporterConfig{
-			Origin: "flserved",
-			Target: spanExport,
-			Local:  agg,
-			Logger: slog.Default(),
-		})
-		flight = repro.NewFlightRecorder(0)
-		col.SetSink(func(t repro.ObsTraceJSON) {
-			exp.Enqueue(t)
-			flight.Observe(t)
-		})
-		defer exp.Close()
-	}
-	trig := newProfileTrigger(fopts)
-	defer trig.Close()
-
-	srv := repro.NewServer(cfg)
-	defer srv.Close()
-	mgr := repro.NewStreamManager(repro.NewStreamServeBackend(srv), scfg)
-	defer mgr.Close()
-	if snapshotDir != "" {
-		path := filepath.Join(snapshotDir, "flserved.snap")
-		repro.ReplicaBootRestore(path, slog.Default(), func(s repro.ReplicaSnapshot) repro.ReplicaRestoreReport {
-			return repro.ReplicaRestoreServer(srv, mgr, s)
-		})
-		snapper := repro.NewReplicaSnapshotter(repro.ReplicaSnapshotterConfig{
-			Path:     path,
-			Interval: snapInterval,
-			Capture:  repro.ReplicaCaptureServer(srv, mgr),
-		})
-		snapper.Start()
-		defer func() { // runs before mgr/srv close: their state is still live
-			if err := snapper.Close(); err != nil {
-				slog.Warn("final snapshot flush failed", "path", path, "err", err)
-			} else {
-				slog.Info("final snapshot flushed", "path", path)
-			}
-		}()
-	}
-	// The evaluator samples Go runtime vitals each tick (judged by the
-	// runtime rules against the whole process), and its transition hook
-	// fires the profile trigger: the first moment a rule leaves ok, the
-	// evidence (CPU/heap/goroutine/mutex profiles) is captured and the
-	// capture is filed in the alert ring next to the breach itself.
-	var ev *repro.HealthEvaluator
-	ev = repro.NewHealthEvaluator(repro.HealthConfig{
-		Source: repro.HealthServerSource(srv),
-		Tick:   healthTick,
-		Logger: slog.Default(),
-		Runtime: func() repro.HealthRuntimeSample {
-			v := repro.ReadRuntimeVitals()
-			return repro.HealthRuntimeSample{
-				Goroutines:             float64(v.Goroutines),
-				HeapBytes:              float64(v.HeapBytes),
-				GCPauseP99Seconds:      v.GCPauseP99Seconds,
-				SchedLatencyP99Seconds: v.SchedLatencyP99Seconds,
-			}
-		},
-		OnTransition: func(t repro.HealthTransition) {
-			if t.To == repro.HealthStateOK {
-				return
-			}
-			if rec, ok := trig.Capture(t.Rule + "-" + string(t.To)); ok {
-				ev.RecordEvent("profile", t.Cell,
-					fmt.Sprintf("profiles captured in %s (rule %s %s→%s)", rec.Dir, t.Rule, t.From, t.To))
-			}
-		},
-	})
-	ev.Start()
-	defer ev.Close()
-
-	// The incident bundle assembles everything an investigation starts
-	// from: the flight window, alert ring, health windows (incl. the
-	// convergence observatory inside /v1/stats), assembled slow traces,
-	// and the retained profile captures — one GET, one tar.gz.
-	sections := []repro.IncidentSection{
-		{Name: "alerts", Fetch: func() any { return ev.Alerts() }},
-		{Name: "health", Fetch: func() any { return ev.Health() }},
-		{Name: "stats", Fetch: func() any { return srv.Stats() }},
-	}
-	if agg != nil {
-		sections = append(sections, repro.IncidentSection{Name: "traces", Fetch: func() any {
-			return agg.Assembled(repro.ObsTraceQuery{Limit: 32})
-		}})
-	}
-	incident := repro.IncidentHandler(repro.IncidentBundleConfig{
-		Origin:   "flserved",
-		Flight:   flight,
-		Profiles: trig,
-		Sections: sections,
-	})
-
-	mc := repro.ObsMiddlewareConfig{
-		Flight:   flight.Handler(),
-		Incident: incident,
-		Metrics:  []func(io.Writer) error{repro.WriteRuntimePrometheus, flight.WritePrometheus, trig.WritePrometheus},
-	}
-	if agg != nil {
-		mc.Traces = repro.TelemetryTracesHandler(col, agg)
-		mc.Spans = agg.IngestHandler()
-		mc.StatsSections = map[string]func() any{
-			"telemetry": func() any {
-				return map[string]any{
-					"exporter":   exp.StatsJSON(),
-					"aggregator": agg.StatsJSON(),
-				}
-			},
-			"forensics": func() any {
-				return map[string]any{
-					"flight":   flight.StatsJSON(),
-					"profiles": trig.StatsJSON(),
-				}
-			},
-		}
-		mc.Metrics = append(mc.Metrics, exp.WritePrometheus, agg.WritePrometheus)
-	}
-	httpSrv := &http.Server{Addr: addr, Handler: repro.ObsMiddlewareWith(col, mc, ev.Handler(repro.StreamHandler(mgr)))}
-	var debugSrv *http.Server
-	if debugAddr != "" {
-		dash := repro.TelemetryDashboardConfig{Sources: []repro.TelemetrySource{
-			{Name: "health", Fetch: func() any { return ev.Health() }},
-			{Name: "alerts", Fetch: func() any { return ev.Alerts() }},
-			{Name: "server", Fetch: func() any { return srv.Stats() }},
-			{Name: "stream", Fetch: func() any { return mgr.Stats() }},
-			{Name: "runtime", Fetch: func() any { return repro.ReadRuntimeVitals() }},
-			{Name: "flight", Fetch: func() any { return flight.StatsJSON() }},
-		}}
-		if agg != nil {
-			dash.Sources = append(dash.Sources,
-				repro.TelemetrySource{Name: "traces", Fetch: func() any {
-					return agg.Assembled(repro.ObsTraceQuery{Limit: 8})
-				}})
-		}
-		debugSrv = &http.Server{Addr: debugAddr, Handler: repro.TelemetryDebugMux(repro.TelemetryDebugMuxConfig{
-			Collector:  col,
-			Aggregator: agg,
-			Dashboard:  &dash,
-			Flight:     flight,
-			Incident:   incident,
-		})}
-		go func() {
-			if err := debugSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				slog.Warn("debug listener failed", "addr", debugAddr, "err", err)
-			}
-		}()
-		slog.Info("debug listener up", "addr", debugAddr)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shutdownCtx)
-		if debugSrv != nil {
-			_ = debugSrv.Shutdown(shutdownCtx)
-		}
-	}()
-
-	fmt.Printf("flserved: listening on %s (POST /v1/solve, POST /v1/stream, GET /v1/health, GET /v1/stats)\n", addr)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		return err
-	}
-	return nil
 }

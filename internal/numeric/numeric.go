@@ -39,10 +39,6 @@ func Log2p1(x float64) float64 {
 	return math.Log1p(x) / Ln2
 }
 
-// Cbrt is a thin alias of math.Cbrt kept so call sites in the optimizer read
-// like the paper's equations.
-func Cbrt(x float64) float64 { return math.Cbrt(x) }
-
 // AlmostEqual reports whether a and b are equal within absolute tolerance
 // absTol or relative tolerance relTol (whichever is looser).
 func AlmostEqual(a, b, absTol, relTol float64) bool {
@@ -52,18 +48,4 @@ func AlmostEqual(a, b, absTol, relTol float64) bool {
 	}
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= relTol*scale
-}
-
-// IsFiniteNonNeg reports whether x is finite and >= 0. The optimizers use it
-// to validate physical quantities (powers, bandwidths, rates).
-func IsFiniteNonNeg(x float64) bool {
-	return !math.IsNaN(x) && !math.IsInf(x, 0) && x >= 0
-}
-
-// SafeDiv returns a/b, or fallback when b == 0.
-func SafeDiv(a, b, fallback float64) float64 {
-	if b == 0 {
-		return fallback
-	}
-	return a / b
 }

@@ -82,29 +82,6 @@ func TestAlmostEqual(t *testing.T) {
 	}
 }
 
-func TestIsFiniteNonNeg(t *testing.T) {
-	for _, tc := range []struct {
-		x    float64
-		want bool
-	}{
-		{0, true}, {1, true}, {-1, false},
-		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
-	} {
-		if got := IsFiniteNonNeg(tc.x); got != tc.want {
-			t.Errorf("IsFiniteNonNeg(%g) = %t", tc.x, got)
-		}
-	}
-}
-
-func TestSafeDiv(t *testing.T) {
-	if got := SafeDiv(4, 2, -1); got != 2 {
-		t.Errorf("SafeDiv(4,2) = %g", got)
-	}
-	if got := SafeDiv(4, 0, -1); got != -1 {
-		t.Errorf("SafeDiv(4,0) fallback = %g", got)
-	}
-}
-
 func TestStats(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	if got := Mean(xs); got != 3 {
@@ -112,15 +89,6 @@ func TestStats(t *testing.T) {
 	}
 	if got := Sum(xs); got != 15 {
 		t.Errorf("Sum = %g", got)
-	}
-	if got := StdDev(xs); !AlmostEqual(got, math.Sqrt(2.5), 1e-12, 1e-12) {
-		t.Errorf("StdDev = %g", got)
-	}
-	if got := MaxOf(xs); got != 5 {
-		t.Errorf("MaxOf = %g", got)
-	}
-	if got := MinOf(xs); got != 1 {
-		t.Errorf("MinOf = %g", got)
 	}
 	if got := Quantile(xs, 0.5); got != 3 {
 		t.Errorf("median = %g", got)
@@ -133,18 +101,5 @@ func TestStats(t *testing.T) {
 	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Error("Mean(nil) should be NaN")
-	}
-	if StdDev([]float64{1}) != 0 {
-		t.Error("StdDev of singleton should be 0")
-	}
-}
-
-func TestNorms(t *testing.T) {
-	xs := []float64{3, -4}
-	if got := Norm2(xs); got != 5 {
-		t.Errorf("Norm2 = %g", got)
-	}
-	if got := NormInf(xs); got != 4 {
-		t.Errorf("NormInf = %g", got)
 	}
 }

@@ -17,21 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation (n-1 denominator) of xs, or
-// zero for fewer than two samples.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	var s float64
@@ -39,28 +24,6 @@ func Sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// MaxOf returns the maximum of xs, or -Inf for an empty slice.
-func MaxOf(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// MinOf returns the minimum of xs, or +Inf for an empty slice.
-func MinOf(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
@@ -85,24 +48,4 @@ func Quantile(xs []float64, q float64) float64 {
 		return s[len(s)-1]
 	}
 	return s[i]*(1-frac) + s[i+1]*frac
-}
-
-// Norm2 returns the Euclidean norm of xs.
-func Norm2(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// NormInf returns the maximum absolute entry of xs.
-func NormInf(xs []float64) float64 {
-	var m float64
-	for _, x := range xs {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }

@@ -85,11 +85,3 @@ func BandwidthForRate(r, p, gain, n0 float64) (float64, error) {
 	}
 	return p * gain / n0 / eps, nil
 }
-
-// SpectralEfficiency returns r/B in bit/s/Hz for the pair (p, B).
-func SpectralEfficiency(p, bandwidth, gain, n0 float64) float64 {
-	if bandwidth <= 0 {
-		return 0
-	}
-	return Rate(p, bandwidth, gain, n0) / bandwidth
-}

@@ -271,18 +271,6 @@ func TestBandwidthForRateInvertsRate(t *testing.T) {
 	}
 }
 
-func TestSpectralEfficiency(t *testing.T) {
-	const n0 = 4e-21
-	p, g, b := 0.01, 1e-11, 1e6
-	se := SpectralEfficiency(p, b, g, n0)
-	if !almostEq(se, Rate(p, b, g, n0)/b, 1e-12) {
-		t.Errorf("SpectralEfficiency = %g", se)
-	}
-	if SpectralEfficiency(p, 0, g, n0) != 0 {
-		t.Error("zero bandwidth should give zero efficiency")
-	}
-}
-
 // Lemma 1 of the paper: G(p, B) is jointly concave. Verify the Hessian is
 // negative semidefinite at random points via the analytic form in Appendix A.
 func TestRateConcavityLemma1(t *testing.T) {

@@ -6,45 +6,42 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/node"
 )
 
-// hygieneStack composes the full flcluster serving stack — cluster router,
-// stream manager, control plane, health evaluator, obs middleware and the
-// telemetry exporter/aggregator pair — exactly as cmd/flcluster wires it,
-// so the /metrics exposition under test is the one operators scrape.
-func hygieneStack(t *testing.T) http.Handler {
+// hygieneStack boots the flcluster serving stack on a loopback listener:
+// the cluster router, stream manager and control plane, with everything
+// internal/node wires around them (collector, exporter and aggregator,
+// flight recorder, health evaluator, runtime and forensics metrics), so
+// the /metrics exposition under test is the one operators scrape. It
+// returns the base URL.
+func hygieneStack(t *testing.T) string {
 	t.Helper()
-	col := repro.NewObsCollector(repro.ObsConfig{SampleEvery: 1, SlowThreshold: -1})
-	agg := repro.NewTelemetryAggregator(repro.TelemetryAggregatorConfig{})
-	exp := repro.NewTelemetryExporter(repro.TelemetryExporterConfig{Origin: "hygiene", Local: agg})
-	col.SetSink(exp.Enqueue)
-	t.Cleanup(func() { exp.Close() })
-
+	n := node.New(node.Config{Origin: "hygiene", Addr: "127.0.0.1:0", TraceSample: 1, TraceSlow: -1})
 	cl := repro.NewCluster(repro.ClusterConfig{Cells: 2, Cell: repro.ServeConfig{Workers: 1}})
-	t.Cleanup(cl.Close)
-	mgr := repro.NewStreamManager(repro.NewStreamClusterBackend(cl), repro.StreamConfig{Trace: col})
-	t.Cleanup(func() { mgr.Close() })
-	plane := repro.NewControlPlane(cl, mgr)
-	ev := repro.NewHealthEvaluator(repro.HealthConfig{Source: repro.HealthRouterSource(cl), Tick: time.Hour})
-
-	mc := repro.ObsMiddlewareConfig{
-		Traces: repro.TelemetryTracesHandler(col, agg),
-		Spans:  agg.IngestHandler(),
-		StatsSections: map[string]func() any{
-			"telemetry": func() any {
-				return map[string]any{"exporter": exp.StatsJSON(), "aggregator": agg.StatsJSON()}
-			},
-		},
-		Metrics: []func(io.Writer) error{exp.WritePrometheus, agg.WritePrometheus},
+	mgr := repro.NewStreamManager(repro.NewStreamClusterBackend(cl), repro.StreamConfig{Trace: n.Collector()})
+	err := n.Start(node.Backend{
+		Stream: mgr,
+		Plane:  repro.NewControlPlane(cl, mgr),
+		Health: repro.HealthConfig{Source: repro.HealthRouterSource(cl), Tick: time.Hour},
+		Stats:  func() any { return cl.Stats() },
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return repro.ObsMiddlewareWith(col, mc, ev.Handler(plane.Handler(repro.StreamHandler(mgr))))
+	t.Cleanup(func() {
+		n.Shutdown()
+		mgr.Close()
+		cl.Close()
+		n.Close()
+	})
+	return "http://" + n.Addr()
 }
 
 var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
@@ -55,9 +52,7 @@ var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 // invariant that keeps the exporter/aggregator/health/serve emitters from
 // colliding when one process runs all of them.
 func TestMetricsHygiene(t *testing.T) {
-	h := hygieneStack(t)
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	base := hygieneStack(t)
 
 	// Drive one routed solve so phase histograms, exemplars and the
 	// convergence observatory all have content to emit.
@@ -70,7 +65,7 @@ func TestMetricsHygiene(t *testing.T) {
 	req := repro.SolveRequestJSON{System: repro.SystemToJSON(s), DeviceID: "hyg-0"}
 	req.Weights.W1, req.Weights.W2 = 0.5, 0.5
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/v1/solve", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +75,7 @@ func TestMetricsHygiene(t *testing.T) {
 		t.Fatalf("solve status %d", resp.StatusCode)
 	}
 
-	mr, err := http.Get(ts.URL + "/metrics")
+	mr, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
