@@ -22,6 +22,10 @@ import (
 // The hot loop is allocation-free: scratch memory comes from Options.Work,
 // or from a shared pool when the caller brings none. The alternation
 // starts from p = PMax, f = FMax, B = B/N (System.MaxResourceAllocation).
+// Each outer iteration's Subproblem 2 waterfill starts from the previous
+// one's band inversions and clearing level, which the workspace carries
+// within the call and zeroes at its top, so no answer depends on what the
+// workspace solved before.
 func Optimize(s *fl.System, w fl.Weights, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.check(s, w); err != nil {

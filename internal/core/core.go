@@ -98,10 +98,11 @@ type SolveTrace struct {
 	// ModeDeadline only: bandwidth prices tried, per-device split costs
 	// evaluated at them, the polish waterfills' demand sweeps over all
 	// devices, each waterfill's final band sweep included, the polish
-	// re-splits' cost and slope evaluations at fixed bands, and the split
-	// costs' band inversions (water level, pmax floor, pmin junction,
-	// free-branch band) that ran cold, with no start from the device's
-	// last answer that the Newton or Halley iteration could use.
+	// re-splits' cost and slope evaluations at fixed bands, and the band
+	// inversions of the split costs and the polish (water level, pmax
+	// floor, pmin junction, free-branch band) that ran cold, with no start
+	// from the device's last answer that the Newton or Halley iteration
+	// could use.
 	PriceEvals     int
 	SplitEvals     int
 	LevelEvals     int

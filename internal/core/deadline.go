@@ -26,7 +26,7 @@ import (
 //
 // where E_tr is the reduced transmission energy (power eliminated, see
 // reducedDevice). The inner bandwidth choice is the reduced waterfilling
-// condition (bandAtFree). The outer time split is one convex search.
+// condition (bandFrom). The outer time split is one convex search.
 // With s = t*B the rate-pinned transmission energy t*P(d/t, B) is
 // (N0/g)*h(t*B), h(s) = s*(2^(d/s) - 1), convex and decreasing in s, and
 // h(t*B) is jointly convex in (t, B): its Hessian has determinant
@@ -79,18 +79,24 @@ import (
 // search has pinned to 1e-7 in ln(lambda), then the previous pass's level.
 //
 // A split evaluation costs one water-level inversion and, where the band
-// leaves the water level, one more: about 3,640 inversions per corpus
+// leaves the water level, one more: about 3,550 inversions per corpus
 // solve, of which 920 solve for the pmax floor or the pmin junction band
 // (the band where pmax or pmin reaches the rate floor; its device is
-// built with the floor unknown, newSplitDevice) and 197 for the
+// built with the floor unknown, newSplitDevice) and 104 for the
 // free-branch band (power at pmin), which does not depend on the split, so
-// each device's search computes it at most once per price. Two
-// evaluations in a row of one device differ by a small step in split or
-// price, so every inversion starts from the device's last answer, kept in
-// ds.starts across the whole solve, and takes a Newton or Halley step or
-// two there (bandFrom), where the cold path runs a Lambert W solve; about
-// 238 per solve have no usable start and run cold. On the water level the
-// power and the slope reuse the expm1(x) the inversion ends with.
+// each device's search computes it at most once per price. The polish asks
+// about 640 more: its waterfills' sweeps, about 7.5 per solve, and the
+// pmax floors of the devices it re-derives. Two evaluations in a row of one
+// device differ by a small step in split or price, and a polish waterfill
+// sweeps levels near the hi price and one another, so every inversion
+// starts from the device's last answer, kept in ds.starts from the first
+// split evaluation to the last waterfill sweep, and takes a Newton or
+// Halley step or two there (bandFrom), where the cold path runs a Lambert
+// W solve. About 281 per solve run cold: 148 with no start yet, the first
+// of each kind per device, and 133 from a start too far off to use, at the
+// price search's first jump and the polish's first re-derived floors. On
+// the water level the power and the slope reuse the expm1(x) the inversion
+// ends with.
 //
 // Unlike alternating f/(p,B) updates — which ratchet every device's rate
 // floor at its incoming upload time — the price decomposition explores the
@@ -178,10 +184,6 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 		slope += ds.deadlineSlope(i, math.Exp(hi.x), t)
 	}
 
-	for _, st := range ds.starts {
-		tr.ColdInversions += st.colds
-	}
-
 	// Polish the under-demand end's splits into an allocation.
 	splits, level := hi.t, math.Exp(hi.x)
 	reduced := make([]reducedDevice, n)
@@ -189,7 +191,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 	// derive re-derives device i's reduction at its split; the band floors
 	// of all devices must then still fit the budget.
 	derive := func(i int) (err error) {
-		reduced[i], err = newReducedDevice(s.Devices[i], s.N0, s.Devices[i].UploadBits/splits[i])
+		reduced[i], err = newReducedDevice(s.Devices[i], s.N0, s.Devices[i].UploadBits/splits[i], &ds.starts[i])
 		return err
 	}
 	floorsFit := func() error {
@@ -212,7 +214,7 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 	}
 	for pass := 0; ; pass++ {
 		var err error
-		if level, _, err = waterfillReducedInto(reduced, s.N0, s.Bandwidth, level, bands, tr); err != nil {
+		if level, _, err = waterfillReducedInto(reduced, ds.starts, s.N0, s.Bandwidth, level, bands, tr); err != nil {
 			return fl.Allocation{}, 0, 0, err
 		}
 		// Re-split each device at its fixed bandwidth; only a device that
@@ -239,6 +241,9 @@ func solveDeadlineJoint(s *fl.System, roundDeadline float64, tr *SolveTrace) (fl
 		if err := floorsFit(); err != nil {
 			return fl.Allocation{}, 0, 0, err
 		}
+	}
+	for _, st := range ds.starts {
+		tr.ColdInversions += st.colds
 	}
 	alloc := fl.NewAllocation(n)
 	for i, d := range s.Devices {

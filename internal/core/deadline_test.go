@@ -72,7 +72,7 @@ func TestBandAtInvertsMarginal(t *testing.T) {
 	var pinned, free, floor, junction int
 	for i, d := range s.Devices {
 		for _, tUp := range []float64{0.003, 0.03, 0.3} {
-			rd, err := newReducedDevice(d, s.N0, d.UploadBits/tUp)
+			rd, err := newReducedDevice(d, s.N0, d.UploadBits/tUp, new(bandStart))
 			if err != nil {
 				continue
 			}
@@ -219,10 +219,14 @@ func TestDeadlineFixedPowerNearMinimum(t *testing.T) {
 // those scans pruned by a cost floor; more than half of them go to the
 // first three prices, whose brackets are wide, where a split moves far
 // from any split already known. Each split evaluation's band inversions
-// start from the device's last answers (bandFrom): of about 3,640 per
-// solve (2,523 water levels, 920 floor and junction bands, 197 free-branch
-// bands), about 238 run cold, the first of each kind per device and the
-// few that Newton's method cannot finish from their start. The re-splits root-find their convex cost's
+// start from the device's last answers (bandFrom), and so do the polish's
+// (bandFrom in its waterfills, bandForRate for its re-derived floors): of
+// about 3,550 per solve in the split searches (2,523 water levels, 920
+// floor and junction bands, 104 free-branch bands) and 640 in the polish,
+// about 281 run cold, the first of each kind per device and those whose
+// start lies too far off for Newton's or Halley's method to finish from,
+// at the price search's first jump and the polish's first re-derived
+// floors. The re-splits root-find their convex cost's
 // slope from the current split, about 236 cost and slope evaluations per
 // solve against about 4,686 for the grid-and-golden-section re-splits they
 // replaced, and a re-split that moves by no more than twice the split
@@ -346,7 +350,7 @@ func TestSplitDeviceMatchesEager(t *testing.T) {
 			var free freeBranch
 			for _, tUp := range []float64{0.003, 0.03, 0.3} {
 				rmin := d.UploadBits / tUp
-				eager, err := newReducedDevice(d, s.N0, rmin)
+				eager, err := newReducedDevice(d, s.N0, rmin, new(bandStart))
 				lazy, ok := newSplitDevice(d, rmin, wireless.RateLimit(d.PMax, d.Gain, s.N0))
 				if ok != (err == nil) {
 					t.Fatalf("device %d rmin %g: split device ok=%v, eager error %v", i, rmin, ok, err)

@@ -18,30 +18,30 @@ type reducedDevice struct {
 	pmin, pmax float64
 	rmin       float64
 	// bForced is the bandwidth where p(B) = pmax: the feasibility floor.
-	// Zero means not yet computed (see newSplitDevice); bandAt then
+	// Zero means not yet computed (see newSplitDevice); bandFrom then
 	// computes it only when the water level would need pmax or more.
 	bForced float64
 }
 
-// newReducedDevice validates and precomputes the reduction for one device.
-func newReducedDevice(dev fl.Device, n0, rmin float64) (reducedDevice, error) {
+// newReducedDevice validates and precomputes the reduction for one device,
+// its floor solved from the last floor band in st (bandForRate).
+func newReducedDevice(dev fl.Device, n0, rmin float64, st *bandStart) (reducedDevice, error) {
 	rd := reducedDevice{d: dev.UploadBits, g: dev.Gain, pmin: dev.PMin, pmax: dev.PMax, rmin: rmin}
 	if !(rmin > 0) {
 		return rd, fmt.Errorf("core: rmin=%g must be positive: %w", rmin, ErrBadInput)
 	}
-	bf, err := wireless.BandwidthForRate(rmin, dev.PMax, dev.Gain, n0)
-	if err != nil {
-		return rd, fmt.Errorf("core: rate %g unreachable at pmax: %w (%v)", rmin, ErrInfeasible, err)
+	rd.bForced = rd.bandForRate(n0, dev.PMax, &st.floor, &st.colds)
+	if math.IsInf(rd.bForced, 1) {
+		return rd, fmt.Errorf("core: rate %g unreachable at pmax %g: %w", rmin, dev.PMax, ErrInfeasible)
 	}
-	rd.bForced = bf
 	return rd, nil
 }
 
 // newSplitDevice is newReducedDevice with the floor left unknown, for the
-// deadline solver's split search: each split evaluation asks bandAt once,
-// and only there does the floor (a Lambert W solve) matter, and only when
-// it binds. limit is the device's RateLimit at pmax, which its search
-// computes once; it reports false when rmin is out of that reach.
+// deadline solver's split search: each split evaluation asks bandFrom
+// once, and only there does the floor matter, and only when it binds.
+// limit is the device's RateLimit at pmax, which its search computes once;
+// it reports false when rmin is out of that reach.
 func newSplitDevice(dev fl.Device, rmin, limit float64) (reducedDevice, bool) {
 	rd := reducedDevice{d: dev.UploadBits, g: dev.Gain, pmin: dev.PMin, pmax: dev.PMax, rmin: rmin}
 	return rd, rmin > 0 && rmin < limit
@@ -59,8 +59,8 @@ func (rd reducedDevice) energy(n0, b float64) float64 {
 	return rd.energyAt(n0, b, 0)
 }
 
-// energyAt is energy given p = PowerForRate(rmin, b), as bandAtFree hands
-// it back, or p = 0 when the caller does not have it.
+// energyAt is energy given p = PowerForRate(rmin, b), as bandFrom hands it
+// back on the water level, or p = 0 when the caller does not have it.
 func (rd reducedDevice) energyAt(n0, b, p float64) float64 {
 	if p == 0 {
 		p = wireless.PowerForRate(rd.rmin, b, rd.g, n0)
@@ -95,28 +95,6 @@ func (rd reducedDevice) marginal(n0, b float64) float64 {
 	return rd.pmin * rd.d * gb / (gRate * gRate)
 }
 
-// bandAt returns the bandwidth at water level lambda: the b >= bForced with
-// marginal(b) = lambda, or bForced when even there the marginal is below
-// lambda. Both branches of the marginal are inverted directly. A device
-// whose floor is unknown computes it only when the pinned-branch root needs
-// power pmax or more; below pmax the root lies above the floor.
-//
-// Rate-pinned branch: with x = rmin*ln2/b the marginal is
-// (d*N0/(rmin*g))*phi(x), phi(x) = 1 + (x-1)*e^x, and phi(x) = c reads
-// (x-1)*e^(x-1) = (c-1)/e, so x = 1 + W0((c-1)/e). From (c-1)/e = -1/4 up,
-// W0 is Winitzki's guess plus two Halley steps (numeric.LambertW0Winitzki);
-// nearer the branch point it is LambertW0. One Newton step
-// (phi'(x) = x*e^x) then restores the digits either loses, W0 next to its
-// branch point (c -> 0) and the two-step form everywhere.
-//
-// Free branch, past the junction where p(B) reaches pmin: see freeBand. The
-// marginal drops at the junction itself, so levels inside that drop return
-// the junction bandwidth.
-func (rd reducedDevice) bandAt(n0, lambda float64) float64 {
-	b, _ := rd.bandAtFree(n0, lambda, new(freeBranch))
-	return b
-}
-
 // freeBranch is a device's free-branch band at one price and its rate at
 // pmin there; the zero value means not yet computed. Neither depends on
 // rmin, so the deadline solver's split search, which asks one level of
@@ -124,44 +102,14 @@ func (rd reducedDevice) bandAt(n0, lambda float64) float64 {
 // computes it at most once (bandFrom).
 type freeBranch struct{ b, rate float64 }
 
-// bandAtFree is bandAt with the free-branch band and its rate kept in
-// *free, every inversion cold: the split search's bandFrom starts them
-// from the device's last answers instead, and equals this to rounding. On
-// the rate-pinned branch it also returns the power PowerForRate(rmin, b)
-// it computed, for energyAt; elsewhere 0.
-func (rd reducedDevice) bandAtFree(n0, lambda float64, free *freeBranch) (float64, float64) {
-	x := level(lambda * rd.rmin * rd.g / (rd.d * n0))
-	b := rd.rmin * math.Ln2 / x
-	p := wireless.PowerForRate(rd.rmin, b, rd.g, n0)
-	if rd.bForced == 0 && !(p < rd.pmax) {
-		bf, err := wireless.BandwidthForRate(rd.rmin, rd.pmax, rd.g, n0)
-		if err != nil {
-			return math.Inf(1), 0 // rmin/RateLimit(pmax) rounded to 1
-		}
-		rd.bForced = bf
-	}
-	if !(b > rd.bForced) {
-		return rd.bForced, 0
-	}
-	if p >= rd.pmin {
-		return b, p
-	}
-
-	if !(free.b > 0) {
-		free.b, _ = rd.freeBand(n0, lambda, 0)
-		free.rate = wireless.Rate(rd.pmin, free.b, rd.g, n0)
-	}
-	if free.rate >= rd.rmin {
-		return free.b, 0
-	}
-	// The error is nil: the pinned level needing less than pmin shows that
-	// pmin reaches rmin.
-	bj, _ := wireless.BandwidthForRate(rd.rmin, rd.pmin, rd.g, n0)
-	return bj, 0
-}
-
 // level returns the water level x > 0 with phi(x) = 1 + (x-1)*e^x = c,
-// cold (see bandAt).
+// cold: the rate-pinned branch's marginal at band b is
+// (d*N0/(rmin*g))*phi(x) with x = rmin*ln2/b, and phi(x) = c reads
+// (x-1)*e^(x-1) = (c-1)/e, so x = 1 + W0((c-1)/e). From (c-1)/e = -1/4 up,
+// W0 is Winitzki's guess plus two Halley steps (numeric.LambertW0Winitzki);
+// nearer the branch point it is LambertW0. One Newton step
+// (phi'(x) = x*e^x) then restores the digits either loses, W0 next to its
+// branch point (c -> 0) and the two-step form everywhere.
 func level(c float64) float64 {
 	z := (c - 1) / math.E
 	var w float64
@@ -189,14 +137,21 @@ func level(c float64) float64 {
 // expm1(-s) = -s*(1-s/2*(1-s/3)) to rounding at such s. From far below
 // the root a Newton step overshoots to where its descent back takes
 // hundreds of steps; Halley's step is bounded there by 1/h. It reports
-// false when x0 is no start (not positive), or when a step leaves x > 0
-// or fails to shrink, where the caller solves cold (level).
+// false when x0 is no start (not positive), when phi(x0) lies more than a
+// factor 50 from c, or when a step leaves x > 0 or fails to shrink, where
+// the caller solves cold (level). Starts that far off are the deadline
+// price search's first jump, about e^6 in c, where 19 in 20 fail after two
+// steps and the rest take six: the cold solve is cheaper.
 func levelFrom(x0, c float64) (x, em1 float64, ok bool) {
 	x, last := x0, math.Inf(1)
 	for x > 0 {
 		em1 = math.Expm1(x)
+		phi := x - em1*(1-x)
+		if math.IsInf(last, 1) && !(phi < 50*c && phi > c/50) {
+			break
+		}
 		h := (x + 1) / (2 * x)
-		n := (x - em1*(1-x) - c) / (x * (em1 + 1))
+		n := (phi - c) / (x * (em1 + 1))
 		s := n / (1 - n*h)
 		if !(math.Abs(s) < last) {
 			break
@@ -210,28 +165,40 @@ func levelFrom(x0, c float64) (x, em1 float64, ok bool) {
 	return 0, 0, false
 }
 
-// bandStart is one device's last band inversions in one fixed-deadline
-// solve, the starts of its next: the water level x and the last pmax
-// floor, pmin junction and free-branch bands. A zero field has no start
-// yet. colds counts the inversions that ran the cold path.
+// bandStart is one device's last band inversions, the starts of its next:
+// the water level x and the last pmax floor, pmin junction and free-branch
+// bands. A zero field has no start yet. colds counts the inversions that
+// ran the cold path. A fixed-deadline solve keeps one per device from its
+// first split evaluation to its last polish waterfill; the weighted
+// alternation keeps one per device in its Workspace across its outer
+// iterations.
 type bandStart struct {
 	x, floor, junction, free float64
 	colds                    int
 }
 
-// bandFrom is bandAtFree for the deadline solver's split search, whose
-// evaluations of one device move its split and price little from one to
-// the next. Each inversion (the water level, and the floor, junction and
-// free-branch bands where they are needed) runs Newton's method, or
-// Halley's for the water level, from the device's last answer in st,
-// which it updates (levelFrom, bandForRate, freeBand), and falls back to
-// bandAtFree's cold inversion when there is no start or the iteration
-// cannot use it. It returns the band and the power there:
-// PowerForRate(rmin, b) on the water level, taken from expm1(x) rather
-// than a second exponential, pmax on the floor, pmin at the junction and
-// 0 on the free branch; and on the water level x = rmin*ln2/b and
-// expm1(x), else 0. The floor band is +Inf when rmin/RateLimit(pmax)
-// rounds to 1.
+// bandFrom returns device rd's band at water level lambda: the b >= its
+// pmax floor with marginal(b) = lambda, the floor when even there the
+// marginal is below lambda, or, past the junction where p(B) reaches pmin,
+// the free branch's root (freeBand), or the junction band itself when
+// lambda lies inside the marginal's drop there. It is the one band
+// inversion of the split search and of every waterfill, whose successive
+// asks of one device move its split and price little. Each inversion (the
+// water level, and the floor, junction and free-branch bands where they
+// are needed) runs Newton's method, or Halley's for the water level, from
+// the device's last answer in st, which it updates (levelFrom,
+// bandForRate, freeBand), and falls back to the cold inversion (level,
+// wireless.BandwidthForRate) when there is no start or the iteration
+// cannot use it. A device whose floor is known (newReducedDevice) uses it;
+// one whose floor is unknown (newSplitDevice) solves it only when the
+// water-level root needs power pmax or more, since below pmax the root
+// lies above the floor.
+//
+// It returns the band and the power there: PowerForRate(rmin, b) on the
+// water level, taken from expm1(x) rather than a second exponential, pmax
+// on the floor, pmin at the junction and 0 on the free branch; and on the
+// water level x = rmin*ln2/b and expm1(x), else 0. The floor band is +Inf
+// when rmin/RateLimit(pmax) rounds to 1.
 func (rd reducedDevice) bandFrom(n0, lambda float64, free *freeBranch, st *bandStart) (b, p, x, em1 float64) {
 	c := lambda * rd.rmin * rd.g / (rd.d * n0)
 	x, em1, ok := levelFrom(st.x, c)
@@ -243,10 +210,12 @@ func (rd reducedDevice) bandFrom(n0, lambda float64, free *freeBranch, st *bandS
 	st.x = x
 	b = rd.rmin * math.Ln2 / x
 	p = em1 * n0 * b / rd.g
-	if !(p < rd.pmax) {
-		if bf := rd.bandForRate(n0, rd.pmax, &st.floor, &st.colds); !(b > bf) {
-			return bf, rd.pmax, 0, 0
-		}
+	bf := rd.bForced
+	if bf == 0 && !(p < rd.pmax) {
+		bf = rd.bandForRate(n0, rd.pmax, &st.floor, &st.colds)
+	}
+	if !(b > bf) {
+		return bf, rd.pmax, 0, 0
 	}
 	if p >= rd.pmin {
 		return b, p, x, em1
@@ -292,13 +261,18 @@ func (rd reducedDevice) bandForRate(n0, p float64, b *float64, colds *int) float
 // q's second derivative is -2q'/e - 1/(e*(1+e)^2), at most -2q'/e, so
 // the error after a step s, about s^2 times that over 2|q'|, is at most
 // s^2/e, and once that is below e's rounding e is done. It reports false
-// when e0 is no start (not positive and finite), or when a step leaves
-// e > 0 or fails to shrink, as it does when a >= 1, where the caller
-// solves cold.
+// when e0 is no start (not positive and finite), when q(e0) lies more than
+// a factor e from a, or when a step leaves e > 0 or fails to shrink, as it
+// does when a >= 1, where the caller solves cold. From that far no start
+// in the deadline corpus finishes: from above the root the first step
+// leaves e > 0, from below the steps grow.
 func snrFrom(e0, a float64) (float64, bool) {
 	e, last := e0, math.Inf(1)
 	for e > 0 && e < math.Inf(1) {
 		l := math.Log1p(e)
+		if q := l / e; math.IsInf(last, 1) && !(q < a*math.E && q > a/math.E) {
+			break
+		}
 		s := (l/e - a) * e * e / (e/(1+e) - l)
 		if !(math.Abs(s) < last) {
 			break

@@ -9,6 +9,52 @@ import (
 	"repro/internal/wireless"
 )
 
+// bandAt is the tests' cold oracle for bandFrom: the band at water level
+// lambda with every inversion solved cold (bandAtFree).
+func (rd reducedDevice) bandAt(n0, lambda float64) float64 {
+	b, _ := rd.bandAtFree(n0, lambda, new(freeBranch))
+	return b
+}
+
+// bandAtFree is bandAt with the free-branch band and its rate kept in
+// *free, as the split search shares them across one price's splits. The
+// water level is level's Lambert W solve, the floor and junction bands
+// wireless.BandwidthForRate's and the free-branch band freeBand's from its
+// small-y root; bandFrom starts each from the device's last answer
+// instead, and equals this to rounding. A device whose floor is unknown
+// solves it only when the water-level root needs pmax or more. On the
+// rate-pinned branch it also returns the power PowerForRate(rmin, b) it
+// computed, for energyAt; elsewhere 0.
+func (rd reducedDevice) bandAtFree(n0, lambda float64, free *freeBranch) (float64, float64) {
+	x := level(lambda * rd.rmin * rd.g / (rd.d * n0))
+	b := rd.rmin * math.Ln2 / x
+	p := wireless.PowerForRate(rd.rmin, b, rd.g, n0)
+	if rd.bForced == 0 && !(p < rd.pmax) {
+		bf, err := wireless.BandwidthForRate(rd.rmin, rd.pmax, rd.g, n0)
+		if err != nil {
+			return math.Inf(1), 0 // rmin/RateLimit(pmax) rounded to 1
+		}
+		rd.bForced = bf
+	}
+	if !(b > rd.bForced) {
+		return rd.bForced, 0
+	}
+	if p >= rd.pmin {
+		return b, p
+	}
+	if !(free.b > 0) {
+		free.b, _ = rd.freeBand(n0, lambda, 0)
+		free.rate = wireless.Rate(rd.pmin, free.b, rd.g, n0)
+	}
+	if free.rate >= rd.rmin {
+		return free.b, 0
+	}
+	// The error is nil: the pinned level needing less than pmin shows that
+	// pmin reaches rmin.
+	bj, _ := wireless.BandwidthForRate(rd.rmin, rd.pmin, rd.g, n0)
+	return bj, 0
+}
+
 // bandFromCounts tallies what checkBandFrom exercised: inversions that
 // finished from a start (water level, pmax floor, pmin junction,
 // free-branch band), and the branch bandFrom returned.
@@ -26,16 +72,19 @@ func agree(a, b, v float64) bool {
 	return relDiff(a, b) <= 1e-14+0x1p-50/v
 }
 
-// checkBandFrom runs the split search's band inversion for device dev at
-// rate floor rmin and price lambda from the start st, which it carries on
-// as bandFrom does, and checks it against the cold path. Each inversion
-// that has a start, the water level x and the floor, junction and
-// free-branch bands, agrees with its cold solve (agree); so does
-// bandFrom's band with bandAtFree's, and on the water level its power and
-// expm1(x) with the cold x's. The band inverts the marginal as in
-// TestBandAtInvertsMarginal: marginal(b) = lambda, or the floor with a
-// marginal below lambda, or the junction with lambda inside its drop.
-func checkBandFrom(t testing.TB, dev fl.Device, n0, rmin, lambda float64, st *bandStart, n *bandFromCounts) {
+// checkBandFrom runs bandFrom for device dev at rate floor rmin and price
+// lambda from the start st, which it carries on as the solver does, and
+// checks it against the cold path. A known floor builds the device as a
+// waterfill does (newReducedDevice, its floor solved from st), else as the
+// split search does (newSplitDevice, the floor solved only where needed).
+// Each inversion that has a start, the water level x and the floor,
+// junction and free-branch bands, agrees with its cold solve (agree); so
+// does bandFrom's band with the cold oracle bandAtFree's, and on the water
+// level its power and expm1(x) with the cold x's. The band inverts the
+// marginal as in TestBandAtInvertsMarginal: marginal(b) = lambda, or the
+// floor with a marginal below lambda, or the junction with lambda inside
+// its drop.
+func checkBandFrom(t testing.TB, dev fl.Device, n0, rmin, lambda float64, known bool, st *bandStart, n *bandFromCounts) {
 	t.Helper()
 	rd, ok := newSplitDevice(dev, rmin, wireless.RateLimit(dev.PMax, dev.Gain, n0))
 	if !ok {
@@ -77,9 +126,21 @@ func checkBandFrom(t testing.TB, dev fl.Device, n0, rmin, lambda float64, st *ba
 		}
 	}
 
+	eager, err := newReducedDevice(dev, n0, rmin, new(bandStart))
+	oracle := rd
+	if known {
+		if err != nil {
+			return
+		}
+		if rd, err = newReducedDevice(dev, n0, rmin, st); err != nil {
+			t.Errorf("rmin %g: floor from %g: %v", rmin, st.floor, err)
+			return
+		}
+		oracle = eager
+	}
 	var free, coldFree freeBranch
 	b, p, x, em1 := rd.bandFrom(n0, lambda, &free, st)
-	bCold, _ := rd.bandAtFree(n0, lambda, &coldFree)
+	bCold, _ := oracle.bandAtFree(n0, lambda, &coldFree)
 	v := xCold // the band's own variable: x on the water level, else its SNR
 	if em1 == 0 {
 		v = max(p, dev.PMin) * dev.Gain / (n0 * bCold)
@@ -93,11 +154,7 @@ func checkBandFrom(t testing.TB, dev fl.Device, n0, rmin, lambda float64, st *ba
 			t.Errorf("rmin %g λ=%g: x %.17g, expm1 %.17g, power %.17g; cold x %.17g, expm1 %.17g", rmin, lambda, x, em1, p, xCold, em1Cold)
 		}
 	}
-	if math.IsInf(b, 1) {
-		return
-	}
-	eager, err := newReducedDevice(dev, n0, rmin)
-	if err != nil {
+	if math.IsInf(b, 1) || err != nil {
 		return
 	}
 	m := eager.marginal(n0, b)
@@ -120,6 +177,62 @@ func checkBandFrom(t testing.TB, dev fl.Device, n0, rmin, lambda float64, st *ba
 	}
 	n.floor += b2i(p == dev.PMax)
 	n.junction += b2i(p != dev.PMax)
+}
+
+// checkWaterfillSequence carries device d's start st through the asks a
+// run of reduced waterfills makes of one device, checking each step with
+// checkBandFrom on a known floor. Each waterfill re-derives the device at
+// a split moved from tUp (by about 1e-6 relative, as a polish re-split
+// does, or by up to a factor 2, as an outer iteration of the alternation
+// does), then walks its level: the first walks down x1/16 from a top
+// price, each later one outward from the last clearing level in log steps
+// growing x16 from 1e-6, each walk at most six steps and every price in
+// TestBandFromMatchesCold's range. Brent's method then closes on a clearing level
+// drawn inside the walk's last step: bisections of the bracket, then
+// probes at 1e-4, 1e-8 and 1e-12 from the level to either side, and the
+// final band sweep at the level itself. It returns the last split.
+func checkWaterfillSequence(t testing.TB, d fl.Device, n0, tUp, lo, hi float64, rng *rand.Rand, st *bandStart, n *bandFromCounts) float64 {
+	t.Helper()
+	ask := func(lambda float64) {
+		checkBandFrom(t, d, n0, d.UploadBits/tUp, lambda, true, st, n)
+	}
+	lambda := math.Pow(10, -6+8*rng.Float64()) // the first walk's top price
+	for fill := 0; fill < 4; fill++ {
+		if rng.Intn(2) == 0 {
+			tUp *= 1 + 1e-6*rng.NormFloat64()
+		} else {
+			tUp *= math.Pow(2, 2*rng.Float64()-1)
+		}
+		tUp = min(hi, max(lo, tUp))
+		walk, dir := 1+rng.Intn(6), float64(2*rng.Intn(2)-1)
+		var near, far float64 // the bracket of the walk's last step
+		for k := 0; k < walk; k++ {
+			ask(lambda)
+			near = lambda
+			if fill == 0 {
+				lambda /= 16
+			} else {
+				lambda *= math.Exp(dir * 1e-6 * math.Pow(16, float64(k)))
+			}
+			lambda = min(1e2, max(1e-14, lambda))
+			far = lambda
+		}
+		root := near * math.Pow(far/near, rng.Float64())
+		for k := 0; k < 3; k++ {
+			mid := math.Sqrt(near * far)
+			ask(mid)
+			if (mid > root) == (near > root) {
+				near = mid
+			} else {
+				far = mid
+			}
+		}
+		for _, rel := range []float64{1e-4, -1e-4, 1e-8, -1e-8, 1e-12, -1e-12, 0} {
+			ask(root * (1 + rel))
+		}
+		lambda = root
+	}
+	return tUp
 }
 
 // bandVariant sets device d to one of TestDeadlineStress's variants: 0 the
@@ -170,8 +283,9 @@ func TestBandFromMatchesCold(t *testing.T) {
 						tUp = min(hi, max(lo, tUp*(1+1e-6*rng.NormFloat64())))
 						logPrice += 1e-7 * rng.NormFloat64() / math.Ln10
 					}
-					checkBandFrom(t, d, s.N0, d.UploadBits/tUp, math.Pow(10, logPrice), &st, &n)
+					checkBandFrom(t, d, s.N0, d.UploadBits/tUp, math.Pow(10, logPrice), false, &st, &n)
 				}
+				checkWaterfillSequence(t, d, s.N0, tUp, lo, hi, rng, &st, &n)
 			}
 		}
 	}
@@ -267,8 +381,9 @@ func FuzzBandFrom(f *testing.F) {
 		tUp := lo * math.Pow(hi/lo, share)
 		var st bandStart
 		var n bandFromCounts
-		checkBandFrom(t, d, s.N0, d.UploadBits/tUp, math.Pow(10, logPrice), &st, &n)
+		checkBandFrom(t, d, s.N0, d.UploadBits/tUp, math.Pow(10, logPrice), false, &st, &n)
 		tUp = min(hi, max(lo, tUp*(1+splitMove)))
-		checkBandFrom(t, d, s.N0, d.UploadBits/tUp, math.Pow(10, min(2, max(-14, logPrice+priceMove))), &st, &n)
+		checkBandFrom(t, d, s.N0, d.UploadBits/tUp, math.Pow(10, min(2, max(-14, logPrice+priceMove))), false, &st, &n)
+		checkWaterfillSequence(t, d, s.N0, tUp, lo, hi, rand.New(rand.NewSource(seed)), &st, &n)
 	})
 }

@@ -43,7 +43,9 @@ func SolveSubproblem2Direct(s *fl.System, w1Rg float64, rmin []float64) (SP2Resu
 
 // solveSubproblem2DirectInto is SolveSubproblem2Direct writing powers and
 // bandwidths into caller-provided slices, with the reduced-device table
-// drawn from ws.
+// drawn from ws, which must be sized by grow. Its waterfill starts from
+// the band inversions and the clearing level ws holds from the solve's
+// last one and leaves its own there.
 func solveSubproblem2DirectInto(s *fl.System, w1Rg float64, rmin []float64, ws *Workspace, outP, outB []float64) (SP2Result, error) {
 	n := s.N()
 	if len(rmin) != n {
@@ -54,14 +56,9 @@ func solveSubproblem2DirectInto(s *fl.System, w1Rg float64, rmin []float64, ws *
 	}
 
 	devs := ws.rdevs
-	if cap(devs) < n {
-		devs = make([]reducedDevice, n)
-		ws.rdevs = devs
-	}
-	devs = devs[:n]
 	var sumForced float64
 	for i, d := range s.Devices {
-		rd, err := newReducedDevice(d, s.N0, rmin[i])
+		rd, err := newReducedDevice(d, s.N0, rmin[i], &ws.starts[i])
 		if err != nil {
 			return SP2Result{}, fmt.Errorf("core: device %d: %w", i, err)
 		}
@@ -72,10 +69,11 @@ func solveSubproblem2DirectInto(s *fl.System, w1Rg float64, rmin []float64, ws *
 		return SP2Result{}, fmt.Errorf("core: minimum bandwidths %g exceed B=%g: %w", sumForced, s.Bandwidth, ErrInfeasible)
 	}
 
-	_, bands, err := waterfillReducedInto(devs, s.N0, s.Bandwidth, 0, outB, nil)
+	level, bands, err := waterfillReducedInto(devs, ws.starts, s.N0, s.Bandwidth, ws.level, outB, nil)
 	if err != nil {
 		return SP2Result{}, err
 	}
+	ws.level = level
 
 	res := SP2Result{
 		Power:     outP,
@@ -93,23 +91,32 @@ func solveSubproblem2DirectInto(s *fl.System, w1Rg float64, rmin []float64, ws *
 // waterfillReducedInto equalizes the marginal energy saving across reduced
 // devices within the bandwidth budget and returns the clearing water level
 // and the bandwidths (rescaled onto the exact budget, floors re-applied),
-// written into bands when non-nil (workspace reuse).
+// written into bands when non-nil (workspace reuse). Every band inversion
+// of every sweep starts from the device's last answer in starts (bandFrom),
+// which the waterfill carries from sweep to sweep and leaves at its final
+// band sweep's answers, the starts of the caller's next waterfill over the
+// same devices.
 //
 // With hint = 0 the level search walks down x1/16 from the largest floor
 // marginal until demand exceeds the budget. A caller that already knows a
-// level near the answer passes it as hint: the walk then starts there,
-// capped at the largest floor marginal, and brackets outward in log steps
-// growing x16 from 1e-6, so a hint within 1e-7 in ln(level) costs one
-// extra sweep. Either way Brent's method closes the bracket from the end
-// values the walk computed. A non-nil tr counts every demand sweep,
-// the final band sweep included, in LevelEvals.
-func waterfillReducedInto(devs []reducedDevice, n0, budget, hint float64, bands []float64, tr *SolveTrace) (float64, []float64, error) {
+// level near the answer, its last waterfill's, passes it as hint: the walk
+// then starts there, capped at the largest floor marginal, and brackets
+// outward in log steps growing x16 from 1e-6, so a hint within 1e-7 in
+// ln(level) costs one extra sweep. Either way Brent's method closes the
+// bracket from the end values the walk computed. A non-nil tr counts every
+// demand sweep, the final band sweep included, in LevelEvals.
+func waterfillReducedInto(devs []reducedDevice, starts []bandStart, n0, budget, hint float64, bands []float64, tr *SolveTrace) (float64, []float64, error) {
+	band := func(i int, lambda float64) float64 {
+		var free freeBranch
+		b, _, _, _ := devs[i].bandFrom(n0, lambda, &free, &starts[i])
+		return b
+	}
 	sweeps := 1 // the final band sweep
 	demand := func(lambda float64) float64 {
 		sweeps++
 		var sum float64
-		for _, rd := range devs {
-			sum += rd.bandAt(n0, lambda)
+		for i := range devs {
+			sum += band(i, lambda)
 		}
 		return sum
 	}
@@ -165,8 +172,8 @@ func waterfillReducedInto(devs []reducedDevice, n0, budget, hint float64, bands 
 		bands = make([]float64, len(devs))
 	}
 	var sumB float64
-	for i, rd := range devs {
-		bands[i] = rd.bandAt(n0, lambda)
+	for i := range devs {
+		bands[i] = band(i, lambda)
 		sumB += bands[i]
 	}
 	if tr != nil {

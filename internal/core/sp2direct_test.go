@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/numeric"
 	"repro/internal/wireless"
 )
 
@@ -152,11 +153,48 @@ func TestSolveSubproblem2DirectErrors(t *testing.T) {
 	}
 }
 
+// coldWaterfill is TestSeededWaterfillMatchesCold's reference: the reduced
+// waterfill with every band a cold bandAt and the level found by bisection
+// in ln(level), from 1e-300 to the largest floor marginal, which it keeps
+// when no level down to 1e-300 has demand above the budget (with its
+// slack). The bands are rescaled onto the budget and floored as the
+// waterfill's are.
+func coldWaterfill(devs []reducedDevice, n0, budget float64) (float64, []float64) {
+	var top float64
+	for _, rd := range devs {
+		top = max(top, rd.marginal(n0, rd.bForced))
+	}
+	excess := func(lnLevel float64) float64 {
+		var sum float64
+		for _, rd := range devs {
+			sum += rd.bandAt(n0, math.Exp(lnLevel))
+		}
+		return sum - budget*(1+budgetSlack)
+	}
+	level := top
+	if excess(math.Log(1e-300)) > 0 {
+		ln, _ := numeric.BisectDecreasing(excess, math.Log(1e-300), math.Log(top), 0)
+		level = math.Exp(ln)
+	}
+	bands := make([]float64, len(devs))
+	var sum float64
+	for i, rd := range devs {
+		bands[i] = rd.bandAt(n0, level)
+		sum += bands[i]
+	}
+	for i, rd := range devs {
+		bands[i] = max(bands[i]*budget/sum, rd.bForced)
+	}
+	return level, bands
+}
+
 // TestSeededWaterfillMatchesCold runs the reduced waterfill over the
 // deadline corpus's polished devices (rate floors read off each served
-// allocation) from seeded levels: the cold level itself, 1e-7 and factors
-// 1e6 and 1e30 to either side, and above the largest floor marginal. Each
-// must return the cold walk's level and bands to 1e-12, with every floor
+// allocation) from seeded levels: none, the cold level itself, 1e-7 and
+// factors 1e6 and 1e30 to either side, and above the largest floor
+// marginal, carrying the devices' band inversion starts from each
+// waterfill to the next as the solvers do. Each must return the cold
+// reference's level and bands (coldWaterfill) to 1e-12, with every floor
 // respected and the bands summing to the budget. Two more budgets take
 // the edge branches: one the floors fill to within the budget slack (the
 // level sits just under the largest floor marginal), and one no level
@@ -171,30 +209,28 @@ func TestSeededWaterfillMatchesCold(t *testing.T) {
 			t.Fatalf("instance %d: %v", k, err)
 		}
 		devs := make([]reducedDevice, s.N())
+		starts := make([]bandStart, s.N())
 		var floors, topMarginal float64
 		for i, d := range s.Devices {
 			rate := wireless.Rate(alloc.Power[i], alloc.Bandwidth[i], d.Gain, s.N0)
-			if devs[i], err = newReducedDevice(d, s.N0, rate); err != nil {
+			if devs[i], err = newReducedDevice(d, s.N0, rate, &starts[i]); err != nil {
 				t.Fatalf("instance %d device %d: %v", k, i, err)
 			}
 			floors += devs[i].bForced
 			topMarginal = max(topMarginal, devs[i].marginal(s.N0, devs[i].bForced))
 		}
 		for _, budget := range []float64{s.Bandwidth, floors, 1e200} {
-			level, cold, err := waterfillReducedInto(devs, s.N0, budget, 0, nil, nil)
-			if err != nil {
-				t.Fatalf("instance %d budget %g: cold: %v", k, budget, err)
-			}
+			level, cold := coldWaterfill(devs, s.N0, budget)
 			if budget == floors && !(level < topMarginal && level > topMarginal*(1-1e-4)) {
 				t.Errorf("instance %d: budget of the floors cleared at %g, not just under the largest floor marginal %g", k, level, topMarginal)
 			}
 			if budget == 1e200 && level != topMarginal {
 				t.Errorf("instance %d: unclearable budget kept level %g, want the largest floor marginal %g", k, level, topMarginal)
 			}
-			for _, hint := range []float64{level, level * (1 + 1e-7), level * (1 - 1e-7),
+			for _, hint := range []float64{0, level, level * (1 + 1e-7), level * (1 - 1e-7),
 				level * 1e6, level * 1e-6, level * 1e30, level * 1e-30, 16 * topMarginal} {
 				var tr SolveTrace
-				got, bands, err := waterfillReducedInto(devs, s.N0, budget, hint, nil, &tr)
+				got, bands, err := waterfillReducedInto(devs, starts, s.N0, budget, hint, nil, &tr)
 				if err != nil {
 					t.Errorf("instance %d budget %g hint %g: %v", k, budget, hint, err)
 					continue

@@ -13,7 +13,9 @@ import (
 // grow on first use and are retained across solves.
 //
 // Results returned by the exported solver entry points never alias a
-// caller-provided Workspace.
+// caller-provided Workspace, and never depend on what it solved before:
+// the state it carries from one Subproblem 2 solve to the next (starts,
+// level) is zeroed by grow at the top of every solve.
 type Workspace struct {
 	n int
 
@@ -23,8 +25,13 @@ type Workspace struct {
 	freq                []float64
 	metrics             fl.Metrics
 
-	// Direct (reduction) solver.
+	// Direct (reduction) solver. starts holds each device's last band
+	// inversions and level the last clearing water level, both from the
+	// alternation's previous outer iteration, where its next waterfill
+	// starts (waterfillReducedInto).
 	rdevs      []reducedDevice
+	starts     []bandStart
+	level      float64
 	dirP, dirB []float64
 
 	// Algorithm 1 (OptimizePaper only; sized by growPaper): the Newton
@@ -46,13 +53,15 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace (buffers grow on first use).
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// grow sizes the served solver's buffers for n devices and resets the
-// price seed when the device count changes (a price from another instance
-// family would only waste the bracket probes).
+// grow sizes the served solver's buffers for n devices, zeroes the
+// waterfill's starts and level, and resets the price seed when the device
+// count changes (a price from another instance family would only waste
+// the bracket probes).
 func (ws *Workspace) grow(n int) {
 	if ws.n != n {
 		ws.lastMu = 0
 	}
+	ws.level = 0
 	ws.n = n
 	ws.upTimes = growF(ws.upTimes, n)
 	ws.rmin = growF(ws.rmin, n)
@@ -66,6 +75,12 @@ func (ws *Workspace) grow(n int) {
 		ws.rdevs = make([]reducedDevice, n)
 	} else {
 		ws.rdevs = ws.rdevs[:n]
+	}
+	if cap(ws.starts) < n {
+		ws.starts = make([]bandStart, n)
+	} else {
+		ws.starts = ws.starts[:n]
+		clear(ws.starts)
 	}
 }
 

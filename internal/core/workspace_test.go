@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/fl"
@@ -84,5 +85,49 @@ func TestOptimizeWorkspaceAllocs(t *testing.T) {
 	})
 	if allocs > 40 {
 		t.Fatalf("Optimize with reused workspace allocates %.1f times per run, want <= 40", allocs)
+	}
+}
+
+// TestWorkspaceSolvesIndependently solves instance A weighted, joint
+// weighted and in deadline mode on a fresh workspace, then on one that has
+// just solved a different instance B the same way. The Subproblem 2
+// waterfill's band inversion starts and clearing level, which a workspace
+// carries between outer iterations, are zeroed at the top of every solve,
+// so each Result must be bit-identical.
+func TestWorkspaceSolvesIndependently(t *testing.T) {
+	a, b := newTestSystem(20, 1), newTestSystem(20, 2)
+	var deadline float64 // feasible for both instances
+	for _, s := range []*fl.System{a, b} {
+		mt, err := SolveMinTime(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline = max(deadline, 1.5*mt.RoundDeadline*s.GlobalRounds)
+	}
+	runs := []struct {
+		name string
+		w    fl.Weights
+		opts Options
+	}{
+		{"weighted", fl.Weights{W1: 0.5, W2: 0.5}, Options{}},
+		{"joint", fl.Weights{W1: 0.5, W2: 0.5}, Options{JointWeighted: true}},
+		{"deadline", fl.Weights{W1: 1}, Options{Mode: ModeDeadline, TotalDeadline: deadline}},
+	}
+	for _, r := range runs {
+		solve := func(s *fl.System, ws *Workspace) Result {
+			opts := r.opts
+			opts.Work = ws
+			res, err := Optimize(s, r.w, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			return res
+		}
+		fresh := solve(a, NewWorkspace())
+		used := NewWorkspace()
+		solve(b, used)
+		if again := solve(a, used); !reflect.DeepEqual(fresh, again) {
+			t.Errorf("%s: Result after solving another instance on the workspace differs from a fresh workspace's (objective %.17g, fresh %.17g)", r.name, again.Objective, fresh.Objective)
+		}
 	}
 }

@@ -81,25 +81,3 @@ func TestAlmostEqual(t *testing.T) {
 		t.Error("1 and 2 should differ")
 	}
 }
-
-func TestStats(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := Mean(xs); got != 3 {
-		t.Errorf("Mean = %g", got)
-	}
-	if got := Sum(xs); got != 15 {
-		t.Errorf("Sum = %g", got)
-	}
-	if got := Quantile(xs, 0.5); got != 3 {
-		t.Errorf("median = %g", got)
-	}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("q0 = %g", got)
-	}
-	if got := Quantile(xs, 1); got != 5 {
-		t.Errorf("q1 = %g", got)
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Error("Mean(nil) should be NaN")
-	}
-}

@@ -14,50 +14,11 @@ var ErrNoBracket = errors.New("numeric: interval does not bracket a root")
 // iteration budget before meeting its tolerance.
 var ErrMaxIterations = errors.New("numeric: maximum iterations exceeded")
 
-// Bisect finds a root of f on [lo, hi] by bisection. f(lo) and f(hi) must
-// have opposite signs (zero counts as either sign). It iterates until the
-// interval width falls below tol (absolute) or 200 iterations elapse, which
-// is enough to exhaust double precision on any physically scaled interval.
-func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 {
-		return lo, nil
-	}
-	if fhi == 0 {
-		return hi, nil
-	}
-	if math.Signbit(flo) == math.Signbit(fhi) {
-		return 0, fmt.Errorf("numeric: Bisect on [%g,%g] f=(%g,%g): %w", lo, hi, flo, fhi, ErrNoBracket)
-	}
-	for i := 0; i < 200; i++ {
-		mid := lo + 0.5*(hi-lo)
-		if mid <= lo || mid >= hi { // interval exhausted at double precision
-			return mid, nil
-		}
-		fm := f(mid)
-		if fm == 0 {
-			return mid, nil
-		}
-		if math.Signbit(fm) == math.Signbit(flo) {
-			lo, flo = mid, fm
-		} else {
-			hi = mid
-		}
-		if hi-lo <= tol {
-			return lo + 0.5*(hi-lo), nil
-		}
-	}
-	return lo + 0.5*(hi-lo), nil
-}
-
 // BisectDecreasing finds the root of a (weakly) monotone decreasing function
 // f with f(lo) >= 0 >= f(hi) — the shape of every dual "price" search in
 // this codebase (the bandwidth price mu, the deadline multiplier gamma).
-// Unlike Bisect it tolerates flat segments: it returns the midpoint of the
-// final interval.
+// It tolerates flat segments: it returns the midpoint of the final
+// interval.
 func BisectDecreasing(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 	flo, fhi := f(lo), f(hi)
 	if flo < 0 && fhi < 0 {
@@ -158,17 +119,10 @@ func BracketUp(pred func(float64) bool, start float64, maxDoublings int) (float6
 	return hi, fmt.Errorf("numeric: BracketUp gave up at %g: %w", hi, ErrMaxIterations)
 }
 
-// Brent finds a root of f on a bracketing interval [lo, hi] using Brent's
-// method (inverse quadratic interpolation with bisection safeguards). It is
-// faster than plain bisection on smooth functions and used where the solver
-// sits on a hot path (per-device rate inversion).
-func Brent(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	return BrentBracketed(f, lo, hi, f(lo), f(hi), tol)
-}
-
-// BrentBracketed is Brent on a bracket whose end values flo = f(lo) and
-// fhi = f(hi) the caller has already computed; it evaluates neither end
-// again.
+// BrentBracketed finds a root of f on a bracketing interval [lo, hi] by
+// Brent's method (inverse quadratic interpolation with bisection
+// safeguards), given the end values flo = f(lo) and fhi = f(hi), which
+// the caller has already computed: it evaluates neither end again.
 func BrentBracketed(f func(float64) float64, lo, hi, flo, fhi, tol float64) (float64, error) {
 	const eps = 2.220446049250313e-16
 	a, b := lo, hi
@@ -237,38 +191,4 @@ func BrentBracketed(f func(float64) float64, lo, hi, flo, fhi, tol float64) (flo
 		fb = f(b)
 	}
 	return b, fmt.Errorf("numeric: Brent: %w", ErrMaxIterations)
-}
-
-// Newton1D runs a safeguarded Newton iteration for f(x)=0 starting at x0,
-// falling back to bisection steps whenever the Newton step leaves [lo, hi].
-func Newton1D(f, df func(float64) float64, x0, lo, hi, tol float64) (float64, error) {
-	x := Clamp(x0, lo, hi)
-	for i := 0; i < 100; i++ {
-		fx := f(x)
-		if math.Abs(fx) <= tol {
-			return x, nil
-		}
-		d := df(x)
-		var next float64
-		if d != 0 {
-			next = x - fx/d
-		}
-		if d == 0 || next < lo || next > hi || math.IsNaN(next) {
-			// Safeguard: shrink toward the midpoint of the box.
-			next = 0.5 * (lo + hi)
-		}
-		if fx > 0 {
-			hi = math.Min(hi, x)
-		} else {
-			lo = math.Max(lo, x)
-		}
-		if next <= lo || next >= hi {
-			next = 0.5 * (lo + hi)
-		}
-		if math.Abs(next-x) <= 1e-15*(1+math.Abs(x)) {
-			return next, nil
-		}
-		x = next
-	}
-	return x, fmt.Errorf("numeric: Newton1D: %w", ErrMaxIterations)
 }
