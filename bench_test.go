@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/serve"
 )
 
 func benchCfg() repro.RunConfig { return repro.RunConfig{Trials: 1, Seed: 1} }
@@ -269,7 +270,7 @@ func BenchmarkServeDrift(b *testing.B) {
 // finishes one solve-lifecycle trace per iteration, the server records
 // fingerprint/cache/queue/solve spans into it, and every finished trace is
 // exported through a span exporter into a local aggregator (the
-// single-process assembly path) AND folded into the always-on flight
+// single-process assembly path) AND folded into the flight
 // recorder, exactly as the serving cmds wire it. The gap to
 // BenchmarkServeDrift (the nil-collector fast path) is the tracing +
 // export + flight-event overhead.
@@ -334,6 +335,39 @@ func BenchmarkServeBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(serveBatchSize, "inst/op")
+}
+
+// BenchmarkDecodeSolveBatch measures the solve-batch ingress alone: one
+// body of 8 drifted deadline-mode N=50 instances, the shape the
+// deadline-batch workload posts, read and decoded by serve.ReadBatchRequest
+// into validated requests.
+func BenchmarkDecodeSolveBatch(b *testing.B) {
+	sc := repro.DefaultScenario()
+	sc.N = 50
+	base, err := sc.Build(rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	in := repro.SolveBatchRequestJSON{Priority: "bulk"}
+	for i := 0; i < 8; i++ {
+		req := repro.SolveRequestJSON{System: repro.SystemToJSON(driftBench(base, 0.3, rng)), Mode: "deadline", TotalDeadlineS: 120}
+		req.Weights.W1, req.Weights.W2 = 0.5, 0.5
+		in.Requests = append(in.Requests, req)
+	}
+	body, err := json.Marshal(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := httptest.NewRequest(http.MethodPost, "/v1/solve-batch", bytes.NewReader(body))
+		dec, ok := serve.ReadBatchRequest(httptest.NewRecorder(), r)
+		if !ok || len(dec.Valid()) != len(in.Requests) {
+			b.Fatalf("batch did not decode: ok %v, %d valid", ok, len(dec.Valid()))
+		}
+	}
 }
 
 // streamBenchSystem builds the N=50 deployment of the streaming benchmarks:

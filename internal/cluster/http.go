@@ -73,19 +73,10 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// maxBody mirrors the single-server bound on request bodies.
-const maxBody = 8 << 20
-
 func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request, cell int) {
 	var in serve.SolveRequestJSON
-	req.Body = http.MaxBytesReader(w, req.Body, maxBody)
-	if err := json.NewDecoder(req.Body).Decode(&in); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, req, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		httpError(w, req, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))
+	if status, err := serve.ReadJSON(w, req, serve.MaxSolveBody, &in); err != nil {
+		httpError(w, req, status, err)
 		return
 	}
 	sreq, err := serve.RequestFromJSON(in)
@@ -131,9 +122,8 @@ func (r *Router) handleSolveBatch(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleHandoff(w http.ResponseWriter, req *http.Request) {
 	var in HandoffRequestJSON
-	req.Body = http.MaxBytesReader(w, req.Body, maxBody)
-	if err := json.NewDecoder(req.Body).Decode(&in); err != nil {
-		httpError(w, req, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))
+	if status, err := serve.ReadJSON(w, req, serve.MaxSolveBody, &in); err != nil {
+		httpError(w, req, status, err)
 		return
 	}
 	rep, err := r.Handoff(req.Context(), in.DeviceID, in.FromCell, in.ToCell)

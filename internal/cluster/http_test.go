@@ -116,6 +116,34 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizeBodies413 pins that every body-limited route answers a
+// body over the limit with 413, the handoff route included, and also when
+// the body opens with a complete value.
+func TestHTTPOversizeBodies413(t *testing.T) {
+	r := testRouter(t, 2)
+	ts := httptest.NewServer(r.Handler())
+	defer ts.Close()
+
+	pad := strings.Repeat(" ", serve.MaxSolveBody)
+	handoff := `{"device_id":"d","from_cell":0,"to_cell":1}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/solve", `{"device_id":"` + strings.Repeat("x", serve.MaxSolveBody) + `"}`},
+		{"/v1/cells/0/solve", `{"mode":"deadline"}` + pad},
+		{"/v1/handoff", `{"device_id":"` + strings.Repeat("x", serve.MaxSolveBody) + `"}`},
+		{"/v1/handoff", handoff + pad},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s, %d-byte body: status %d, want 413 (%s)", tc.path, len(tc.body), resp.StatusCode, body)
+		}
+	}
+}
+
 // TestHTTPUnknownCellTyped404 pins the uniform unknown-cell contract:
 // every endpoint that takes a cell ID answers a well-formed ID that is not
 // a member with 404 and the machine-readable {"error":"unknown_cell",

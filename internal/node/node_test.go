@@ -212,3 +212,39 @@ func TestClusterShapeEndpoints(t *testing.T) {
 	}
 	shutdown(t, n, "flcluster.snap")
 }
+
+// TestFlightRecorderFollowsTraceSample pins that the flight recorder
+// exists only with tracing on: at -trace-sample 0 no recorder is built and
+// /debug/flight (like /debug/traces) answers 404 on both listeners; at
+// the default 16 both answer 200.
+func TestFlightRecorderFollowsTraceSample(t *testing.T) {
+	for _, tc := range []struct{ sample, status int }{{0, http.StatusNotFound}, {16, http.StatusOK}} {
+		n := New(Config{Origin: "flserved", Addr: "127.0.0.1:0", DebugAddr: "127.0.0.1:0", TraceSample: tc.sample})
+		srv := serve.New(serve.Config{Workers: 1})
+		mgr := stream.NewManager(stream.NewServeBackend(srv), stream.Config{Trace: n.Collector()})
+		err := n.Start(Backend{
+			Stream: mgr,
+			Health: health.Config{Source: health.ServerSource(srv), Tick: time.Hour},
+			Stats:  func() any { return srv.Stats() },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, url := range []string{"http://" + n.Addr(), "http://" + n.DebugAddr()} {
+			for _, path := range []string{"/debug/flight", "/debug/traces"} {
+				resp, err := http.Get(url + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != tc.status {
+					t.Errorf("trace sample %d: GET %s%s answered %d, want %d", tc.sample, url, path, resp.StatusCode, tc.status)
+				}
+			}
+		}
+		n.Shutdown()
+		n.Close()
+		mgr.Close()
+		srv.Close()
+	}
+}

@@ -71,10 +71,11 @@ func EventFromTrace(t obs.TraceJSON) Event {
 	return e
 }
 
-// FlightRecorder is the always-on wide-event ring. It hangs off the
-// collector sink (Observe runs on the request goroutine at trace Finish),
-// so the per-request cost is one event derivation plus one ring append —
-// a single short mutex hold, same budget as trace retention itself.
+// FlightRecorder is the wide-event ring of every traced process. It hangs
+// off the collector sink (Observe runs on the request goroutine at trace
+// Finish), so the per-request cost is one event derivation plus one ring
+// append — a single short mutex hold, same budget as trace retention
+// itself.
 // All methods are safe on a nil receiver.
 type FlightRecorder struct {
 	ring     *obs.Ring[Event]

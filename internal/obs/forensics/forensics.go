@@ -6,12 +6,13 @@
 //
 // It has four parts:
 //
-//   - FlightRecorder: an always-on, bounded, lock-cheap ring of
+//   - FlightRecorder: a bounded, lock-cheap ring of
 //     per-request wide events (one compact Event per finished trace,
 //     derived from the trace's spans) fed from the collector sink and
 //     queryable at GET /debug/flight with the same validated query
 //     parameters as /debug/traces. Sampling-independent: every request
-//     lands here even at 1-in-N trace retention.
+//     lands here even at 1-in-N trace retention. It exists only where
+//     there is a collector, so a process with tracing off has none.
 //
 //   - ProfileTrigger: SLO-triggered pprof capture. Wired to health state
 //     transitions by the cmds, it writes CPU, heap, goroutine, and mutex

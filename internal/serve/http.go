@@ -223,15 +223,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// maxSolveBody bounds the /v1/solve request body (8 MiB fits tens of
-// thousands of devices) so one oversized POST cannot exhaust memory.
-const maxSolveBody = 8 << 20
-
-// maxBatchBody bounds the /v1/solve-batch request body: batches amortize
-// a round trip over many instances, so they get a proportionally larger
-// ceiling.
-const maxBatchBody = 64 << 20
-
 // ParseBatchPriority maps the wire priority to the dispatch priority
 // (shared with the cluster front end). Empty means bulk: the batch
 // endpoint exists for replays, and replays must not starve live traffic.
@@ -285,14 +276,8 @@ func (b DecodedBatch) Valid() []int {
 // failures land in the result's Errs instead.
 func ReadBatchRequest(w http.ResponseWriter, r *http.Request) (DecodedBatch, bool) {
 	var in SolveBatchRequestJSON
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBody)
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, r, http.StatusRequestEntityTooLarge, err)
-			return DecodedBatch{}, false
-		}
-		httpError(w, r, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))
+	if status, err := ReadJSON(w, r, maxBatchBody, &in); err != nil {
+		httpError(w, r, status, err)
 		return DecodedBatch{}, false
 	}
 	pri, err := ParseBatchPriority(in.Priority)
@@ -343,14 +328,8 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var in SolveRequestJSON
-	r.Body = http.MaxBytesReader(w, r.Body, maxSolveBody)
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, r, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		httpError(w, r, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))
+	if status, err := ReadJSON(w, r, MaxSolveBody, &in); err != nil {
+		httpError(w, r, status, err)
 		return
 	}
 	req, err := RequestFromJSON(in)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 
@@ -14,10 +13,6 @@ import (
 
 // NDJSONContentType is the media type of the delta and update streams.
 const NDJSONContentType = "application/x-ndjson"
-
-// maxOpenBody bounds the session-opening body (one full system, same limit
-// as POST /v1/solve).
-const maxOpenBody = 8 << 20
 
 // maxDeltaStream bounds one delta-stream request body. Deltas are tiny, so
 // this fits hundreds of thousands of updates per connection; a client
@@ -118,14 +113,8 @@ func Handler(m *Manager) http.Handler {
 
 func (m *Manager) handleOpen(w http.ResponseWriter, r *http.Request) {
 	var in serve.SolveRequestJSON
-	r.Body = http.MaxBytesReader(w, r.Body, maxOpenBody)
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))
+	if status, err := serve.ReadJSON(w, r, serve.MaxSolveBody, &in); err != nil {
+		httpError(w, status, err)
 		return
 	}
 	req, err := serve.RequestFromJSON(in)

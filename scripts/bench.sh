@@ -24,9 +24,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkOptimizeWeighted|BenchmarkOptimizeJointWeighted|BenchmarkOptimizeDeadline|BenchmarkOptimizeScale|BenchmarkServeCold|BenchmarkServeCached|BenchmarkServeDrift|BenchmarkServeTraced|BenchmarkServeBatch|BenchmarkClusterRoutedCached|BenchmarkStreamDelta|BenchmarkStreamRepostCold|BenchmarkMassHandoff|BenchmarkHandoffPerDevice)$'
+BENCHES='^(BenchmarkOptimizeWeighted|BenchmarkOptimizeJointWeighted|BenchmarkOptimizeDeadline|BenchmarkOptimizeScale|BenchmarkServeCold|BenchmarkServeCached|BenchmarkServeDrift|BenchmarkServeTraced|BenchmarkServeBatch|BenchmarkDecodeSolveBatch|BenchmarkClusterRoutedCached|BenchmarkStreamDelta|BenchmarkStreamRepostCold|BenchmarkMassHandoff|BenchmarkHandoffPerDevice)$'
 BENCHTIME="${BENCHTIME:-2s}"
-PAIRED='BenchmarkOptimizeWeighted BenchmarkOptimizeJointWeighted BenchmarkOptimizeDeadline BenchmarkOptimizeScale/N=500/weighted BenchmarkOptimizeScale/N=5000/weighted BenchmarkOptimizeScale/N=500/deadline BenchmarkOptimizeScale/N=5000/deadline BenchmarkServeCold BenchmarkServeCached BenchmarkServeDrift BenchmarkClusterRoutedCached BenchmarkHandoffPerDevice BenchmarkStreamDelta'
+PAIRED='BenchmarkOptimizeWeighted BenchmarkOptimizeJointWeighted BenchmarkOptimizeDeadline BenchmarkOptimizeScale/N=500/weighted BenchmarkOptimizeScale/N=5000/weighted BenchmarkOptimizeScale/N=500/deadline BenchmarkOptimizeScale/N=5000/deadline BenchmarkServeCold BenchmarkServeCached BenchmarkServeDrift BenchmarkDecodeSolveBatch BenchmarkClusterRoutedCached BenchmarkHandoffPerDevice BenchmarkStreamDelta'
 
 out="$(go test -run '^$' -bench "$BENCHES" -benchmem -benchtime "$BENCHTIME" -count 1 .)"
 echo "$out" >&2
@@ -37,7 +37,14 @@ if [ -n "${PAIRED_BASE:-}" ]; then
     trap 'rm -rf "$tmp"' EXIT
     mkdir "$tmp/base"
     git archive "$PAIRED_BASE" | tar -x -C "$tmp/base"
-    (cd "$tmp/base" && go test -c -o "$tmp/base.test" .)
+    # Both binaries run this tree's benchmark file, so a benchmark this
+    # tree adds is timed on the base too; a base it does not compile
+    # against keeps its own file.
+    cp bench_test.go "$tmp/base/bench_test.go"
+    (cd "$tmp/base" && go test -c -o "$tmp/base.test" .) || {
+        git show "$PAIRED_BASE:bench_test.go" > "$tmp/base/bench_test.go"
+        (cd "$tmp/base" && go test -c -o "$tmp/base.test" .)
+    }
     go test -c -o "$tmp/change.test" .
     nsof() {
         "$tmp/$1.test" -test.run '^$' -test.bench "^${2//\//\$/^}\$" -test.benchtime "$BENCHTIME" |
